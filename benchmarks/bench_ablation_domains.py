@@ -13,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from repro.toolchain.config import BuildVariant
-from repro.toolchain.pipeline import BuildPipeline
 from repro.ccured.config import MessageStrategy
 
 _DOMAINS = ["constant", "interval", "valueset"]
@@ -30,12 +29,12 @@ def _variant(domain: str) -> BuildVariant:
     )
 
 
-def _ablation(apps):
+def _ablation(workbench, apps):
     rows = []
     for app in apps:
         row = {"application": app}
         for domain in _DOMAINS:
-            result = BuildPipeline(_variant(domain)).build_named(app)
+            result = workbench.build_unregistered(app, _variant(domain))
             row[f"{domain}_survivors"] = result.checks_surviving
             row[f"{domain}_code"] = result.image.code_bytes
             row["inserted"] = result.checks_inserted
@@ -43,9 +42,10 @@ def _ablation(apps):
     return rows
 
 
-def test_domain_ablation(benchmark, selected_apps):
+def test_domain_ablation(benchmark, workbench, selected_apps):
     apps = selected_apps[:5] if len(selected_apps) > 5 else selected_apps
-    rows = benchmark.pedantic(_ablation, args=(apps,), rounds=1, iterations=1)
+    rows = benchmark.pedantic(_ablation, args=(workbench, apps), rounds=1,
+                              iterations=1)
 
     print()
     print("Abstract-domain ablation (surviving checks / code bytes)")

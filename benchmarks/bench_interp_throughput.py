@@ -2,10 +2,9 @@
 
 Measures statements/second for the reference tree-walking interpreter
 ("before") and the compile-to-closures engine (:mod:`repro.avrora.engine`)
-— with superblock fusion (the default), with fusion on but trace-level
-call inlining disabled (``REPRO_AVRORA_TRACES=0``, the trace-ablation
-column), and with fusion disabled entirely
-(``REPRO_AVRORA_SUPERBLOCKS=0``) — on three workload shapes:
+— with superblock fusion and trace-level call inlining (the default), and
+with fusion disabled entirely (``REPRO_AVRORA_SUPERBLOCKS=0``, the
+per-statement lowering) — on three workload shapes:
 
 * ``tight_loop`` — a counting loop over a global accumulator,
 * ``function_calls`` — a call-heavy loop exercising frames and returns,
@@ -152,30 +151,24 @@ def _build(source: str, vectors: dict[str, str]) -> Program:
     return program
 
 
-def _make_node(program: Program, engine: str, superblocks: bool,
-               traces: bool = True) -> Node:
-    """A node with the fusion and trace switches pinned (not inherited
-    from the caller's environment), restored after engine construction
-    reads them."""
-    previous = {name: os.environ.get(name)
-                for name in ("REPRO_AVRORA_SUPERBLOCKS",
-                             "REPRO_AVRORA_TRACES")}
+def _make_node(program: Program, engine: str, superblocks: bool) -> Node:
+    """A node with the fusion switch pinned (not inherited from the
+    caller's environment), restored after engine construction reads it."""
+    previous = os.environ.get("REPRO_AVRORA_SUPERBLOCKS")
     os.environ["REPRO_AVRORA_SUPERBLOCKS"] = "1" if superblocks else "0"
-    os.environ["REPRO_AVRORA_TRACES"] = "1" if traces else "0"
     try:
         return Node(program, engine=engine)
     finally:
-        for name, value in previous.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        if previous is None:
+            os.environ.pop("REPRO_AVRORA_SUPERBLOCKS", None)
+        else:
+            os.environ["REPRO_AVRORA_SUPERBLOCKS"] = previous
 
 
 def _run(source: str, vectors: dict[str, str], engine: str, seconds: float,
-         superblocks: bool = True, traces: bool = True) -> tuple[Node, float]:
+         superblocks: bool = True) -> tuple[Node, float]:
     program = _build(source, vectors)
-    node = _make_node(program, engine, superblocks, traces)
+    node = _make_node(program, engine, superblocks)
     node.boot()
     start = time.perf_counter()
     node.run(seconds)
@@ -210,15 +203,12 @@ def measure() -> dict:
         tree_node, tree_time = _run(source, vectors, "tree", seconds)
         compiled_node, compiled_time = _run(source, vectors, "compiled",
                                             seconds)
-        notrace_node, notrace_time = _run(source, vectors, "compiled",
-                                          seconds, traces=False)
         nosb_node, nosb_time = _run(source, vectors, "compiled", seconds,
                                     superblocks=False)
 
         # Every compiled configuration must match the tree-walker exactly:
         # same statements, same cycles, same interrupt count.
         for label, node in (("compiled", compiled_node),
-                            ("compiled/notrace", notrace_node),
                             ("compiled/nosb", nosb_node)):
             assert tree_node.busy_cycles == node.busy_cycles, \
                 f"{name} ({label}): cycle totals diverge"
@@ -247,15 +237,11 @@ def measure() -> dict:
             "interrupts_delivered": tree_node.interrupts_delivered,
             "tree_seconds": round(tree_time, 4),
             "compiled_seconds": round(compiled_time, 4),
-            "compiled_notrace_seconds": round(notrace_time, 4),
             "compiled_nosb_seconds": round(nosb_time, 4),
             "tree_stmts_per_sec": round(statements / tree_time),
             "compiled_stmts_per_sec": round(statements / compiled_time),
-            "compiled_notrace_stmts_per_sec": round(
-                statements / notrace_time),
             "compiled_nosb_stmts_per_sec": round(statements / nosb_time),
             "speedup": round(tree_time / compiled_time, 2),
-            "speedup_notrace": round(tree_time / notrace_time, 2),
             "speedup_nosb": round(tree_time / nosb_time, 2),
             "superblocks": {
                 "superblocks": superblocks["superblocks"],
@@ -365,15 +351,13 @@ def format_table(results: dict) -> str:
     lines = [
         f"interpreter throughput ({results['sim_seconds']}s simulated):",
         f"{'workload':<18} {'tree st/s':>12} {'no-fuse st/s':>13} "
-        f"{'no-trace st/s':>14} {'fused st/s':>12} {'speedup':>8} "
-        f"{'fused %':>8}",
+        f"{'fused st/s':>12} {'speedup':>8} {'fused %':>8}",
     ]
     for name, row in results["workloads"].items():
         fused_pct = row["superblocks"]["fused_fraction"] * 100
         lines.append(
             f"{name:<18} {row['tree_stmts_per_sec']:>12,} "
             f"{row['compiled_nosb_stmts_per_sec']:>13,} "
-            f"{row['compiled_notrace_stmts_per_sec']:>14,} "
             f"{row['compiled_stmts_per_sec']:>12,} {row['speedup']:>7}x "
             f"{fused_pct:>7.1f}%")
     warm = results.get("warm_vs_cold")

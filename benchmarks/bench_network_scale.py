@@ -41,9 +41,9 @@ import os
 import time
 from pathlib import Path
 
+from repro.api.workbench import Workbench
 from repro.avrora.network import Channel, Network
 from repro.avrora.node import Node
-from repro.toolchain.pipeline import BuildPipeline
 from repro.toolchain.variants import BASELINE
 
 APP = "Surge_Mica2"
@@ -123,7 +123,7 @@ def _observe(network: Network) -> dict:
 def measure() -> dict:
     seconds = SMOKE_SECONDS if _smoke() else SIM_SECONDS
     node_counts = SMOKE_NODE_COUNTS if _smoke() else NODE_COUNTS
-    program = BuildPipeline(BASELINE).build_named(APP).program
+    program = Workbench().build_result(APP, BASELINE).program
 
     results: dict = {
         "app": APP,

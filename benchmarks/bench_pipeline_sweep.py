@@ -4,8 +4,8 @@ Runs the full Figure-3 sweep (every figure application × the unsafe
 baseline + the seven figure variants) twice through the
 :class:`~repro.toolchain.sweep.SweepRunner`:
 
-* **unshared** — every (app, variant) build runs the complete pipeline
-  independently (exactly what per-variant ``BuildPipeline.build`` does),
+* **unshared** — every (app, variant) build runs its complete pass list
+  independently, in one pass manager with no snapshots,
 * **shared** — one nesC front end per application, every variant built
   from a fast ``Program.clone()`` of the shared program.
 

@@ -39,11 +39,11 @@ import os
 import time
 from pathlib import Path
 
+from repro.api.workbench import Workbench
 from repro.avrora.chaos import ChaosPolicy
 from repro.avrora.network import Channel, Network
 from repro.avrora.node import Node
 from repro.avrora.shard import DEFAULT_CHECKPOINT_EVERY, run_sharded
-from repro.toolchain.pipeline import BuildPipeline
 from repro.toolchain.variants import BASELINE
 
 APP = "Surge_Mica2"
@@ -108,7 +108,7 @@ def _timed_run(program, seconds: float, *, cadence: int,
 def measure() -> dict:
     seconds = SMOKE_SECONDS if _smoke() else SIM_SECONDS
     cadences = SMOKE_CADENCES if _smoke() else CADENCES
-    program = BuildPipeline(BASELINE).build_named(APP).program
+    program = Workbench().build_result(APP, BASELINE).program
 
     results: dict = {
         "app": APP,

@@ -6,7 +6,7 @@ memoized by spec content key, and different variants of one application
 resume from the session's shared front-end (and CCured) snapshots instead
 of re-running the nesC compiler.  This mirrors how the paper's evaluation
 reuses one build per configuration across measurements — and it is the same
-engine the ``python -m repro`` CLI and the ``SafeTinyOS`` facade use.
+engine, and the one build API, the ``python -m repro`` CLI uses.
 """
 
 from __future__ import annotations

@@ -8,9 +8,10 @@ transformer, the cXprop whole-program optimizer with pluggable abstract
 domains, a GCC-strength backend with AVR/MSP430 cost models, and an
 Avrora-style sensor-network simulator.
 
-Start with :class:`repro.api.Workbench` (the declarative spec/record API
-and the ``python -m repro`` CLI) or the :class:`repro.core.SafeTinyOS`
-facade built on top of it.
+Start with :class:`repro.api.Workbench`, the one build API: it builds
+applications under the paper's variants (``build``, ``build_result``,
+``build_unregistered``), simulates and runs fault scenarios from
+declarative specs, and backs the ``python -m repro`` CLI.
 """
 
 from repro.api import (
@@ -24,14 +25,10 @@ from repro.api import (
     SweepSpec,
     Workbench,
 )
-from repro.core import BuildOutcome, SafeTinyOS, SimulationOutcome
 
 __version__ = "1.2.0"
 
 __all__ = [
-    "SafeTinyOS",
-    "BuildOutcome",
-    "SimulationOutcome",
     "Workbench",
     "BuildSpec",
     "SweepSpec",

@@ -1,7 +1,8 @@
 """The Workbench: one session object, one execution engine.
 
-Every build — interactive or batched, facade or CLI — funnels through a
-:class:`Workbench`, which routes it through
+The Workbench is the one build API: every build — interactive or
+batched, library or CLI — funnels through a :class:`Workbench`, which
+routes it through
 :class:`~repro.toolchain.sweep.SweepRunner` with a session-persistent
 prefix-snapshot store.  That gives three properties for free:
 
@@ -45,7 +46,6 @@ from repro.api.specs import (
     SimSpec,
     SweepSpec,
 )
-from repro.avrora.chaos import ChaosPolicy
 from repro.avrora.network import Channel, Network, TrafficGenerator
 from repro.avrora.node import Node
 from repro.nesc.application import Application
@@ -158,8 +158,6 @@ class Workbench:
     """Cache-routed execution engine for builds, sweeps and simulations.
 
     Args:
-        share_front_end: Route builds over shared pass-list-prefix
-            snapshots (disable only to benchmark the unshared baseline).
         processes: Default worker-process count for :meth:`submit`
             (defaults to ``min(4, cpu_count)`` at submit time).
         store: Persistent artifact store — a directory path or a
@@ -171,10 +169,8 @@ class Workbench:
             front-end snapshot instead of re-flattening.
     """
 
-    def __init__(self, *, share_front_end: bool = True,
-                 processes: Optional[int] = None,
+    def __init__(self, *, processes: Optional[int] = None,
                  store: Union[str, os.PathLike, ArtifactStore, None] = None):
-        self.share_front_end = share_front_end
         self.processes = processes
         if store is not None and not isinstance(store, ArtifactStore):
             store = ArtifactStore(os.fspath(store), schema=SCHEMA_VERSION)
@@ -320,7 +316,6 @@ class Workbench:
                     runner = SweepRunner(
                         apps,
                         [variant_by_name(name) for name in variant_names],
-                        share_front_end=self.share_front_end,
                         processes=workers)
                     for build in runner.run():
                         self._admit(build)
@@ -337,11 +332,10 @@ class Workbench:
                            variant: BuildVariant) -> BuildResult:
         """Build a custom application and/or an unregistered variant.
 
-        This is the compatibility path behind
-        :meth:`repro.core.SafeTinyOS.build`: the build still routes through
-        the sweep runner (sharing front-end snapshots where possible) but is
-        memoized by identity instead of content key, since ad-hoc
-        applications and variants have no stable serialized name.
+        The build still routes through the sweep runner (sharing
+        front-end snapshots where possible) but is memoized by identity
+        instead of content key, since ad-hoc applications and variants
+        have no stable serialized name.
         """
         if isinstance(app, str):
             ident: tuple = ("app", app)
@@ -355,9 +349,7 @@ class Workbench:
         if cached is not None:
             return cached[1]
         with self._execute_lock:
-            runner = SweepRunner([app], [variant],
-                                 share_front_end=self.share_front_end,
-                                 snapshot_store=store)
+            runner = SweepRunner([app], [variant], snapshot_store=store)
             build = runner.run().builds[0]
         with self._lock:
             self._unregistered[key] = (app, build.result)
@@ -383,8 +375,7 @@ class Workbench:
         a session :attr:`store`, a previously recorded identical spec is
         served straight from disk — no build, no simulation.
 
-        Chaos: ``spec.chaos`` (or, when that is None, the ``REPRO_CHAOS``
-        environment variable) arms the sharded kernel's fault injection.
+        Chaos: ``spec.chaos`` arms the sharded kernel's fault injection.
         An execution knob like ``spec.workers`` — recovery keeps the
         results bit-identical, so the memoization key is unchanged and a
         cached fault-free record legitimately satisfies a chaos request.
@@ -407,13 +398,11 @@ class Workbench:
                 if spec.traffic in (TRAFFIC_DEFAULT, TRAFFIC_BASE) else None
             channel = Channel(topology=spec.topology, loss=spec.loss,
                               seed=spec.seed)
-            chaos = spec.chaos if spec.chaos is not None \
-                else ChaosPolicy.from_env()
             network = run_network(
                 result.program, seconds=spec.seconds,
                 node_count=spec.node_count, traffic=traffic, channel=channel,
                 traffic_first_node_only=(spec.traffic == TRAFFIC_BASE),
-                workers=spec.workers, chaos=chaos)
+                workers=spec.workers, chaos=spec.chaos)
             code_cache = plan_store_persist(attach, result.program)
         stats = network.node_stats()
         record = SimRecord(
@@ -527,10 +516,8 @@ class Workbench:
                 if self.store is not None:
                     for app in apps:
                         self._hydrate_snapshots(app, variants)
-                runner = SweepRunner(
-                    apps, variants,
-                    share_front_end=self.share_front_end,
-                    snapshot_store=self._snapshots)
+                runner = SweepRunner(apps, variants,
+                                     snapshot_store=self._snapshots)
                 for build in runner.run():
                     self._admit(build)
                 if self.store is not None:

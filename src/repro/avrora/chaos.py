@@ -16,22 +16,18 @@ results are bit-identical to a fault-free run; that contract is why
 ``SimSpec.chaos`` is an execution knob excluded from the spec's content
 key, exactly like ``workers``.
 
-Policies are injectable three ways: programmatically on
-:attr:`Network.chaos <repro.avrora.network.Network>`, through
-``SimSpec.chaos``, or via the ``REPRO_CHAOS`` environment variable, which
-accepts either the JSON form of :meth:`ChaosPolicy.to_dict` or the compact
-``W@R[,W@R...]`` syntax (``"1@3"`` = kill worker 1 at round 3).
+Policies are injectable two ways: programmatically on
+:attr:`Network.chaos <repro.avrora.network.Network>`, or through
+``SimSpec.chaos`` (the CLI's ``--chaos``, which :meth:`ChaosPolicy.parse`
+reads in either the JSON form of :meth:`ChaosPolicy.to_dict` or the
+compact ``W@R[,W@R...]`` syntax: ``"1@3"`` = kill worker 1 at round 3).
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from typing import Optional
-
-#: Environment variable :meth:`ChaosPolicy.from_env` reads.
-CHAOS_ENV_VAR = "REPRO_CHAOS"
 
 #: Exit code of a chaos-killed worker process — recognizable in process
 #: tables and distinct from Python's generic failure exits.
@@ -128,7 +124,7 @@ class ChaosPolicy:
 
     @classmethod
     def parse(cls, text: str) -> Optional["ChaosPolicy"]:
-        """Parse the CLI/env syntax; empty or blank text means no policy.
+        """Parse the CLI syntax; empty or blank text means no policy.
 
         Accepts the JSON form of :meth:`to_dict` (``{"kills": [[1, 3]]}``)
         or the compact ``W@R[,W@R...]`` form (``"1@3,0@7"``).
@@ -156,11 +152,6 @@ class ChaosPolicy:
                     f"chaos: expected integers in WORKER@ROUND, "
                     f"got {part!r}") from None
         return cls(kills=tuple(kills))
-
-    @classmethod
-    def from_env(cls, env_var: str = CHAOS_ENV_VAR) -> Optional["ChaosPolicy"]:
-        """The policy named by ``env_var``, or None when unset/empty."""
-        return cls.parse(os.environ.get(env_var, ""))
 
     # -- seeded sampling -------------------------------------------------------
 

@@ -33,14 +33,18 @@ Two mechanisms push past per-statement dispatch:
 * **superblocks** — maximal straight-line runs of simple statements fuse
   into a single op that charges the run's precomputed cycle total once,
   bumps the statement counter once, and executes the bare work closures
-  back-to-back.  Loops whose body is entirely fusable additionally get a
-  **loop superblock** that runs whole iterations in a burst.  Entry is
-  gated by a **poll-window guard**: if the node's next queued event (which
+  back-to-back.  Loops in the simplifier's one loop form,
+  ``while (1) { [if (c) break;] tail }`` with a fusable tail,
+  additionally get a **loop superblock** that runs whole iterations in a
+  burst; every other loop shape keeps the per-statement lowering (only
+  un-simplified programs contain one).  Entry is gated by a
+  **poll-window guard**: if the node's next queued event (which
   includes the lockstep kernel's horizon sentinels), a pending interrupt,
   or the end of simulated time could land inside the block's cycle window,
   the superblock falls back to the unfused per-statement ops — so every
   event, interrupt delivery and pause lands at exactly the cycle it would
-  without fusion.  ``REPRO_AVRORA_SUPERBLOCKS=0`` disables fusion.
+  without fusion.  ``REPRO_AVRORA_SUPERBLOCKS=0`` disables fusion, which
+  leaves the per-statement lowering as the test oracle.
 * **traces** — superblocks extend *through* calls to leaf functions
   (bodies with no further calls, no address-taken locals, no loops):
   the callee's work closures are spliced inline under the caller's
@@ -51,9 +55,8 @@ Two mechanisms push past per-statement dispatch:
   statement accounting is *dynamic*: the guard checks the window
   against the worst case, the inlined units accumulate the actually
   executed cost, and a mid-trace fault repairs the accounting to
-  exactly what the per-statement path would have charged.
-  ``REPRO_AVRORA_TRACES=0`` disables trace formation (plain fusion
-  stays on).
+  exactly what the per-statement path would have charged.  A plain
+  fused region is the same op with an accumulator that stays zero.
 * **a shared code cache** — the node-independent front end of lowering
   (frame layout, per-statement cycle costs, fusability, parameter plans)
   is computed once per program in a :class:`CodeCache` hanging off the
@@ -144,18 +147,12 @@ _FUSABLE_KINDS = (ast.Assign, ast.ExprStmt, ast.VarDecl, ast.Nop)
 #: :class:`FunctionPlan`'s fields or the meaning of its facts change, so
 #: stale on-disk plans from an older lowering are rejected instead of
 #: silently mis-executing.
-LOWERING_VERSION = 2
+LOWERING_VERSION = 3
 
 
 def _superblocks_enabled() -> bool:
     """Read the fusion switch (``REPRO_AVRORA_SUPERBLOCKS``, default on)."""
     value = os.environ.get("REPRO_AVRORA_SUPERBLOCKS", "1").strip().lower()
-    return value not in ("0", "false", "off", "no")
-
-
-def _traces_enabled() -> bool:
-    """Read the trace-inlining switch (``REPRO_AVRORA_TRACES``, default on)."""
-    value = os.environ.get("REPRO_AVRORA_TRACES", "1").strip().lower()
     return value not in ("0", "false", "off", "no")
 
 
@@ -348,9 +345,9 @@ class FunctionPlan:
         self.stmt_costs = stmt_costs
         #: ``node_id`` of every statement eligible for superblock fusion.
         self.fusable = fusable
-        #: ``node_id`` of every While/For/If whose condition is call-free
-        #: (or absent) — the control-flow precondition for loop
-        #: superblocks (If matters for rotated loops' if-break guards).
+        #: ``node_id`` of every If whose condition is call-free — the
+        #: precondition for fusing it as a loop superblock's if-break
+        #: guard.
         self.loop_conds = loop_conds
         #: ``node_id`` -> callee names, for otherwise-fusable statements
         #: whose every call targets a non-builtin program function with
@@ -427,12 +424,10 @@ def _build_plan(func: ast.FunctionDef, program: Program,
                 names.append(call.callee)
             if names:
                 call_sites[stmt.node_id] = tuple(names)
-        if isinstance(stmt, (ast.While, ast.For, ast.If)):
-            cond = stmt.cond
-            if cond is None or not any(
-                    isinstance(node, ast.Call)
-                    for node in walk_expression(cond)):
-                loop_conds.add(stmt.node_id)
+        if isinstance(stmt, ast.If) and not any(
+                isinstance(node, ast.Call)
+                for node in walk_expression(stmt.cond)):
+            loop_conds.add(stmt.node_id)
     for name in stray:
         if name not in slots:
             slots[name] = 1 + len(slots)
@@ -753,9 +748,6 @@ class CompiledEngine:
         #: Superblock fusion switch (``REPRO_AVRORA_SUPERBLOCKS``), read at
         #: engine construction so tests can toggle it per node.
         self.superblocks_enabled = _superblocks_enabled()
-        #: Trace-inlining switch (``REPRO_AVRORA_TRACES``); traces build
-        #: on superblocks, so disabling fusion disables traces too.
-        self.traces_enabled = self.superblocks_enabled and _traces_enabled()
         #: Node-independent lowering plans shared with every other engine
         #: simulating this program (compile-once across a network).
         self.code_cache: CodeCache = self.program.analysis().code_cache()
@@ -770,10 +762,11 @@ class CompiledEngine:
         #: [fast entries, slow entries, fused statements, bursts,
         #:  burst iterations, inlined calls executed].
         self._sb_cell = [0, 0, 0, 0, 0, 0]
-        #: Per-trace dynamic accumulator: [extra cycles, extra statements,
-        #: inlined calls], reset by each trace guard on entry.  Safe to
-        #: share engine-wide: fused trace runs are straight-line (no
-        #: polls, no nested machine runs), so they never nest.
+        #: Per-region dynamic accumulator: [extra cycles, extra statements,
+        #: inlined calls], reset by each fused op on entry and charged by
+        #: inlined callees only.  Safe to share engine-wide: fused runs
+        #: are straight-line (no polls, no nested machine runs), so they
+        #: never nest.
         self._acc = [0, 0, 0]
 
     @property
@@ -787,7 +780,6 @@ class CompiledEngine:
         return {
             "engine": "compiled",
             "enabled": self.superblocks_enabled,
-            "traces_enabled": self.traces_enabled,
             "superblocks": self.superblocks,
             "loop_superblocks": self.loop_superblocks,
             "traces": self.traces,
@@ -994,7 +986,6 @@ class _FunctionCompiler:
         self.atomic_depth = 0
         self.has_atomic = False
         self.sb_enabled = engine.superblocks_enabled
-        self.trace_enabled = engine.traces_enabled
         #: Extra frame slots appended past the plan's layout, holding the
         #: flattened frames of inlined trace callees (one block per call
         #: site, so re-entrancy within one statement cannot alias).
@@ -1061,47 +1052,30 @@ class _FunctionCompiler:
             for stmt in stmts:
                 self._compile_stmt(stmt)
             return
-        fusable = self.plan.fusable
-        total = len(stmts)
         index = 0
-        while index < total:
-            stmt = stmts[index]
-            if stmt.node_id in fusable or \
-                    self._site_extra(stmt) is not None:
-                end = index
-                extras = []
-                while end < total:
-                    s = stmts[end]
-                    if s.node_id in fusable:
-                        extras.append(0)
-                    else:
-                        extra = self._site_extra(s)
-                        if extra is None:
-                            break
-                        extras.append(extra)
-                    end += 1
-                # A run is worth a guard when it fuses >= 2 statements,
-                # or contains even a single trace statement (inlining
-                # one call already beats the CALL-op machinery).
-                if end - index >= 2 or any(extras):
-                    self._compile_superblock(stmts[index:end], extras)
-                    index = end
-                    continue
-            self._compile_stmt(stmt)
-            index += 1
+        while index < len(stmts):
+            extras = self._run_extras(stmts, index)
+            # A run is worth a guard when it fuses >= 2 statements, or
+            # contains even a single trace statement (inlining one call
+            # already beats the CALL-op machinery).
+            if len(extras) >= 2 or any(extras):
+                end = index + len(extras)
+                self._compile_superblock(stmts[index:end], extras)
+                index = end
+            else:
+                self._compile_stmt(stmts[index])
+                index += 1
 
-    # -- trace facts ------------------------------------------------------------
+    # -- fused regions ----------------------------------------------------------
 
     def _site_extra(self, stmt: ast.Stmt) -> Optional[int]:
         """Worst-case inlined-callee cycles for one trace statement.
 
         None when the statement is not a trace candidate: no recorded
-        call sites, tracing disabled, or any callee not leaf-inlinable
-        (recursive and non-leaf callees fail here — their plans carry
+        call sites, or any callee not leaf-inlinable (recursive and
+        non-leaf callees fail here — their plans carry
         ``leaf_cost is None`` — and stay on the CALL-op path).
         """
-        if not self.trace_enabled:
-            return None
         names = self.plan.call_sites.get(stmt.node_id)
         if not names:
             return None
@@ -1118,410 +1092,170 @@ class _FunctionCompiler:
             extra += overhead + plan.leaf_cost
         return extra
 
-    # -- superblocks ------------------------------------------------------------
+    def _run_extras(self, stmts: list, start: int = 0) -> list[int]:
+        """Per-statement worst-case callee cycles of the run at ``start``.
 
-    def _compile_superblock(self, run: list,
-                            extras: Optional[list] = None) -> None:
-        """Fuse one maximal straight-line run of fusable statements.
-
-        Emits a guard op followed by the unchanged per-statement ops.  The
-        guard checks the **poll window**: if the node's next queued event
-        (horizon sentinels included), the end of simulated time, a pending
-        interrupt, or strict-memory mode could make any per-statement poll
-        or end-check observable inside the run's cycle window, it falls
-        through to the per-statement ops — execution is then bit-for-bit
-        today's.  Otherwise it charges the precomputed total once, bumps
-        the statement counter once, runs the bare work closures
-        back-to-back, and jumps past the slow path.
-
-        If a work closure raises (e.g. a null-pointer dereference aborting
-        the simulation), the accounting is repaired to exactly what the
-        per-statement path would have charged up to and including the
-        faulting statement before the exception propagates.
-
-        ``extras`` carries the per-statement worst-case inlined-callee
-        cycles of a *trace* run (zero for plain statements): the guard
-        then checks the window against the worst case, while the actual
-        dynamic charge accumulates in the engine's trace accumulator.
+        The run is the longest stretch of ``stmts`` from ``start`` whose
+        statements are fusable (extra 0) or trace statements (extra > 0,
+        see :meth:`_site_extra`); the returned list has one entry per
+        statement of the run, so its length is the run's length.
         """
-        self.engine.superblocks += 1
-        trace = extras is not None and any(extras)
-        guard_index = len(self.ops)
-        self.ops.append(None)  # patched below, after the slow path exists
+        fusable = self.plan.fusable
+        extras = []
+        for index in range(start, len(stmts)):
+            stmt = stmts[index]
+            if stmt.node_id in fusable:
+                extras.append(0)
+                continue
+            extra = self._site_extra(stmt)
+            if extra is None:
+                break
+            extras.append(extra)
+        return extras
+
+    def _fuse(self, run: list, extras: list[int]) -> tuple:
+        """Lower one run for fused execution: ``(works, prefix, extra_max)``.
+
+        ``works`` are the statements' bare effects (see
+        :meth:`_compile_trace_work`); ``prefix[j]`` is the static cycle total
+        the per-statement path has charged once statement ``j`` is
+        entered (it charges before it executes); ``extra_max`` sums the
+        run's ``extras``, the worst case of its inlined callees.  Guards
+        check their window against that worst case, while the callees'
+        actual charge accumulates in the engine's trace accumulator.  A
+        plain run is a trace run whose accumulator stays zero.
+        """
         works = []
         prefix = []
         total = 0
         for stmt in run:
             total += self._stmt_cost(stmt)
             prefix.append(total)
-            if trace and self.plan.call_sites.get(stmt.node_id):
-                works.append(self._compile_trace_work(stmt))
-            else:
-                works.append(self._compile_work(stmt))
-            self._compile_stmt(stmt)
-        done = len(self.ops)
-
-        if trace:
+            works.append(self._compile_trace_work(stmt))
+        extra_max = sum(extras)
+        if extra_max:
             self.engine.traces += 1
-            max_total = total + sum(extras)
+        return tuple(works), tuple(prefix), extra_max
 
-            def trace_op(frame: list, _n=self.node, _eq=self._eq,
-                         _pi=self._pending, _works=tuple(works),
-                         _nw=len(run), _static=total, _max=max_total,
-                         _prefix=tuple(prefix), _cell=self._cell,
-                         _sb=self._sb, _acc=self._acc,
-                         _slow=guard_index + 1, _done=done) -> int:
-                t = _n.time_cycles
-                limit = t + _max
-                end = _n.end_cycles
-                if (_pi or (_eq and _eq[0][0] <= limit)
-                        or (end and limit >= end) or _n.strict_memory):
-                    _sb[1] += 1
-                    return _slow
-                _sb[0] += 1
-                _acc[0] = 0
-                _acc[1] = 0
-                _acc[2] = 0
-                j = 0
-                try:
-                    while j < _nw:
-                        _works[j](frame)
-                        j += 1
-                except BaseException:
-                    # Per-statement equivalence: j completed/entered
-                    # caller statements (charge-then-execute, so the
-                    # faulting one is included) plus whatever the
-                    # inlined callees charged before the fault.
-                    _n.time_cycles = t + _prefix[j] + _acc[0]
-                    _cell[0] += j + 1 + _acc[1]
-                    _sb[2] += j + 1 + _acc[1]
-                    _sb[5] += _acc[2]
-                    raise
-                _n.time_cycles = t + _static + _acc[0]
-                _cell[0] += _nw + _acc[1]
-                _sb[2] += _nw + _acc[1]
-                _sb[5] += _acc[2]
-                return _done
+    def _compile_superblock(self, run: list, extras: list[int]) -> None:
+        """Fuse one maximal straight-line run of fusable statements.
 
-            self.ops[guard_index] = trace_op
-            return
+        Emits a guard op followed by the unchanged per-statement ops.  The
+        guard checks the **poll window**: if the node's next queued event
+        (horizon sentinels included), the end of simulated time, a pending
+        interrupt, or strict-memory mode could make any per-statement poll
+        or end-check observable inside the run's worst-case cycle window,
+        it falls through to the per-statement ops — execution is then
+        bit-for-bit today's.  Otherwise it runs the bare work closures
+        back-to-back, charges the static total plus whatever the inlined
+        callees accumulated, bumps the statement counter once, and jumps
+        past the slow path.
+
+        If a work closure raises (e.g. a null-pointer dereference aborting
+        the simulation), the accounting is repaired to exactly what the
+        per-statement path would have charged up to and including the
+        faulting statement before the exception propagates.
+        """
+        self.engine.superblocks += 1
+        works, prefix, extra_max = self._fuse(run, extras)
+        guard_index = len(self.ops)
+        self.ops.append(None)  # patched below, after the slow path exists
+        for stmt in run:
+            self._compile_stmt(stmt)
 
         def op(frame: list, _n=self.node, _eq=self._eq, _pi=self._pending,
-               _works=tuple(works), _nw=len(run), _total=total,
-               _prefix=tuple(prefix), _cell=self._cell, _sb=self._sb,
-               _slow=guard_index + 1, _done=done) -> int:
+               _works=works, _prefix=prefix, _max=prefix[-1] + extra_max,
+               _cell=self._cell, _sb=self._sb, _acc=self._acc,
+               _slow=guard_index + 1, _done=len(self.ops)) -> int:
             t = _n.time_cycles
-            limit = t + _total
+            limit = t + _max
             end = _n.end_cycles
             if (_pi or (_eq and _eq[0][0] <= limit)
                     or (end and limit >= end) or _n.strict_memory):
                 _sb[1] += 1
                 return _slow
             _sb[0] += 1
-            _sb[2] += _nw
-            _cell[0] += _nw
-            _n.time_cycles = limit
-            j = 0
+            _acc[0] = _acc[1] = _acc[2] = 0
+            j = -1
             try:
-                while j < _nw:
-                    _works[j](frame)
+                for work in _works:
                     j += 1
-            except BaseException:
-                _n.time_cycles = t + _prefix[j]
-                _cell[0] -= _nw - j - 1
-                _sb[2] -= _nw - j - 1
-                raise
+                    work(frame)
+            finally:
+                # Statements 0..j were entered: all of them after the
+                # run, or up to the faulting one.
+                _n.time_cycles = t + _prefix[j] + _acc[0]
+                done = j + 1 + _acc[1]
+                _cell[0] += done
+                _sb[2] += done
+                _sb[5] += _acc[2]
             return _done
 
         self.ops[guard_index] = op
 
-    def _loop_burst(self, stmt: ast.Stmt, body_stmts: list,
-                    extra_stmt: Optional[ast.Stmt] = None,
-                    base_cost: int = 0):
-        """Fusion facts for a loop superblock, or None when ineligible.
+    def _emit_loop_burst(self, stmt: ast.While, exit_label: _Label) -> None:
+        """The loop superblock for the simplifier's one loop form.
 
-        Eligible when the loop's condition is call-free (or absent) and
-        every statement executed per iteration — the body plus, for
-        ``for`` loops, the update — is fusable or a trace statement
-        (every call inlinable).  ``base_cost`` is the per-iteration
-        charge outside the statements themselves (the ``while`` branch
-        cycles).  Returns
-        ``(works, prefix, iter_cost, iter_stmts, extra_max)`` where
-        ``prefix`` excludes ``base_cost`` and ``extra_max`` is the
-        worst-case inlined-callee cycles per iteration (0 for a plain
-        fusable loop).
+        The simplifier rewrites every loop into
+        ``while (1) { [if (c) break;] tail }`` (see
+        :mod:`repro.cminor.simplify`).  When ``stmt`` has that form, the
+        optional if-break guard's condition is call-free and the tail is
+        one fusable run, this emits a burst op at the loop head, in front
+        of the normal condition op.  Every other loop — only
+        un-simplified programs contain them — keeps the per-statement
+        lowering.
+
+        Each entry computes how many whole iterations fit strictly inside
+        the poll window (next event, horizon sentinel, end of time),
+        costing each at its worst case when inlined callees make the cost
+        dynamic, and runs them back-to-back, writing the cycle and
+        statement accounting once at the end.  Per iteration the
+        accounting mirrors the per-statement path exactly: the while
+        branch charge, the guard's statement cost and count, then the
+        tail.  Leaving through the break also charges and counts the
+        break statement, at the cycle the per-statement path would; an
+        exhausted window falls through to the per-statement machinery; a
+        fault repairs the accounting up to the faulting statement.
         """
-        if not self.sb_enabled or stmt.node_id not in self.plan.loop_conds:
-            return None
-        run = list(body_stmts)
-        if extra_stmt is not None:
-            run.append(extra_stmt)
-        if not run:
-            return None
-        fusable = self.plan.fusable
-        extras = []
-        for s in run:
-            if s.node_id in fusable:
-                extras.append(0)
-            else:
-                extra = self._site_extra(s)
-                if extra is None:
-                    return None
-                extras.append(extra)
-        trace = any(extras)
-        works = []
-        prefix = []
-        total = 0
-        for s in run:
-            total += self._stmt_cost(s)
-            prefix.append(total)
-            if trace and self.plan.call_sites.get(s.node_id):
-                works.append(self._compile_trace_work(s))
-            else:
-                works.append(self._compile_work(s))
-        return (tuple(works), tuple(prefix), base_cost + total, len(run),
-                sum(extras))
-
-    def _emit_burst(self, burst, cond: Optional[ExprFn], branch_cycles: int,
-                    exit_label: _Label) -> None:
-        """One loop superblock: run fused iterations while the window allows.
-
-        Sits at the loop head, in front of the normal condition op.  Each
-        entry computes how many whole iterations fit strictly inside the
-        poll window (next event, horizon sentinel, end of time) and runs
-        them back-to-back, writing the cycle and statement accounting once
-        at the end.  A false condition exits the loop directly (charging
-        nothing, like the condition op); an exhausted window falls through
-        to the per-statement machinery, which re-evaluates the condition —
-        the condition is never evaluated twice for one iteration, so even
-        out-of-bounds reads inside it are absorbed exactly once.
-        """
-        works, prefix, iter_cost, iter_stmts, _ = burst
-        self.engine.loop_superblocks += 1
-        nxt = len(self.ops) + 1
-
-        def maker(exit_index: int, _n=self.node, _eq=self._eq,
-                  _pi=self._pending, _cond=cond, _works=works,
-                  _nw=len(works), _prefix=prefix, _ic=iter_cost,
-                  _is=iter_stmts, _bc=branch_cycles, _cell=self._cell,
-                  _sb=self._sb, _chunk=_BURST_CHUNK, _nxt=nxt) -> Op:
-            def op(frame: list) -> int:
-                if _pi or _n.strict_memory:
-                    return _nxt
-                t = _n.time_cycles
-                end = _n.end_cycles
-                if _eq:
-                    limit = _eq[0][0] - 1
-                    if end and end - 1 < limit:
-                        limit = end - 1
-                elif end:
-                    limit = end - 1
-                else:
-                    limit = t + _ic * _chunk
-                k_max = (limit - t) // _ic
-                if k_max <= 0:
-                    return _nxt
-                k = 0
-                j = -1
-                out = _nxt
-                try:
-                    while k < k_max:
-                        if _cond is not None and _cond(frame) == 0:
-                            out = exit_index
-                            break
-                        j = 0
-                        while j < _nw:
-                            _works[j](frame)
-                            j += 1
-                        j = -1
-                        k += 1
-                except BaseException:
-                    # Repair to the per-statement accounting: k complete
-                    # iterations, plus — when a work raised — the branch
-                    # charge and the statements up to the faulting one.
-                    if j < 0:
-                        _n.time_cycles = t + k * _ic
-                        _cell[0] += k * _is
-                        _sb[2] += k * _is
-                    else:
-                        _n.time_cycles = t + k * _ic + _bc + _prefix[j]
-                        _cell[0] += k * _is + j + 1
-                        _sb[2] += k * _is + j + 1
-                    if k or j >= 0:
-                        _sb[3] += 1
-                        _sb[4] += k
-                    raise
-                if k:
-                    _n.time_cycles = t + k * _ic
-                    _cell[0] += k * _is
-                    _sb[2] += k * _is
-                    _sb[3] += 1
-                    _sb[4] += k
-                return out
-
-            return op
-
-        self._emit_pending(maker, exit_label)
-
-    def _emit_trace_burst(self, burst, cond: Optional[ExprFn],
-                          branch_cycles: int, exit_label: _Label) -> None:
-        """A loop superblock whose iterations contain inlined calls.
-
-        Mirrors :meth:`_emit_burst`, except the per-iteration cost is
-        dynamic: the iteration budget is computed against the worst case
-        (static cost + every callee's maximal body), while the actual
-        charge — accumulated by the inlined units in the engine's trace
-        accumulator — is written back at the end.  Conservatively
-        running fewer iterations per burst is invisible: the
-        per-statement machinery takes over at the same cycle.
-        """
-        works, prefix, iter_cost, iter_stmts, extra_max = burst
-        self.engine.loop_superblocks += 1
-        self.engine.traces += 1
-        nxt = len(self.ops) + 1
-
-        def maker(exit_index: int, _n=self.node, _eq=self._eq,
-                  _pi=self._pending, _cond=cond, _works=works,
-                  _nw=len(works), _prefix=prefix, _ic=iter_cost,
-                  _im=iter_cost + extra_max, _is=iter_stmts,
-                  _bc=branch_cycles, _cell=self._cell, _sb=self._sb,
-                  _acc=self._acc, _chunk=_BURST_CHUNK, _nxt=nxt) -> Op:
-            def op(frame: list) -> int:
-                if _pi or _n.strict_memory:
-                    return _nxt
-                t = _n.time_cycles
-                end = _n.end_cycles
-                if _eq:
-                    limit = _eq[0][0] - 1
-                    if end and end - 1 < limit:
-                        limit = end - 1
-                elif end:
-                    limit = end - 1
-                else:
-                    limit = t + _im * _chunk
-                k_max = (limit - t) // _im
-                if k_max <= 0:
-                    return _nxt
-                _acc[0] = 0
-                _acc[1] = 0
-                _acc[2] = 0
-                k = 0
-                j = -1
-                out = _nxt
-                try:
-                    while k < k_max:
-                        if _cond is not None and _cond(frame) == 0:
-                            out = exit_index
-                            break
-                        j = 0
-                        while j < _nw:
-                            _works[j](frame)
-                            j += 1
-                        j = -1
-                        k += 1
-                except BaseException:
-                    # Repair to the per-statement accounting: k complete
-                    # iterations plus the accumulated callee charges,
-                    # plus — when a work raised — the branch charge and
-                    # the statements up to the faulting one.
-                    if j < 0:
-                        _n.time_cycles = t + k * _ic + _acc[0]
-                        _cell[0] += k * _is + _acc[1]
-                        _sb[2] += k * _is + _acc[1]
-                    else:
-                        _n.time_cycles = t + k * _ic + _bc + _prefix[j] \
-                            + _acc[0]
-                        _cell[0] += k * _is + j + 1 + _acc[1]
-                        _sb[2] += k * _is + j + 1 + _acc[1]
-                    _sb[5] += _acc[2]
-                    if k or j >= 0:
-                        _sb[3] += 1
-                        _sb[4] += k
-                    raise
-                if k:
-                    _n.time_cycles = t + k * _ic + _acc[0]
-                    _cell[0] += k * _is + _acc[1]
-                    _sb[2] += k * _is + _acc[1]
-                    _sb[3] += 1
-                    _sb[4] += k
-                    _sb[5] += _acc[2]
-                return out
-
-            return op
-
-        self._emit_pending(maker, exit_label)
-
-    def _rotated_burst_facts(self, stmt: ast.While, branch_cycles: int):
-        """Fusion facts for a rotated loop, or None when ineligible.
-
-        The simplifier desugars every ``for`` (and guarded ``while``) into
-        the rotated form ``while (1) { if (exit) break; ...tail...; }`` —
-        the dominant hot-loop shape reaching the engine.  Eligible when the
-        while condition is a non-zero literal (so evaluating it has no
-        observable effect to preserve), the first body statement is exactly
-        an if-break with a call-free condition, and the tail is fusable.
-        """
-        if not self.sb_enabled:
-            return None
         cond = stmt.cond
-        if not (isinstance(cond, ast.IntLiteral) and cond.value != 0):
-            return None
+        if not (self.sb_enabled and isinstance(cond, ast.IntLiteral)
+                and cond.value != 0):
+            return
         body = stmt.body.stmts
-        if not body:
-            return None
-        guard = body[0]
-        if not (isinstance(guard, ast.If) and guard.else_body is None
+        guard = body[0] if body else None
+        if (isinstance(guard, ast.If) and guard.else_body is None
                 and len(guard.then_body.stmts) == 1
                 and isinstance(guard.then_body.stmts[0], ast.Break)
                 and guard.node_id in self.plan.loop_conds):
-            return None
-        tail = body[1:]
-        fusable = self.plan.fusable
-        extras = []
-        for s in tail:
-            if s.node_id in fusable:
-                extras.append(0)
-            else:
-                extra = self._site_extra(s)
-                if extra is None:
-                    return None
-                extras.append(extra)
-        trace = any(extras)
-        works = []
-        prefix = []
-        total = 0
-        for s in tail:
-            total += self._stmt_cost(s)
-            prefix.append(total)
-            if trace and self.plan.call_sites.get(s.node_id):
-                works.append(self._compile_trace_work(s))
-            else:
-                works.append(self._compile_work(s))
-        head_cost = branch_cycles + self._stmt_cost(guard)
-        exit_cost = head_cost + self._stmt_cost(guard.then_body.stmts[0])
-        return (self._compile_expr(guard.cond), tuple(works), tuple(prefix),
-                head_cost + total, 1 + len(tail), head_cost, exit_cost,
-                sum(extras))
-
-    def _emit_rotated_burst(self, facts, exit_label: _Label) -> None:
-        """The loop superblock for the rotated (if-break) loop shape.
-
-        Per fused iteration, the accounting mirrors the slow path exactly:
-        the while branch charge plus the if-break guard's statement count
-        and cost, then the tail statements.  Exiting through the break
-        additionally charges and counts the break statement before jumping
-        to the loop exit, at the same cycle the per-statement path would.
-        """
-        exit_cond, works, prefix, iter_cost, iter_stmts, head_cost, \
-            exit_cost, _ = facts
+            tail = body[1:]
+        else:
+            guard = None
+            tail = body
+        extras = self._run_extras(tail)
+        if len(extras) != len(tail) or not body:
+            return
+        works, prefix, extra_max = self._fuse(tail, extras)
+        head_cost = self.costs.branch_cycles
+        head_stmts = 0
+        exit_cond = None
+        exit_cost = 0
+        if guard is not None:
+            head_cost += self._stmt_cost(guard)
+            head_stmts = 1
+            exit_cond = self._compile_expr(guard.cond)
+            exit_cost = head_cost + self._stmt_cost(guard.then_body.stmts[0])
+        iter_cost = head_cost + (prefix[-1] if prefix else 0)
+        worst = iter_cost + extra_max
         self.engine.loop_superblocks += 1
         nxt = len(self.ops) + 1
 
         def maker(exit_index: int, _n=self.node, _eq=self._eq,
                   _pi=self._pending, _ec=exit_cond, _works=works,
-                  _nw=len(works), _prefix=prefix, _ic=iter_cost,
-                  _is=iter_stmts, _hc=head_cost, _xc=exit_cost,
-                  _cell=self._cell, _sb=self._sb, _chunk=_BURST_CHUNK,
+                  _prefix=prefix, _ic=iter_cost, _im=worst,
+                  _is=head_stmts + len(works), _hc=head_cost,
+                  _hs=head_stmts, _xc=exit_cost,
+                  _xs=max(0, exit_cost - worst), _cell=self._cell,
+                  _sb=self._sb, _acc=self._acc, _chunk=_BURST_CHUNK,
                   _nxt=nxt) -> Op:
             def op(frame: list) -> int:
                 if _pi or _n.strict_memory:
@@ -1535,189 +1269,45 @@ class _FunctionCompiler:
                 elif end:
                     limit = end - 1
                 else:
-                    limit = t + _ic * _chunk
+                    limit = t + _im * _chunk
                 # A break exit can charge more than one full iteration
                 # (exit cost > iteration cost when the tail is tiny);
                 # shrink the budget so every exit stays inside the window.
-                budget = limit - t
-                if _xc > _ic:
-                    budget -= _xc - _ic
-                k_max = budget // _ic
+                k_max = (limit - t - _xs) // _im
                 if k_max <= 0:
                     return _nxt
+                _acc[0] = _acc[1] = _acc[2] = 0
                 k = 0
-                j = -1
-                try:
-                    if _nw == 2:
-                        # The canonical desugared ``for``: body + update.
-                        w0 = _works[0]
-                        w1 = _works[1]
-                        while k < k_max:
-                            j = -2
-                            if _ec(frame) != 0:
-                                _n.time_cycles = t + k * _ic + _xc
-                                _cell[0] += k * _is + 2
-                                _sb[2] += k * _is + 2
-                                _sb[3] += 1
-                                _sb[4] += k
-                                return exit_index
-                            j = 0
-                            w0(frame)
-                            j = 1
-                            w1(frame)
-                            j = -1
-                            k += 1
-                    elif _nw == 1:
-                        w0 = _works[0]
-                        while k < k_max:
-                            j = -2
-                            if _ec(frame) != 0:
-                                _n.time_cycles = t + k * _ic + _xc
-                                _cell[0] += k * _is + 2
-                                _sb[2] += k * _is + 2
-                                _sb[3] += 1
-                                _sb[4] += k
-                                return exit_index
-                            j = 0
-                            w0(frame)
-                            j = -1
-                            k += 1
-                    else:
-                        while k < k_max:
-                            j = -2
-                            if _ec(frame) != 0:
-                                _n.time_cycles = t + k * _ic + _xc
-                                _cell[0] += k * _is + 2
-                                _sb[2] += k * _is + 2
-                                _sb[3] += 1
-                                _sb[4] += k
-                                return exit_index
-                            j = 0
-                            while j < _nw:
-                                _works[j](frame)
-                                j += 1
-                            j = -1
-                            k += 1
-                except BaseException:
-                    # Repair to the per-statement accounting: the guard
-                    # condition raising counts the if statement only; a
-                    # tail work raising also counts the statements up to
-                    # and including the faulting one.
-                    if j == -2:
-                        _n.time_cycles = t + k * _ic + _hc
-                        _cell[0] += k * _is + 1
-                        _sb[2] += k * _is + 1
-                    elif j >= 0:
-                        _n.time_cycles = t + k * _ic + _hc + _prefix[j]
-                        _cell[0] += k * _is + j + 2
-                        _sb[2] += k * _is + j + 2
-                    else:  # pragma: no cover - defensive
-                        _n.time_cycles = t + k * _ic
-                        _cell[0] += k * _is
-                        _sb[2] += k * _is
-                    _sb[3] += 1
-                    _sb[4] += k
-                    raise
-                if k:
-                    _n.time_cycles = t + k * _ic
-                    _cell[0] += k * _is
-                    _sb[2] += k * _is
-                    _sb[3] += 1
-                    _sb[4] += k
-                return _nxt
-
-            return op
-
-        self._emit_pending(maker, exit_label)
-
-    def _emit_trace_rotated_burst(self, facts, exit_label: _Label) -> None:
-        """The rotated-loop superblock with inlined calls in the tail.
-
-        Mirrors :meth:`_emit_rotated_burst` with the dynamic-accumulator
-        accounting of :meth:`_emit_trace_burst`: the iteration budget
-        uses the worst-case cost, the write-back uses the actual one.
-        The if-break guard condition is call-free, so the exit path's
-        cost stays static.
-        """
-        exit_cond, works, prefix, iter_cost, iter_stmts, head_cost, \
-            exit_cost, extra_max = facts
-        self.engine.loop_superblocks += 1
-        self.engine.traces += 1
-        nxt = len(self.ops) + 1
-
-        def maker(exit_index: int, _n=self.node, _eq=self._eq,
-                  _pi=self._pending, _ec=exit_cond, _works=works,
-                  _nw=len(works), _prefix=prefix, _ic=iter_cost,
-                  _im=iter_cost + extra_max, _is=iter_stmts, _hc=head_cost,
-                  _xc=exit_cost, _cell=self._cell, _sb=self._sb,
-                  _acc=self._acc, _chunk=_BURST_CHUNK, _nxt=nxt) -> Op:
-            def op(frame: list) -> int:
-                if _pi or _n.strict_memory:
-                    return _nxt
-                t = _n.time_cycles
-                end = _n.end_cycles
-                if _eq:
-                    limit = _eq[0][0] - 1
-                    if end and end - 1 < limit:
-                        limit = end - 1
-                elif end:
-                    limit = end - 1
-                else:
-                    limit = t + _im * _chunk
-                budget = limit - t
-                if _xc > _im:
-                    budget -= _xc - _im
-                k_max = budget // _im
-                if k_max <= 0:
-                    return _nxt
-                _acc[0] = 0
-                _acc[1] = 0
-                _acc[2] = 0
-                k = 0
-                j = -1
+                cycles = stmts = 0
+                out = _nxt
                 try:
                     while k < k_max:
-                        j = -2
-                        if _ec(frame) != 0:
-                            _n.time_cycles = t + k * _ic + _xc + _acc[0]
-                            _cell[0] += k * _is + 2 + _acc[1]
-                            _sb[2] += k * _is + 2 + _acc[1]
-                            _sb[3] += 1
-                            _sb[4] += k
-                            _sb[5] += _acc[2]
-                            return exit_index
-                        j = 0
-                        while j < _nw:
-                            _works[j](frame)
-                            j += 1
                         j = -1
+                        if _ec is not None and _ec(frame) != 0:
+                            cycles = _xc
+                            stmts = _hs + 1
+                            out = exit_index
+                            break
+                        for work in _works:
+                            j += 1
+                            work(frame)
                         k += 1
                 except BaseException:
-                    if j == -2:
-                        _n.time_cycles = t + k * _ic + _hc + _acc[0]
-                        _cell[0] += k * _is + 1 + _acc[1]
-                        _sb[2] += k * _is + 1 + _acc[1]
-                    elif j >= 0:
-                        _n.time_cycles = t + k * _ic + _hc + _prefix[j] \
-                            + _acc[0]
-                        _cell[0] += k * _is + j + 2 + _acc[1]
-                        _sb[2] += k * _is + j + 2 + _acc[1]
-                    else:  # pragma: no cover - defensive
-                        _n.time_cycles = t + k * _ic + _acc[0]
-                        _cell[0] += k * _is + _acc[1]
-                        _sb[2] += k * _is + _acc[1]
-                    _sb[3] += 1
-                    _sb[4] += k
-                    _sb[5] += _acc[2]
+                    # The partial iteration: the head, plus the tail up
+                    # to and including the faulting statement (j < 0:
+                    # the guard's condition raised).
+                    cycles = _hc + (_prefix[j] if j >= 0 else 0)
+                    stmts = _hs + j + 1
                     raise
-                if k:
-                    _n.time_cycles = t + k * _ic + _acc[0]
-                    _cell[0] += k * _is + _acc[1]
-                    _sb[2] += k * _is + _acc[1]
+                finally:
+                    _n.time_cycles = t + k * _ic + cycles + _acc[0]
+                    done = k * _is + stmts + _acc[1]
+                    _cell[0] += done
+                    _sb[2] += done
                     _sb[3] += 1
                     _sb[4] += k
                     _sb[5] += _acc[2]
-                return _nxt
+                return out
 
             return op
 
@@ -1799,14 +1389,15 @@ class _FunctionCompiler:
     # -- trace inlining ---------------------------------------------------------
 
     def _compile_trace_work(self, stmt: ast.Stmt) -> Callable[[list], None]:
-        """The work closure of a trace statement: calls splice inline.
+        """The work closure of a fused statement: calls splice inline.
 
         Identical to :meth:`_compile_work` except that, for the duration
         of this one statement's compilation, program calls lower through
-        :meth:`_compile_inline_call` instead of entering a machine run.
-        The per-statement slow path behind the same guard is compiled
-        with the flag off, so a bailed window still runs the ordinary
-        CALL-op machinery.
+        :meth:`_compile_inline_call` instead of entering a machine run
+        (the run former proved every callee leaf-inlinable; a call-free
+        statement compiles the same either way).  The per-statement slow
+        path behind the same guard is compiled with the flag off, so a
+        bailed window still runs the ordinary CALL-op machinery.
         """
         self._inline_calls = True
         try:
@@ -2293,21 +1884,7 @@ class _FunctionCompiler:
         cond_label = _Label()
         self._bind(cond_label)
         loop_head = len(self.ops)
-        burst = self._loop_burst(stmt, stmt.body.stmts,
-                                 base_cost=branch_cycles)
-        if burst is not None:
-            if burst[4]:
-                self._emit_trace_burst(burst, cond, branch_cycles,
-                                       exit_label)
-            else:
-                self._emit_burst(burst, cond, branch_cycles, exit_label)
-        else:
-            rotated = self._rotated_burst_facts(stmt, branch_cycles)
-            if rotated is not None:
-                if rotated[7]:
-                    self._emit_trace_rotated_burst(rotated, exit_label)
-                else:
-                    self._emit_rotated_burst(rotated, exit_label)
+        self._emit_loop_burst(stmt, exit_label)
         cond_index = len(self.ops)
         body_index = cond_index + 1
 
@@ -2367,14 +1944,6 @@ class _FunctionCompiler:
         cond = self._compile_expr(stmt.cond) if stmt.cond is not None \
             else None
         loop_head = len(self.ops)
-        # A for-iteration charges no branch cycles (the condition op below
-        # is free), so the burst's per-iteration cost is body + update.
-        burst = self._loop_burst(stmt, stmt.body.stmts, stmt.update)
-        if burst is not None:
-            if burst[4]:
-                self._emit_trace_burst(burst, cond, 0, exit_label)
-            else:
-                self._emit_burst(burst, cond, 0, exit_label)
         if cond is not None:
             cond_index = len(self.ops)
             body_index = cond_index + 1

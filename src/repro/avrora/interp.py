@@ -109,7 +109,6 @@ class Interpreter:
         return {
             "engine": self.engine_name,
             "enabled": False,
-            "traces_enabled": False,
             "superblocks": 0,
             "loop_superblocks": 0,
             "traces": 0,

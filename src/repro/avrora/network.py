@@ -550,17 +550,13 @@ class Network:
         """
         totals: dict = {key: 0 for key in self._SB_SUM_KEYS}
         enabled = False
-        traces_enabled = False
         for node in self.nodes:
             stats = node.interpreter.superblock_stats()
             enabled = enabled or bool(stats.get("enabled"))
-            traces_enabled = traces_enabled or \
-                bool(stats.get("traces_enabled"))
             for key in self._SB_SUM_KEYS:
                 totals[key] += stats.get(key, 0)
         executed = totals["statements_total"]
         totals["enabled"] = enabled
-        totals["traces_enabled"] = traces_enabled
         totals["fused_fraction"] = \
             round(totals["fused_statements"] / executed, 4) if executed \
             else 0.0

@@ -4,9 +4,9 @@ The stages — nesC flattening, hardware register refactoring, CCured, the
 inliner, cXprop, and the GCC-strength backend — are registered passes
 (:mod:`repro.toolchain.passes`); a
 :class:`~repro.toolchain.config.BuildVariant` lowers to a pass list
-(:mod:`repro.toolchain.lower`).  ``BuildPipeline`` is the single-build
-facade over that machinery, ``SweepRunner`` the batched N-app × M-variant
-runner with front-end sharing.  The predefined variants in
+(:mod:`repro.toolchain.lower`), and ``SweepRunner`` runs N-app ×
+M-variant builds with front-end sharing (:class:`repro.api.Workbench`,
+the build API, routes every build through it).  The predefined variants in
 :mod:`repro.toolchain.variants` correspond to the bars of Figures 2 and 3.
 """
 
@@ -29,7 +29,7 @@ from repro.toolchain.lower import (
     variant_pass_names,
     variant_passes,
 )
-from repro.toolchain.pipeline import BuildPipeline, BuildResult
+from repro.toolchain.pipeline import BuildResult
 from repro.toolchain.sweep import SweepBuild, SweepResult, SweepRunner
 from repro.toolchain.variants import (
     BASELINE,
@@ -43,7 +43,6 @@ from repro.toolchain.contexts import duty_cycle_context
 
 __all__ = [
     "BuildVariant",
-    "BuildPipeline",
     "BuildResult",
     "BuildTrace",
     "Pass",

@@ -18,8 +18,9 @@ Layer modules register their passes here:
 * ``repro.backend.passes`` — ``gcc``, ``image``
 
 ``repro.toolchain.lower`` compiles a :class:`BuildVariant` into a pass list;
-``repro.toolchain.pipeline`` is a thin facade over the manager and
-``repro.toolchain.sweep`` batches N×M builds over shared front-end programs.
+``repro.toolchain.sweep`` runs pass lists for N×M builds over shared
+front-end programs, and ``repro.toolchain.pipeline`` packages each executed
+context as a build result.
 
 Analysis invalidation is *declaration driven*: a pass declares
 ``invalidates_analysis`` (and optionally the analyses it ``preserves``), and

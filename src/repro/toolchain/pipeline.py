@@ -1,11 +1,8 @@
-"""The build pipeline (Figure 1 of the paper).
+"""The result of one build through the pipeline (Figure 1 of the paper).
 
-``BuildPipeline`` is a thin compatibility facade over the pass-manager
-layer: a :class:`~repro.toolchain.config.BuildVariant` is lowered to a pass
-list (:mod:`repro.toolchain.lower`), a
-:class:`~repro.toolchain.passes.PassManager` executes it, and the per-stage
-reports are repackaged into the :class:`BuildResult` the benchmark
-harnesses consume.  The stages run in the paper's order:
+A :class:`~repro.toolchain.config.BuildVariant` lowers to a pass list
+(:mod:`repro.toolchain.lower`) that a
+:class:`~repro.toolchain.passes.PassManager` executes in the paper's order:
 
 1. the nesC compiler (flattening + concurrency analysis),
 2. hardware-register access refactoring,
@@ -15,9 +12,11 @@ harnesses consume.  The stages run in the paper's order:
 6. cXprop (a fixpoint pass over facts/fold/copyprop/atomic/dce),
 7. the GCC-strength backend and image accounting.
 
-For batched N-app × M-variant builds, use
-:class:`~repro.toolchain.sweep.SweepRunner`, which shares one front-end
-program per application across variants.
+:func:`result_from_context` repackages an executed pass context into the
+:class:`BuildResult` the figures and benchmarks consume.  Builds run
+through :class:`~repro.toolchain.sweep.SweepRunner`, which shares one
+front-end program per application across variants; the build API on top
+of it is :class:`repro.api.Workbench`.
 """
 
 from __future__ import annotations
@@ -32,13 +31,9 @@ from repro.ccured.runtime import RUNTIME_UNIT
 from repro.cminor.program import Program
 from repro.cxprop.driver import CxpropReport
 from repro.cxprop.inline import InlineReport
-from repro.nesc.application import Application
 from repro.nesc.hwrefactor import HwRefactorReport
-from repro.tinyos import suite
 from repro.toolchain.config import BuildVariant
-from repro.toolchain.lower import front_end_passes, variant_passes
-from repro.toolchain.passes import BuildTrace, PassContext, PassManager
-from repro.toolchain.variants import BASELINE
+from repro.toolchain.passes import BuildTrace, PassContext
 
 
 @dataclass
@@ -117,54 +112,3 @@ def result_from_context(ctx: PassContext,
         gcc=ctx.reports.get("gcc"),
         trace=trace,
     )
-
-
-class BuildPipeline:
-    """Builds applications according to a :class:`BuildVariant`.
-
-    Args:
-        variant: The build variant (defaults to the unsafe baseline).
-        measure_sizes: Record code/RAM bytes at every pass boundary in the
-            result's :class:`~repro.toolchain.passes.BuildTrace` (slower;
-            meant for tracing and ablations, not sweeps).
-    """
-
-    def __init__(self, variant: Optional[BuildVariant] = None,
-                 measure_sizes: bool = False):
-        self.variant = variant or BASELINE
-        self.measure_sizes = measure_sizes
-
-    # -- stage 1+2: front end ------------------------------------------------------
-
-    def front_end(self, app: Application) -> tuple[Program, HwRefactorReport]:
-        """Run the nesC compiler and the hardware-register refactoring."""
-        ctx = PassContext(variant=self.variant, application=app, label=app.name)
-        PassManager(front_end_passes(self.variant)).run(ctx)
-        return ctx.program, ctx.reports["nesc.hwrefactor"]
-
-    # -- full build ------------------------------------------------------------------
-
-    def build(self, app: Application, label: Optional[str] = None) -> BuildResult:
-        """Build ``app`` with this pipeline's variant.
-
-        Args:
-            app: The wired application.
-            label: Figure label recorded as ``result.application`` (defaults
-                to the application's own name).
-        """
-        ctx = PassContext(variant=self.variant, application=app,
-                          label=label or app.name)
-        trace = PassManager(variant_passes(self.variant),
-                            measure_sizes=self.measure_sizes).run(ctx)
-        return result_from_context(ctx, trace)
-
-    def build_named(self, figure_app_name: str) -> BuildResult:
-        """Build one of the registered benchmark applications by figure label."""
-        app = suite.build_application(figure_app_name)
-        return self.build(app, label=figure_app_name)
-
-
-def build_application(figure_app_name: str,
-                      variant: Optional[BuildVariant] = None) -> BuildResult:
-    """Convenience wrapper: build a registered application with ``variant``."""
-    return BuildPipeline(variant).build_named(figure_app_name)

@@ -48,8 +48,7 @@ from repro.toolchain.passes import (
     PassManager,
     PassReport,
 )
-from repro.toolchain.pipeline import BuildPipeline, BuildResult, \
-    result_from_context
+from repro.toolchain.pipeline import BuildResult, result_from_context
 
 
 @dataclass
@@ -187,12 +186,16 @@ def _build_one_app(app_name: str, variants: Sequence[BuildVariant],
     """
     builds: list[SweepBuild] = []
     if not share_front_end:
+        # The unshared reference: each variant runs its whole pass list in
+        # one manager on a freshly wired application, with no snapshots.
         for variant in variants:
-            pipeline = BuildPipeline(variant, measure_sizes)
-            if app is not None:
-                result = pipeline.build(app, label=app_name)
-            else:
-                result = pipeline.build_named(app_name)
+            ctx = PassContext(
+                variant=variant, label=app_name,
+                application=app if app is not None
+                else suite.build_application(app_name))
+            trace = PassManager(variant_passes(variant),
+                                measure_sizes=measure_sizes).run(ctx)
+            result = result_from_context(ctx, trace)
             builds.append(SweepBuild(app_name, variant.name, result.summary(),
                                      result if keep_results else None))
         return builds

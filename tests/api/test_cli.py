@@ -6,7 +6,7 @@ import json
 from repro.api.cli import main, resolve_apps, resolve_variants
 from repro.api.records import BuildRecord, SimRecord
 from repro.tinyos.suite import FIGURE_APPS, MICA2_APPS
-from repro.toolchain.pipeline import BuildPipeline
+from repro.toolchain.sweep import SweepRunner
 from repro.toolchain.variants import variant_by_name
 
 
@@ -14,6 +14,12 @@ def run_cli(*argv) -> tuple[int, str]:
     out = io.StringIO()
     status = main(list(argv), out=out)
     return status, out.getvalue()
+
+
+def reference_summary(app: str, variant: str) -> dict:
+    """The unshared reference build's summary (no prefix snapshots)."""
+    return SweepRunner([app], [variant_by_name(variant)],
+                       share_front_end=False).run().builds[0].summary
 
 
 class TestTokenResolution:
@@ -52,8 +58,7 @@ class TestBuildCommand:
                                  "--variant", "safe-flid", "--json")
         assert status == 0
         record = BuildRecord.from_dict(json.loads(output))
-        expected = BuildPipeline(variant_by_name("safe-flid")) \
-            .build_named("BlinkTask_Mica2").summary()
+        expected = reference_summary("BlinkTask_Mica2", "safe-flid")
         assert record.summary() == expected
 
     def test_table_output(self):
@@ -82,8 +87,7 @@ class TestSweepCommand:
         assert data["spec"]["apps"] == ["BlinkTask_Mica2"]
         records = [BuildRecord.from_dict(entry) for entry in data["records"]]
         for record in records:
-            expected = BuildPipeline(variant_by_name(record.variant)) \
-                .build_named(record.app).summary()
+            expected = reference_summary(record.app, record.variant)
             assert record.summary() == expected
 
 

@@ -10,7 +10,7 @@ from repro.nesc.passes import FlattenPass
 from repro.tinyos.suite import FIGURE_APPS
 from repro.toolchain.config import BuildVariant
 from repro.toolchain.passes import PassManager
-from repro.toolchain.pipeline import BuildPipeline
+from repro.toolchain.sweep import SweepRunner
 from repro.toolchain.variants import (
     BASELINE,
     FIGURE3_VARIANTS,
@@ -108,29 +108,19 @@ class TestPrefixSharing:
         assert first.ccured.program is first.program
         assert second.ccured.program is second.program
 
-    def test_unshared_workbench_still_memoizes(self, monkeypatch):
-        flattens: list[str] = []
-        _counting(monkeypatch, FlattenPass, flattens)
-        bench = Workbench(share_front_end=False)
-        bench.build("BlinkTask_Mica2", "baseline")
-        bench.build("BlinkTask_Mica2", "baseline")
-        assert flattens == ["nesc.flatten"]
-
 
 class TestDifferential:
     def test_workbench_matches_direct_pipeline_for_all_figure3_builds(self):
-        """Workbench summaries are byte-identical to direct BuildPipeline
-        builds for every FIGURE_APPS × Figure-3 variant combination."""
+        """Workbench summaries are byte-identical to the unshared reference
+        sweep (every build runs its whole pass list directly, with no
+        prefix snapshots) for every FIGURE_APPS × Figure-3 variant."""
         variants = [BASELINE] + FIGURE3_VARIANTS
         bench = Workbench()
         records = bench.sweep(SweepSpec(
             apps=tuple(FIGURE_APPS),
             variants=tuple(v.name for v in variants)))
-        expected = []
-        for app in FIGURE_APPS:
-            for variant in variants:
-                expected.append(
-                    BuildPipeline(variant).build_named(app).summary())
+        expected = SweepRunner(FIGURE_APPS, variants,
+                               share_front_end=False).run().summaries()
         assert [record.summary() for record in records] == expected
 
 

@@ -17,13 +17,12 @@ import json
 import pytest
 
 from repro.api.specs import SimSpec
-from repro.api.workbench import run_network
-from repro.avrora.chaos import CHAOS_ENV_VAR, ChaosPolicy
+from repro.api.workbench import Workbench, run_network
+from repro.avrora.chaos import ChaosPolicy
 from repro.avrora.network import Channel, Network
 from repro.avrora.node import Node
 from repro.avrora.shard import ShardWorkerError
 from repro.toolchain.contexts import duty_cycle_context
-from repro.toolchain.pipeline import BuildPipeline
 from repro.toolchain.variants import BASELINE
 
 import sys
@@ -43,7 +42,7 @@ CADENCE = "40"
 
 @pytest.fixture(scope="module")
 def surge_program():
-    return BuildPipeline(BASELINE).build_named("Surge_Mica2").program
+    return Workbench().build_result("Surge_Mica2", BASELINE).program
 
 
 def _fingerprint(network: Network) -> dict:
@@ -225,12 +224,6 @@ class TestChaosPolicy:
     def test_parse_rejects_garbage(self, text):
         with pytest.raises(ValueError, match="chaos"):
             ChaosPolicy.parse(text)
-
-    def test_from_env(self, monkeypatch):
-        monkeypatch.delenv(CHAOS_ENV_VAR, raising=False)
-        assert ChaosPolicy.from_env() is None
-        monkeypatch.setenv(CHAOS_ENV_VAR, "0@5")
-        assert ChaosPolicy.from_env() == ChaosPolicy(kills=((0, 5),))
 
     def test_sampled_is_deterministic(self):
         first = ChaosPolicy.sampled(4, kills=3, max_round=10, seed=11)

@@ -7,7 +7,9 @@ same ``__error_report`` output, same radio traffic.  This module enforces
 that on every application in the paper's figure suite plus a set of
 hand-written semantic edge cases — and, for the figure suite, that
 superblock fusion on vs off (``REPRO_AVRORA_SUPERBLOCKS=0``) is equally
-invisible.
+invisible.  Un-simplified programs reach the loop lowerings the simplifier
+never emits (``for``, ``do``/``while``, non-constant ``while``), which only
+ever run per statement.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ import os
 
 import pytest
 
+from repro.api.workbench import Workbench
+from repro.avrora.memory import Pointer
 from repro.avrora.network import Network
 from repro.avrora.node import Node
 from repro.tinyos.suite import FIGURE_APPS
 from repro.toolchain.contexts import duty_cycle_context
-from repro.toolchain.pipeline import BuildPipeline
 from repro.toolchain.variants import BASELINE, SAFE_FLID
 
 import sys
@@ -54,31 +57,26 @@ def _observe(node: Node, network: Network) -> dict:
     }
 
 
-def _pinned_node(program, engine: str, superblocks: bool, traces: bool,
+def _pinned_node(program, engine: str, superblocks: bool,
                  node_id: int = 1) -> Node:
-    """A node with the fusion switches pinned (don't inherit the ambient
-    environment: the CI fusion-off / traces-off legs must not silently
-    turn the "fused" runs unfused)."""
-    previous = {name: os.environ.get(name)
-                for name in ("REPRO_AVRORA_SUPERBLOCKS",
-                             "REPRO_AVRORA_TRACES")}
+    """A node with the fusion switch pinned (don't inherit the ambient
+    environment: the CI fusion-off leg must not silently turn the
+    "fused" runs unfused)."""
+    previous = os.environ.get("REPRO_AVRORA_SUPERBLOCKS")
     os.environ["REPRO_AVRORA_SUPERBLOCKS"] = "1" if superblocks else "0"
-    os.environ["REPRO_AVRORA_TRACES"] = "1" if traces else "0"
     try:
         return Node(program, node_id=node_id, engine=engine)
     finally:
-        for name, value in previous.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        if previous is None:
+            os.environ.pop("REPRO_AVRORA_SUPERBLOCKS", None)
+        else:
+            os.environ["REPRO_AVRORA_SUPERBLOCKS"] = previous
 
 
 def _simulate(program, app_name: str, engine: str,
-              sequential: bool = False, superblocks: bool = True,
-              traces: bool = True) -> dict:
+              sequential: bool = False, superblocks: bool = True) -> dict:
     network = Network(traffic=duty_cycle_context(app_name))
-    node = _pinned_node(program, engine, superblocks, traces)
+    node = _pinned_node(program, engine, superblocks)
     node.boot()
     network.add_node(node)
     if sequential:
@@ -100,12 +98,10 @@ def test_figure_apps_identical_under_both_engines(app_name):
     fusion-off engine (the ablation configuration) produces the same
     observation under the lockstep kernel.
     """
-    build = BuildPipeline(BASELINE).build_named(app_name)
+    build = Workbench().build_result(app_name, BASELINE)
     tree = _simulate(build.program, app_name, "tree")
     compiled = _simulate(build.program, app_name, "compiled")
     assert tree == compiled
-    untraced = _simulate(build.program, app_name, "compiled", traces=False)
-    assert compiled == untraced
     unfused = _simulate(build.program, app_name, "compiled",
                         superblocks=False)
     assert compiled == unfused
@@ -116,7 +112,7 @@ def test_figure_apps_identical_under_both_engines(app_name):
 @pytest.mark.parametrize("app_name", ["Oscilloscope_Mica2", "Surge_Mica2"])
 def test_safe_builds_identical_under_both_engines(app_name):
     """Safe (FLID) builds: concrete safety checks behave identically."""
-    build = BuildPipeline(SAFE_FLID).build_named(app_name)
+    build = Workbench().build_result(app_name, SAFE_FLID)
     tree = _simulate(build.program, app_name, "tree")
     compiled = _simulate(build.program, app_name, "compiled")
     assert tree == compiled
@@ -238,6 +234,71 @@ def test_edge_programs_identical_under_both_engines(name):
     assert results["tree"] == results["compiled"]
 
 
+#: Loops the simplifier rewrites away, so only un-simplified programs
+#: reach their per-statement lowerings.
+UNSIMPLIFIED_LOOPS = {
+    "for_with_continue": """
+uint16_t out = 0;
+uint8_t skipped = 0;
+__spontaneous void main(void) {
+  uint8_t i;
+  for (i = 0; i < 40; i++) {
+    if ((i & 3) == 1) { skipped = skipped + 1; continue; }
+    if (i == 33) { break; }
+    out = out + i;
+  }
+  __sleep();
+}
+""",
+    "do_while": """
+uint16_t out = 0;
+uint8_t n = 0;
+__spontaneous void main(void) {
+  do {
+    n = n + 1;
+    if (n == 4) { continue; }
+    out = out * 3 + n;
+  } while (n < 25);
+  __sleep();
+}
+""",
+    "nonconstant_while": """
+uint16_t out = 0;
+uint16_t j = 0;
+__spontaneous void main(void) {
+  while (j < 300) {
+    j = j + 7;
+    out = out ^ j;
+  }
+  __sleep();
+}
+""",
+}
+
+
+def _globals(node: Node) -> dict:
+    return {name: node.memory.read(Pointer(node.memory.global_object(name),
+                                           0), var.ctype)
+            for name, var in node.program.globals.items()
+            if var.ctype.is_scalar()}
+
+
+@pytest.mark.parametrize("name", list(UNSIMPLIFIED_LOOPS))
+def test_unsimplified_loops_identical_under_both_engines(name):
+    """``for`` with ``continue``, ``do``/``while`` and a non-constant
+    ``while`` match the tree-walker on statements, cycles and globals."""
+    results = {}
+    for engine in ("tree", "compiled"):
+        program = make_program(UNSIMPLIFIED_LOOPS[name], simplify=False)
+        node = _pinned_node(program, engine, superblocks=True)
+        node.boot()
+        node.run(0.05)
+        results[engine] = (node.interpreter.statements_executed,
+                           node.busy_cycles, node.time_cycles,
+                           _globals(node))
+    assert results["tree"] == results["compiled"]
+
+
 def test_store_before_declaration_of_address_taken_local():
     """Code motion can move a store above its VarDecl; both engines must
     absorb it into the frame (and read it back) the same way."""
@@ -286,7 +347,7 @@ __spontaneous void main(void) { __sleep(); }
 
 
 def test_lossy_lockstep_chain_identical_across_all_configurations():
-    """Seeded 3-node lossy chain: tree vs fused vs traces-off vs fusion-off.
+    """Seeded 3-node lossy chain: tree vs fused vs fusion-off.
 
     The multi-node acceptance bar for trace inlining — cross-node packet
     timing, per-node cycle totals and channel loss decisions must be
@@ -296,16 +357,15 @@ def test_lossy_lockstep_chain_identical_across_all_configurations():
     from repro.avrora.network import Channel
 
     app_name = "Surge_Mica2"
-    build = BuildPipeline(BASELINE).build_named(app_name)
+    build = Workbench().build_result(app_name, BASELINE)
 
-    def run_chain(engine: str, superblocks: bool = True,
-                  traces: bool = True) -> list[dict]:
+    def run_chain(engine: str, superblocks: bool = True) -> list[dict]:
         network = Network(traffic=duty_cycle_context(app_name),
                           channel=Channel(topology="chain", loss=0.2,
                                           seed=7))
         for index in range(3):
             node = _pinned_node(build.program, engine, superblocks,
-                                traces, node_id=index)
+                                node_id=index)
             node.boot()
             network.add_node(node)
         network.run(SIM_SECONDS)
@@ -314,5 +374,4 @@ def test_lossy_lockstep_chain_identical_across_all_configurations():
     tree = run_chain("tree")
     fused = run_chain("compiled")
     assert tree == fused
-    assert fused == run_chain("compiled", traces=False)
     assert fused == run_chain("compiled", superblocks=False)

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api.workbench import Workbench
 from repro.avrora.memory import Pointer
 from repro.avrora.network import Channel, Network, simulate
 from repro.avrora.node import Node
 from repro.cminor import typesys as ty
 from repro.tinyos import hardware as hw
 from repro.tinyos import messages as msgs
-from repro.toolchain.pipeline import BuildPipeline
 from repro.toolchain.variants import BASELINE
 
 import sys
@@ -164,7 +164,7 @@ class TestRunUntil:
 
 @pytest.fixture(scope="module")
 def surge_program():
-    return BuildPipeline(BASELINE).build_named("Surge_Mica2").program
+    return Workbench().build_result("Surge_Mica2", BASELINE).program
 
 
 def _chain_network(program, node_count: int, **channel_kwargs) -> Network:

@@ -12,11 +12,10 @@ from __future__ import annotations
 import pytest
 
 from repro.api.specs import SimSpec
-from repro.api.workbench import run_network
+from repro.api.workbench import Workbench, run_network
 from repro.avrora.network import Channel, Network
 from repro.avrora.node import Node
 from repro.toolchain.contexts import duty_cycle_context
-from repro.toolchain.pipeline import BuildPipeline
 from repro.toolchain.variants import BASELINE
 
 import sys
@@ -30,12 +29,13 @@ WORKER_COUNTS = (1, 2, 4)
 
 @pytest.fixture(scope="module")
 def surge_program():
-    return BuildPipeline(BASELINE).build_named("Surge_Mica2").program
+    return Workbench().build_result("Surge_Mica2", BASELINE).program
 
 
 @pytest.fixture(scope="module")
 def cnt_program():
-    return BuildPipeline(BASELINE).build_named("CntToLedsAndRfm_Mica2").program
+    return Workbench().build_result("CntToLedsAndRfm_Mica2",
+                                    BASELINE).program
 
 
 def _fingerprint(network: Network) -> dict:

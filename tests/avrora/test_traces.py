@@ -2,8 +2,8 @@
 
 Trace superblocks splice leaf-callee bodies under the caller's poll-window
 guard; every observable — cycle totals, statement counts, interrupt
-delivery order, pause points — must be bit-identical to the tree-walker
-and to the compiled engine with traces (or all fusion) disabled.  The
+delivery order, pause points, mid-burst faults — must be bit-identical to
+the tree-walker and to the compiled engine with fusion disabled.  The
 persistent :class:`~repro.avrora.codestore.PlanStore` must round-trip
 lowered plans across "processes" (independently parsed programs), reject
 corrupt or stale entries with a labelled warning, and miss (never
@@ -20,7 +20,7 @@ import pytest
 from repro.avrora.codestore import FORMAT_VERSION, PlanStore, plan_key
 from repro.avrora.engine import LOWERING_VERSION, CompiledEngine
 from repro.avrora.memory import Pointer
-from repro.avrora.node import Node
+from repro.avrora.node import Node, SafetyFault
 from repro.cminor import typesys as ty
 from repro.tinyos import hardware as hw
 
@@ -114,22 +114,58 @@ __spontaneous void main(void) {
 }
 """
 
+#: The two burst shapes around an inlined leaf call, each faulting (a null
+#: dereference inside the inlined callee) in the middle of a burst: a
+#: rotated loop, ``while (1) { if (!(i < N)) break; tail }``, and a bare
+#: ``while (1) { tail }`` (the ``function_calls`` benchmark's shape).
+_FAULTING_PICK = """
+uint32_t acc = 0;
+uint16_t cell = 7;
+uint16_t pick(uint16_t n) {
+  uint16_t* p = &cell;
+  if (n == 3000) { p = 0; }
+  return *p + n;
+}
+"""
+MID_BURST_FAULTS = {
+    "rotated_leaf_call": _FAULTING_PICK + """
+__spontaneous void main(void) {
+  uint16_t i;
+  for (i = 0; i < 60000; i++) {
+    acc = acc + pick(i);
+  }
+  __sleep();
+}
+""",
+    "while1_leaf_call": _FAULTING_PICK + """
+__spontaneous void main(void) {
+  uint16_t i;
+  while (1) {
+    acc = acc + pick(i);
+    i = i + 1;
+  }
+}
+""",
+}
 
-def _node(source: str, engine: str = "compiled", traces: bool = True,
+#: (engine, superblocks): the tree-walker, the fused engine, and the
+#: per-statement lowering every fused region must reproduce.
+CONFIGURATIONS = (("tree", True), ("compiled", True), ("compiled", False))
+
+
+def _node(source: str, engine: str = "compiled", superblocks: bool = True,
           vectors: dict | None = None, *,
           monkeypatch: pytest.MonkeyPatch) -> Node:
-    """Build and boot one node with the fusion switches pinned.
+    """Build and boot one node with the fusion switch pinned.
 
-    Superblocks are always forced on (traces require them) and the trace
-    switch is pinned explicitly, so these tests stay meaningful under CI
-    legs that set ``REPRO_AVRORA_SUPERBLOCKS=0`` or
-    ``REPRO_AVRORA_TRACES=0`` globally.
+    Traces build on superblocks, so the switch is pinned explicitly and
+    these tests stay meaningful under CI legs that set
+    ``REPRO_AVRORA_SUPERBLOCKS=0`` globally.
     """
     program = make_program(source)
     if vectors:
         program.interrupt_vectors.update(vectors)
-    monkeypatch.setenv("REPRO_AVRORA_SUPERBLOCKS", "1")
-    monkeypatch.setenv("REPRO_AVRORA_TRACES", "1" if traces else "0")
+    monkeypatch.setenv("REPRO_AVRORA_SUPERBLOCKS", "1" if superblocks else "0")
     node = Node(program, engine=engine)
     node.boot()
     return node
@@ -158,17 +194,17 @@ class TestTraceFormation:
         engine = node.interpreter._impl
         assert isinstance(engine, CompiledEngine)
         stats = engine.superblock_stats()
-        assert stats["traces_enabled"]
         assert stats["traces"] >= 1
         assert stats["inlined_call_sites"] >= 1
         assert stats["inlined_calls"] > 0
 
     def test_trace_switch_disables_inlining(self, monkeypatch):
-        node = _node(LEAF_CALLS, traces=False, monkeypatch=monkeypatch)
+        """Traces have no switch of their own: the fusion switch, which
+        selects the per-statement reference lowering, turns them off."""
+        node = _node(LEAF_CALLS, superblocks=False, monkeypatch=monkeypatch)
         node.run(0.02)
         stats = node.interpreter.superblock_stats()
-        assert stats["enabled"], "fusion itself must stay on"
-        assert not stats["traces_enabled"]
+        assert not stats["enabled"]
         assert stats["traces"] == 0
         assert stats["inlined_calls"] == 0
 
@@ -190,10 +226,10 @@ class TestTraceFormation:
 
 class TestTraceDifferential:
     def test_pure_compute_identical_to_tree_and_no_trace(self, monkeypatch):
+        """The trace-free reference is the per-statement lowering."""
         results = []
-        for engine, traces in (("tree", True), ("compiled", True),
-                               ("compiled", False)):
-            node = _node(LEAF_CALLS, engine=engine, traces=traces,
+        for engine, superblocks in CONFIGURATIONS:
+            node = _node(LEAF_CALLS, engine=engine, superblocks=superblocks,
                          monkeypatch=monkeypatch)
             node.run(0.05)
             results.append((_observe(node), _read_u32(node, "acc")))
@@ -203,16 +239,38 @@ class TestTraceDifferential:
             self, monkeypatch):
         vectors = {"TIMER1_COMPA": "fired"}
         results = []
-        for engine, traces in (("tree", True), ("compiled", True),
-                               ("compiled", False)):
+        for engine, superblocks in CONFIGURATIONS:
             node = _node(LEAF_CALLS_INTERRUPTS, engine=engine,
-                         traces=traces, vectors=vectors,
+                         superblocks=superblocks, vectors=vectors,
                          monkeypatch=monkeypatch)
             node.run(0.05)
             observed = _observe(node)
             assert observed["interrupts"] > 0
             results.append((observed, _read_u32(node, "order"),
                             _read_u32(node, "acc")))
+        assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("name", list(MID_BURST_FAULTS))
+    def test_mid_burst_fault_identical_across_configurations(
+            self, name, monkeypatch):
+        """A fault inside an inlined callee mid-burst, under lockstep
+        horizon slicing, leaves identical cycles, statement counts and
+        globals in every configuration."""
+        results = []
+        for engine, superblocks in CONFIGURATIONS:
+            node = _node(MID_BURST_FAULTS[name], engine=engine,
+                         superblocks=superblocks, monkeypatch=monkeypatch)
+            node.begin_run(1.0)
+            horizon = 0
+            with pytest.raises(SafetyFault, match="null pointer") as fault:
+                while node.run_until(horizon) == "paused":
+                    horizon += 99991
+            results.append((_observe(node), _read_u32(node, "acc"),
+                            str(fault.value)))
+            if superblocks and engine == "compiled":
+                stats = node.interpreter.superblock_stats()
+                assert stats["burst_iterations"] > 0
+                assert stats["inlined_calls"] > 0
         assert results[0] == results[1] == results[2]
 
     def test_horizon_sentinel_pauses_at_same_poll_point(self, monkeypatch):
@@ -243,7 +301,6 @@ class TestPlanStore:
     def test_round_trip_warm_start_zero_lowerings(self, tmp_path,
                                                   monkeypatch):
         monkeypatch.setenv("REPRO_AVRORA_SUPERBLOCKS", "1")
-        monkeypatch.setenv("REPRO_AVRORA_TRACES", "1")
         store = PlanStore(str(tmp_path))
         key = plan_key("prog-a", "mica2")
         program, cache = self._lowered_cache(LEAF_CALLS)

@@ -15,12 +15,12 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from repro.api.workbench import Workbench
 from repro.ccured.config import CCuredConfig, MessageStrategy
 from repro.ccured.instrument import cure
 from repro.nesc.flatten import flatten_application
 from repro.nesc.hwrefactor import refactor_hardware_accesses
 from repro.tinyos import suite
-from repro.toolchain.pipeline import BuildPipeline
 from repro.toolchain.variants import BASELINE, SAFE_FLID, SAFE_OPTIMIZED
 
 from helpers import tiny_application
@@ -49,27 +49,35 @@ def cured_oscilloscope():
 
 
 @pytest.fixture(scope="session")
-def blink_baseline_build():
+def session_workbench():
+    """One Workbench for the session's shared builds (results are shared:
+    treat them as read-only)."""
+    return Workbench()
+
+
+@pytest.fixture(scope="session")
+def blink_baseline_build(session_workbench):
     """BlinkTask built with the unsafe, unoptimized baseline variant."""
-    return BuildPipeline(BASELINE).build_named("BlinkTask_Mica2")
+    return session_workbench.build_result("BlinkTask_Mica2", BASELINE)
 
 
 @pytest.fixture(scope="session")
-def blink_safe_build():
+def blink_safe_build(session_workbench):
     """BlinkTask built safe (FLIDs) without whole-program optimization."""
-    return BuildPipeline(SAFE_FLID).build_named("BlinkTask_Mica2")
+    return session_workbench.build_result("BlinkTask_Mica2", SAFE_FLID)
 
 
 @pytest.fixture(scope="session")
-def blink_optimized_build():
+def blink_optimized_build(session_workbench):
     """BlinkTask built with the full Safe TinyOS pipeline."""
-    return BuildPipeline(SAFE_OPTIMIZED).build_named("BlinkTask_Mica2")
+    return session_workbench.build_result("BlinkTask_Mica2", SAFE_OPTIMIZED)
 
 
 @pytest.fixture(scope="session")
-def oscilloscope_optimized_build():
+def oscilloscope_optimized_build(session_workbench):
     """Oscilloscope built with the full Safe TinyOS pipeline."""
-    return BuildPipeline(SAFE_OPTIMIZED).build_named("Oscilloscope_Mica2")
+    return session_workbench.build_result("Oscilloscope_Mica2",
+                                          SAFE_OPTIMIZED)
 
 
 @pytest.fixture(scope="session")

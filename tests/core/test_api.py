@@ -1,9 +1,12 @@
-"""Tests for the public SafeTinyOS facade."""
+"""Tests for the public build API: Workbench builds and run_network."""
 
 import pytest
 
-from repro import SafeTinyOS
-from repro.toolchain.variants import BASELINE, SAFE_OPTIMIZED
+from repro.api.specs import BuildSpec, SimSpec
+from repro.api.workbench import Workbench, run_network
+from repro.ccured.flid import decompress_failure
+from repro.toolchain.contexts import duty_cycle_context
+from repro.toolchain.variants import BASELINE, SAFE_FLID, SAFE_OPTIMIZED
 
 import sys
 from pathlib import Path
@@ -12,126 +15,91 @@ from helpers import tiny_application
 
 
 @pytest.fixture(scope="module")
-def system():
-    return SafeTinyOS()
+def bench():
+    return Workbench()
 
 
 class TestFacade:
-    def test_application_listing(self, system):
-        apps = system.applications()
+    def test_application_listing(self, bench):
+        apps = bench.applications()
         assert len(apps) == 12 and "Surge_Mica2" in apps
 
-    def test_default_variant_is_the_headline_configuration(self, system):
-        assert system.default_variant is SAFE_OPTIMIZED
+    def test_default_variant_is_the_headline_configuration(self, bench):
+        record = bench.build("BlinkTask_Mica2")
+        assert record.variant == SAFE_OPTIMIZED.name
 
-    def test_variant_can_be_selected_by_name(self, system):
-        outcome = system.build("BlinkTask_Mica2", "baseline")
-        assert outcome.variant == "baseline"
-        assert outcome.checks_inserted == 0
+    def test_variant_can_be_selected_by_name(self, bench):
+        record = bench.build("BlinkTask_Mica2", "baseline")
+        assert record.variant == "baseline"
+        assert record.checks_inserted == 0
 
-    def test_unknown_variant_raises(self, system):
+    def test_unknown_variant_raises(self, bench):
         with pytest.raises(KeyError):
-            system.build("BlinkTask_Mica2", "no-such-variant")
+            bench.build("BlinkTask_Mica2", "no-such-variant")
 
-    def test_build_outcome_exposes_the_paper_metrics(self, system):
-        outcome = system.build("BlinkTask_Mica2", "safe-flid")
-        assert outcome.code_bytes > 0
-        assert outcome.ram_bytes > 0
-        assert outcome.checks_inserted > 0
-        assert outcome.checks_removed == outcome.checks_inserted - \
-            outcome.checks_surviving
-        assert outcome.flid_table is not None
+    def test_build_outcome_exposes_the_paper_metrics(self, bench):
+        result = bench.build_result("BlinkTask_Mica2", "safe-flid")
+        assert result.image.code_bytes > 0
+        assert result.image.ram_bytes > 0
+        assert result.checks_inserted > 0
+        assert result.checks_surviving <= result.checks_inserted
+        assert result.ccured.flid_table is not None
 
-    def test_explain_failure_uses_the_flid_table(self, system):
-        outcome = system.build("BlinkTask_Mica2", "safe-flid")
-        flid = next(iter(outcome.flid_table.entries))
-        assert "check failed" in outcome.explain_failure(flid)
+    def test_explain_failure_uses_the_flid_table(self, bench):
+        table = bench.build_result("BlinkTask_Mica2",
+                                   "safe-flid").ccured.flid_table
+        flid = next(iter(table.entries))
+        assert "check failed" in decompress_failure(table, flid)
 
-    def test_explain_failure_on_unsafe_build(self, system):
-        outcome = system.build("BlinkTask_Mica2", BASELINE)
-        assert "unsafe build" in outcome.explain_failure(3)
+    def test_explain_failure_on_unsafe_build(self, bench):
+        """An unsafe build inserts no checks, so it has no FLID table."""
+        assert bench.build_result("BlinkTask_Mica2", BASELINE).ccured is None
 
-    def test_custom_applications_are_supported(self, system):
-        outcome = system.build(tiny_application(), "safe-flid")
-        assert outcome.checks_inserted > 0
+    def test_custom_applications_are_supported(self, bench):
+        result = bench.build_unregistered(tiny_application(), SAFE_FLID)
+        assert result.checks_inserted > 0
 
-    def test_simulation_returns_duty_cycle_and_devices(self, system,
+    def test_simulation_returns_duty_cycle_and_devices(self,
                                                        blink_baseline_build):
-        from repro.core.api import BuildOutcome
+        network = run_network(blink_baseline_build.program, seconds=1.0,
+                              traffic=duty_cycle_context("BlinkTask_Mica2"))
+        node = network.nodes[0]
+        assert 0.0 < node.duty_cycle() < 0.1
+        assert not node.halted
+        assert node.failures == []
+        assert node.interrupts_delivered > 0
 
-        outcome = BuildOutcome(blink_baseline_build)
-        run = system.simulate(outcome, seconds=1.0)
-        assert 0.0 < run.duty_cycle < 0.1
-        assert not run.halted
-        assert run.failures == []
-        assert run.node.interrupts_delivered > 0
-
-    def test_multi_node_simulation(self, system, blink_baseline_build):
-        from repro.core.api import BuildOutcome
-
-        outcome = BuildOutcome(blink_baseline_build)
-        run = system.simulate(outcome, seconds=0.5, node_count=3)
-        assert len(run.duty_cycles) == 3
+    def test_multi_node_simulation(self, blink_baseline_build):
+        network = run_network(blink_baseline_build.program, seconds=0.5,
+                              node_count=3)
+        assert len(network.nodes) == 3
 
 
 class TestFacadeDefaults:
-    def test_none_variant_means_the_facade_default(self):
-        """``build(app)`` must honour a non-headline default variant."""
-        system = SafeTinyOS(default_variant=BASELINE)
-        outcome = system.build("BlinkTask_Mica2")
-        assert outcome.variant == "baseline"
-        assert outcome.checks_inserted == 0
+    def test_none_variant_means_the_facade_default(self, bench):
+        """``build(app)`` with no variant builds the headline variant."""
+        assert bench.build("BlinkTask_Mica2", None) is \
+            bench.build("BlinkTask_Mica2", SAFE_OPTIMIZED.name)
 
     def test_resolve_variant_none_returns_the_default(self):
-        system = SafeTinyOS(default_variant="safe-flid")
-        assert system._resolve_variant(None).name == "safe-flid"
+        assert Workbench._as_build_spec("BlinkTask_Mica2", None) == \
+            BuildSpec(app="BlinkTask_Mica2", variant=SAFE_OPTIMIZED.name)
 
-    def test_facades_can_share_one_workbench(self):
-        from repro.api import Workbench
-
-        bench = Workbench()
-        first = SafeTinyOS(workbench=bench)
-        second = SafeTinyOS(workbench=bench)
-        a = first.build("BlinkTask_Mica2", "baseline")
-        b = second.build("BlinkTask_Mica2", "baseline")
-        assert a.result is b.result
+    def test_facades_can_share_one_workbench(self, bench):
+        """Callers sharing one Workbench share one build, whether they
+        name the variant or pass the variant object."""
+        a = bench.build_result("BlinkTask_Mica2", "baseline")
+        b = bench.build_result("BlinkTask_Mica2", BASELINE)
+        assert a is b
 
 
 class TestSimulationErrors:
     def test_empty_simulation_outcome_raises_a_clear_error(self):
-        from repro.core.api import SimulationOutcome
-
-        empty = SimulationOutcome(label="simulation of X × baseline")
-        with pytest.raises(ValueError, match="X × baseline"):
-            empty.node
-        with pytest.raises(ValueError, match="no nodes"):
-            empty.duty_cycle
-        # Aggregate views stay usable on an empty outcome.
-        assert empty.duty_cycles == []
-        assert empty.failures == []
-        assert not empty.halted
-
-    def test_zero_node_simulation_is_rejected_up_front(self, system,
-                                                       blink_baseline_build):
-        from repro.core.api import BuildOutcome
-
-        outcome = BuildOutcome(blink_baseline_build)
         with pytest.raises(ValueError, match="node_count must be >= 1"):
-            system.simulate(outcome, seconds=0.5, node_count=0)
+            SimSpec(app="BlinkTask_Mica2", variant="baseline", node_count=0)
 
-    def test_summary_only_builds_cannot_be_simulated(self, system,
-                                                     blink_baseline_build):
-        from dataclasses import replace
-
-        from repro.core.api import BuildOutcome
-
-        summary_only = BuildOutcome(replace(blink_baseline_build,
-                                            program=None))
-        with pytest.raises(ValueError, match="summary only"):
-            system.simulate(summary_only)
-
-    def test_missing_result_cannot_be_simulated(self, system):
-        from repro.core.api import BuildOutcome
-
-        with pytest.raises(ValueError, match="process-pool"):
-            system.simulate(BuildOutcome(None))
+    def test_zero_node_simulation_is_rejected_up_front(self,
+                                                       blink_baseline_build):
+        with pytest.raises(ValueError, match="node_count must be >= 1"):
+            run_network(blink_baseline_build.program, seconds=0.5,
+                        node_count=0)

@@ -8,10 +8,12 @@ diagnostic that the FLID table can decompress.
 
 import pytest
 
-from repro import SafeTinyOS
+from repro.api.workbench import Workbench, run_network
+from repro.ccured.flid import decompress_failure
 from repro.nesc.component import Component
 from repro.tinyos.apps import _base
-from repro.toolchain.variants import BASELINE
+from repro.toolchain.contexts import duty_cycle_context
+from repro.toolchain.variants import BASELINE, variant_by_name
 
 
 def buggy_application(bound: int):
@@ -72,56 +74,63 @@ uint8_t PhotoADC_dataReady(uint16_t value) {{
 
 
 @pytest.fixture(scope="module")
-def system():
-    return SafeTinyOS()
+def bench():
+    return Workbench()
+
+
+def _run(result, seconds: float, traffic=None):
+    """Simulate one mote running ``result``'s program; returns the node."""
+    return run_network(result.program, seconds=seconds,
+                       traffic=traffic).nodes[0]
+
+
+def _build_buggy(bench, bound: int, variant):
+    if isinstance(variant, str):
+        variant = variant_by_name(variant)
+    return bench.build_unregistered(buggy_application(bound), variant)
 
 
 class TestBuggyApplication:
-    def test_unsafe_build_corrupts_memory_silently(self, system):
-        outcome = system.build(buggy_application(bound=6), BASELINE)
-        run = system.simulate(outcome, seconds=2.0, use_default_context=False)
-        assert not run.halted
-        assert run.failures == []
-        assert run.node.memory_violations > 0
+    def test_unsafe_build_corrupts_memory_silently(self, bench):
+        node = _run(_build_buggy(bench, 6, BASELINE), 2.0)
+        assert not node.halted
+        assert node.failures == []
+        assert node.memory_violations > 0
 
     @pytest.mark.parametrize("variant", ["safe-flid", "safe-optimized",
                                          "safe-verbose"])
-    def test_safe_builds_trap_the_overrun(self, system, variant):
-        outcome = system.build(buggy_application(bound=6), variant)
-        run = system.simulate(outcome, seconds=2.0, use_default_context=False)
-        assert run.halted, f"{variant} should halt on the out-of-bounds store"
-        assert run.failures, f"{variant} should report the failure"
-        assert run.node.memory_violations == 0, \
+    def test_safe_builds_trap_the_overrun(self, bench, variant):
+        node = _run(_build_buggy(bench, 6, variant), 2.0)
+        assert node.halted, f"{variant} should halt on the out-of-bounds store"
+        assert node.failures, f"{variant} should report the failure"
+        assert node.memory_violations == 0, \
             "the check must fire before the bad store happens"
 
-    def test_flid_report_decompresses_to_the_right_place(self, system):
-        outcome = system.build(buggy_application(bound=6), "safe-flid")
-        run = system.simulate(outcome, seconds=2.0, use_default_context=False)
-        failure = run.failures[0]
+    def test_flid_report_decompresses_to_the_right_place(self, bench):
+        result = _build_buggy(bench, 6, "safe-flid")
+        failure = _run(result, 2.0).failures[0]
         assert failure.flid is not None
-        message = outcome.explain_failure(failure.flid)
+        message = decompress_failure(result.ccured.flid_table, failure.flid)
         assert "SamplerM" in message and "dataReady" in message
 
-    def test_the_surviving_check_is_the_one_that_matters(self, system):
-        outcome = system.build(buggy_application(bound=6), "safe-optimized")
-        assert outcome.checks_surviving >= 1
-        run = system.simulate(outcome, seconds=2.0, use_default_context=False)
-        assert run.halted
+    def test_the_surviving_check_is_the_one_that_matters(self, bench):
+        result = _build_buggy(bench, 6, "safe-optimized")
+        assert result.checks_surviving >= 1
+        assert _run(result, 2.0).halted
 
-    def test_correct_version_of_the_same_program_never_traps(self, system):
-        outcome = system.build(buggy_application(bound=4), "safe-optimized")
-        run = system.simulate(outcome, seconds=2.0, use_default_context=False)
-        assert not run.halted
-        assert run.failures == []
-        assert run.node.memory_violations == 0
+    def test_correct_version_of_the_same_program_never_traps(self, bench):
+        node = _run(_build_buggy(bench, 4, "safe-optimized"), 2.0)
+        assert not node.halted
+        assert node.failures == []
+        assert node.memory_violations == 0
 
 
 class TestSafetyAcrossTheSuite:
     @pytest.mark.parametrize("app", ["BlinkTask_Mica2", "SenseToRfm_Mica2",
                                      "Ident_Mica2"])
-    def test_shipped_applications_never_trip_their_checks(self, system, app):
-        outcome = system.build(app, "safe-flid")
-        run = system.simulate(outcome, seconds=1.5)
-        assert not run.halted
-        assert run.failures == []
-        assert run.node.memory_violations == 0
+    def test_shipped_applications_never_trip_their_checks(self, bench, app):
+        node = _run(bench.build_result(app, "safe-flid"), 1.5,
+                    duty_cycle_context(app))
+        assert not node.halted
+        assert node.failures == []
+        assert node.memory_violations == 0

@@ -20,7 +20,8 @@ from repro.toolchain.passes import (
     create_pass,
     registered_passes,
 )
-from repro.toolchain.pipeline import BuildPipeline
+from repro.api.workbench import Workbench
+from repro.toolchain.pipeline import result_from_context
 from repro.toolchain.variants import (
     BASELINE,
     FIG2_CCURED_OPT,
@@ -32,6 +33,15 @@ import sys
 from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent.parent))
 from helpers import tiny_application
+
+
+def _run_passes(app, variant, label=None, measure_sizes=False):
+    """Run ``variant``'s whole pass list on ``app`` in one manager."""
+    ctx = PassContext(variant=variant, application=app,
+                      label=label or app.name)
+    trace = PassManager(variant_passes(variant),
+                        measure_sizes=measure_sizes).run(ctx)
+    return result_from_context(ctx, trace)
 
 
 class TestRegistry:
@@ -75,8 +85,7 @@ class TestLowering:
 
 class TestPassManager:
     def test_build_trace_records_every_pass(self):
-        pipeline = BuildPipeline(SAFE_FLID)
-        result = pipeline.build(tiny_application())
+        result = _run_passes(tiny_application(), SAFE_FLID)
         trace = result.trace
         assert trace is not None
         assert trace.pass_names() == variant_pass_names(SAFE_FLID)
@@ -90,7 +99,7 @@ class TestPassManager:
         assert trace.passes[-1].after.functions > 0
 
     def test_trace_change_counts_match_stage_reports(self):
-        result = BuildPipeline(SAFE_FLID).build(tiny_application())
+        result = _run_passes(tiny_application(), SAFE_FLID)
         trace = result.trace
         assert trace.report("nesc.hwrefactor").changed == \
             result.hw_refactor.total
@@ -98,8 +107,8 @@ class TestPassManager:
         assert trace.report("image").detail is result.image
 
     def test_measure_sizes_records_code_and_ram_bytes(self):
-        result = BuildPipeline(SAFE_FLID, measure_sizes=True).build(
-            tiny_application())
+        result = _run_passes(tiny_application(), SAFE_FLID,
+                             measure_sizes=True)
         last = result.trace.passes[-1]
         assert last.after.code_bytes == result.image.code_bytes
         assert last.after.ram_bytes == result.image.ram_bytes
@@ -185,18 +194,18 @@ class TestFixpointPass:
 
 class TestBuildNamedLabel:
     def test_label_is_set_at_construction_not_mutated_after(self):
-        result = BuildPipeline(BASELINE).build_named("BlinkTask_Mica2")
+        result = Workbench().build_result("BlinkTask_Mica2", BASELINE)
         assert result.application == "BlinkTask_Mica2"
         assert result.summary()["application"] == "BlinkTask_Mica2"
 
     def test_build_defaults_to_the_application_name(self):
         app = tiny_application()
-        result = BuildPipeline(BASELINE).build(app)
+        result = Workbench().build_unregistered(app, BASELINE)
         assert result.application == app.name
 
     def test_build_accepts_an_explicit_label(self):
-        result = BuildPipeline(BASELINE).build(tiny_application(),
-                                               label="Figure_Label")
+        result = _run_passes(tiny_application(), BASELINE,
+                             label="Figure_Label")
         assert result.application == "Figure_Label"
 
 

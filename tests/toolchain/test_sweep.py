@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.toolchain.pipeline import BuildPipeline
 from repro.toolchain.sweep import SweepRunner
 from repro.toolchain.variants import (
     BASELINE,
@@ -27,8 +26,9 @@ class TestSweepEquivalence:
         """Front-end sharing must not change any build summary."""
         for app in APPS:
             for variant in VARIANTS:
-                expected = BuildPipeline(variant).build_named(app).summary()
-                assert shared_sweep.get(app, variant.name).summary == expected
+                alone = SweepRunner([app], [variant]).run().builds[0]
+                assert shared_sweep.get(app, variant.name).summary == \
+                    alone.summary
 
     def test_unshared_sweep_matches_shared_sweep(self, shared_sweep):
         unshared = SweepRunner(APPS, VARIANTS, share_front_end=False).run()
@@ -96,8 +96,8 @@ class TestSnapshotStore:
         assert flattens == ["BlinkTask_Mica2"]
         assert "BlinkTask_Mica2" in store
         # Resumed builds still match independent ones byte for byte.
-        expected = BuildPipeline(SAFE_OPTIMIZED) \
-            .build_named("BlinkTask_Mica2").summary()
+        expected = SweepRunner(["BlinkTask_Mica2"], [SAFE_OPTIMIZED],
+                               share_front_end=False).run().builds[0].summary
         assert second.builds[0].summary == expected
         assert first.builds[0].summary != expected
 

@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.api.workbench import Workbench
 from repro.ccured.config import MessageStrategy, RuntimeMode
 from repro.toolchain.config import BuildVariant
 from repro.toolchain.contexts import duty_cycle_context
-from repro.toolchain.pipeline import BuildPipeline, build_application
 from repro.toolchain.report import FigureTable, clip, percent_change
 from repro.toolchain.variants import (
     BASELINE,
@@ -84,13 +84,9 @@ class TestPipeline:
         assert ram >= 2
 
     def test_custom_application_can_be_built(self):
-        result = BuildPipeline(BASELINE).build(tiny_application())
+        result = Workbench().build_unregistered(tiny_application(), BASELINE)
         assert result.image.code_bytes > 0
         assert result.program.lookup_function("main") is not None
-
-    def test_build_application_helper(self):
-        result = build_application("BlinkTask_Mica2", BASELINE)
-        assert result.application == "BlinkTask_Mica2"
 
     def test_summary_dictionary(self, blink_optimized_build):
         summary = blink_optimized_build.summary()
