@@ -2,9 +2,9 @@
 
 Measures wall time and aggregate statement throughput of multi-node Surge
 networks in a ``chain`` topology as the node count grows, plus the lockstep
-kernel's overhead over the legacy sequential runner on a single node
-(where the two are byte-identical by construction, so the comparison is
-pure kernel overhead: one execution thread and one horizon grant).
+kernel's overhead over the thread-free ``Node.run`` reference on a single
+node (where the two are byte-identical by construction, so the comparison
+is pure kernel overhead: one execution thread and one horizon grant).
 
 Also measures the shared code cache (:class:`repro.avrora.engine.\
 CodeCache`): the first node of a program pays the full lowering front end
@@ -18,19 +18,9 @@ Results are recorded in ``BENCH_network.json`` at the repository root (CI
 uploads it as an artifact); run this module directly for a standalone
 measurement, or via pytest as part of the benchmark suite.
 
-Also measures the sharded multi-process kernel (``repro.avrora.shard``)
-over a grid-topology matrix of node counts × worker counts: aggregate and
-per-node statement throughput, window-grant rounds and synchronization
-wait per shard.  Statement counts are asserted bit-equal across worker
-counts (the kernel's core guarantee), and the largest configuration must
-beat the in-process kernel by the configurable speedup floor.
-
 Set ``REPRO_BENCH_SMOKE=1`` to shrink the simulated window and node counts
-(CI smoke mode), ``REPRO_BENCH_MAX_KERNEL_OVERHEAD`` to tune the asserted
-single-node overhead ceiling, and ``REPRO_BENCH_MIN_PARALLEL_SPEEDUP`` to
-tune the asserted sharded speedup floor (default conservative: CI
-containers may expose a single core, where the measured speedup comes from
-batching alone rather than true parallelism).
+(CI smoke mode), and ``REPRO_BENCH_MAX_KERNEL_OVERHEAD`` to tune the
+asserted single-node overhead ceiling.
 """
 
 from __future__ import annotations
@@ -54,33 +44,11 @@ SMOKE_SECONDS = 2.0
 NODE_COUNTS = (1, 2, 4, 8)
 SMOKE_NODE_COUNTS = (1, 2)
 
-# Sharded-kernel matrix: grid topology, node counts × worker counts.  The
-# grid keeps hop distances (and therefore window sizes) small, which is
-# the adversarial case for the window protocol's synchronization cost.
-# The window must be long enough to amortize the fixed fork + pipe setup
-# cost, or short runs undersell the steady-state throughput.
-MATRIX_SIM_SECONDS = 10.0
-SMOKE_MATRIX_SIM_SECONDS = 1.0
-MATRIX_GRID_WIDTH = 4
-MATRIX_NODE_COUNTS = (8, 16, 32)
-SMOKE_MATRIX_NODE_COUNTS = (8,)
-MATRIX_WORKER_COUNTS = (1, 2, 4)
-SMOKE_MATRIX_WORKER_COUNTS = (1, 2)
-
-#: Asserted ceiling on lockstep wall time / sequential wall time for one
-#: node.  Generous so a loaded CI machine does not flake; an idle machine
-#: shows the kernel within a few percent of the sequential runner.
+#: Asserted ceiling on lockstep wall time / thread-free ``Node.run`` wall
+#: time for one node.  Generous so a loaded CI machine does not flake; an
+#: idle machine shows the kernel within a few percent of the reference.
 MAX_KERNEL_OVERHEAD = float(
     os.environ.get("REPRO_BENCH_MAX_KERNEL_OVERHEAD", "1.6"))
-
-#: Asserted floor on sharded aggregate throughput / in-process throughput
-#: at the largest matrix cell.  The default only demands "not materially
-#: slower": window batching alone buys up to ~1.5x even on a single
-#: exposed core (where run-to-run variance is large), and true parallel
-#: hardware exceeds 2x.  CI with known parallel hardware should export
-#: REPRO_BENCH_MIN_PARALLEL_SPEEDUP=2.0.
-MIN_PARALLEL_SPEEDUP = float(
-    os.environ.get("REPRO_BENCH_MIN_PARALLEL_SPEEDUP", "0.9"))
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_network.json"
 
@@ -91,16 +59,6 @@ def _smoke() -> bool:
 
 def _build_network(program, node_count: int) -> Network:
     network = Network(channel=Channel(topology="chain"))
-    for node_id in range(node_count):
-        node = Node(program, node_id=node_id)
-        node.boot()
-        network.add_node(node)
-    return network
-
-
-def _build_grid_network(program, node_count: int) -> Network:
-    network = Network(channel=Channel(topology="grid",
-                                      grid_width=MATRIX_GRID_WIDTH))
     for node_id in range(node_count):
         node = Node(program, node_id=node_id)
         node.boot()
@@ -164,16 +122,16 @@ def measure() -> dict:
             first_compile / max(extra_compile, 1e-9), 2),
     }
 
-    # -- lockstep vs legacy-sequential on one node (identical semantics) ----
+    # -- lockstep vs the thread-free Node.run on one node (identical) -------
     # Untimed warm-up: the process's first execution-thread spin-up costs
     # ~tens of ms and would otherwise land inside the lockstep window.
     _build_network(program, 1).run(0.2)
 
-    sequential = _build_network(program, 1)
+    thread_free = _build_network(program, 1)
     gc.collect()  # keep collection pauses out of the ~25ms windows
     start = time.perf_counter()
-    sequential.run_sequential(seconds)
-    sequential_wall = time.perf_counter() - start
+    thread_free.nodes[0].run(seconds)
+    thread_free_wall = time.perf_counter() - start
 
     lockstep = _build_network(program, 1)
     gc.collect()
@@ -181,14 +139,14 @@ def measure() -> dict:
     lockstep.run(seconds)
     lockstep_wall = time.perf_counter() - start
 
-    assert _observe(sequential) == _observe(lockstep), \
-        "single-node lockstep diverged from the sequential semantics"
-    overhead = round(lockstep_wall / max(sequential_wall, 1e-9), 3)
+    assert _observe(thread_free) == _observe(lockstep), \
+        "single-node lockstep diverged from the thread-free Node.run"
+    overhead = round(lockstep_wall / max(thread_free_wall, 1e-9), 3)
     assert overhead <= MAX_KERNEL_OVERHEAD, \
         f"lockstep kernel overhead {overhead}x exceeded the " \
         f"{MAX_KERNEL_OVERHEAD}x ceiling on a single node"
     results["single_node"] = {
-        "sequential_wall_s": round(sequential_wall, 4),
+        "thread_free_wall_s": round(thread_free_wall, 4),
         "lockstep_wall_s": round(lockstep_wall, 4),
         "kernel_overhead": overhead,
     }
@@ -218,74 +176,6 @@ def measure() -> dict:
     assert cache.lowerings == functions_lowered, \
         "scaling runs re-ran the lowering front end"
 
-    # -- sharded multi-process kernel: nodes × workers matrix ---------------
-    matrix_seconds = (SMOKE_MATRIX_SIM_SECONDS if _smoke()
-                      else MATRIX_SIM_SECONDS)
-    matrix_nodes = (SMOKE_MATRIX_NODE_COUNTS if _smoke()
-                    else MATRIX_NODE_COUNTS)
-    matrix_workers = (SMOKE_MATRIX_WORKER_COUNTS if _smoke()
-                      else MATRIX_WORKER_COUNTS)
-    results["sharded_matrix"] = {
-        "sim_seconds": matrix_seconds,
-        "topology": "grid",
-        "grid_width": MATRIX_GRID_WIDTH,
-        "min_parallel_speedup_asserted": MIN_PARALLEL_SPEEDUP,
-        "rows": [],
-    }
-    for count in matrix_nodes:
-        base_throughput = None
-        base_statements = None
-        for workers in matrix_workers:
-            network = _build_grid_network(program, count)
-            gc.collect()
-            start = time.perf_counter()
-            network.run(matrix_seconds, workers=workers)
-            wall = time.perf_counter() - start
-            statements = sum(node.interpreter.statements_executed
-                             for node in network.nodes)
-            throughput = statements / max(wall, 1e-9)
-            if workers == 1:
-                base_throughput = throughput
-                base_statements = statements
-            else:
-                # The free differential: sharding must not change what
-                # any node executed, only how fast the field ran.
-                assert statements == base_statements, \
-                    f"{count} nodes / {workers} workers executed " \
-                    f"{statements} statements vs {base_statements} " \
-                    f"in-process — the sharded kernel diverged"
-            sync_wait = sum(stats["sync_wait_s"]
-                            for stats in network.shard_stats)
-            rounds = max((stats["rounds"]
-                          for stats in network.shard_stats), default=0)
-            results["sharded_matrix"]["rows"].append({
-                "nodes": count,
-                "workers": workers,
-                "wall_s": round(wall, 4),
-                "statements": statements,
-                "statements_per_sec": round(throughput),
-                "statements_per_node_sec": round(throughput / count),
-                "grant_rounds": rounds,
-                "sync_wait_s": round(sync_wait, 4),
-                "sync_fraction": round(
-                    sync_wait / max(wall * workers, 1e-9), 3),
-                "speedup": round(throughput / max(base_throughput, 1e-9), 2),
-            })
-    largest = results["sharded_matrix"]["rows"][-1]
-    if not _smoke():
-        # Smoke mode runs a deliberately tiny field where fork and pipe
-        # setup dominate; the throughput floor is only meaningful at the
-        # full matrix's largest cell.
-        assert largest["speedup"] >= MIN_PARALLEL_SPEEDUP, \
-            f"sharded kernel at {largest['nodes']} nodes / " \
-            f"{largest['workers']} workers reached only " \
-            f"{largest['speedup']}x over in-process (floor " \
-            f"{MIN_PARALLEL_SPEEDUP}x)"
-    # Workers inherit the warmed cache through fork: the coordinator's
-    # process never lowered anything new for the matrix either.
-    assert cache.lowerings == functions_lowered, \
-        "sharded matrix runs re-ran the lowering front end"
-
     results["code_cache"]["plan_hits"] = cache.plan_hits
     return results
 
@@ -301,7 +191,7 @@ def format_table(results: dict) -> str:
         f"network scaling ({results['sim_seconds']}s simulated, "
         f"{results['topology']} topology):",
         f"  1-node kernel overhead: {single['kernel_overhead']}x "
-        f"(sequential {single['sequential_wall_s']}s, "
+        f"(Node.run {single['thread_free_wall_s']}s, "
         f"lockstep {single['lockstep_wall_s']}s)",
         f"  code cache: {cache['functions']} functions lowered once; "
         f"per-extra-node compile {cache['extra_node_compile_s']}s vs "
@@ -313,24 +203,11 @@ def format_table(results: dict) -> str:
         lines.append(f"{row['nodes']:>6} {row['wall_s']:>9} "
                      f"{row['statements_per_sec']:>12,} "
                      f"{row['delivered_packets']:>10}")
-    matrix = results["sharded_matrix"]
-    lines.append(
-        f"sharded kernel matrix ({matrix['sim_seconds']}s simulated, "
-        f"grid width {matrix['grid_width']}):")
-    lines.append(f"{'nodes':>6} {'workers':>8} {'wall (s)':>9} "
-                 f"{'stmts/s':>12} {'speedup':>8} {'rounds':>8} "
-                 f"{'sync':>6}")
-    for row in matrix["rows"]:
-        lines.append(f"{row['nodes']:>6} {row['workers']:>8} "
-                     f"{row['wall_s']:>9} "
-                     f"{row['statements_per_sec']:>12,} "
-                     f"{row['speedup']:>7}x {row['grant_rounds']:>8} "
-                     f"{row['sync_fraction']:>6}")
     return "\n".join(lines)
 
 
 def test_network_scale() -> None:
-    """The lockstep kernel stays near the sequential runner on one node.
+    """The lockstep kernel stays near the thread-free Node.run on one node.
 
     The overhead ceiling itself is asserted inside :func:`measure`, so the
     standalone CI invocation (``python benchmarks/bench_network_scale.py``)

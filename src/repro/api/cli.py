@@ -9,12 +9,13 @@ Usage::
                           [--processes N] [--json]
     python -m repro simulate APP [--variant NAME] [--seconds S]
                           [--nodes N] [--topology T] [--loss P] [--seed N]
-                          [--traffic default|base|none] [--workers N]
-                          [--plan-cache DIR] [--chaos SPEC] [--json]
+                          [--traffic default|base|none]
+                          [--plan-cache DIR] [--json]
     python -m repro scenarios APP [--variants V,W,...] [--faults F,G,...]
                           [--nodes N] [--seconds S] [--topology T]
                           [--loss P] [--seed N] [--fault-seed N]
-                          [--traffic default|base|none] [--workers N] [--json]
+                          [--traffic default|base|none]
+                          [--plan-cache DIR] [--json]
     python -m repro figures [--figure 2|3a|3b|3c] [--apps ...] [--json]
     python -m repro serve [--store DIR] [--host H] [--port P] [--workers N]
                           [--job-timeout S]
@@ -61,7 +62,6 @@ from repro.api.records import BuildRecord, ScenarioRecord, SimRecord
 from repro.api.specs import (
     SCHEMA_VERSION,
     TRAFFIC_DEFAULT,
-    TRAFFIC_NONE,
     TRAFFIC_PROFILES,
     BuildSpec,
     ScenarioSpec,
@@ -69,7 +69,6 @@ from repro.api.specs import (
     SweepSpec,
 )
 from repro.api.workbench import Workbench
-from repro.avrora.chaos import ChaosPolicy
 from repro.avrora.network import TOPOLOGIES
 from repro.store import ArtifactStore
 from repro.scenarios.faults import DEFAULT_FAULT_NAMES, FaultPlan, default_fault
@@ -252,25 +251,6 @@ def format_sim_record(record: SimRecord) -> str:
             f"  injected   : radio " +
             ", ".join(map(str, record.injected_radio)) +
             f"  uart " + ", ".join(map(str, record.injected_uart)))
-    if record.shards:
-        for shard in record.shards:
-            lo, hi = shard.get("nodes", (0, 0))
-            lines.append(
-                f"  shard {shard.get('worker', '?')}    : nodes "
-                f"[{lo}, {hi}), {shard.get('rounds', 0)} rounds, "
-                f"{shard.get('packets_in', 0)} in / "
-                f"{shard.get('packets_out', 0)} out boundary packets, "
-                f"sync {shard.get('sync_wait_s', 0.0):.2f}s of "
-                f"{shard.get('wall_s', 0.0):.2f}s wall")
-    recovery = record.recovery
-    if recovery.get("respawns") or recovery.get("checkpoints"):
-        lines.append(
-            f"  recovery   : {recovery.get('respawns', 0)} respawn(s), "
-            f"{recovery.get('replayed_rounds', 0)} round(s) replayed, "
-            f"{recovery.get('checkpoints', 0)} checkpoint(s) "
-            f"({recovery.get('checkpoint_bytes', 0):,} B), "
-            f"{recovery.get('chaos_kills', 0)} chaos kill(s), "
-            f"{recovery.get('recovery_wall_s', 0.0):.2f}s recovering")
     return "\n".join(lines)
 
 
@@ -324,14 +304,11 @@ def cmd_sweep(args, workbench: Workbench, out) -> int:
 
 
 def cmd_simulate(args, workbench: Workbench, out) -> int:
-    traffic = TRAFFIC_NONE if args.no_traffic else args.traffic
     spec = validated(lambda: SimSpec(
         app=args.app, variant=args.variant,
         node_count=args.nodes, seconds=args.seconds,
-        traffic=traffic, topology=args.topology,
-        loss=args.loss, seed=args.seed, workers=args.workers,
-        plan_cache=args.plan_cache,
-        chaos=ChaosPolicy.parse(args.chaos or "")))
+        traffic=args.traffic, topology=args.topology,
+        loss=args.loss, seed=args.seed, plan_cache=args.plan_cache))
     if args.remote:
         record = SimRecord.from_dict(_remote(args).run(spec))
     else:
@@ -388,8 +365,7 @@ def cmd_scenarios(args, workbench: Workbench, out) -> int:
         plan=FaultPlan(faults=tuple(faults), seed=args.fault_seed),
         node_count=args.nodes, seconds=args.seconds,
         traffic=args.traffic, topology=args.topology,
-        loss=args.loss, seed=args.seed, workers=args.workers,
-        plan_cache=args.plan_cache))
+        loss=args.loss, seed=args.seed, plan_cache=args.plan_cache))
     if args.remote:
         record = ScenarioRecord.from_dict(_remote(args).run(spec))
     else:
@@ -518,21 +494,10 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=list(TRAFFIC_PROFILES),
                        help="synthetic traffic profile: every node, the "
                             "first node only, or none")
-    p_sim.add_argument("--no-traffic", action="store_true",
-                       help="shorthand for --traffic none")
-    p_sim.add_argument("--workers", type=int, default=1,
-                       help="shard the network across N worker processes "
-                            "(bit-identical to --workers 1)")
     p_sim.add_argument("--plan-cache", default=None, metavar="DIR",
                        help="persist lowered function plans under DIR so a "
                             "repeat run skips the lowering front end "
                             "(bit-identical to running without)")
-    p_sim.add_argument("--chaos", default=None, metavar="SPEC",
-                       help="kill shard workers at chosen window rounds, "
-                            "e.g. '1@3' or '0@5,1@40' (or the JSON form); "
-                            "checkpointed recovery keeps the results "
-                            "bit-identical — requires --workers > 1 to "
-                            "have anything to kill")
     add_json(p_sim)
     add_store(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
@@ -561,9 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=list(TRAFFIC_PROFILES),
                         help="synthetic traffic profile (default: the "
                              "app's duty-cycle context on every node)")
-    p_scen.add_argument("--workers", type=int, default=1,
-                        help="shard each run across N worker processes "
-                             "(verdicts bit-identical to --workers 1)")
     p_scen.add_argument("--plan-cache", default=None, metavar="DIR",
                         help="persist lowered function plans under DIR so "
                              "the golden and faulted runs of a repeated "

@@ -144,29 +144,17 @@ class SimRecord:
             every node (``Network.superblock_stats``): fused statement
             counts, fast/slow entry counts, burst iterations and the
             fused fraction.  Empty for records predating the field.
-        workers: Worker processes the simulation actually ran with.
-            Informational only: results are bit-identical across worker
-            counts, so two records differing only here are the same
-            simulation.
-        shards: Per-shard execution statistics from the sharded kernel
-            (``Network.shard_stats``): node range, window-grant rounds,
-            boundary packet traffic, sync-wait and wall time.  Empty for
-            in-process runs and records predating the field.
         code_cache: Lowering/plan-cache telemetry: the shared in-process
             ``CodeCache`` counters (``functions``, ``lowerings``,
             ``plan_hits``, ``disk_loads``) plus, when a persistent plan
             store was configured, its ``store_*`` counters and directory.
             A warm start shows ``lowerings == 0`` here.  Execution
-            telemetry like ``workers``/``shards``: not part of the
-            simulation's identity.  Empty for records predating the
-            field.
-        recovery: Fault-tolerance telemetry from the sharded kernel
-            (``Network.recovery_stats``): worker respawns, replayed
-            window rounds, checkpoints shipped and their total bytes,
-            chaos kills consumed, recovery wall time.  All zeros for an
-            undisturbed run; empty for in-process runs and records
-            predating the field.  Execution telemetry — the simulation
-            results are bit-identical whether or not recovery ran.
+            telemetry: not part of the simulation's identity.  Empty for
+            records predating the field.
+
+    Records written by older versions may carry ``workers``, ``shards``
+    and ``recovery`` keys (telemetry of a since-removed multi-process
+    kernel); :meth:`from_dict` ignores them.
     """
 
     app: str
@@ -188,10 +176,7 @@ class SimRecord:
     #: hash=False keeps the frozen record hashable (dicts are not); the
     #: field still participates in equality.
     superblocks: dict = field(default_factory=dict, hash=False)
-    workers: int = 1
-    shards: tuple = field(default=(), hash=False)
     code_cache: dict = field(default_factory=dict, hash=False)
-    recovery: dict = field(default_factory=dict, hash=False)
 
     @property
     def duty_cycle(self) -> float:
@@ -222,10 +207,7 @@ class SimRecord:
             "halted": self.halted,
             "led_changes": self.led_changes,
             "superblocks": dict(self.superblocks),
-            "workers": self.workers,
-            "shards": [dict(shard) for shard in self.shards],
             "code_cache": dict(self.code_cache),
-            "recovery": dict(self.recovery),
         }
 
     @classmethod
@@ -248,10 +230,7 @@ class SimRecord:
             halted=data["halted"],
             led_changes=data["led_changes"],
             superblocks=dict(data.get("superblocks", {})),
-            workers=data.get("workers", 1),
-            shards=tuple(dict(shard) for shard in data.get("shards", ())),
             code_cache=dict(data.get("code_cache", {})),
-            recovery=dict(data.get("recovery", {})),
         )
 
 
@@ -273,15 +252,16 @@ class ScenarioRecord:
         verdicts: ``verdicts[fault_index][variant_index]`` — one of
             ``detected`` / ``crash`` / ``silent-corruption`` / ``benign``
             (see :mod:`repro.scenarios.runner`).  A pure function of the
-            spec: bit-identical across reruns and worker counts.
+            spec: bit-identical across reruns.
         details: Per-cell diagnostics keyed ``"<fault label>|<variant>"``
             (failure totals, halted/diverged node positions, memory
-            violations) — worker-invariant by construction.
+            violations), read from node state only.
         golden: Golden-run cache statistics of the producing runner:
             ``{"runs": ..., "cache_hits": ...}``.  Execution telemetry,
             not identity.
-        workers: Worker processes the runs actually used (informational,
-            like :class:`SimRecord`'s).
+
+    An older record's ``workers`` key is ignored on load, like
+    :class:`SimRecord`'s.
     """
 
     app: str
@@ -295,7 +275,6 @@ class ScenarioRecord:
     verdicts: tuple[tuple[str, ...], ...]
     details: dict = field(default_factory=dict, hash=False)
     golden: dict = field(default_factory=dict, hash=False)
-    workers: int = 1
 
     def verdict(self, fault: str, variant: str) -> str:
         """The verdict for one (fault label, variant) cell."""
@@ -326,7 +305,6 @@ class ScenarioRecord:
             "details": {key: dict(value)
                         for key, value in self.details.items()},
             "golden": dict(self.golden),
-            "workers": self.workers,
         }
 
     @classmethod
@@ -344,5 +322,4 @@ class ScenarioRecord:
             details={key: dict(value)
                      for key, value in data.get("details", {}).items()},
             golden=dict(data.get("golden", {})),
-            workers=data.get("workers", 1),
         )

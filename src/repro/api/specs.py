@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from repro.avrora.chaos import ChaosPolicy
 from repro.avrora.network import TOPOLOGIES
 from repro.scenarios.faults import FaultPlan
 from repro.tinyos import suite
@@ -169,24 +168,17 @@ class SimSpec:
         loss: Per-link, per-packet drop probability in [0, 1).
         seed: Seed of the channel's loss RNG; equal seeds give
             bit-identical simulations.
-        workers: Worker processes for the sharded kernel (>= 1, at most
-            ``node_count``).  Results are bit-identical for every worker
-            count, so ``workers`` is an execution knob, not part of the
-            simulation's identity: it is excluded from
-            :meth:`content_key` and records cached under one worker
-            count satisfy requests made with another.
         plan_cache: Directory of the persistent lowering-plan store
             (:class:`~repro.avrora.codestore.PlanStore`), or None to keep
-            lowering in-process only.  Like ``workers``, the cache merely
-            changes *how* the simulation executes (warm starts skip the
-            lowering front end); results are bit-identical either way, so
-            it is excluded from :meth:`content_key`.
-        chaos: Optional :class:`~repro.avrora.chaos.ChaosPolicy` killing
-            shard workers at chosen window rounds; the kernel's
-            checkpointed recovery replays the lost windows, so results
-            are bit-identical to a fault-free run.  A third execution
-            knob, excluded from :meth:`content_key` like ``workers`` —
-            only meaningful for ``workers > 1``.
+            lowering in-process only.  The cache merely changes *how* the
+            simulation executes (warm starts skip the lowering front
+            end); results are bit-identical either way, so it is excluded
+            from :meth:`content_key`.
+
+    Dictionaries written by older versions may carry ``workers`` and
+    ``chaos`` keys (settings of a since-removed multi-process kernel);
+    :meth:`from_dict` ignores them, and they never entered the content
+    key, so stored records still hit.
     """
 
     app: str
@@ -197,23 +189,12 @@ class SimSpec:
     topology: str = "broadcast"
     loss: float = 0.0
     seed: int = 0
-    workers: int = 1
     plan_cache: Optional[str] = None
-    chaos: Optional[ChaosPolicy] = None
 
     def __post_init__(self):
         if self.plan_cache is not None:
             # PathLike in, plain string out: specs stay JSON-serializable.
             object.__setattr__(self, "plan_cache", os.fspath(self.plan_cache))
-        if isinstance(self.chaos, dict):
-            # The natural JSON shape coerces, like SweepSpec's lists.
-            object.__setattr__(self, "chaos",
-                               ChaosPolicy.from_dict(self.chaos))
-        if self.chaos is not None \
-                and not isinstance(self.chaos, ChaosPolicy):
-            raise TypeError(
-                f"{self.describe()}: chaos must be a ChaosPolicy or None, "
-                f"got {type(self.chaos).__name__}")
         _check_app(self.app)
         variant_by_name(self.variant)
         if self.node_count < 1:
@@ -240,15 +221,6 @@ class SimSpec:
             raise ValueError(
                 f"{self.describe()}: seed must be a non-negative integer, "
                 f"got {self.seed!r}")
-        if not isinstance(self.workers, int) or self.workers < 1:
-            raise ValueError(
-                f"{self.describe()}: parallel config: workers must be "
-                f">= 1, got {self.workers!r}")
-        if self.workers > self.node_count:
-            raise ValueError(
-                f"{self.describe()}: parallel config: workers "
-                f"({self.workers}) must not exceed the node count "
-                f"({self.node_count})")
 
     def describe(self) -> str:
         return (f"SimSpec({self.app} × {self.variant}, "
@@ -258,11 +230,9 @@ class SimSpec:
         return BuildSpec(app=self.app, variant=self.variant)
 
     def content_key(self) -> str:
-        # ``workers``, ``plan_cache`` and ``chaos`` are intentionally
-        # absent: the sharded kernel, the persistent plan store and the
-        # chaos-recovery layer are bit-identical to their undisturbed
-        # counterparts, so none is part of what the simulation *is* —
-        # only of how it is executed.
+        # ``plan_cache`` is intentionally absent: the persistent plan
+        # store is bit-identical to lowering in-process, so it is not part
+        # of what the simulation *is* — only of how it is executed.
         return _digest({
             "schema": SCHEMA_VERSION,
             "kind": "sim",
@@ -281,23 +251,17 @@ class SimSpec:
                 "node_count": self.node_count, "seconds": self.seconds,
                 "traffic": self.traffic, "topology": self.topology,
                 "loss": self.loss, "seed": self.seed,
-                "workers": self.workers, "plan_cache": self.plan_cache,
-                "chaos": None if self.chaos is None
-                else self.chaos.to_dict()}
+                "plan_cache": self.plan_cache}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimSpec":
-        chaos = data.get("chaos")
         return cls(app=data["app"], variant=data["variant"],
                    node_count=data["node_count"], seconds=data["seconds"],
                    traffic=data.get("traffic", TRAFFIC_DEFAULT),
                    topology=data.get("topology", "broadcast"),
                    loss=data.get("loss", 0.0),
                    seed=data.get("seed", 0),
-                   workers=data.get("workers", 1),
-                   plan_cache=data.get("plan_cache"),
-                   chaos=None if chaos is None
-                   else ChaosPolicy.from_dict(chaos))
+                   plan_cache=data.get("plan_cache"))
 
 
 @dataclass(frozen=True)
@@ -331,13 +295,14 @@ class ScenarioSpec:
         loss: Per-link drop probability in [0, 1).
         seed: Channel seed (the plan's fault seed is separate, in
             ``plan.seed``).
-        workers: Sharded-kernel worker count — an execution knob,
-            excluded from :meth:`content_key` like :class:`SimSpec`'s.
         plan_cache: Directory of the persistent lowering-plan store, as
             in :class:`SimSpec` — the golden and every faulted run
             hydrate their lowering plans from it, so a repeated scenario
             matrix in a fresh session lowers nothing.  An execution knob,
             excluded from :meth:`content_key`.
+
+    As with :class:`SimSpec`, an older dictionary's ``workers`` key is
+    ignored on load and was never part of the content key.
     """
 
     app: str
@@ -349,7 +314,6 @@ class ScenarioSpec:
     topology: str = "chain"
     loss: float = 0.0
     seed: int = 0
-    workers: int = 1
     plan_cache: Optional[str] = None
 
     def __post_init__(self):
@@ -396,15 +360,6 @@ class ScenarioSpec:
             raise ValueError(
                 f"{self.describe()}: seed must be a non-negative integer, "
                 f"got {self.seed!r}")
-        if not isinstance(self.workers, int) or self.workers < 1:
-            raise ValueError(
-                f"{self.describe()}: parallel config: workers must be "
-                f">= 1, got {self.workers!r}")
-        if self.workers > self.node_count:
-            raise ValueError(
-                f"{self.describe()}: parallel config: workers "
-                f"({self.workers}) must not exceed the node count "
-                f"({self.node_count})")
 
     def describe(self) -> str:
         return (f"ScenarioSpec({self.app} × {len(self.variants)} "
@@ -416,9 +371,9 @@ class ScenarioSpec:
                 for variant in self.variants]
 
     def content_key(self) -> str:
-        # ``workers`` and ``plan_cache`` are excluded for the same reason
-        # as in SimSpec: the verdict matrix is bit-identical at every
-        # worker count and with or without hydrated lowering plans.
+        # ``plan_cache`` is excluded for the same reason as in SimSpec:
+        # the verdict matrix is bit-identical with or without hydrated
+        # lowering plans.
         return _digest({
             "schema": SCHEMA_VERSION,
             "kind": "scenario",
@@ -439,7 +394,7 @@ class ScenarioSpec:
                 "node_count": self.node_count, "seconds": self.seconds,
                 "traffic": self.traffic, "topology": self.topology,
                 "loss": self.loss, "seed": self.seed,
-                "workers": self.workers, "plan_cache": self.plan_cache}
+                "plan_cache": self.plan_cache}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioSpec":
@@ -452,7 +407,6 @@ class ScenarioSpec:
                    topology=data.get("topology", "chain"),
                    loss=data.get("loss", 0.0),
                    seed=data.get("seed", 0),
-                   workers=data.get("workers", 1),
                    plan_cache=data.get("plan_cache"))
 
 

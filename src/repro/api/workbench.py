@@ -63,8 +63,6 @@ def run_network(program, *, seconds: float, node_count: int = 1,
                 traffic: Optional[TrafficGenerator] = None,
                 channel: Optional[Channel] = None,
                 traffic_first_node_only: bool = False,
-                workers: int = 1,
-                chaos=None,
                 prepare: Optional[Callable[[Network], None]] = None,
                 ) -> Network:
     """Boot ``node_count`` motes running ``program`` and co-simulate them.
@@ -75,14 +73,9 @@ def run_network(program, *, seconds: float, node_count: int = 1,
     the first node is the routing base station (``TOS_LOCAL_ADDRESS == 0``
     — what ``MultiHopRouterM`` treats as the collection root).
     ``traffic_first_node_only`` installs the synthetic traffic generator
-    on the first node only.  ``workers > 1`` shards the topology across
-    that many worker processes with bit-identical results.  ``chaos``
-    (a :class:`~repro.avrora.chaos.ChaosPolicy`) kills shard workers at
-    chosen window rounds; checkpointed recovery keeps the results
-    bit-identical, with the fallout in ``network.recovery_stats``.
-    ``prepare`` runs against the fully assembled network after the nodes
-    boot and before the clock starts — the scenario layer's hook for
-    arming fault injections.
+    on the first node only.  ``prepare`` runs against the fully assembled
+    network after the nodes boot and before the clock starts — the
+    scenario layer's hook for arming fault injections.
     """
     if node_count < 1:
         raise ValueError(f"node_count must be >= 1, got {node_count}")
@@ -94,10 +87,9 @@ def run_network(program, *, seconds: float, node_count: int = 1,
         node.boot()
         network.add_node(
             node, traffic=(index == 0 or not traffic_first_node_only))
-    network.chaos = chaos
     if prepare is not None:
         prepare(network)
-    network.run(seconds, workers=workers)
+    network.run(seconds)
     return network
 
 
@@ -370,15 +362,10 @@ class Workbench:
         spec's topology, loss rate and seed; per-node packet and traffic
         statistics land in the record.  With ``spec.plan_cache`` set, the
         program's lowering plans are hydrated from the persistent store
-        before the run (a warm start performs zero lowerings — including
-        the sharded kernel's pre-fork warm) and persisted after it.  With
-        a session :attr:`store`, a previously recorded identical spec is
-        served straight from disk — no build, no simulation.
-
-        Chaos: ``spec.chaos`` arms the sharded kernel's fault injection.
-        An execution knob like ``spec.workers`` — recovery keeps the
-        results bit-identical, so the memoization key is unchanged and a
-        cached fault-free record legitimately satisfies a chaos request.
+        before the run (a warm start performs zero lowerings) and
+        persisted after it.  With a session :attr:`store`, a previously
+        recorded identical spec is served straight from disk — no build,
+        no simulation.
         """
         key = spec.content_key()
         with self._lock:
@@ -401,8 +388,7 @@ class Workbench:
             network = run_network(
                 result.program, seconds=spec.seconds,
                 node_count=spec.node_count, traffic=traffic, channel=channel,
-                traffic_first_node_only=(spec.traffic == TRAFFIC_BASE),
-                workers=spec.workers, chaos=spec.chaos)
+                traffic_first_node_only=(spec.traffic == TRAFFIC_BASE))
             code_cache = plan_store_persist(attach, result.program)
         stats = network.node_stats()
         record = SimRecord(
@@ -423,10 +409,7 @@ class Workbench:
             halted=any(node.halted for node in network.nodes),
             led_changes=sum(node.leds.state.changes for node in network.nodes),
             superblocks=network.superblock_stats(),
-            workers=spec.workers,
-            shards=tuple(network.shard_stats),
             code_cache=code_cache,
-            recovery=dict(network.recovery_stats),
         )
         with self._lock:
             self._simulations_executed += 1
@@ -476,7 +459,6 @@ class Workbench:
             verdicts=outcome["verdicts"],
             details=outcome["details"],
             golden=outcome["golden"],
-            workers=spec.workers,
         )
         with self._lock:
             self._scenarios_executed += 1

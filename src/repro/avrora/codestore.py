@@ -6,9 +6,8 @@ across processes.  A :class:`PlanStore` maps a cache key — derived from the
 program's content key, the target platform, and the engine's lowering
 version — to a pickled *portable* plan export
 (:meth:`CodeCache.export_portable`), so a warm ``simulate`` hydrates every
-plan from disk and performs zero front-end lowerings, including the sharded
-kernel's pre-fork warm (the coordinator hits disk once; forked workers
-inherit the hydrated cache for free).
+plan from disk and performs zero front-end lowerings; every node of the
+network then binds closures against the one hydrated cache.
 
 Robustness over cleverness: entries are self-describing pickles carrying a
 format version, the engine lowering version, and a payload digest.  Any

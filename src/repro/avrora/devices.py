@@ -39,26 +39,17 @@ class Device:
 
     # -- snapshot / restore ---------------------------------------------------
     #
-    # Devices serialize their state as plain picklable dicts so a node can
-    # be checkpointed and rebuilt in another process (the sharded network
-    # kernel) or resumed mid-simulation.  Scheduled callbacks cannot be
-    # pickled, so each device also *describes* its queued events as tagged
-    # tuples and *resolves* those tags back into callables on restore.
+    # Devices serialize their register-visible state as plain dicts so the
+    # reboot fault (``repro.scenarios``) can checkpoint a node's bus and
+    # roll it back later in the same run.  Queued events are not part of
+    # the snapshot: they stay on the node's event queue across a reboot.
 
     def snapshot(self) -> Optional[dict]:
-        """Picklable device state, or ``None`` for stateless devices."""
+        """Device state as plain data, or ``None`` for stateless devices."""
         return None
 
     def restore(self, state: dict) -> None:
         """Apply a :meth:`snapshot` produced by the same device class."""
-
-    def describe_event(self, callback: Callable[[], None]) -> Optional[tuple]:
-        """A picklable tag for ``callback`` if this device scheduled it."""
-        return None
-
-    def resolve_event(self, desc: tuple) -> Optional[Callable[[], None]]:
-        """The callable a :meth:`describe_event` tag stands for."""
-        return None
 
 
 @dataclass
@@ -145,12 +136,6 @@ class Clock(Device):
         self.enabled = state["enabled"]
         self.ticks = state["ticks"]
 
-    def describe_event(self, callback) -> Optional[tuple]:
-        return ("clock",) if callback == self._fire else None
-
-    def resolve_event(self, desc: tuple):
-        return self._fire if desc[0] == "clock" else None
-
 
 class MicroTimer(Device):
     """The high-rate timer used by HighFrequencySampling."""
@@ -190,12 +175,6 @@ class MicroTimer(Device):
         self.rate_jiffies = state["rate_jiffies"]
         self.enabled = state["enabled"]
         self.ticks = state["ticks"]
-
-    def describe_event(self, callback) -> Optional[tuple]:
-        return ("microtimer",) if callback == self._fire else None
-
-    def resolve_event(self, desc: tuple):
-        return self._fire if desc[0] == "microtimer" else None
 
 
 class Adc(Device):
@@ -249,12 +228,6 @@ class Adc(Device):
         self.value = state["value"]
         self.conversions = state["conversions"]
         self._seed = state["seed"]
-
-    def describe_event(self, callback) -> Optional[tuple]:
-        return ("adc",) if callback == self._complete else None
-
-    def resolve_event(self, desc: tuple):
-        return self._complete if desc[0] == "adc" else None
 
 
 class Radio(Device):
@@ -310,12 +283,7 @@ class Radio(Device):
         self.transmitting = True
         airtime = self.node.cycles_for_us(self.US_PER_BYTE * max(len(payload), 1))
         self.tx_done_at = self.node.time_cycles + max(1, airtime)
-        self.node.schedule(airtime, self._tx_done_callback(payload))
-
-    def _tx_done_callback(self, payload: bytes) -> Callable[[], None]:
-        callback = lambda: self._transmit_done(payload)  # noqa: E731
-        callback.__event_desc__ = ("radio_tx", payload)
-        return callback
+        self.node.schedule(airtime, lambda: self._transmit_done(payload))
 
     def _transmit_done(self, payload: bytes) -> None:
         self.transmitting = False
@@ -360,11 +328,6 @@ class Radio(Device):
         self.packets_sent = list(state["packets_sent"])
         self.packets_received = state["packets_received"]
         self.packets_dropped = state["packets_dropped"]
-
-    def resolve_event(self, desc: tuple):
-        if desc[0] == "radio_tx":
-            return self._tx_done_callback(desc[1])
-        return None
 
 
 class Uart(Device):
@@ -445,20 +408,6 @@ class Uart(Device):
         self.current_rx_byte = state["current_rx_byte"]
         self.tx_busy = state["tx_busy"]
 
-    def describe_event(self, callback) -> Optional[tuple]:
-        if callback == self._tx_done:
-            return ("uart_tx",)
-        if callback == self._rx_next:
-            return ("uart_rx",)
-        return None
-
-    def resolve_event(self, desc: tuple):
-        if desc[0] == "uart_tx":
-            return self._tx_done
-        if desc[0] == "uart_rx":
-            return self._rx_next
-        return None
-
 
 class JiffyCounter(Device):
     """The free-running 32-bit jiffy counter read by TimeStampingC."""
@@ -516,20 +465,6 @@ class DeviceBus:
             state = states.get(type(device).__name__)
             if state is not None:
                 device.restore(state)
-
-    def describe_event(self, callback) -> Optional[tuple]:
-        for device in self.devices:
-            desc = device.describe_event(callback)
-            if desc is not None:
-                return desc
-        return None
-
-    def resolve_event(self, desc: tuple) -> Optional[Callable[[], None]]:
-        for device in self.devices:
-            callback = device.resolve_event(desc)
-            if callback is not None:
-                return callback
-        return None
 
 
 def standard_devices() -> list[Device]:

@@ -137,44 +137,6 @@ class Interpreter:
         compile_all = getattr(self._impl, "compile_program", None)
         return compile_all() if compile_all is not None else 0
 
-    # -- snapshot / restore ---------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Picklable execution counters (part of ``Node.snapshot``)."""
-        impl = self._impl
-        state: dict = {"engine": self.engine_name,
-                       "statements": impl.statements_executed}
-        cell = getattr(impl, "_sb_cell", None)
-        if cell is not None:
-            state["sb_cell"] = list(cell)
-            state["superblocks"] = impl.superblocks
-            state["loop_superblocks"] = impl.loop_superblocks
-            state["traces"] = impl.traces
-            state["inlined_sites"] = impl.inlined_sites
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        """Apply :meth:`snapshot_state` counters, mutating cells in place.
-
-        The compiled engine's closures close over its counter cells, so
-        the cells are written through, never reassigned.
-        """
-        impl = self._impl
-        stmt_cell = getattr(impl, "_stmt_cell", None)
-        if stmt_cell is not None:
-            stmt_cell[0] = state["statements"]
-        else:
-            impl.statements_executed = state["statements"]
-        sb_cell = getattr(impl, "_sb_cell", None)
-        if sb_cell is not None and "sb_cell" in state:
-            cell = list(state["sb_cell"])
-            cell.extend([0] * (len(sb_cell) - len(cell)))
-            sb_cell[:] = cell
-            impl.superblocks = state["superblocks"]
-            impl.loop_superblocks = state["loop_superblocks"]
-            impl.traces = state.get("traces", 0)
-            impl.inlined_sites = state.get("inlined_sites", 0)
-
 
 class TreeWalkInterpreter:
     """Executes one program on behalf of one node by walking the AST."""

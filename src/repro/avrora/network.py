@@ -17,26 +17,21 @@ in the receiver's past — which is what makes true multi-hop workloads
 
 The channel is modelled per link: a :class:`Channel` names a topology
 (``broadcast``, ``chain``, ``star``, ``grid``), a per-link latency (with an
-optional deterministic per-link jitter) and a loss probability drawn from a
-seeded RNG, so lossy runs are bit-reproducible.  Node execution itself is
-resumable via :meth:`~repro.avrora.node.Node.run_until`; see
+optional deterministic per-link jitter) and a loss probability decided by a
+seeded per-packet hash, so lossy runs are bit-reproducible.  Node execution
+itself is resumable via :meth:`~repro.avrora.node.Node.run_until`; see
 ``ARCHITECTURE.md`` ("The lockstep network kernel") for the full design.
 
-The channel's per-packet loss and jitter are *partition-invariant*: each
-packet's fate is a pure hash of ``(seed, src, dst, per-link sequence)``
-(:meth:`Channel.packet_fate`), not a draw from a shared RNG stream, so the
-outcome of a run cannot depend on the order in which different nodes'
-transmissions interleave.  That is what lets :meth:`Network.run` accept
-``workers=N`` and shard the topology across worker processes — each shard
-runs this same lockstep scheduler over its own nodes while a coordinator
-exchanges packets and horizon grants at conservative-window boundaries
-(see ``repro.avrora.shard``) — with results bit-identical to the
-single-process kernel.
-
-The legacy semantics — each node simulated sequentially for the full
-duration, transmissions delivered instantly regardless of the receiver's
-clock — remain available as :meth:`Network.run_sequential` for
-benchmarking the kernel against its predecessor.
+Results are *grant-schedule invariant*: how far each grant lets a node
+run decides where execution pauses, never what it computes.  Each
+packet's loss and jitter are a pure hash of ``(seed, src, dst, per-link
+sequence)`` (:meth:`Channel.packet_fate`), not a draw from a shared RNG
+stream, so a fate cannot depend on how different nodes' transmissions
+interleave; same-cycle deliveries are ordered by the packet
+(:meth:`~repro.avrora.node.Node.schedule_delivery`), and a node parks
+before opening a due-event batch.  A tighter lookahead therefore yields a
+byte-identical run, which is what lets the scheduler's windows be
+re-derived without moving any recorded result.
 """
 
 from __future__ import annotations
@@ -120,40 +115,23 @@ class TrafficGenerator:
     def install(self, node: Node) -> None:
         """Arrange periodic injections on ``node``'s event queue."""
         if self.radio_period_s > 0:
-            delay = int(self.radio_period_s * node.clock_hz)
-            node.schedule(delay, self._radio_callback(node, delay))
+            radio_delay = int(self.radio_period_s * node.clock_hz)
+            node.schedule(radio_delay,
+                          lambda: self._inject_radio(node, radio_delay))
         if self.uart_period_s > 0:
-            delay = int(self.uart_period_s * node.clock_hz)
-            node.schedule(delay, self._uart_callback(node, delay))
-
-    def _radio_callback(self, node: Node, delay: int) -> Callable[[], None]:
-        callback = lambda: self._inject_radio(node, delay)  # noqa: E731
-        callback.__event_desc__ = ("traffic_radio", delay)
-        return callback
-
-    def _uart_callback(self, node: Node, delay: int) -> Callable[[], None]:
-        callback = lambda: self._inject_uart(node, delay)  # noqa: E731
-        callback.__event_desc__ = ("traffic_uart", delay)
-        return callback
-
-    def resolve_event(self, desc: tuple, node: Node) -> Optional[
-            Callable[[], None]]:
-        """Rebuild an injection callback from its snapshot descriptor."""
-        if desc[0] == "traffic_radio":
-            return self._radio_callback(node, desc[1])
-        if desc[0] == "traffic_uart":
-            return self._uart_callback(node, desc[1])
-        return None
+            uart_delay = int(self.uart_period_s * node.clock_hz)
+            node.schedule(uart_delay,
+                          lambda: self._inject_uart(node, uart_delay))
 
     def _inject_radio(self, node: Node, delay: int) -> None:
         node.radio.deliver(self.packet())
         self.injected_radio += 1
-        node.schedule(delay, self._radio_callback(node, delay))
+        node.schedule(delay, lambda: self._inject_radio(node, delay))
 
     def _inject_uart(self, node: Node, delay: int) -> None:
         node.uart.inject_frame(self.packet())
         self.injected_uart += 1
-        node.schedule(delay, self._uart_callback(node, delay))
+        node.schedule(delay, lambda: self._inject_uart(node, delay))
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +152,10 @@ _MASK64 = (1 << 64) - 1
 def _mix64(seed: int, src: int, dst: int, sequence: int) -> int:
     """A splitmix64-style avalanche of (seed, src, dst, sequence).
 
-    Python's built-in ``hash`` is salted per process, so packet fates use
-    this explicit integer mix: the same inputs give the same 64-bit output
-    in every process, which is what makes loss and jitter decisions
-    partition-invariant across sharded workers.
+    Packet fates use this explicit integer mix rather than Python's
+    built-in ``hash``: the same inputs give the same 64-bit output in
+    every process and on every Python version, so recorded loss and
+    jitter decisions reproduce wherever a run is repeated.
     """
     x = (seed * 0x9E3779B97F4A7C15 + src * 0xBF58476D1CE4E5B9
          + dst * 0x94D049BB133111EB + sequence * 0xD6E8FEB86659FD93
@@ -207,7 +185,7 @@ class Channel:
             simulations.  Each packet's fate is a pure function of
             ``(seed, src, dst, sequence)`` — see :meth:`packet_fate` — so
             outcomes cannot depend on how transmissions from different
-            nodes interleave (partition invariance).
+            nodes interleave (grant-schedule invariance).
         grid_width: Columns of the ``grid`` topology (0 = square-ish).
     """
 
@@ -267,7 +245,7 @@ class Channel:
         the bottom 32 — one hash decides both.  Because the sequence number
         counts *this link's* transmissions only, any scheduler that feeds a
         link its packets in sender order (which causality guarantees)
-        computes identical fates, regardless of process partitioning.
+        computes identical fates, however its grants were cut.
         """
         mix = _mix64(self.seed, src, dst, sequence)
         dropped = self.loss > 0.0 and (mix >> 11) * (2.0 ** -53) < self.loss
@@ -302,18 +280,17 @@ class Network:
     lost_packets: int = 0
     #: Cross-node deliveries in canonical order after :meth:`run` — sorted
     #: by (received_cycles, receiver_id), with each receiver's processing
-    #: order preserved among ties — so the log is identical however the
-    #: network was partitioned across workers.
+    #: order preserved among ties — so the log is identical whatever
+    #: order the scheduler resumed the receivers in.
     deliveries: list[DeliveryRecord] = field(default_factory=list)
 
     def __post_init__(self):
-        self._sequential = False
         #: Optional payload-corruption hook installed by a fault-injection
         #: layer (``repro.scenarios``): ``corruptor(src, dst, sequence,
         #: payload) -> Optional[bytes]`` runs after :meth:`Channel.packet_fate`
         #: on every surviving packet and may return a replacement payload
-        #: (``None`` keeps the original).  To stay partition-invariant it
-        #: must be a pure function of its arguments.  ``None`` (the
+        #: (``None`` keeps the original).  To stay grant-schedule invariant
+        #: it must be a pure function of its arguments.  ``None`` (the
         #: default) costs one attribute test per transmission — nothing on
         #: the statement-execution hot path.
         self.corruptor = None
@@ -324,18 +301,6 @@ class Network:
         self._pair_seq: dict[tuple[int, int], int] = {}
         self._lat_min = 1
         self._air_min = 1
-        #: Per-shard statistics of the last ``workers > 1`` run.
-        self.shard_stats: list[dict] = []
-        #: Optional :class:`~repro.avrora.chaos.ChaosPolicy` the sharded
-        #: kernel applies (worker kills at chosen window rounds).  An
-        #: execution knob: recovery makes results bit-identical either
-        #: way.  Ignored by single-process runs, which have no worker
-        #: processes to kill.
-        self.chaos = None
-        #: Recovery telemetry of the last ``workers > 1`` run: respawns,
-        #: replayed rounds, checkpoints shipped/bytes, chaos kills
-        #: consumed, recovery wall time.
-        self.recovery_stats: dict = {}
 
     # -- membership -------------------------------------------------------------
 
@@ -359,13 +324,6 @@ class Network:
 
     def _transmit(self, sender: Node, src: int, payload: bytes) -> None:
         """Route one completed transmission to the sender's neighbours."""
-        if self._sequential:
-            for node in self.nodes:
-                if node is sender:
-                    continue
-                if node.radio.deliver(payload):
-                    self.delivered_packets += 1
-            return
         sent_at = sender.time_cycles
         earliest = None
         for dst in self.channel.neighbors(src, len(self.nodes)):
@@ -407,34 +365,17 @@ class Network:
                 sent_cycles=sent_at, received_cycles=receiver.time_cycles,
                 accepted=accepted, payload=payload))
 
-        deliver.__event_desc__ = \
-            ("net_delivery", sender_id, sent_at, payload)  # type: ignore
         return deliver
-
-    def delivery_resolver(self, receiver: Node) -> Callable[[tuple],
-                                                            Optional[Callable]]:
-        """An event resolver for ``receiver``'s cross-node delivery events.
-
-        Passed to :meth:`Node.restore` so snapshots whose queues hold
-        in-flight packets can be rebuilt against this network.
-        """
-        def resolve(desc: tuple) -> Optional[Callable[[], None]]:
-            if desc[0] != "net_delivery":
-                return None
-            _tag, sender_id, sent_at, payload = desc
-            return self._delivery(sender_id, receiver, payload, sent_at)
-
-        return resolve
 
     @staticmethod
     def canonical_delivery_order(record: DeliveryRecord) -> tuple:
-        """Partition-invariant sort key for the delivery log."""
+        """Grant-schedule invariant sort key for the delivery log."""
         return (record.received_cycles, record.receiver_id,
                 record.sent_cycles, record.sender_id)
 
     # -- the lockstep scheduler -------------------------------------------------
 
-    def run(self, seconds: float, workers: int = 1) -> None:
+    def run(self, seconds: float) -> None:
         """Co-simulate every node for ``seconds`` of virtual time, lockstep.
 
         The scheduler repeatedly resumes the node with the smallest local
@@ -443,33 +384,11 @@ class Network:
         transmission completions, next wake-up times, and the channel's
         minimum air time and latency are all conservative bounds).  With a
         single node the horizon is the end of the simulation, making the
-        run byte-identical to the legacy sequential semantics.
-
-        ``workers > 1`` partitions the topology across that many worker
-        processes (``repro.avrora.shard``); the results — delivery log,
-        per-node statement counts, duty cycles — are bit-identical to the
-        single-process path.  ``workers=1`` is the proven in-process
-        kernel.
+        run byte-identical to the thread-free :meth:`Node.run`.
         """
         if not self.nodes:
             return
-        if workers < 1:
-            raise ValueError(
-                f"parallel config: workers must be >= 1, got {workers}")
-        if workers > len(self.nodes):
-            raise ValueError(
-                f"parallel config: workers ({workers}) must not exceed the "
-                f"node count ({len(self.nodes)})")
-        self.shard_stats = []
-        self.recovery_stats = {}
         self._pair_seq.clear()
-        if workers > 1:
-            from repro.avrora.shard import run_sharded
-
-            run_sharded(self, seconds, workers, chaos=self.chaos)
-            self.deliveries.sort(key=self.canonical_delivery_order)
-            return
-        self._sequential = False
         self._lat_min = max(1, min(
             node.cycles_for_us(self.channel.latency_us)
             for node in self.nodes))
@@ -508,25 +427,6 @@ class Network:
         if action is not None:
             bound = min(bound, action + self._air_min + self._lat_min)
         return bound
-
-    def run_sequential(self, seconds: float, workers: int = 1) -> None:
-        """Legacy semantics: each node simulated alone, one after another.
-
-        Transmissions are delivered to every peer instantly — regardless
-        of the receiver's local clock — so cross-node causality is only
-        approximate.  Kept for benchmarking the lockstep kernel against
-        its predecessor (``benchmarks/bench_network_scale.py``).
-        """
-        if workers != 1:
-            raise ValueError(
-                f"parallel config: run_sequential supports workers=1 only "
-                f"(got {workers}); sharding requires the lockstep kernel")
-        self._sequential = True
-        try:
-            for node in self.nodes:
-                node.run(seconds)
-        finally:
-            self._sequential = False
 
     # -- statistics -------------------------------------------------------------
 
@@ -586,16 +486,14 @@ class Network:
 def simulate(program: Program, seconds: float = 5.0, node_count: int = 1,
              traffic: Optional[TrafficGenerator] = None,
              engine: Optional[str] = None,
-             channel: Optional[Channel] = None,
-             workers: int = 1) -> list[Node]:
+             channel: Optional[Channel] = None) -> list[Node]:
     """Simulate ``node_count`` nodes running one image, in lockstep.
 
     Returns the simulated nodes; duty cycle, LED history, failure records,
     device statistics and the per-node traffic generator
     (``node.traffic_generator``) can be read from them.  ``engine`` selects
     the execution engine (``"compiled"``/``"tree"``) for every node;
-    ``channel`` the topology and link model (default: lossless broadcast);
-    ``workers`` the number of shard processes (1 = in-process kernel).
+    ``channel`` the topology and link model (default: lossless broadcast).
     Broadcast networks number nodes from 1 (the historical convention);
     every other topology numbers them from 0, so the first node is the
     multihop base station (``TOS_LOCAL_ADDRESS == 0``).
@@ -607,5 +505,5 @@ def simulate(program: Program, seconds: float = 5.0, node_count: int = 1,
         node = Node(program, node_id=first_id + index, engine=engine)
         node.boot()
         network.add_node(node)
-    network.run(seconds, workers=workers)
+    network.run(seconds)
     return network.nodes

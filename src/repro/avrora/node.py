@@ -16,6 +16,7 @@ The duty cycle is ``busy / (busy + sleep)`` — exactly the quantity Figure
 from __future__ import annotations
 
 import heapq
+import itertools
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -110,18 +111,11 @@ class Node:
         self.strict_memory = False
 
         self._event_queue: list[tuple[int, int, Callable[[], None]]] = []
-        #: Next event sequence number (heap tie-break).  A plain int — not
-        #: an ``itertools.count`` — so :meth:`snapshot` can serialize it.
-        self._event_seq = 0
+        #: Event sequence numbers (heap tie-break), in insertion order.
+        self._event_seq = itertools.count()
 
         #: Per-node traffic generator installed by the network (if any).
         self.traffic_generator = None
-        #: Extensible event resolver installed by a fault-injection layer
-        #: (``repro.scenarios``): maps ``("scenario", ...)`` descriptors
-        #: back to callbacks after a restore.  ``None`` when no scenario
-        #: is armed — the hot path never touches it.
-        self.scenario_resolver: Optional[
-            Callable[[tuple], Optional[Callable[[], None]]]] = None
 
         # -- resumable execution (run_until) ---------------------------------
         #: Local time at which the node must pause (0 = run to end_cycles).
@@ -136,9 +130,6 @@ class Node:
         self._status = "idle"
         self._run_error: Optional[BaseException] = None
         self._abort = False
-        #: Restore alignment flag: park the execution thread at the first
-        #: sleep point it reaches (see ``restore(resume=True)``).
-        self._hold_in_sleep = False
 
     # -- devices ------------------------------------------------------------------
 
@@ -189,15 +180,11 @@ class Node:
 
     # -- event queue ------------------------------------------------------------------
 
-    def _next_seq(self) -> int:
-        seq = self._event_seq
-        self._event_seq = seq + 1
-        return seq
-
     def schedule(self, delay_cycles: int, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` to run ``delay_cycles`` from now."""
         when = self.time_cycles + max(1, delay_cycles)
-        heapq.heappush(self._event_queue, (when, self._next_seq(), callback))
+        heapq.heappush(self._event_queue,
+                       (when, next(self._event_seq), callback))
 
     def schedule_at(self, when_cycles: int,
                     callback: Callable[[], None]) -> None:
@@ -209,7 +196,7 @@ class Node:
         fires at the next poll.
         """
         heapq.heappush(self._event_queue,
-                       (when_cycles, self._next_seq(), callback))
+                       (when_cycles, next(self._event_seq), callback))
 
     def schedule_delivery(self, when_cycles: int, sent_cycles: int,
                           sender_id: int,
@@ -220,10 +207,9 @@ class Node:
         allocated sequence number: ties at the same arrival cycle resolve
         local events first, then deliveries in ``(sent_cycles, sender_id)``
         order.  The tie-break is a pure function of the packet — not of
-        when this queue learned about it — which is what keeps event order
-        identical however the network is partitioned across worker
-        processes (a shard inserts remote packets at window boundaries,
-        the in-process kernel at transmit time).
+        when this queue learned about it — which keeps event order
+        identical however the scheduler's grants interleave the sender
+        and the receiver (grant-schedule invariance).
         """
         heapq.heappush(
             self._event_queue,
@@ -275,32 +261,16 @@ class Node:
         sleeping* without returning to the program, so intermediate
         horizons never change what the program executes or is charged.
         With no horizon set (``pause_cycles == 0``) this is exactly the
-        legacy single-run behaviour.
+        thread-free :meth:`run` behaviour.
         """
-        if self._hold_in_sleep:
-            # Restore alignment (see ``restore(resume=True)``): park here,
-            # at the program's own sleep point, so the caller can overwrite
-            # the node's data state while the execution stack is live.
-            self._paused_in_sleep = True
-            try:
-                while self._hold_in_sleep and not self._abort:
-                    self._status = "paused"
-                    self._paused_evt.set()
-                    self._resume_evt.wait()
-                    self._resume_evt.clear()
-            finally:
-                self._paused_in_sleep = False
-            if self._abort:
-                raise _SimulationFinished()
         while True:
             # Single batch-processing site: every due event — scheduled
-            # locally or inserted by a peer (or, under the sharded kernel,
-            # by the coordinator at a window boundary) while the node was
-            # parked at the gate — is opened here in heap (band) order, and
-            # the program wakes only once an interrupt is actually
-            # delivered.  Waking on "some event ran" would make the wake
-            # count depend on how pause horizons interleaved with event
-            # times, which differs between kernels and partitionings.
+            # locally or inserted by a peer while the node was parked at
+            # the gate — is opened here in heap (band) order, and the
+            # program wakes only once an interrupt is actually delivered.
+            # Waking on "some event ran" would make the wake count depend
+            # on how pause horizons interleaved with event times, which
+            # differs between grant schedules.
             self._run_due_events()
             if self.pending_interrupts and self._can_deliver():
                 self._deliver_interrupts()
@@ -326,7 +296,7 @@ class Node:
                 # peer may still hand over a delivery landing exactly on
                 # that cycle; it must join the batch before the batch is
                 # processed, or same-cycle collision winners would depend
-                # on the partitioning rather than on the band order.
+                # on the grant schedule rather than on the band order.
                 if self.pause_cycles > self.time_cycles:
                     self.sleep_cycles += self.pause_cycles - self.time_cycles
                     self.time_cycles = self.pause_cycles
@@ -389,7 +359,7 @@ class Node:
             # one statement, and a peer may still insert a delivery due at
             # or below the overshot clock; gating first lets every such
             # arrival join the batch, which then runs below in band order
-            # — the identical batch no matter which kernel ran the node.
+            # — the identical batch however the grants were cut.
             self._pause_gate()
         if self._event_queue and self._event_queue[0][0] <= self.time_cycles:
             self._run_due_events()
@@ -466,208 +436,13 @@ class Node:
         if local_address is not None:
             self.memory.write(Pointer(local_address, 0), ty.UINT16, self.node_id)
 
-    # -- snapshot / restore ---------------------------------------------------
-
-    def _describe_event(self, callback: Callable[[], None]) -> tuple:
-        """A picklable tag for one queued event callback."""
-        desc = getattr(callback, "__event_desc__", None)
-        if desc is not None:
-            return desc
-        desc = self.bus.describe_event(callback)
-        if desc is not None:
-            return desc
-        raise ValueError(
-            f"node {self.node_id}: cannot snapshot event callback "
-            f"{callback!r} — no event descriptor")
-
-    def _resolve_event(self, desc: tuple,
-                       resolve_event: Optional[Callable[[tuple], Optional[
-                           Callable[[], None]]]]) -> Callable[[], None]:
-        """The callable an event descriptor stands for, after a restore."""
-        callback = self.bus.resolve_event(desc)
-        if callback is None and self.traffic_generator is not None:
-            callback = self.traffic_generator.resolve_event(desc, self)
-        if callback is None and self.scenario_resolver is not None:
-            callback = self.scenario_resolver(desc)
-        if callback is None and resolve_event is not None:
-            callback = resolve_event(desc)
-        if callback is None:
-            raise ValueError(
-                f"node {self.node_id}: cannot restore event descriptor "
-                f"{desc!r}")
-        return callback
-
-    def snapshot_phase(self) -> Optional[str]:
-        """The phase a :meth:`snapshot` taken now would record, or None.
-
-        None means the node is paused mid-computation (live Python frames)
-        and cannot be serialized until a later grant parks it in its sleep
-        loop — the probe the sharded kernel's opportunistic checkpointing
-        uses to decide whether a window round is checkpointable.
-        """
-        if self._status in ("finished", "returned"):
-            return self._status
-        if self._status == "paused" and self._paused_in_sleep:
-            return "sleeping"
-        if self._status == "idle" and self._exec_thread is None:
-            return "idle"
-        return None
-
-    def snapshot(self) -> dict:
-        """Serialize the node's complete simulation state as plain data.
-
-        Legal when the node is idle (booted but never run), parked inside
-        its sleep loop (``run_until`` returned ``"paused"`` with the node
-        asleep), or finished.  A node paused mid-computation holds live
-        Python frames that cannot be serialized, and raises.
-
-        The snapshot is picklable: memory as named byte images with a
-        pointer-provenance table, devices as per-class dicts, queued events
-        as ``(when, seq, descriptor)`` tags (horizon sentinels, which are
-        pause-pattern artifacts, are dropped), plus every counter the
-        simulation reports.  Restoring it — in this process or another —
-        reproduces bit-identical behaviour; see :meth:`restore`.
-        """
-        phase = self.snapshot_phase()
-        if phase is None:
-            raise ValueError(
-                f"node {self.node_id}: snapshot requires an idle, "
-                f"sleeping, or finished node (status {self._status!r}"
-                f"{', mid-computation' if not self._paused_in_sleep else ''})")
-        events = []
-        for when, seq, callback in sorted(
-                self._event_queue, key=lambda entry: entry[:2]):
-            desc = self._describe_event(callback)
-            if desc[0] == "noop":
-                continue
-            events.append((when, seq, desc))
-        generator = self.traffic_generator
-        return {
-            "phase": phase,
-            "node_id": self.node_id,
-            "time_cycles": self.time_cycles,
-            "sleep_cycles": self.sleep_cycles,
-            "end_cycles": self.end_cycles,
-            "interrupts_enabled": self.interrupts_enabled,
-            "pending_interrupts": list(self.pending_interrupts),
-            "interrupts_delivered": self.interrupts_delivered,
-            "halted": self.halted,
-            "halt_code": self.halt_code,
-            "memory_violations": self.memory_violations,
-            "failures": [(f.message, f.flid, f.time_cycles)
-                         for f in self.failures],
-            "events": events,
-            "event_seq": self._event_seq,
-            "memory": self.memory.snapshot(),
-            "devices": self.bus.snapshot(),
-            "interp": self.interpreter.snapshot_state(),
-            "traffic": {"injected_radio": generator.injected_radio,
-                        "injected_uart": generator.injected_uart}
-                       if generator is not None else None,
-        }
-
-    def restore(self, snapshot: dict, *,
-                resolve_event: Optional[Callable[[tuple], Optional[
-                    Callable[[], None]]]] = None,
-                resume: bool = False) -> None:
-        """Overwrite this node's state with a :meth:`snapshot`.
-
-        All engine-visible containers (memory objects, the event queue,
-        the pending-interrupt deque, the statement counters) are mutated
-        in place — the compiled engine bakes references to them into its
-        closures, so identity must survive.  ``resolve_event`` handles
-        event descriptors no device understands (the network's cross-node
-        delivery events).
-
-        ``resume=False`` (default) restores data only: legal for ``idle``
-        snapshots (a freshly booted worker node about to start running)
-        and ``finished``/``returned`` ones (merging a completed shard's
-        results back into the coordinator's nodes).
-
-        ``resume=True`` continues a ``sleeping`` mid-run snapshot: the
-        node first runs its program to the *first* sleep point and parks
-        there, then the restored state overwrites everything.  This is
-        sound for images from the TinyOS build chain because the generated
-        ``main`` loop reaches every sleep with an identical machine stack
-        (no live locals); the subsequent grants resume the original
-        timeline bit-identically.
-        """
-        phase = snapshot["phase"]
-        if resume:
-            if phase != "sleeping":
-                raise ValueError(
-                    f"node {self.node_id}: resume=True needs a 'sleeping' "
-                    f"snapshot, got {phase!r}")
-            self._align_to_sleep()
-        elif phase == "sleeping":
-            raise ValueError(
-                f"node {self.node_id}: a mid-run snapshot can only be "
-                f"restored with resume=True")
-        elif not self.memory.objects:
-            self.boot()
-        self.memory.restore(snapshot["memory"])
-        self.bus.restore(snapshot["devices"])
-        self.time_cycles = snapshot["time_cycles"]
-        self.sleep_cycles = snapshot["sleep_cycles"]
-        self.end_cycles = snapshot["end_cycles"]
-        self.interrupts_enabled = snapshot["interrupts_enabled"]
-        self.pending_interrupts.clear()
-        self.pending_interrupts.extend(snapshot["pending_interrupts"])
-        self.interrupts_delivered = snapshot["interrupts_delivered"]
-        self.halted = snapshot["halted"]
-        self.halt_code = snapshot["halt_code"]
-        self.memory_violations = snapshot["memory_violations"]
-        self.failures[:] = [FailureRecord(message, flid, time)
-                            for message, flid, time in snapshot["failures"]]
-        self._event_queue[:] = [
-            (when, seq, self._resolve_event(desc, resolve_event))
-            for when, seq, desc in snapshot["events"]]
-        heapq.heapify(self._event_queue)
-        self._event_seq = snapshot["event_seq"]
-        self.interpreter.restore_state(snapshot["interp"])
-        traffic = snapshot.get("traffic")
-        if traffic is not None and self.traffic_generator is not None:
-            self.traffic_generator.injected_radio = traffic["injected_radio"]
-            self.traffic_generator.injected_uart = traffic["injected_uart"]
-        if resume:
-            # Parked at the hold gate; the next run_until grant continues
-            # the restored timeline.  pause_cycles re-arms on that grant.
-            self.pause_cycles = 0
-            self._hold_in_sleep = False
-        else:
-            self._status = "idle" if phase == "idle" else phase
-
-    def _align_to_sleep(self) -> None:
-        """Run a fresh node to its first sleep point and park it there."""
-        if self._exec_thread is not None and self._exec_thread.is_alive():
-            raise ValueError(
-                f"node {self.node_id}: restore(resume=True) needs a node "
-                f"that has not started running")
-        if not self.memory.objects:
-            self.boot()
-        self._hold_in_sleep = True
-        self.pause_cycles = 0
-        # Generous bound: boot code runs for milliseconds before sleeping.
-        self.end_cycles = self.time_cycles + 10 * self.clock_hz
-        self._paused_evt.clear()
-        self._status = "running"
-        self._exec_thread = threading.Thread(
-            target=self._exec_main, daemon=True,
-            name=f"avrora-node-{self.node_id}")
-        self._exec_thread.start()
-        self._paused_evt.wait()
-        if self._run_error is not None:
-            error, self._run_error = self._run_error, None
-            self._status = "error"
-            raise error
-        if self._status != "paused" or not self._paused_in_sleep:
-            raise ValueError(
-                f"node {self.node_id}: the program never reached its sleep "
-                f"loop; a mid-run snapshot cannot be resumed "
-                f"(status {self._status!r})")
-
     def run(self, seconds: float = 1.0) -> None:
-        """Run the node to completion on the calling thread (legacy entry)."""
+        """Run the node to completion on the calling thread.
+
+        The thread-free single-node reference: no horizon is ever set, so
+        a lone node under :meth:`~repro.avrora.network.Network.run` must
+        match it byte for byte.
+        """
         self.pause_cycles = 0
         self.end_cycles = self.time_cycles + int(seconds * self.clock_hz)
         if not self.memory.objects:
@@ -695,8 +470,8 @@ class Node:
         if not self.memory.objects:
             self.boot()
         if self._exec_thread is None or not self._exec_thread.is_alive():
-            # A fresh run (or a re-run after a completed one: the legacy
-            # semantics re-enter the program's entry point).
+            # A fresh run (or a re-run after a completed one, which
+            # re-enters the program's entry point like :meth:`run`).
             self._exec_thread = None
             self._status = "idle"
         self.pause_cycles = 0
@@ -725,7 +500,7 @@ class Node:
         else:
             self.pause_cycles = horizon
             heapq.heappush(self._event_queue,
-                           (horizon, self._next_seq(), _noop))
+                           (horizon, next(self._event_seq), _noop))
         self._paused_evt.clear()
         self._status = "running"
         if self._exec_thread is None:
@@ -786,7 +561,7 @@ class Node:
             return
         self.pause_cycles = horizon
         heapq.heappush(self._event_queue,
-                       (horizon, self._next_seq(), _noop))
+                       (horizon, next(self._event_seq), _noop))
 
     def _pause_gate(self) -> None:
         """Park the execution thread until the scheduler grants a horizon."""
@@ -800,7 +575,7 @@ class Node:
             raise _SimulationFinished()
 
     def _exec_main(self) -> None:
-        """Execution-thread body: the legacy :meth:`run` epilogue, resumable."""
+        """Execution-thread body: the :meth:`run` epilogue, resumable."""
         try:
             self.interpreter.call(self.program.entry, [])
             self._status = "returned"
@@ -823,8 +598,3 @@ class Node:
 
 def _noop() -> None:
     """Horizon sentinel callback: wakes the poll fast path, does nothing."""
-
-
-#: Sentinels are pause-pattern artifacts, not program state: ``snapshot``
-#: recognizes the tag and drops them (the next grant plants fresh ones).
-_noop.__event_desc__ = ("noop",)  # type: ignore[attr-defined]

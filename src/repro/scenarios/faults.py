@@ -22,11 +22,11 @@ The five fault kinds map to the ROADMAP's adversarial-scenario taxonomy:
   scheduled time and stays down.
 * :class:`NodeRebootFault` — reboot-and-rejoin churn: the node's memory
   and device state roll back to a checkpoint taken earlier in the same
-  run (the PR 6 snapshot machinery, applied mid-run), losing everything
-  since — pending interrupts and half-received frames included.
+  run (``MemorySystem``/``DeviceBus`` snapshots, applied mid-run), losing
+  everything since — pending interrupts and half-received frames included.
 
 Every scheduled time is an absolute virtual millisecond, so injections are
-bit-identical across runs and worker partitionings by construction.
+bit-identical across runs and grant schedules by construction.
 """
 
 from __future__ import annotations
@@ -126,8 +126,8 @@ class PayloadCorruptFault(Fault):
 
     Each surviving packet's corruption decision is a pure hash of the
     scenario seed and the packet's ``(src, dst, sequence)`` link identity
-    — the same partition-invariance contract as
-    :meth:`~repro.avrora.network.Channel.packet_fate` — so sharded runs
+    — the same grant-schedule invariance contract as
+    :meth:`~repro.avrora.network.Channel.packet_fate` — so reruns
     corrupt byte-identically.
 
     Attributes:
@@ -233,11 +233,11 @@ class NodeRebootFault(Fault):
     """Roll one node back to a mid-run checkpoint: reboot-and-rejoin.
 
     At ``checkpoint_ms`` the node's memory image and device state are
-    captured (in-run, via the snapshot machinery); at ``at_ms`` they are
-    restored in place and volatile inputs — pending interrupts, the radio
-    receive FIFO, half-received UART bytes — are cleared.  The node loses
-    everything between the two instants and rejoins the network from its
-    checkpointed state, timers still armed.
+    captured (in-run, via ``MemorySystem``/``DeviceBus.snapshot``); at
+    ``at_ms`` they are restored in place and volatile inputs — pending
+    interrupts, the radio receive FIFO, half-received UART bytes — are
+    cleared.  The node loses everything between the two instants and
+    rejoins the network from its checkpointed state, timers still armed.
     """
 
     kind: ClassVar[str] = "node_reboot"

@@ -5,18 +5,15 @@ A :class:`ScenarioInjector` takes one :class:`~repro.scenarios.faults.Fault`
 :class:`~repro.avrora.network.Network`:
 
 * Scheduled faults (bit flips, crafted packets, kills, checkpoints and
-  reboots) become ordinary node events at absolute virtual cycles, tagged
-  with picklable ``("scenario", ...)`` descriptors and resolvable through
-  ``Node.scenario_resolver`` — so the sharded kernel can snapshot a node
-  with pending injections, restore it in a forked worker, and fire them
-  there, bit-identically.
+  reboots) become ordinary node events at absolute virtual cycles, so
+  they fire at the same simulated instant whatever the grant schedule.
 * Payload corruption installs ``Network.corruptor``, whose per-packet
   decision is a pure hash of ``(scenario seed, src, dst, sequence)`` —
-  the same partition-invariance contract the channel's ``packet_fate``
-  honours, applied in both the in-process and the sharded transmit path.
+  the same grant-schedule invariance contract the channel's
+  ``packet_fate`` honours.
 
-When no fault is armed the simulator pays nothing: the hooks are ``None``
-checks off the statement-execution hot path.
+When no fault is armed the simulator pays nothing: the corruptor hook is
+a ``None`` check off the statement-execution hot path.
 """
 
 from __future__ import annotations
@@ -64,20 +61,16 @@ class ScenarioInjector:
 
     One injector serves one simulation run.  ``arm`` must be called after
     the nodes are booted and added but before ``Network.run``; the
-    injector then lives as long as the network (forked shard workers
-    inherit it, which is what keeps scheduled injections resolvable on
-    both sides of the process boundary).
+    injector then lives as long as the network.
     """
 
     def __init__(self, fault: Fault, seed: int = 0):
         self.fault = fault
         self.seed = seed
         #: Log of injections that actually fired: (kind, node_position,
-        #: cycles, description).  Per-process — under the sharded kernel
-        #: a worker-side firing is not visible here; records that need
-        #: the log run with ``workers=1`` (the runner's default).
+        #: cycles, description).
         self.fired: list[tuple] = []
-        #: Packets the corruptor mutated (per-process, like ``fired``).
+        #: Packets the corruptor mutated.
         self.corrupted_packets = 0
         self._checkpoints: dict[int, dict] = {}
 
@@ -94,7 +87,6 @@ class ScenarioInjector:
                 f"{fault.label()}: node position {position} outside the "
                 f"network ({len(network.nodes)} node(s))")
         node = network.nodes[position]
-        node.scenario_resolver = self._resolver(node, position)
         if isinstance(fault, BitFlipFault):
             self._schedule(node, self._ms_to_cycles(node, fault.at_ms),
                            self._flip_callback(node, position))
@@ -123,30 +115,6 @@ class ScenarioInjector:
         node.schedule_at(max(when_cycles, node.time_cycles + 1), callback)
 
     # -- event callbacks --------------------------------------------------------
-    #
-    # Every callback carries a ``("scenario", tag)`` descriptor and is
-    # rebuilt by ``_resolver`` from that tag alone, so pending injections
-    # survive the snapshot/restore round trip of the sharded kernel.
-
-    def _resolver(self, node: Node, position: int) -> Callable[
-            [tuple], Optional[Callable[[], None]]]:
-        def resolve(desc: tuple) -> Optional[Callable[[], None]]:
-            if desc[0] != "scenario":
-                return None
-            tag = desc[1]
-            if tag == "flip":
-                return self._flip_callback(node, position)
-            if tag == "inject":
-                return self._inject_callback(node, position)
-            if tag == "kill":
-                return self._kill_callback(node, position)
-            if tag == "checkpoint":
-                return self._checkpoint_callback(node, position)
-            if tag == "reboot":
-                return self._reboot_callback(node, position)
-            return None
-
-        return resolve
 
     def _flip_callback(self, node: Node, position: int) -> Callable[[], None]:
         fault = self.fault
@@ -156,7 +124,6 @@ class ScenarioInjector:
                                         fault.bit)
             self.fired.append(("bit_flip", position, node.time_cycles, what))
 
-        flip.__event_desc__ = ("scenario", "flip")  # type: ignore
         return flip
 
     def _inject_callback(self, node: Node, position: int) -> Callable[[], None]:
@@ -172,7 +139,6 @@ class ScenarioInjector:
                                f"{len(frame)}B via {fault.via}, length "
                                f"field {fault.claimed_length}"))
 
-        inject.__event_desc__ = ("scenario", "inject")  # type: ignore
         return inject
 
     def _kill_callback(self, node: Node, position: int) -> Callable[[], None]:
@@ -181,7 +147,6 @@ class ScenarioInjector:
                                "fail-stop"))
             raise NodeHalted(KILL_HALT_CODE, "induced node kill")
 
-        kill.__event_desc__ = ("scenario", "kill")  # type: ignore
         return kill
 
     def _checkpoint_callback(self, node: Node,
@@ -194,7 +159,6 @@ class ScenarioInjector:
             self.fired.append(("checkpoint", position, node.time_cycles,
                                "state captured"))
 
-        checkpoint.__event_desc__ = ("scenario", "checkpoint")  # type: ignore
         return checkpoint
 
     def _reboot_callback(self, node: Node, position: int) -> Callable[[], None]:
@@ -214,7 +178,6 @@ class ScenarioInjector:
             self.fired.append(("node_reboot", position, node.time_cycles,
                                "rolled back to checkpoint"))
 
-        reboot.__event_desc__ = ("scenario", "reboot")  # type: ignore
         return reboot
 
     # -- payload corruption ----------------------------------------------------

@@ -26,9 +26,9 @@ each run against the verdict lattice:
     or was handled defensively.
 
 Everything is deterministic: plans are seeded, the channel and corruptor
-hash per-packet, and injections ride the snapshot-able event queue — so a
-verdict matrix is a pure function of (spec, plan) and reruns bit-identically
-at any worker count.
+hash per-packet, and injections ride the node's event queue at absolute
+virtual times — so a verdict matrix is a pure function of (spec, plan) and
+reruns bit-identically.
 """
 
 from __future__ import annotations
@@ -62,9 +62,9 @@ _FP_HALTED, _FP_FAILURES, _FP_VIOLATIONS = 0, 2, 3
 def node_fingerprint(node: Node) -> tuple:
     """An externally visible behavioural fingerprint of one mote.
 
-    Everything here is bit-identical across worker counts (the sharded
-    kernel's contract), so fingerprint comparison never confuses
-    partitioning artefacts with corruption.
+    Everything here is bit-identical across reruns and grant schedules
+    (the lockstep kernel's contract), so fingerprint comparison never
+    confuses scheduling artefacts with corruption.
     """
     sent = node.radio.packets_sent
     return (
@@ -147,7 +147,6 @@ class ScenarioRunner:
             program, seconds=spec.seconds, node_count=spec.node_count,
             traffic=traffic, channel=channel,
             traffic_first_node_only=(spec.traffic == TRAFFIC_BASE),
-            workers=spec.workers,
             prepare=injector.arm if injector is not None else None)
 
     def golden_fingerprints(self, spec: "ScenarioSpec", build_key: str,
@@ -217,12 +216,11 @@ class ScenarioRunner:
     @staticmethod
     def _detail(network: Network, golden: tuple[tuple, ...], fault: Fault,
                 verdict: str) -> dict:
-        """Worker-invariant facts about one faulted run.
+        """Facts about one faulted run, read from node state only.
 
-        Only reconstructed node state belongs here: the injector's
-        ``fired`` log and corruption counter are per-process and would
-        differ under the sharded kernel, breaking the record's
-        bit-identity across worker counts.
+        The injector's ``fired`` log and corruption counter stay out: the
+        record describes what the motes did, and the node fingerprints
+        already carry every observable consequence of the fault.
         """
         induced = set(fault.induced_nodes())
         diverged = [position for position, node in enumerate(network.nodes)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.api.records import BuildRecord, SimRecord
+from repro.api.records import BuildRecord, ScenarioRecord, SimRecord
 
 BUILD = BuildRecord(app="BlinkTask_Mica2", variant="safe-flid",
                     content_key="abc123", code_bytes=2948, ram_bytes=35,
@@ -76,8 +76,38 @@ class TestSimRecord:
                 if k != "superblocks"}
         assert SimRecord.from_dict(wire).superblocks == {}
 
+    def test_records_carrying_removed_kernel_telemetry_still_load(self):
+        """Records written while the multi-process kernel existed carry
+        ``workers``/``shards``/``recovery``; loading ignores them."""
+        wire = {**SIM.to_dict(), "workers": 2,
+                "shards": [{"worker": 0, "nodes": [0, 1], "rounds": 12,
+                            "packets_in": 3, "packets_out": 4,
+                            "checkpoints": 1, "sync_wait_s": 0.01,
+                            "wall_s": 0.2}],
+                "recovery": {"respawns": 0, "replayed_rounds": 0,
+                             "checkpoints": 2, "checkpoint_bytes": 1234,
+                             "chaos_kills": 0, "recovery_wall_s": 0.0}}
+        record = SimRecord.from_dict(json.loads(json.dumps(wire)))
+        assert record == SIM
+        assert not {"workers", "shards", "recovery"} & set(record.to_dict())
+
     def test_records_stay_hashable_despite_the_stats_dict(self):
         # frozen dataclass: the superblocks field is excluded from the
         # generated __hash__ (dicts are unhashable) but not from equality.
         assert hash(SIM) == hash(SIM)
         assert len({SIM, SIM}) == 1
+
+
+class TestScenarioRecord:
+    def test_records_carrying_a_workers_count_still_load(self):
+        record = ScenarioRecord(
+            app="Surge_Mica2", content_key="c1a0b2a4b9612bf4", node_count=2,
+            seconds=2.0, topology="chain", seed=0,
+            variants=("baseline", "safe-optimized"),
+            faults=("bit-flip@RadioCRCPacketC__radio_rx_ptr",),
+            verdicts=(("silent-corruption", "detected"),),
+            golden={"runs": 2, "cache_hits": 0})
+        wire = {**record.to_dict(), "workers": 2}
+        loaded = ScenarioRecord.from_dict(json.loads(json.dumps(wire)))
+        assert loaded == record
+        assert "workers" not in loaded.to_dict()

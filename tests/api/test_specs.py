@@ -4,8 +4,37 @@ import json
 
 import pytest
 
-from repro.api.specs import BuildSpec, SimSpec, SweepSpec, variant_pass_keys
+from repro.api.specs import (
+    BuildSpec,
+    ScenarioSpec,
+    SimSpec,
+    SweepSpec,
+    variant_pass_keys,
+)
+from repro.scenarios.faults import BitFlipFault, FaultPlan
 from repro.tinyos.suite import FIGURE_APPS
+
+#: ``to_dict()`` forms written while specs still carried the settings of
+#: the removed multi-process kernel (``workers``, ``chaos``), with the
+#: content keys computed for them then.  Content keys never covered those
+#: settings, so artifact-store entries written with them must still hit.
+LEGACY_SIM = {
+    "kind": "sim", "schema": 2, "app": "Surge_Mica2", "variant": "baseline",
+    "node_count": 4, "seconds": 2.0, "traffic": "default",
+    "topology": "chain", "loss": 0.1, "seed": 3, "workers": 2,
+    "plan_cache": None, "chaos": {"kills": [[1, 3]], "seed": 0}}
+LEGACY_SIM_KEY = "36c86534d3f26dd4"
+LEGACY_SCENARIO = {
+    "kind": "scenario", "schema": 2, "app": "Surge_Mica2",
+    "variants": ["baseline", "safe-optimized"],
+    "plan": {"seed": 1, "faults": [{
+        "kind": "bit_flip", "node": 0,
+        "object": "RadioCRCPacketC__radio_rx_ptr", "offset": 0, "bit": 5,
+        "at_ms": 300}]},
+    "node_count": 2, "seconds": 2.0, "traffic": "default",
+    "topology": "chain", "loss": 0.0, "seed": 0, "workers": 2,
+    "plan_cache": None}
+LEGACY_SCENARIO_KEY = "c1a0b2a4b9612bf4"
 
 
 class TestBuildSpec:
@@ -138,13 +167,26 @@ class TestSimSpec:
                     traffic="none").content_key()
 
     def test_old_serialized_specs_still_load(self):
-        """Dictionaries written before the topology fields existed."""
+        """Dictionaries written before the topology fields existed, and
+        ones carrying the removed ``workers``/``chaos`` settings."""
         spec = SimSpec.from_dict({
             "app": "BlinkTask_Mica2", "variant": "baseline",
             "node_count": 1, "seconds": 1.0})
         assert spec.topology == "broadcast"
         assert spec.loss == 0.0
         assert spec.seed == 0
+
+        legacy = SimSpec.from_dict(LEGACY_SIM)
+        assert legacy == SimSpec(app="Surge_Mica2", variant="baseline",
+                                 node_count=4, seconds=2.0,
+                                 topology="chain", loss=0.1, seed=3)
+        assert not {"workers", "chaos"} & set(legacy.to_dict())
+        scenario = ScenarioSpec.from_dict(LEGACY_SCENARIO)
+        assert scenario == ScenarioSpec(
+            app="Surge_Mica2", variants=("baseline", "safe-optimized"),
+            plan=FaultPlan(faults=(BitFlipFault(),), seed=1),
+            node_count=2, seconds=2.0)
+        assert "workers" not in scenario.to_dict()
 
     def test_unknown_topology_rejected(self):
         with pytest.raises(ValueError, match="topology"):
@@ -158,3 +200,14 @@ class TestSimSpec:
 
     def test_base_traffic_profile_is_accepted(self):
         assert SimSpec(app="Surge_Mica2", traffic="base").traffic == "base"
+
+
+class TestStoredContentKeys:
+    """Keys recorded with the removed kernel settings still match."""
+
+    def test_sim_spec_key_is_unchanged(self):
+        assert SimSpec.from_dict(LEGACY_SIM).content_key() == LEGACY_SIM_KEY
+
+    def test_scenario_spec_key_is_unchanged(self):
+        assert ScenarioSpec.from_dict(LEGACY_SCENARIO).content_key() \
+            == LEGACY_SCENARIO_KEY

@@ -74,13 +74,13 @@ def _pinned_node(program, engine: str, superblocks: bool,
 
 
 def _simulate(program, app_name: str, engine: str,
-              sequential: bool = False, superblocks: bool = True) -> dict:
+              thread_free: bool = False, superblocks: bool = True) -> dict:
     network = Network(traffic=duty_cycle_context(app_name))
     node = _pinned_node(program, engine, superblocks)
     node.boot()
     network.add_node(node)
-    if sequential:
-        network.run_sequential(SIM_SECONDS)
+    if thread_free:
+        node.run(SIM_SECONDS)
     else:
         network.run(SIM_SECONDS)
     return _observe(node, network)
@@ -92,11 +92,11 @@ def test_figure_apps_identical_under_both_engines(app_name):
 
     Also the single-node acceptance bar for the lockstep kernel: the
     default ``Network.run`` (lockstep, resumable execution thread) must be
-    byte-identical to the legacy sequential semantics for every figure
-    application — same busy/sleep cycles, failure records, LED history
-    and radio traffic.  Superblock fusion must be equally invisible: the
-    fusion-off engine (the ablation configuration) produces the same
-    observation under the lockstep kernel.
+    byte-identical to the thread-free ``Node.run`` reference for every
+    figure application — same busy/sleep cycles, failure records, LED
+    history and radio traffic.  Superblock fusion must be equally
+    invisible: the fusion-off engine (the ablation configuration) produces
+    the same observation under the lockstep kernel.
     """
     build = Workbench().build_result(app_name, BASELINE)
     tree = _simulate(build.program, app_name, "tree")
@@ -105,8 +105,9 @@ def test_figure_apps_identical_under_both_engines(app_name):
     unfused = _simulate(build.program, app_name, "compiled",
                         superblocks=False)
     assert compiled == unfused
-    legacy = _simulate(build.program, app_name, "compiled", sequential=True)
-    assert compiled == legacy
+    reference = _simulate(build.program, app_name, "compiled",
+                          thread_free=True)
+    assert compiled == reference
 
 
 @pytest.mark.parametrize("app_name", ["Oscilloscope_Mica2", "Surge_Mica2"])
@@ -116,8 +117,9 @@ def test_safe_builds_identical_under_both_engines(app_name):
     tree = _simulate(build.program, app_name, "tree")
     compiled = _simulate(build.program, app_name, "compiled")
     assert tree == compiled
-    legacy = _simulate(build.program, app_name, "compiled", sequential=True)
-    assert compiled == legacy
+    reference = _simulate(build.program, app_name, "compiled",
+                          thread_free=True)
+    assert compiled == reference
 
 
 #: Hand-written programs targeting the engine's trickiest lowering paths:

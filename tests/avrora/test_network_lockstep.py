@@ -1,7 +1,8 @@
 """The lockstep network kernel: topologies, causality, reproducibility.
 
 Covers the discrete-event scheduler (resumable ``run_until`` slices must
-not change what a node computes), the channel model (topology wiring,
+not change what a node computes, and neither may a tighter grant
+schedule across a whole network), the channel model (topology wiring,
 seeded loss), and the acceptance scenario: a packet originated at a leaf
 Surge mote reaching the base station through an intermediate hop in a
 ``chain`` topology with causally ordered delivery timestamps.
@@ -18,6 +19,7 @@ from repro.avrora.node import Node
 from repro.cminor import typesys as ty
 from repro.tinyos import hardware as hw
 from repro.tinyos import messages as msgs
+from repro.toolchain.contexts import duty_cycle_context
 from repro.toolchain.variants import BASELINE
 
 import sys
@@ -115,9 +117,25 @@ def _observe_node(node: Node) -> dict:
         "time": node.time_cycles,
         "busy": node.busy_cycles,
         "sleep": node.sleep_cycles,
+        "duty_cycle": node.duty_cycle(),
         "statements": node.interpreter.statements_executed,
         "interrupts": node.interrupts_delivered,
         "led_changes": node.leds.state.changes,
+        "packets_sent": node.radio.packets_sent,
+        "packets_received": node.radio.packets_received,
+        "packets_dropped": node.radio.packets_dropped,
+    }
+
+
+def _fingerprint(network: Network) -> dict:
+    """Everything a network run exposes that must reproduce exactly."""
+    return {
+        "nodes": [_observe_node(node) for node in network.nodes],
+        "deliveries": [(r.sender_id, r.receiver_id, r.sent_cycles,
+                        r.received_cycles, r.accepted, r.payload)
+                       for r in network.deliveries],
+        "delivered": network.delivered_packets,
+        "lost": network.lost_packets,
     }
 
 
@@ -246,24 +264,18 @@ class TestReproducibility:
     def _run(self, program, seed: int):
         network = _chain_network(program, 3, loss=0.25, seed=seed)
         network.run(20.0)
-        return (
-            [_observe_node(node) for node in network.nodes],
-            [(r.sender_id, r.receiver_id, r.sent_cycles, r.received_cycles,
-              r.accepted, r.payload) for r in network.deliveries],
-            network.delivered_packets,
-            network.lost_packets,
-        )
+        return _fingerprint(network)
 
     def test_seeded_lossy_runs_are_bit_reproducible(self, surge_program):
         first = self._run(surge_program, seed=11)
         second = self._run(surge_program, seed=11)
         assert first == second
-        assert first[3] > 0, "the lossy channel never dropped a packet"
+        assert first["lost"] > 0, "the lossy channel never dropped a packet"
 
     def test_different_seeds_diverge(self, surge_program):
         first = self._run(surge_program, seed=11)
         other = self._run(surge_program, seed=12)
-        assert first[1] != other[1]
+        assert first["deliveries"] != other["deliveries"]
 
     def test_superblock_fusion_is_invisible_in_lockstep_networks(
             self, surge_program, monkeypatch):
@@ -276,3 +288,93 @@ class TestReproducibility:
         monkeypatch.setenv("REPRO_AVRORA_SUPERBLOCKS", "0")
         unfused = self._run(surge_program, seed=11)
         assert fused == unfused
+
+
+# ---------------------------------------------------------------------------
+# Grant-schedule invariance
+# ---------------------------------------------------------------------------
+
+
+#: A cap on how far past a peer's clock any grant may reach.  The kernel's
+#: own bound is at least one minimum air time plus one link latency
+#: (3066 cycles on a Mica2), so this cap moves nearly every horizon, and it
+#: stays conservative: a smaller horizon never lets a node outrun a packet.
+TIGHT_WINDOW_CYCLES = 2503
+
+
+@pytest.fixture(scope="module")
+def cnt_program():
+    return Workbench().build_result("CntToLedsAndRfm_Mica2",
+                                    BASELINE).program
+
+
+#: (application, simulated seconds, node count, channel) per field.
+#: Surge's first beacons go out just after 2 s, hence 2.5 simulated seconds.
+FIELDS = {
+    "surge_lossy_chain": ("Surge_Mica2", 2.5, 8,
+                          dict(topology="chain", loss=0.15, seed=5,
+                               jitter_us=40)),
+    "cnt_to_rfm_grid": ("CntToLedsAndRfm_Mica2", 1.0, 6,
+                        dict(topology="grid", grid_width=3, loss=0.1,
+                             seed=11)),
+}
+
+
+class TestGrantScheduleInvariance:
+    """A tighter grant schedule moves where nodes pause, nothing else.
+
+    Each seeded field runs once under the kernel's own lookahead (compiled
+    engine), then once per engine with ``Network._earliest_effect`` capped
+    at :data:`TIGHT_WINDOW_CYCLES` past each peer's clock.  The delivery
+    log, per-node statements, cycles, duty cycles and packet counts must
+    be byte-equal — what ``Channel.packet_fate``'s hash, the delivery
+    sequence band and park-before-batch guarantee.  Grant counts depend on
+    the schedule only, not on the engine, so the tree engine's tight run
+    is held to the same reference.
+    """
+
+    @staticmethod
+    def _run(program, app, seconds, node_count, channel, engine,
+             monkeypatch, tight: bool) -> tuple[dict, int]:
+        grants = 0
+        run_until = Node.run_until
+
+        def counting_run_until(node, horizon_cycles):
+            nonlocal grants
+            grants += 1
+            return run_until(node, horizon_cycles)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Node, "run_until", counting_run_until)
+            if tight:
+                natural = Network._earliest_effect
+                patch.setattr(
+                    Network, "_earliest_effect",
+                    lambda network, peer: min(
+                        natural(network, peer),
+                        peer.time_cycles + TIGHT_WINDOW_CYCLES))
+            network = Network(traffic=duty_cycle_context(app),
+                              channel=Channel(**channel))
+            for node_id in range(node_count):
+                node = Node(program, node_id=node_id, engine=engine)
+                node.boot()
+                network.add_node(node)
+            network.run(seconds)
+        return _fingerprint(network), grants
+
+    @pytest.mark.parametrize("field_name", sorted(FIELDS))
+    def test_tighter_lookahead_is_byte_identical(
+            self, field_name, surge_program, cnt_program, monkeypatch):
+        app, seconds, node_count, channel = FIELDS[field_name]
+        program = surge_program if app == "Surge_Mica2" else cnt_program
+        field = (program, app, seconds, node_count, channel)
+        natural, natural_grants = self._run(
+            *field, "compiled", monkeypatch, tight=False)
+        # The field must exchange packets (and lose some) for the
+        # comparison to mean anything.
+        assert natural["deliveries"] and natural["lost"]
+        for engine in ("compiled", "tree"):
+            tight, tight_grants = self._run(
+                *field, engine, monkeypatch, tight=True)
+            assert tight_grants > natural_grants, engine
+            assert tight == natural, engine

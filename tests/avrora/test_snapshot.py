@@ -1,17 +1,16 @@
-"""Snapshot/restore round-trips: memory, node state, mid-run resume.
+"""Snapshot/restore round-trips: memory images and device state.
 
-The sharded network kernel (``repro.avrora.shard``) crosses process
-boundaries exclusively through ``MemorySystem.snapshot()`` and
-``Node.snapshot()``, so these round-trips are the foundation of its
-bit-identical guarantee — and of checkpointed warm-started simulations.
+The reboot fault (``repro.scenarios``) checkpoints a node through
+``MemorySystem.snapshot()`` and ``DeviceBus.snapshot()`` and rolls it back
+in place later in the same run, so these round-trips are what makes a
+rebooted mote rejoin from exactly the state it saved.
 """
 
 from __future__ import annotations
 
 import pickle
 
-import pytest
-
+from repro.avrora.devices import Clock, DeviceBus, Leds, Radio, Uart
 from repro.avrora.memory import MemorySystem, Pointer
 from repro.avrora.node import Node
 from repro.cminor import typesys as ty
@@ -102,156 +101,30 @@ class TestMemorySnapshot:
 
 
 # ---------------------------------------------------------------------------
-# Node round-trips
+# DeviceBus round-trips
 # ---------------------------------------------------------------------------
 
 
-BLINKY = """
-uint8_t leds_on = 0;
-uint16_t ticks = 0;
-
-__interrupt("TIMER1_COMPA") void fired(void) {
-  ticks = ticks + 1;
-  leds_on = (uint8_t)(leds_on ^ 1);
-  __hw_write8(%d, leds_on);
-}
-
-__spontaneous void main(void) {
-  __hw_write16(%d, 64);
-  __hw_write8(%d, 1);
-  __enable_interrupts();
-  while (1) {
-    __sleep();
-  }
-}
-""" % (hw.LED_PORT, hw.TIMER_RATE, hw.TIMER_CTRL)
-
-
-def _blinky_program():
-    program = make_program(BLINKY)
-    program.interrupt_vectors["TIMER1_COMPA"] = "fired"
-    return program
-
-
-def _observe(node: Node) -> dict:
-    return {
-        "time": node.time_cycles,
-        "busy": node.busy_cycles,
-        "sleep": node.sleep_cycles,
-        "statements": node.interpreter.statements_executed,
-        "interrupts": node.interrupts_delivered,
-        "led_changes": node.leds.state.changes,
-        "led_value": node.leds.state.value,
-    }
-
-
-class TestNodeSnapshot:
-    def test_idle_round_trip_preserves_queue_and_counters(self):
-        program = _blinky_program()
-        node = Node(program)
-        node.boot()
-        snapshot = node.snapshot()
-        assert snapshot["phase"] == "idle"
+class TestDeviceBusSnapshot:
+    def test_device_state_rolls_back_in_place(self):
+        node = Node(make_program("__spontaneous void main(void) { }"))
+        bus: DeviceBus = node.bus
+        bus.write(hw.LED_PORT, 1, 0x5)
+        bus.write(hw.TIMER_RATE, 2, 64)
+        bus.write(hw.RADIO_CTRL, 1, 0x3)
+        bus.write(hw.UART_DATA, 1, 0x42)
+        snapshot = bus.snapshot()
         assert pickle.loads(pickle.dumps(snapshot)) == snapshot
 
-        fresh = Node(program)
-        fresh.restore(snapshot)
-        assert fresh.time_cycles == node.time_cycles
-        assert sorted(e[:2] for e in fresh._event_queue) == \
-            sorted(e[:2] for e in node._event_queue)
-
-    def test_pending_interrupt_deque_order_survives(self):
-        program = _blinky_program()
-        # Only vectors with a registered handler are ever queued.
-        program.interrupt_vectors["RADIO_RX"] = "fired"
-        program.interrupt_vectors["ADC"] = "fired"
-        node = Node(program)
-        node.boot()
-        node.interrupts_enabled = False
-        node.raise_interrupt("TIMER1_COMPA")
-        node.raise_interrupt("RADIO_RX")
-        node.raise_interrupt("ADC")
-        snapshot = node.snapshot()
-
-        fresh = Node(program)
-        fresh.restore(snapshot)
-        assert list(fresh.pending_interrupts) == \
-            ["TIMER1_COMPA", "RADIO_RX", "ADC"]
-        assert fresh.interrupts_enabled is False
-
-    def test_mid_computation_snapshot_is_rejected(self):
-        program = _blinky_program()
-        node = Node(program)
-        node.boot()
-        node.begin_run(0.5)
-        node.run_until(node.time_cycles + 1)  # parked almost immediately
-        if node._paused_in_sleep:  # pragma: no cover - timing-dependent
-            pytest.skip("node reached its sleep loop in one statement")
-        with pytest.raises(ValueError, match="mid-computation"):
-            node.snapshot()
-        node.abort_run()
-
-    def test_sleeping_snapshot_requires_resume_flag(self):
-        program = _blinky_program()
-        node = Node(program)
-        node.boot()
-        node.begin_run(0.5)
-        while not node._paused_in_sleep:
-            node.run_until(node.time_cycles + 5_000)
-        snapshot = node.snapshot()
-        assert snapshot["phase"] == "sleeping"
-        fresh = Node(program)
-        with pytest.raises(ValueError, match="resume=True"):
-            fresh.restore(snapshot)
-        node.abort_run()
-
-    def test_pause_snapshot_resume_is_byte_identical(self):
-        """The checkpoint scenario: pause mid-run, snapshot, restore into a
-        *fresh* node (fresh process in the sharded kernel), resume — the
-        final state must match an uninterrupted run exactly."""
-        program = _blinky_program()
-        seconds = 0.5
-
-        straight = Node(program)
-        straight.boot()
-        straight.begin_run(seconds)
-        assert straight.run_until(straight.end_cycles) == "finished"
-        expected = _observe(straight)
-
-        paused = Node(program)
-        paused.boot()
-        paused.begin_run(seconds)
-        while not paused._paused_in_sleep:
-            paused.run_until(paused.time_cycles + 5_000)
-        checkpoint = paused.snapshot()
-        checkpoint = pickle.loads(pickle.dumps(checkpoint))  # cross-process
-        paused.abort_run()
-
-        resumed = Node(program)
-        resumed.restore(checkpoint, resume=True)
-        assert resumed.time_cycles == checkpoint["time_cycles"]
-        assert resumed.run_until(checkpoint["end_cycles"]) == "finished"
-        assert _observe(resumed) == expected
-
-    def test_resume_continues_the_event_timeline(self):
-        """Ticks delivered before the checkpoint are not replayed and ticks
-        after it are not lost: the counts add up exactly."""
-        program = _blinky_program()
-        node = Node(program)
-        node.boot()
-        node.begin_run(0.5)
-        while not node._paused_in_sleep:
-            node.run_until(node.time_cycles + 5_000)
-        # Advance more slices until some ticks are behind the checkpoint.
-        while node.interrupts_delivered == 0 and \
-                node.time_cycles < node.end_cycles - node.clock_hz // 50:
-            node.run_until(node.time_cycles + node.clock_hz // 50)
-        checkpoint = node.snapshot()
-        ticks_before = checkpoint["interrupts_delivered"]
-        assert ticks_before > 0
-        node.abort_run()
-
-        resumed = Node(program)
-        resumed.restore(checkpoint, resume=True)
-        resumed.run_until(checkpoint["end_cycles"])
-        assert resumed.interrupts_delivered > ticks_before
+        leds, clock = node.leds, node.clock
+        bus.write(hw.LED_PORT, 1, 0x2)
+        bus.write(hw.TIMER_RATE, 2, 8)
+        bus.write(hw.RADIO_CTRL, 1, 0x0)
+        bus.write(hw.UART_DATA, 1, 0x43)
+        bus.restore(snapshot)
+        assert bus.find(Leds) is leds and bus.find(Clock) is clock
+        assert leds.state.value == 0x5
+        assert leds.state.changes == 1
+        assert clock.rate_jiffies == 64
+        assert bus.find(Radio).rx_enabled and bus.find(Radio).powered
+        assert bus.find(Uart).sent_bytes == [0x42]

@@ -117,10 +117,6 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match="targets node 5"):
             self._spec(plan=plan, node_count=2)
 
-    def test_workers_capped_by_node_count(self):
-        with pytest.raises(ValueError, match="workers"):
-            self._spec(workers=3, node_count=2)
-
     def test_at_least_one_registered_variant(self):
         with pytest.raises(ValueError, match="at least one variant"):
             self._spec(variants=())
@@ -132,9 +128,10 @@ class TestScenarioSpec:
         assert ScenarioSpec.from_dict(spec.to_dict()) == spec
 
     def test_content_key_ignores_workers_but_not_the_plan(self):
+        """An older dictionary's ``workers`` key loads and keys the same."""
         spec = self._spec(node_count=2)
-        assert dataclasses.replace(spec, workers=2).content_key() \
-            == spec.content_key()
+        legacy = ScenarioSpec.from_dict({**spec.to_dict(), "workers": 2})
+        assert legacy.content_key() == spec.content_key()
         reseeded = dataclasses.replace(
             spec, plan=FaultPlan(faults=(BitFlipFault(),), seed=1))
         assert reseeded.content_key() != spec.content_key()
@@ -231,13 +228,11 @@ class TestScenarioMatrix:
         assert ScenarioRecord.from_dict(surge_record.to_dict()) \
             == surge_record
 
-    def test_matrix_is_invariant_across_worker_counts(self, bench,
-                                                      surge_spec,
-                                                      surge_record):
-        """Satellite: verdicts and details are pure functions of the spec —
-        a fresh runner under the sharded kernel reproduces them exactly."""
-        sharded = dataclasses.replace(surge_spec, workers=2)
-        outcome = ScenarioRunner(bench).run(sharded)
+    def test_matrix_is_reproduced_by_a_fresh_runner(self, bench, surge_spec,
+                                                    surge_record):
+        """Verdicts and details are pure functions of the spec — a fresh
+        runner, with an empty golden cache, reproduces them exactly."""
+        outcome = ScenarioRunner(bench).run(surge_spec)
         assert outcome["verdicts"] == surge_record.verdicts
         assert outcome["details"] == surge_record.details
 
