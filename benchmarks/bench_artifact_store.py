@@ -1,6 +1,6 @@
 """Artifact-store benchmark: cold builds vs. microsecond warm hits.
 
-Three sections, recorded in ``BENCH_store.json`` at the repository root:
+Two sections, recorded in ``BENCH_store.json`` at the repository root:
 
 ``warm_hits``
     For each application: one cold build through a store-routed
@@ -9,12 +9,6 @@ Three sections, recorded in ``BENCH_store.json`` at the repository root:
     warm session must execute zero passes and zero lowerings (counters
     prove it), return a byte-identical record, and beat the cold build by
     at least ``REPRO_BENCH_MIN_STORE_SPEEDUP``× (default 100).
-
-``job_service``
-    An in-thread :mod:`repro.api.server` over the warm store: requests
-    per second for 1, 2 and 4 concurrent clients hammering warm specs,
-    plus the in-flight dedup guarantee — two clients racing a *novel*
-    spec cause exactly one build and receive byte-identical records.
 
 ``gc``
     The LRU eviction pass under a tight byte budget: the store shrinks
@@ -28,12 +22,9 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import threading
 import time
 from pathlib import Path
 
-from repro.api.client import RemoteClient
-from repro.api.server import JobService, build_httpd
 from repro.api.specs import SCHEMA_VERSION, BuildSpec
 from repro.api.workbench import Workbench
 from repro.store import ArtifactStore
@@ -41,12 +32,9 @@ from repro.store import ArtifactStore
 APPS = ("BlinkTask_Mica2", "Surge_Mica2", "Oscilloscope_Mica2")
 SMOKE_APPS = ("BlinkTask_Mica2", "Surge_Mica2")
 VARIANT = "safe-optimized"
-NOVEL_VARIANT = "safe-flid"
 
 WARM_REPS = 20
 SMOKE_REPS = 8
-CLIENT_REQUESTS = 40
-SMOKE_REQUESTS = 12
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_store.json"
 
@@ -114,85 +102,7 @@ def measure_warm_hits(store_dir: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Section 2: concurrent clients through the job service
-# ---------------------------------------------------------------------------
-
-
-def _hammer(client: RemoteClient, specs: list[BuildSpec],
-            requests: int) -> None:
-    for index in range(requests):
-        client.run(specs[index % len(specs)])
-
-
-def measure_job_service(store_dir: str) -> dict:
-    apps = SMOKE_APPS if _smoke() else APPS
-    requests = SMOKE_REQUESTS if _smoke() else CLIENT_REQUESTS
-    warm_specs = [BuildSpec(app=app, variant=VARIANT) for app in apps]
-
-    service = JobService(store_dir, workers=4)
-    httpd = build_httpd(service, port=0)
-    threading.Thread(target=httpd.serve_forever, daemon=True).start()
-    url = f"http://127.0.0.1:{httpd.server_address[1]}"
-    try:
-        throughput = {}
-        for clients in (1, 2, 4):
-            workers = [threading.Thread(
-                target=_hammer, args=(RemoteClient(url), warm_specs, requests))
-                for _ in range(clients)]
-            start = time.perf_counter()
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join()
-            wall = time.perf_counter() - start
-            throughput[str(clients)] = round(
-                clients * requests / max(wall, 1e-9), 1)
-
-        # Warm specs live in the store: the service's workbench must not
-        # have built anything yet.
-        stats = service.stats()
-        assert stats["workbench"]["builds_executed"] == 0, \
-            "the job service rebuilt store-resident specs"
-
-        # In-flight dedup: two clients race one *novel* spec.
-        novel = BuildSpec(app=apps[0], variant=NOVEL_VARIANT)
-        results: list = [None, None]
-
-        def race(index: int) -> None:
-            results[index] = RemoteClient(url).run(novel)
-
-        racers = [threading.Thread(target=race, args=(index,))
-                  for index in range(2)]
-        for racer in racers:
-            racer.start()
-        for racer in racers:
-            racer.join()
-        assert json.dumps(results[0], sort_keys=True) == \
-            json.dumps(results[1], sort_keys=True), \
-            "racing clients received different records"
-        stats = service.stats()
-        assert stats["workbench"]["builds_executed"] == 1, \
-            f"racing identical submissions built " \
-            f"{stats['workbench']['builds_executed']} times"
-        return {
-            "warm_requests_per_client": requests,
-            "requests_per_sec_by_clients": throughput,
-            "inflight_dedup": {
-                "racing_clients": 2,
-                "builds_executed": stats["workbench"]["builds_executed"],
-                "records_byte_identical": True,
-            },
-            "service_stats": {key: stats[key] for key in
-                              ("submitted", "dedup_inflight", "dedup_done")},
-        }
-    finally:
-        httpd.shutdown()
-        httpd.server_close()
-        service.shutdown()
-
-
-# ---------------------------------------------------------------------------
-# Section 3: eviction under a byte budget
+# Section 2: eviction under a byte budget
 # ---------------------------------------------------------------------------
 
 
@@ -228,7 +138,6 @@ def measure() -> dict:
         return {
             "smoke": _smoke(),
             "warm_hits": measure_warm_hits(store),
-            "job_service": measure_job_service(store),
             "gc": measure_gc(store),
         }
 
@@ -250,14 +159,6 @@ def format_table(results: dict) -> str:
         lines.append(f"{app:<24} {row['cold_build_s'] * 1e3:>10.1f}ms "
                      f"{row['warm_hit_us']:>10.1f}us "
                      f"{row['speedup']:>8.1f}x")
-    service = results["job_service"]
-    pairs = ", ".join(f"{clients} client(s): {rps} req/s"
-                      for clients, rps in
-                      service["requests_per_sec_by_clients"].items())
-    lines.append(f"job service : {pairs}")
-    dedup = service["inflight_dedup"]
-    lines.append(f"dedup       : {dedup['racing_clients']} racing clients -> "
-                 f"{dedup['builds_executed']} build, byte-identical records")
     gc = results["gc"]
     lines.append(f"gc          : {gc['bytes_before']} -> {gc['bytes_after']} "
                  f"bytes under a {gc['budget_bytes']}-byte budget "
@@ -267,7 +168,7 @@ def format_table(results: dict) -> str:
 
 
 def test_artifact_store_benchmark() -> None:
-    """Speedup floor, zero-pass warm hits, dedup and GC are asserted inside
+    """Speedup floor, zero-pass warm hits and GC are asserted inside
     :func:`measure`, so the pytest invocation enforces them too."""
     results = measure()
     _record(results)

@@ -19,12 +19,6 @@ recorded in ``BENCH_interp.json`` at the repository root (CI uploads it as
 an artifact); run this module directly for a standalone measurement, or
 via pytest as part of the benchmark suite.
 
-The run also proves the persistent plan store's headline: plans exported
-by one in-memory "process" (a fresh ``Program``), persisted through
-:class:`~repro.avrora.codestore.PlanStore` and hydrated into another,
-warm the second engine to **zero** front-end lowerings
-(``warm_vs_cold`` in the recorded JSON).
-
 Set ``REPRO_BENCH_SMOKE=1`` to shrink the simulated window (CI smoke
 mode), ``REPRO_BENCH_MIN_SPEEDUP`` to tune the asserted fusion-off floor,
 ``REPRO_BENCH_MIN_SPEEDUP_FUSED`` to tune the asserted best-workload
@@ -264,59 +258,7 @@ def measure() -> dict:
     results["max_speedup"] = max(speedups)
     results["min_speedup_nosb"] = min(speedups_nosb)
     results["max_speedup_nosb"] = max(speedups_nosb)
-    results["warm_vs_cold"] = measure_warm_vs_cold()
     return results
-
-
-def measure_warm_vs_cold() -> dict:
-    """Prove the persistent plan store's zero-lowering warm start.
-
-    Two independently parsed programs stand in for two processes (their
-    ASTs share nothing, exactly like a fresh ``python -m repro`` run): the
-    cold one lowers every function and persists the plans through a
-    :class:`PlanStore`; the warm one hydrates them back and compiles its
-    engine without a single front-end lowering.  Both then run the same
-    simulated window and must land on identical cycle counts.
-    """
-    import tempfile
-
-    from repro.avrora.codestore import PlanStore, plan_key
-
-    source, vectors = WORKLOADS["function_calls"]
-    seconds = min(_sim_seconds(), 0.25)
-    with tempfile.TemporaryDirectory(prefix="plan-store-") as root:
-        store = PlanStore(root)
-        key = plan_key("bench-function-calls", "mica2")
-
-        cold_program = _build(source, vectors)
-        cold_node = _make_node(cold_program, "compiled", True)
-        cold_node.boot()
-        cold_node.interpreter.warm()
-        cache = cold_program.analysis().code_cache()
-        cache.lower_all(cold_program, cache.costs)
-        cold_lowerings = cache.lowerings
-        store.store(key, cache.export_portable(cold_program))
-        cold_node.run(seconds)
-
-        warm_program = _build(source, vectors)
-        warm_cache = warm_program.analysis().code_cache()
-        warm_cache.hydrate_portable(warm_program, store.load(key))
-        warm_node = _make_node(warm_program, "compiled", True)
-        warm_node.boot()
-        warm_node.interpreter.warm()
-        warm_node.run(seconds)
-
-        assert warm_cache.lowerings == 0, \
-            f"warm start performed {warm_cache.lowerings} lowerings"
-        assert warm_node.time_cycles == cold_node.time_cycles, \
-            "warm start diverged from cold start"
-        return {
-            "workload": "function_calls",
-            "cold_lowerings": cold_lowerings,
-            "warm_lowerings": warm_cache.lowerings,
-            "warm_disk_loads": warm_cache.disk_loads,
-            "store": store.stats(),
-        }
 
 
 def _record(results: dict) -> None:
@@ -344,7 +286,6 @@ def test_interp_throughput() -> None:
         f"function_calls speedup {calls['speedup']}x fell below the " \
         f"per-workload {MIN_SPEEDUP_CALLS}x floor (traces formed: " \
         f"{calls['superblocks']['traces']}): {calls}"
-    assert results["warm_vs_cold"]["warm_lowerings"] == 0
 
 
 def format_table(results: dict) -> str:
@@ -360,12 +301,6 @@ def format_table(results: dict) -> str:
             f"{row['compiled_nosb_stmts_per_sec']:>13,} "
             f"{row['compiled_stmts_per_sec']:>12,} {row['speedup']:>7}x "
             f"{fused_pct:>7.1f}%")
-    warm = results.get("warm_vs_cold")
-    if warm:
-        lines.append(
-            f"plan store: cold lowered {warm['cold_lowerings']} "
-            f"function(s); warm start lowered {warm['warm_lowerings']} "
-            f"({warm['warm_disk_loads']} hydrated from disk)")
     return "\n".join(lines)
 
 

@@ -111,8 +111,6 @@ def _measure(bench: Workbench, seconds: float) -> dict:
     assert replay["details"] == outcome["details"], \
         "scenario rerun produced different details"
 
-    plan_cache = _measure_plan_cache(plan, seconds, outcome)
-
     return {
         "app": APP,
         "variants": list(VARIANTS),
@@ -131,57 +129,8 @@ def _measure(bench: Workbench, seconds: float) -> dict:
             "hits": runner.golden_hits,
             "hit_rate": round(hit_rate, 3),
         },
-        "plan_cache": plan_cache,
         "rerun_bit_identical": True,
     }
-
-
-def _measure_plan_cache(plan: FaultPlan, seconds: float,
-                        reference: dict) -> dict:
-    """The warm-plan-cache column: a repeated matrix lowers nothing.
-
-    Two *fresh* workbench sessions share one persistent plan cache via
-    ``ScenarioSpec.plan_cache``: the first (cold) session lowers every
-    compiled function and persists the plans; the second (warm) session
-    hydrates them and must report zero lowerings for every variant while
-    producing the identical verdict matrix.
-    """
-    import tempfile
-
-    with tempfile.TemporaryDirectory(prefix="repro-plan-cache-") as cache:
-        timings = {}
-        outcomes = {}
-        stats = {}
-        for phase in ("cold", "warm"):
-            with Workbench() as bench:
-                spec = ScenarioSpec(
-                    app=APP, variants=VARIANTS, plan=plan,
-                    node_count=NODE_COUNT, seconds=seconds,
-                    plan_cache=cache)
-                # Builds stay outside the timed window, as above.
-                for build_spec in spec.build_specs():
-                    bench.build_result(build_spec)
-                runner = ScenarioRunner(bench)
-                start = time.perf_counter()
-                outcomes[phase] = runner.run(spec)
-                timings[phase] = time.perf_counter() - start
-                stats[phase] = runner.plan_cache_stats
-        for variant, telemetry in stats["warm"].items():
-            assert telemetry.get("lowerings", 0) == 0, \
-                f"warm plan cache still lowered {variant}: {telemetry}"
-        assert outcomes["warm"]["verdicts"] == outcomes["cold"]["verdicts"] \
-            == reference["verdicts"], \
-            "plan-cached matrix diverged from the reference verdicts"
-        return {
-            "cold_wall_s": round(timings["cold"], 4),
-            "warm_wall_s": round(timings["warm"], 4),
-            "warm_lowerings": {variant: telemetry.get("lowerings", 0)
-                               for variant, telemetry in
-                               stats["warm"].items()},
-            "cold_lowerings": {variant: telemetry.get("lowerings", 0)
-                               for variant, telemetry in
-                               stats["cold"].items()},
-        }
 
 
 def _record(results: dict) -> None:
@@ -202,9 +151,6 @@ def format_table(results: dict) -> str:
         f"  golden cache: {results['golden_cache']['hits']} hit(s) / "
         f"{results['golden_cache']['runs']} run(s) "
         f"(hit rate {results['golden_cache']['hit_rate']})",
-        f"  plan cache  : cold {results['plan_cache']['cold_wall_s']}s -> "
-        f"warm {results['plan_cache']['warm_wall_s']}s, warm lowerings "
-        + str(results['plan_cache']['warm_lowerings']),
         f"{'fault':<40} {'baseline':<18} {'safe-optimized':<18}",
     ]
     for label in results["faults"]:

@@ -14,15 +14,12 @@ this package makes that the shape of the public surface:
   (:class:`BuildRecord`, :class:`SimRecord`) with ``to_dict``/``from_dict``
   so they survive process boundaries and can be written to disk.
 * **CLI** (:mod:`repro.api.cli`) — ``python -m repro`` with ``list``,
-  ``build``, ``sweep``, ``simulate`` and ``figures`` subcommands emitting
-  JSON or aligned tables.
+  ``build``, ``sweep``, ``simulate``, ``scenarios``, ``figures`` and
+  ``gc`` subcommands emitting JSON or aligned tables.
 * **Store** (:mod:`repro.store`) — a persistent content-addressed
   :class:`ArtifactStore` the workbench routes through (``--store DIR``):
   identical specs are served from disk in microseconds, with zero passes
   executed.
-* **Job service** (:mod:`repro.api.server` / :mod:`repro.api.client`) —
-  ``python -m repro serve`` shares one workbench and one store across
-  HTTP clients, deduplicating racing identical submissions onto one job.
 
 Example::
 
@@ -36,7 +33,6 @@ Example::
                                       variants=("baseline", "safe-optimized")))
 """
 
-from repro.api.client import RemoteClient, RemoteError
 from repro.api.records import BuildRecord, ScenarioRecord, SimRecord
 from repro.api.specs import (
     SCHEMA_VERSION,
@@ -44,7 +40,6 @@ from repro.api.specs import (
     ScenarioSpec,
     SimSpec,
     SweepSpec,
-    spec_from_dict,
 )
 from repro.api.workbench import Workbench, run_network
 from repro.scenarios.faults import FaultPlan
@@ -62,8 +57,5 @@ __all__ = [
     "Workbench",
     "run_network",
     "SCHEMA_VERSION",
-    "spec_from_dict",
     "ArtifactStore",
-    "RemoteClient",
-    "RemoteError",
 ]

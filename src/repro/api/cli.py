@@ -9,16 +9,12 @@ Usage::
                           [--processes N] [--json]
     python -m repro simulate APP [--variant NAME] [--seconds S]
                           [--nodes N] [--topology T] [--loss P] [--seed N]
-                          [--traffic default|base|none]
-                          [--plan-cache DIR] [--json]
+                          [--traffic default|base|none] [--json]
     python -m repro scenarios APP [--variants V,W,...] [--faults F,G,...]
                           [--nodes N] [--seconds S] [--topology T]
                           [--loss P] [--seed N] [--fault-seed N]
-                          [--traffic default|base|none]
-                          [--plan-cache DIR] [--json]
+                          [--traffic default|base|none] [--json]
     python -m repro figures [--figure 2|3a|3b|3c] [--apps ...] [--json]
-    python -m repro serve [--store DIR] [--host H] [--port P] [--workers N]
-                          [--job-timeout S]
     python -m repro gc --store DIR [--budget-bytes N] [--json]
 
 Every command speaks the ``repro.api`` schemas: ``--json`` emits the
@@ -35,9 +31,6 @@ bars), matching ``benchmarks/bench_pipeline_sweep.py``.
     :class:`~repro.store.ArtifactStore`: previously recorded identical
     specs are served from disk without executing a single pass, and new
     records (plus front-end prefix snapshots) are written back.
-``--remote URL``
-    Submit the spec to a ``python -m repro serve`` job service instead of
-    executing locally; racing identical submissions share one build.
 ``--stats``
     Append execution counters (passes, builds, lowerings, store hits)
     proving what actually ran — a warm store shows zeros across the board.
@@ -57,7 +50,6 @@ from repro.api.figures import (
     figure3b_table,
     figure3c_table,
 )
-from repro.api.client import RemoteClient, RemoteError
 from repro.api.records import BuildRecord, ScenarioRecord, SimRecord
 from repro.api.specs import (
     SCHEMA_VERSION,
@@ -142,24 +134,8 @@ def _emit_json(payload: object, out) -> None:
     out.write("\n")
 
 
-def _remote(args) -> RemoteClient:
-    return RemoteClient(args.remote, timeout=args.timeout)
-
-
-def _gather_stats(args, workbench: Workbench) -> dict:
-    """Execution counters for ``--stats``: local session or remote service."""
-    if getattr(args, "remote", None):
-        return _remote(args).stats()
-    return workbench.stats()
-
-
 def format_stats(stats: dict) -> str:
     """Human form of the counter-proof (see ``Workbench.stats``)."""
-    if "workbench" in stats:  # job-service stats envelope
-        service = (f"service    : {stats.get('submitted', 0)} submitted, "
-                   f"{stats.get('dedup_inflight', 0)} in-flight dedup, "
-                   f"{stats.get('dedup_done', 0)} completed dedup")
-        return service + "\n" + format_stats(stats["workbench"])
     line = (f"executed   : {stats.get('passes_executed', 0)} passes, "
             f"{stats.get('builds_executed', 0)} builds, "
             f"{stats.get('simulations_executed', 0)} simulations, "
@@ -177,7 +153,7 @@ def format_stats(stats: dict) -> str:
 def _emit_record(args, out, payload: object, text: str,
                  workbench: Workbench) -> int:
     """Shared ``--json``/``--stats`` output tail of the record commands."""
-    stats = _gather_stats(args, workbench) if args.stats else None
+    stats = workbench.stats() if args.stats else None
     if args.json:
         if stats is not None:
             payload = {"record": payload, "stats": stats}
@@ -231,14 +207,8 @@ def format_sim_record(record: SimRecord) -> str:
                 f"executed inline")
     cache = record.code_cache
     if cache.get("functions"):
-        line = (f"  plan cache : {cache['functions']} plans, "
-                f"{cache.get('lowerings', 0)} lowered here, "
-                f"{cache.get('disk_loads', 0)} from disk")
-        if "store_hits" in cache:
-            line += (f" (store: {cache.get('store_hits', 0)} hit / "
-                     f"{cache.get('store_misses', 0)} miss, "
-                     f"{cache.get('store_stores', 0)} written)")
-        lines.append(line)
+        lines.append(f"  plan cache : {cache['functions']} plans, "
+                     f"{cache.get('lowerings', 0)} lowered")
     if record.packets_sent:
         lines.append(
             f"  radio tx   : " + ", ".join(map(str, record.packets_sent)) +
@@ -278,10 +248,7 @@ def cmd_list(args, workbench: Workbench, out) -> int:
 
 def cmd_build(args, workbench: Workbench, out) -> int:
     spec = validated(lambda: BuildSpec(app=args.app, variant=args.variant))
-    if args.remote:
-        record = BuildRecord.from_dict(_remote(args).run(spec))
-    else:
-        record = workbench.build(spec)
+    record = workbench.build(spec)
     return _emit_record(args, out, record.to_dict(),
                         format_build_records([record]), workbench)
 
@@ -290,10 +257,7 @@ def cmd_sweep(args, workbench: Workbench, out) -> int:
     spec = validated(lambda: SweepSpec(
         apps=tuple(resolve_apps(args.apps)),
         variants=tuple(resolve_variants(args.variants))))
-    if args.remote:
-        records = [BuildRecord.from_dict(data)
-                   for data in _remote(args).run(spec)["records"]]
-    elif args.processes:
+    if args.processes:
         records = workbench.submit(spec, processes=args.processes).result()
     else:
         records = workbench.sweep(spec)
@@ -308,11 +272,8 @@ def cmd_simulate(args, workbench: Workbench, out) -> int:
         app=args.app, variant=args.variant,
         node_count=args.nodes, seconds=args.seconds,
         traffic=args.traffic, topology=args.topology,
-        loss=args.loss, seed=args.seed, plan_cache=args.plan_cache))
-    if args.remote:
-        record = SimRecord.from_dict(_remote(args).run(spec))
-    else:
-        record = workbench.simulate(spec)
+        loss=args.loss, seed=args.seed))
+    record = workbench.simulate(spec)
     return _emit_record(args, out, record.to_dict(),
                         format_sim_record(record), workbench)
 
@@ -365,24 +326,13 @@ def cmd_scenarios(args, workbench: Workbench, out) -> int:
         plan=FaultPlan(faults=tuple(faults), seed=args.fault_seed),
         node_count=args.nodes, seconds=args.seconds,
         traffic=args.traffic, topology=args.topology,
-        loss=args.loss, seed=args.seed, plan_cache=args.plan_cache))
-    if args.remote:
-        record = ScenarioRecord.from_dict(_remote(args).run(spec))
-    else:
-        record = workbench.run_scenario(spec)
+        loss=args.loss, seed=args.seed))
+    record = workbench.run_scenario(spec)
     return _emit_record(args, out, record.to_dict(),
                         format_scenario_record(record), workbench)
 
 
-# -- the store and the job service ------------------------------------------
-
-
-def cmd_serve(args, workbench: Workbench, out) -> int:
-    from repro.api.server import serve
-
-    serve(args.store, host=args.host, port=args.port, workers=args.workers,
-          job_timeout_s=args.job_timeout)
-    return 0
+# -- the store --------------------------------------------------------------
 
 
 def cmd_gc(args, workbench: Workbench, out) -> int:
@@ -446,11 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="persistent content-addressed artifact store; "
                             "previously recorded identical specs are served "
                             "from disk without executing a single pass")
-        p.add_argument("--remote", default=None, metavar="URL",
-                       help="submit the spec to a `repro serve` job service "
-                            "instead of executing locally")
-        p.add_argument("--timeout", type=float, default=300.0,
-                       help="seconds to wait for a --remote result")
         p.add_argument("--stats", action="store_true",
                        help="append execution counters (passes, builds, "
                             "lowerings, store hits) proving what ran")
@@ -494,10 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=list(TRAFFIC_PROFILES),
                        help="synthetic traffic profile: every node, the "
                             "first node only, or none")
-    p_sim.add_argument("--plan-cache", default=None, metavar="DIR",
-                       help="persist lowered function plans under DIR so a "
-                            "repeat run skips the lowering front end "
-                            "(bit-identical to running without)")
     add_json(p_sim)
     add_store(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
@@ -526,10 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=list(TRAFFIC_PROFILES),
                         help="synthetic traffic profile (default: the "
                              "app's duty-cycle context on every node)")
-    p_scen.add_argument("--plan-cache", default=None, metavar="DIR",
-                        help="persist lowered function plans under DIR so "
-                             "the golden and faulted runs of a repeated "
-                             "matrix lower nothing")
     add_json(p_scen)
     add_store(p_scen)
     p_scen.set_defaults(func=cmd_scenarios)
@@ -543,23 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="simulated seconds per duty-cycle measurement (3c)")
     add_json(p_fig)
     p_fig.set_defaults(func=cmd_figures)
-
-    p_serve = sub.add_parser(
-        "serve", help="run the async job service over HTTP")
-    p_serve.add_argument("--store", default=None, metavar="DIR",
-                         help="artifact store shared by every client "
-                              "(omit for an in-memory session)")
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=8400,
-                         help="listening port (0 picks an ephemeral one)")
-    p_serve.add_argument("--workers", type=int, default=2,
-                         help="job executor threads")
-    p_serve.add_argument("--job-timeout", type=float, default=None,
-                         metavar="S",
-                         help="per-job wall-clock limit in seconds; a job "
-                              "exceeding it fails with error_kind=timeout "
-                              "(default: no limit)")
-    p_serve.set_defaults(func=cmd_serve)
 
     p_gc = sub.add_parser(
         "gc", help="evict least-recently-used artifact-store entries")
@@ -575,16 +495,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     args = build_parser().parse_args(argv)
     out = out if out is not None else sys.stdout
-    # ``serve`` and ``gc`` manage the store directory themselves — the
-    # record commands route their session workbench through it.
-    store = getattr(args, "store", None) \
-        if args.command not in ("serve", "gc") else None
+    # ``gc`` manages the store directory itself — the record commands
+    # route their session workbench through it.
+    store = getattr(args, "store", None) if args.command != "gc" else None
     with Workbench(store=store) as workbench:
         try:
             return args.func(args, workbench, out)
         except UsageError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
-        except RemoteError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 3

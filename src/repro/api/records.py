@@ -144,17 +144,18 @@ class SimRecord:
             every node (``Network.superblock_stats``): fused statement
             counts, fast/slow entry counts, burst iterations and the
             fused fraction.  Empty for records predating the field.
-        code_cache: Lowering/plan-cache telemetry: the shared in-process
+        code_cache: Lowering telemetry: the program's in-process
             ``CodeCache`` counters (``functions``, ``lowerings``,
-            ``plan_hits``, ``disk_loads``) plus, when a persistent plan
-            store was configured, its ``store_*`` counters and directory.
-            A warm start shows ``lowerings == 0`` here.  Execution
-            telemetry: not part of the simulation's identity.  Empty for
-            records predating the field.
+            ``plan_hits``), cumulative over every simulation the session
+            ran on that build.  Execution telemetry: not part of the
+            simulation's identity, so it takes no part in equality.
+            Empty for records predating the field.
 
     Records written by older versions may carry ``workers``, ``shards``
     and ``recovery`` keys (telemetry of a since-removed multi-process
-    kernel); :meth:`from_dict` ignores them.
+    kernel); :meth:`from_dict` ignores them.  Their ``code_cache`` may
+    also carry counters of a since-removed persistent lowering-plan
+    store; they load as they are.
     """
 
     app: str
@@ -173,10 +174,11 @@ class SimRecord:
     injected_uart: tuple[int, ...] = ()
     packets_delivered: int = 0
     packets_lost: int = 0
-    #: hash=False keeps the frozen record hashable (dicts are not); the
-    #: field still participates in equality.
+    #: hash=False keeps the frozen record hashable (dicts are not).
+    #: ``superblocks`` still participates in equality; ``code_cache``,
+    #: whose counters depend on what the session ran before, does not.
     superblocks: dict = field(default_factory=dict, hash=False)
-    code_cache: dict = field(default_factory=dict, hash=False)
+    code_cache: dict = field(default_factory=dict, hash=False, compare=False)
 
     @property
     def duty_cycle(self) -> float:

@@ -20,10 +20,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 from repro.avrora.network import TOPOLOGIES
 from repro.scenarios.faults import FaultPlan
@@ -168,15 +166,10 @@ class SimSpec:
         loss: Per-link, per-packet drop probability in [0, 1).
         seed: Seed of the channel's loss RNG; equal seeds give
             bit-identical simulations.
-        plan_cache: Directory of the persistent lowering-plan store
-            (:class:`~repro.avrora.codestore.PlanStore`), or None to keep
-            lowering in-process only.  The cache merely changes *how* the
-            simulation executes (warm starts skip the lowering front
-            end); results are bit-identical either way, so it is excluded
-            from :meth:`content_key`.
 
     Dictionaries written by older versions may carry ``workers`` and
-    ``chaos`` keys (settings of a since-removed multi-process kernel);
+    ``chaos`` keys (settings of a since-removed multi-process kernel) and
+    the directory of a since-removed persistent lowering-plan store;
     :meth:`from_dict` ignores them, and they never entered the content
     key, so stored records still hit.
     """
@@ -189,12 +182,8 @@ class SimSpec:
     topology: str = "broadcast"
     loss: float = 0.0
     seed: int = 0
-    plan_cache: Optional[str] = None
 
     def __post_init__(self):
-        if self.plan_cache is not None:
-            # PathLike in, plain string out: specs stay JSON-serializable.
-            object.__setattr__(self, "plan_cache", os.fspath(self.plan_cache))
         _check_app(self.app)
         variant_by_name(self.variant)
         if self.node_count < 1:
@@ -230,9 +219,6 @@ class SimSpec:
         return BuildSpec(app=self.app, variant=self.variant)
 
     def content_key(self) -> str:
-        # ``plan_cache`` is intentionally absent: the persistent plan
-        # store is bit-identical to lowering in-process, so it is not part
-        # of what the simulation *is* — only of how it is executed.
         return _digest({
             "schema": SCHEMA_VERSION,
             "kind": "sim",
@@ -250,8 +236,7 @@ class SimSpec:
                 "app": self.app, "variant": self.variant,
                 "node_count": self.node_count, "seconds": self.seconds,
                 "traffic": self.traffic, "topology": self.topology,
-                "loss": self.loss, "seed": self.seed,
-                "plan_cache": self.plan_cache}
+                "loss": self.loss, "seed": self.seed}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimSpec":
@@ -260,8 +245,7 @@ class SimSpec:
                    traffic=data.get("traffic", TRAFFIC_DEFAULT),
                    topology=data.get("topology", "broadcast"),
                    loss=data.get("loss", 0.0),
-                   seed=data.get("seed", 0),
-                   plan_cache=data.get("plan_cache"))
+                   seed=data.get("seed", 0))
 
 
 @dataclass(frozen=True)
@@ -295,14 +279,10 @@ class ScenarioSpec:
         loss: Per-link drop probability in [0, 1).
         seed: Channel seed (the plan's fault seed is separate, in
             ``plan.seed``).
-        plan_cache: Directory of the persistent lowering-plan store, as
-            in :class:`SimSpec` — the golden and every faulted run
-            hydrate their lowering plans from it, so a repeated scenario
-            matrix in a fresh session lowers nothing.  An execution knob,
-            excluded from :meth:`content_key`.
 
-    As with :class:`SimSpec`, an older dictionary's ``workers`` key is
-    ignored on load and was never part of the content key.
+    As with :class:`SimSpec`, an older dictionary's ``workers`` key and
+    lowering-plan store directory are ignored on load and were never part
+    of the content key.
     """
 
     app: str
@@ -314,12 +294,8 @@ class ScenarioSpec:
     topology: str = "chain"
     loss: float = 0.0
     seed: int = 0
-    plan_cache: Optional[str] = None
 
     def __post_init__(self):
-        if self.plan_cache is not None:
-            # PathLike in, plain string out: specs stay JSON-serializable.
-            object.__setattr__(self, "plan_cache", os.fspath(self.plan_cache))
         object.__setattr__(self, "variants", tuple(self.variants))
         _check_app(self.app)
         if not self.variants:
@@ -371,9 +347,6 @@ class ScenarioSpec:
                 for variant in self.variants]
 
     def content_key(self) -> str:
-        # ``plan_cache`` is excluded for the same reason as in SimSpec:
-        # the verdict matrix is bit-identical with or without hydrated
-        # lowering plans.
         return _digest({
             "schema": SCHEMA_VERSION,
             "kind": "scenario",
@@ -393,8 +366,7 @@ class ScenarioSpec:
                 "plan": self.plan.to_dict(),
                 "node_count": self.node_count, "seconds": self.seconds,
                 "traffic": self.traffic, "topology": self.topology,
-                "loss": self.loss, "seed": self.seed,
-                "plan_cache": self.plan_cache}
+                "loss": self.loss, "seed": self.seed}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioSpec":
@@ -406,33 +378,5 @@ class ScenarioSpec:
                    traffic=data.get("traffic", TRAFFIC_DEFAULT),
                    topology=data.get("topology", "chain"),
                    loss=data.get("loss", 0.0),
-                   seed=data.get("seed", 0),
-                   plan_cache=data.get("plan_cache"))
+                   seed=data.get("seed", 0))
 
-
-#: ``to_dict()["kind"]`` → spec class, the job service's dispatch table.
-SPEC_KINDS = {
-    "build": BuildSpec,
-    "sweep": SweepSpec,
-    "sim": SimSpec,
-    "scenario": ScenarioSpec,
-}
-
-
-def spec_from_dict(data: dict):
-    """Rebuild any spec from its ``to_dict()`` form, dispatching on ``kind``.
-
-    The job service's single deserialization entry point: one JSON object
-    over the wire names any of the four request kinds.  Unknown kinds
-    raise :class:`ValueError`; field validation then happens in the spec
-    constructor as usual.
-    """
-    if not isinstance(data, dict):
-        raise TypeError(f"spec must be a JSON object, got "
-                        f"{type(data).__name__}")
-    kind = data.get("kind")
-    cls = SPEC_KINDS.get(kind)
-    if cls is None:
-        raise ValueError(f"unknown spec kind {kind!r}; known: "
-                         f"{sorted(SPEC_KINDS)}")
-    return cls.from_dict(data)

@@ -101,51 +101,6 @@ def is_registered_variant(variant: BuildVariant) -> bool:
         return False
 
 
-def plan_store_attach(plan_cache: Optional[str], build_key: str,
-                      program) -> Optional[tuple]:
-    """Hydrate a program's code cache from a persistent plan store.
-
-    Shared by :meth:`Workbench.simulate` and the scenario runner's golden
-    and faulted runs.  Returns ``(store, key)`` for
-    :func:`plan_store_persist` to write back into, or None when no plan
-    cache is configured.
-    """
-    if plan_cache is None:
-        return None
-    from repro.avrora.codestore import PlanStore, plan_key
-
-    store = PlanStore(plan_cache)
-    key = plan_key(build_key, program.platform)
-    payload = store.load(key)
-    if payload is not None:
-        program.analysis().code_cache().hydrate_portable(program, payload)
-    return store, key
-
-
-def plan_store_persist(attach: Optional[tuple], program) -> dict:
-    """Persist the (now fully lowered) plans and assemble the record's
-    ``code_cache`` telemetry dictionary."""
-    cache = program.analysis().code_cache()
-    telemetry: dict = dict(cache.stats())
-    if attach is None:
-        return telemetry
-    store, key = attach
-    # Freshly lowered plans (a cold start, or functions the artifact
-    # did not cover) are worth persisting; an already-complete warm
-    # start skips the write.  ``cache.costs is None`` means nothing
-    # was lowered at all (tree engine) — nothing to persist.
-    if cache.costs is not None and cache.lowerings > 0:
-        cache.lower_all(program, cache.costs)
-        payload = cache.export_portable(program)
-        if payload is not None:
-            store.store(key, payload)
-    telemetry.update(
-        {f"store_{name}": value
-         for name, value in store.stats().items()},
-        store_dir=store.root)
-    return telemetry
-
-
 class Workbench:
     """Cache-routed execution engine for builds, sweeps and simulations.
 
@@ -186,10 +141,11 @@ class Workbench:
         self._object_snapshots: dict[int, dict[str, dict]] = {}
         self._lock = threading.Lock()
         # Serializes the heavy execution paths (pass pipelines, network
-        # runs) so concurrent driving threads — the job service runs each
-        # request on its own thread — never race on the shared snapshot
-        # store or a shared program.  Re-entrant because simulations and
-        # scenarios build through the same engine on the same thread.
+        # runs) so :meth:`submit`'s pool thread, which drives builds
+        # concurrently with the caller, never races the caller on the
+        # shared snapshot store or a shared program.  Re-entrant because
+        # simulations and scenarios build through the same engine on the
+        # same thread.
         self._execute_lock = threading.RLock()
         self._executor: Optional[ThreadPoolExecutor] = None
         self._builds_executed = 0
@@ -360,12 +316,9 @@ class Workbench:
 
         The simulation runs on the lockstep network kernel with the
         spec's topology, loss rate and seed; per-node packet and traffic
-        statistics land in the record.  With ``spec.plan_cache`` set, the
-        program's lowering plans are hydrated from the persistent store
-        before the run (a warm start performs zero lowerings) and
-        persisted after it.  With a session :attr:`store`, a previously
-        recorded identical spec is served straight from disk — no build,
-        no simulation.
+        statistics land in the record.  With a session :attr:`store`, a
+        previously recorded identical spec is served straight from disk —
+        no build, no simulation.
         """
         key = spec.content_key()
         with self._lock:
@@ -378,9 +331,6 @@ class Workbench:
                 return self._sim_records.setdefault(key, stored)
         with self._execute_lock:
             result = self.build_result(spec.build_spec())
-            attach = plan_store_attach(
-                spec.plan_cache, spec.build_spec().content_key(),
-                result.program)
             traffic = duty_cycle_context(spec.app) \
                 if spec.traffic in (TRAFFIC_DEFAULT, TRAFFIC_BASE) else None
             channel = Channel(topology=spec.topology, loss=spec.loss,
@@ -389,7 +339,7 @@ class Workbench:
                 result.program, seconds=spec.seconds,
                 node_count=spec.node_count, traffic=traffic, channel=channel,
                 traffic_first_node_only=(spec.traffic == TRAFFIC_BASE))
-            code_cache = plan_store_persist(attach, result.program)
+            code_cache = result.program.analysis().code_cache().stats()
         stats = network.node_stats()
         record = SimRecord(
             app=spec.app,

@@ -64,11 +64,7 @@ Two mechanisms push past per-statement dispatch:
   N-node :class:`~repro.avrora.network.Network` shares one front-end
   lowering per function.  Only the final closure binding — which bakes
   node-local state (memory objects, event queue, clock) into the ops for
-  speed — remains per node.  Plans also round-trip through a *portable*
-  form (``CodeCache.export_portable`` / ``hydrate_portable``) keyed by
-  statement order instead of process-local node ids, which the
-  disk-backed :class:`~repro.avrora.codestore.PlanStore` persists across
-  runs so a warm start performs zero lowerings.
+  speed — remains per node.
 
 Semantics are kept **byte-identical** to the tree-walker (cycle counts,
 interrupt delivery points, check failures, radio traffic): ops charge the
@@ -140,14 +136,6 @@ _BURST_CHUNK = 1 << 16
 #: obligations of their own, and no cycle charges beyond the statement's
 #: precomputed cost.
 _FUSABLE_KINDS = (ast.Assign, ast.ExprStmt, ast.VarDecl, ast.Nop)
-
-
-#: Version of the lowering front end, stamped into persisted plan
-#: artifacts (see :mod:`repro.avrora.codestore`).  Bump whenever
-#: :class:`FunctionPlan`'s fields or the meaning of its facts change, so
-#: stale on-disk plans from an older lowering are rejected instead of
-#: silently mis-executing.
-LOWERING_VERSION = 3
 
 
 def _superblocks_enabled() -> bool:
@@ -515,14 +503,12 @@ ProgramAnalysisCache` (see :meth:`code_cache
     records).
     """
 
-    __slots__ = ("plans", "lowerings", "plan_hits", "disk_loads", "costs")
+    __slots__ = ("plans", "lowerings", "plan_hits", "costs")
 
     def __init__(self) -> None:
         self.plans: dict[str, FunctionPlan] = {}
         self.lowerings = 0
         self.plan_hits = 0
-        #: Plans hydrated from a persistent store instead of lowered here.
-        self.disk_loads = 0
         #: The cost model the cached plans were costed with.  Plans bake
         #: per-statement cycle costs, so a node carrying a *different*
         #: model (``Node(costs=...)`` accepts arbitrary ones, e.g. for a
@@ -552,112 +538,11 @@ ProgramAnalysisCache` (see :meth:`code_cache
         else:
             self.plans.pop(func_name, None)
 
-    def lower_all(self, program: Program, costs) -> int:
-        """Lower every program function now; returns the plan count.
-
-        Used before :meth:`export_portable` so a persisted artifact
-        covers the whole program — a warm start then performs zero
-        lowerings no matter which functions the simulation reaches.
-        """
-        for name, func in program.functions.items():
-            if name not in self.plans:
-                self.plan_for(func, program, costs)
-        return len(self.plans)
-
-    def export_portable(self, program: Program) -> Optional[dict]:
-        """Serialize the cached plans into a process-independent form.
-
-        ``node_id``s are assigned per process, so the portable form keys
-        every per-statement fact by the statement's *index* in
-        ``walk_statements`` order instead; :meth:`hydrate_portable`
-        re-walks the (identical) AST to bind them back.  Returns None
-        when nothing has been lowered yet.
-        """
-        if not self.plans:
-            return None
-        from repro.cminor.visitor import walk_statements
-
-        functions: dict[str, dict] = {}
-        for name, plan in self.plans.items():
-            func = program.lookup_function(name)
-            if func is None:  # pragma: no cover - plans track functions
-                continue
-            order = [s.node_id for s in walk_statements(func.body)]
-            index_of = {nid: i for i, nid in enumerate(order)}
-            functions[name] = {
-                "slots": dict(plan.slots),
-                "params": tuple(plan.params),
-                "default_return": plan.default_return,
-                "stmt_costs": [plan.stmt_costs[nid] for nid in order],
-                "fusable": sorted(index_of[nid] for nid in plan.fusable),
-                "loop_conds": sorted(index_of[nid]
-                                     for nid in plan.loop_conds),
-                "call_sites": {index_of[nid]: names
-                               for nid, names in plan.call_sites.items()},
-                "leaf_cost": plan.leaf_cost,
-            }
-        return {"costs": self.costs, "functions": functions}
-
-    def hydrate_portable(self, program: Program, portable: dict) -> int:
-        """Rebind a portable export to this process's ASTs; returns count.
-
-        Statement counts are re-checked per function: a mismatch (the
-        program differs from the one that produced the artifact) rejects
-        that function and leaves it to lazy lowering.  Already-lowered
-        plans are never overwritten.
-        """
-        from repro.cminor.visitor import walk_statements
-
-        if self.costs is None:
-            self.costs = portable["costs"]
-        elif self.costs != portable["costs"]:
-            return 0
-        hydrated = 0
-        for name, data in portable["functions"].items():
-            if name in self.plans:
-                continue
-            func = program.lookup_function(name)
-            if func is None:
-                continue
-            slots = data["slots"]
-            order = []
-            names_match = True
-            for stmt in walk_statements(func.body):
-                order.append(stmt.node_id)
-                # Compilation frames resolve declarations through the
-                # plan's slot map — a declaration the artifact does not
-                # name (e.g. differently numbered inliner temps) means
-                # the artifact came from a different lowering of this
-                # function; reject it and lower lazily.
-                if isinstance(stmt, ast.VarDecl) and stmt.name not in slots:
-                    names_match = False
-                    break
-            flat_costs = data["stmt_costs"]
-            if not names_match or len(order) != len(flat_costs):
-                continue
-            plan = FunctionPlan(
-                name,
-                dict(data["slots"]),
-                tuple(tuple(p) for p in data["params"]),
-                data["default_return"],
-                {order[i]: c for i, c in enumerate(flat_costs)},
-                frozenset(order[i] for i in data["fusable"]),
-                frozenset(order[i] for i in data["loop_conds"]),
-                {order[int(i)]: tuple(names)
-                 for i, names in data["call_sites"].items()},
-                data["leaf_cost"],
-            )
-            self.plans[name] = plan
-            hydrated += 1
-        self.disk_loads += hydrated
-        return hydrated
-
     def stats(self) -> dict[str, int]:
         return {
             "functions": len(self.plans),
             "lowerings": self.lowerings,
             "plan_hits": self.plan_hits,
-            "disk_loads": self.disk_loads,
         }
 
 

@@ -129,8 +129,7 @@ class Interpreter:
         stats = getattr(impl, "code_cache_stats", None)
         if stats is not None:
             return stats()
-        return {"functions": 0, "lowerings": 0, "plan_hits": 0,
-                "disk_loads": 0}
+        return {"functions": 0, "lowerings": 0, "plan_hits": 0}
 
     def warm(self) -> int:
         """Precompile every program function (no-op for the tree-walker)."""

@@ -54,11 +54,9 @@ def _temp_markers(program: Program):
     Temp names (``__callN`` hoists, ``__inlN_x`` inlined locals) must be a
     pure function of the program being transformed — not of how many other
     programs this process transformed before it — or two builds of one
-    spec in one process diverge, and portable code-cache artifacts
-    (:meth:`repro.avrora.engine.CodeCache.export_portable`) written by one
-    build would name slots the next build's AST does not contain.  The
-    counter restarts above any marker already present, so re-running a
-    transform on an already-transformed program never reuses a name.
+    spec in one process diverge.  The counter restarts above any marker
+    already present, so re-running a transform on an already-transformed
+    program never reuses a name.
     """
     highest = 0
     for func in program.iter_functions():

@@ -37,11 +37,7 @@ import hashlib
 from typing import TYPE_CHECKING, Optional
 
 from repro.api.specs import TRAFFIC_BASE, TRAFFIC_DEFAULT, BuildSpec
-from repro.api.workbench import (
-    plan_store_attach,
-    plan_store_persist,
-    run_network,
-)
+from repro.api.workbench import run_network
 from repro.avrora.network import Channel, Network
 from repro.avrora.node import Node
 from repro.scenarios.faults import KILL_HALT_CODE, Fault
@@ -126,9 +122,6 @@ class ScenarioRunner:
         self._golden: dict[tuple, tuple[tuple, ...]] = {}
         self.golden_runs = 0
         self.golden_hits = 0
-        #: Per-variant ``code_cache`` telemetry from the last :meth:`run`
-        #: (a warm plan cache shows ``lowerings == 0`` for every variant).
-        self.plan_cache_stats: dict[str, dict] = {}
 
     # -- simulation plumbing ---------------------------------------------------
 
@@ -181,13 +174,6 @@ class ScenarioRunner:
         for variant in spec.variants:
             build_spec = BuildSpec(app=spec.app, variant=variant)
             result = self.workbench.build_result(build_spec)
-            # With ``spec.plan_cache`` set, hydrate the variant's lowering
-            # plans from the persistent store before any run: the golden
-            # run and every faulted run then lower nothing on a warm
-            # cache, and a cold cache is written back once per variant.
-            attach = plan_store_attach(
-                getattr(spec, "plan_cache", None),
-                build_spec.content_key(), result.program)
             golden = self.golden_fingerprints(
                 spec, build_spec.content_key(), result.program)
             cells: list[str] = []
@@ -198,8 +184,6 @@ class ScenarioRunner:
                 cells.append(verdict)
                 details[f"{label}|{variant}"] = self._detail(
                     network, golden, fault, verdict)
-            self.plan_cache_stats[variant] = plan_store_persist(
-                attach, result.program)
             columns.append(cells)
         verdicts = tuple(tuple(columns[v][f]
                                for v in range(len(spec.variants)))

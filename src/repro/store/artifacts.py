@@ -22,16 +22,15 @@ Two entry kinds live side by side in the store directory:
     these lets a *novel* variant of a known application skip the shared
     front end even in a session that never built the application at all.
 
-Writer discipline follows :class:`~repro.avrora.codestore.PlanStore`
-(PR 7): stage to a temp file in the store directory, publish with
-``os.replace``.  Concurrent writers race benignly — every writer for one
-key produces an equivalent entry by construction, last writer wins, and a
-concurrent reader only ever observes a complete envelope.
+Writers stage each entry to a temp file in the store directory and
+publish it with ``os.replace``.  Concurrent writers race benignly — every
+writer for one key produces an equivalent entry by construction, last
+writer wins, and a concurrent reader only ever observes a complete
+envelope.
 
 Eviction is LRU-ish by whole entry: every hit freshens the entry's mtime,
 and :meth:`ArtifactStore.gc` removes the stalest entries until the store
-fits a byte budget.  A store constructed with ``budget_bytes`` runs that
-pass automatically after each write.
+fits a byte budget.
 """
 
 from __future__ import annotations
@@ -89,23 +88,18 @@ class ArtifactStore:
             different schema are demoted to misses.  Passed in rather than
             imported so the store package has no dependency on
             :mod:`repro.api` (the api layer imports *us*).
-        budget_bytes: Optional size budget; when set, every write is
-            followed by an LRU eviction pass (see :meth:`gc`).
 
     Counters (``record_hits`` … ``evicted``) feed
-    :meth:`~repro.api.workbench.Workbench.stats` and the job service's
-    ``/stats`` endpoint.
+    :meth:`~repro.api.workbench.Workbench.stats`.
     """
 
-    __slots__ = ("root", "schema", "budget_bytes", "record_hits",
+    __slots__ = ("root", "schema", "record_hits",
                  "record_misses", "snapshot_hits", "snapshot_misses",
                  "stores", "errors", "evicted")
 
-    def __init__(self, root: str, *, schema: int,
-                 budget_bytes: Optional[int] = None) -> None:
+    def __init__(self, root: str, *, schema: int) -> None:
         self.root = os.fspath(root)
         self.schema = schema
-        self.budget_bytes = budget_bytes
         self.record_hits = 0
         self.record_misses = 0
         self.snapshot_hits = 0
@@ -257,23 +251,22 @@ class ArtifactStore:
         """Evict least-recently-used entries until the store fits a budget.
 
         Hits freshen mtimes, so eviction order approximates LRU at file
-        granularity.  Returns a report; with no budget (here or on the
-        constructor) this is a pure measurement pass.
+        granularity.  Returns a report; with no budget this is a pure
+        measurement pass.
         """
-        budget = self.budget_bytes if budget_bytes is None else budget_bytes
         entries = self.entries()
         total = sum(size for _, size, _ in entries)
         report = {
             "entries": len(entries),
             "bytes_before": total,
             "bytes_after": total,
-            "budget_bytes": budget if budget is not None else -1,
+            "budget_bytes": budget_bytes if budget_bytes is not None else -1,
             "evicted": 0,
         }
-        if budget is None:
+        if budget_bytes is None:
             return report
         for path, size, _ in entries:
-            if report["bytes_after"] <= budget:
+            if report["bytes_after"] <= budget_bytes:
                 break
             try:
                 os.unlink(path)
@@ -350,8 +343,6 @@ class ArtifactStore:
                            _WARN, path, exc)
             return False
         self.stores += 1
-        if self.budget_bytes is not None:
-            self.gc()
         return True
 
     def stats(self) -> dict[str, int]:

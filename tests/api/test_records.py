@@ -91,6 +91,17 @@ class TestSimRecord:
         assert record == SIM
         assert not {"workers", "shards", "recovery"} & set(record.to_dict())
 
+    def test_records_carrying_plan_store_telemetry_still_load(self):
+        """Records written while the persistent plan store existed carry
+        its counters and directory in ``code_cache``; they still load."""
+        code_cache = {"functions": 31, "lowerings": 0, "plan_hits": 60,
+                      "disk_loads": 31, "store_hits": 1, "store_misses": 0,
+                      "store_stores": 0, "store_dir": "/tmp/plans"}
+        wire = {**SIM.to_dict(), "code_cache": code_cache}
+        record = SimRecord.from_dict(json.loads(json.dumps(wire)))
+        assert record == SIM
+        assert record.code_cache == code_cache
+
     def test_records_stay_hashable_despite_the_stats_dict(self):
         # frozen dataclass: the superblocks field is excluded from the
         # generated __hash__ (dicts are unhashable) but not from equality.

@@ -36,6 +36,20 @@ LEGACY_SCENARIO = {
     "plan_cache": None}
 LEGACY_SCENARIO_KEY = "c1a0b2a4b9612bf4"
 
+#: ``to_dict()`` forms written while specs carried the directory of the
+#: removed persistent lowering-plan store.  The directory never entered
+#: the content key, so they name the same simulations as the dicts above.
+PLAN_STORE_SIM = {
+    "kind": "sim", "schema": 2, "app": "Surge_Mica2", "variant": "baseline",
+    "node_count": 4, "seconds": 2.0, "traffic": "default",
+    "topology": "chain", "loss": 0.1, "seed": 3, "plan_cache": "/tmp/plans"}
+PLAN_STORE_SCENARIO = {
+    "kind": "scenario", "schema": 2, "app": "Surge_Mica2",
+    "variants": ["baseline", "safe-optimized"],
+    "plan": LEGACY_SCENARIO["plan"],
+    "node_count": 2, "seconds": 2.0, "traffic": "default",
+    "topology": "chain", "loss": 0.0, "seed": 0, "plan_cache": "/tmp/plans"}
+
 
 class TestBuildSpec:
     def test_json_round_trip(self):
@@ -168,7 +182,8 @@ class TestSimSpec:
 
     def test_old_serialized_specs_still_load(self):
         """Dictionaries written before the topology fields existed, and
-        ones carrying the removed ``workers``/``chaos`` settings."""
+        ones carrying the settings of the removed multi-process kernel
+        and persistent lowering-plan store."""
         spec = SimSpec.from_dict({
             "app": "BlinkTask_Mica2", "variant": "baseline",
             "node_count": 1, "seconds": 1.0})
@@ -187,6 +202,12 @@ class TestSimSpec:
             plan=FaultPlan(faults=(BitFlipFault(),), seed=1),
             node_count=2, seconds=2.0)
         assert "workers" not in scenario.to_dict()
+
+        # Loading drops the plan-store directory: nothing else differs.
+        assert SimSpec.from_dict(PLAN_STORE_SIM) == legacy
+        assert set(legacy.to_dict()) < set(PLAN_STORE_SIM)
+        assert ScenarioSpec.from_dict(PLAN_STORE_SCENARIO) == scenario
+        assert set(scenario.to_dict()) < set(PLAN_STORE_SCENARIO)
 
     def test_unknown_topology_rejected(self):
         with pytest.raises(ValueError, match="topology"):
@@ -210,4 +231,10 @@ class TestStoredContentKeys:
 
     def test_scenario_spec_key_is_unchanged(self):
         assert ScenarioSpec.from_dict(LEGACY_SCENARIO).content_key() \
+            == LEGACY_SCENARIO_KEY
+
+    def test_plan_store_era_keys_are_unchanged(self):
+        assert SimSpec.from_dict(PLAN_STORE_SIM).content_key() \
+            == LEGACY_SIM_KEY
+        assert ScenarioSpec.from_dict(PLAN_STORE_SCENARIO).content_key() \
             == LEGACY_SCENARIO_KEY

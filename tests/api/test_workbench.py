@@ -244,3 +244,19 @@ class TestSimulation:
                              node_count=2, seconds=0.5, loss=0.5, seed=4)
         assert bench.simulate(lossy) is bench.simulate(lossy)
         assert bench.simulate(lossy) is not bench.simulate(other_seed)
+
+    def test_record_equality_ignores_what_the_session_ran_before(self):
+        """``code_cache`` holds the build's cumulative lowering counters,
+        so under the compiled engine it differs between a fresh session
+        and one that simulated the same build before; the records must
+        still compare equal."""
+        spec = SimSpec(app="BlinkTask_Mica2", variant="baseline", seconds=1.0)
+        fresh = Workbench().simulate(spec)
+        warmed = Workbench()
+        warmed.simulate(SimSpec(app="BlinkTask_Mica2", variant="baseline",
+                                seconds=0.5))
+        after = warmed.simulate(spec)
+        if fresh.code_cache["lowerings"]:  # zero under the tree engine
+            assert after.code_cache != fresh.code_cache
+        assert after.content_key == fresh.content_key
+        assert after == fresh

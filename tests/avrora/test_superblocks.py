@@ -224,7 +224,7 @@ class TestCodeCache:
         assert cache.plan_hits == lowered
         assert second.interpreter.code_cache_stats() == {
             "functions": lowered, "lowerings": lowered,
-            "plan_hits": lowered, "disk_loads": 0}
+            "plan_hits": lowered}
 
     def test_shared_plans_change_nothing(self):
         program = make_program(MID_BLOCK_INTERRUPTS)

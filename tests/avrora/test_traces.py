@@ -1,24 +1,16 @@
-"""Trace-level call inlining and the persistent plan store.
+"""Trace-level call inlining.
 
 Trace superblocks splice leaf-callee bodies under the caller's poll-window
 guard; every observable — cycle totals, statement counts, interrupt
 delivery order, pause points, mid-burst faults — must be bit-identical to
-the tree-walker and to the compiled engine with fusion disabled.  The
-persistent :class:`~repro.avrora.codestore.PlanStore` must round-trip
-lowered plans across "processes" (independently parsed programs), reject
-corrupt or stale entries with a labelled warning, and miss (never
-mis-read) when the program changes.
+the tree-walker and to the compiled engine with fusion disabled.
 """
 
 from __future__ import annotations
 
-import logging
-import pickle
-
 import pytest
 
-from repro.avrora.codestore import FORMAT_VERSION, PlanStore, plan_key
-from repro.avrora.engine import LOWERING_VERSION, CompiledEngine
+from repro.avrora.engine import CompiledEngine
 from repro.avrora.memory import Pointer
 from repro.avrora.node import Node, SafetyFault
 from repro.cminor import typesys as ty
@@ -287,142 +279,3 @@ class TestTraceDifferential:
         assert _observe(sliced) == _observe(reference)
         assert _read_u32(sliced, "acc") == _read_u32(reference, "acc")
 
-
-class TestPlanStore:
-    def _lowered_cache(self, source: str):
-        program = make_program(source)
-        node = Node(program, engine="compiled")
-        node.boot()
-        node.interpreter.warm()
-        cache = program.analysis().code_cache()
-        cache.lower_all(program, cache.costs)
-        return program, cache
-
-    def test_round_trip_warm_start_zero_lowerings(self, tmp_path,
-                                                  monkeypatch):
-        monkeypatch.setenv("REPRO_AVRORA_SUPERBLOCKS", "1")
-        store = PlanStore(str(tmp_path))
-        key = plan_key("prog-a", "mica2")
-        program, cache = self._lowered_cache(LEAF_CALLS)
-        assert store.store(key, cache.export_portable(program))
-        assert store.stats()["stores"] == 1
-        assert not list(tmp_path.glob("*.tmp")), "temp file leaked"
-
-        cold = Node(program, engine="compiled")
-        cold.boot()
-        cold.run(0.05)
-
-        # A second, independently parsed program stands in for a second
-        # process: nothing is shared but the bytes on disk.
-        warm_program = make_program(LEAF_CALLS)
-        warm_cache = warm_program.analysis().code_cache()
-        payload = store.load(key)
-        assert payload is not None
-        assert warm_cache.hydrate_portable(warm_program, payload) >= 2
-        warm = Node(warm_program, engine="compiled")
-        warm.boot()
-        warm.interpreter.warm()
-        assert warm_cache.lowerings == 0
-        assert warm_cache.stats()["disk_loads"] >= 2
-        warm.run(0.05)
-        assert _observe(warm) == _observe(cold)
-        assert _read_u32(warm, "acc") == _read_u32(cold, "acc")
-
-    def test_mutated_program_misses_instead_of_misreading(self, tmp_path):
-        store = PlanStore(str(tmp_path))
-        program, cache = self._lowered_cache(LEAF_CALLS)
-        store.store(plan_key("prog-a", "mica2"),
-                    cache.export_portable(program))
-
-        # Keying: a mutated program has a different content key, so the
-        # store simply misses.
-        assert plan_key("prog-b", "mica2") != plan_key("prog-a", "mica2")
-        assert store.load(plan_key("prog-b", "mica2")) is None
-        assert store.stats()["misses"] == 1
-
-        # Defense in depth: hydrating an artifact into a program whose
-        # function bodies changed shape rejects the mismatched functions
-        # (statement-count check) rather than binding stale facts to the
-        # wrong statements; the content-addressed key above is what makes
-        # this path unreachable in the supported flow.
-        mutated = make_program(LEAF_CALLS.replace(
-            "if (r > 900) { r = r - 900; }\n", ""))
-        payload = store.load(plan_key("prog-a", "mica2"))
-        mutated_cache = mutated.analysis().code_cache()
-        mutated_cache.hydrate_portable(mutated, payload)
-        assert "mix" not in mutated_cache.plans, \
-            "stale plan bound to a mutated function"
-
-    def test_corrupt_entry_falls_back_with_warning(self, tmp_path, caplog):
-        store = PlanStore(str(tmp_path))
-        key = plan_key("prog-a", "mica2")
-        (tmp_path / f"{key}.plan").write_bytes(b"not a pickle at all")
-        with caplog.at_level(logging.WARNING):
-            assert store.load(key) is None
-        assert store.stats()["errors"] == 1
-        assert any("plan-cache" in record.message
-                   for record in caplog.records)
-
-    def test_truncated_entry_falls_back_with_warning(self, tmp_path,
-                                                     caplog):
-        store = PlanStore(str(tmp_path))
-        key = plan_key("prog-a", "mica2")
-        program, cache = self._lowered_cache(LEAF_CALLS)
-        store.store(key, cache.export_portable(program))
-        path = tmp_path / f"{key}.plan"
-        path.write_bytes(path.read_bytes()[:40])
-        with caplog.at_level(logging.WARNING):
-            assert store.load(key) is None
-        assert store.stats()["errors"] == 1
-        assert any("plan-cache" in record.message
-                   for record in caplog.records)
-
-    def test_version_stale_entry_falls_back_with_warning(self, tmp_path,
-                                                         caplog):
-        store = PlanStore(str(tmp_path))
-        key = plan_key("prog-a", "mica2")
-        blob = pickle.dumps({"fake": "payload"})
-        import hashlib
-        (tmp_path / f"{key}.plan").write_bytes(pickle.dumps({
-            "format": FORMAT_VERSION,
-            "engine": LOWERING_VERSION - 1,
-            "key": key,
-            "digest": hashlib.sha256(blob).hexdigest(),
-            "payload": blob,
-        }))
-        with caplog.at_level(logging.WARNING):
-            assert store.load(key) is None
-        assert store.stats()["errors"] == 1
-        assert any("version-stale" in record.message
-                   for record in caplog.records)
-
-    def test_digest_mismatch_falls_back_with_warning(self, tmp_path,
-                                                     caplog):
-        store = PlanStore(str(tmp_path))
-        key = plan_key("prog-a", "mica2")
-        blob = pickle.dumps({"fake": "payload"})
-        (tmp_path / f"{key}.plan").write_bytes(pickle.dumps({
-            "format": FORMAT_VERSION,
-            "engine": LOWERING_VERSION,
-            "key": key,
-            "digest": "0" * 64,
-            "payload": blob,
-        }))
-        with caplog.at_level(logging.WARNING):
-            assert store.load(key) is None
-        assert store.stats()["errors"] == 1
-        assert any("digest mismatch" in record.message
-                   for record in caplog.records)
-
-    def test_concurrent_style_rewrites_are_atomic(self, tmp_path):
-        """Repeated stores over the same key (the concurrent-writer
-        pattern, serialized) always leave one complete, loadable entry."""
-        store = PlanStore(str(tmp_path))
-        key = plan_key("prog-a", "mica2")
-        program, cache = self._lowered_cache(LEAF_CALLS)
-        payload = cache.export_portable(program)
-        for _ in range(3):
-            assert store.store(key, payload)
-        assert len(list(tmp_path.glob("*.plan"))) == 1
-        assert not list(tmp_path.glob("*.tmp"))
-        assert store.load(key) is not None

@@ -132,13 +132,6 @@ class TestEviction:
         store.gc(sum(sizes) - sizes[0] - 1)  # room for ~one entry
         assert store.load_record("key0000") is not None
 
-    def test_budget_on_constructor_runs_gc_per_write(self, tmp_path):
-        store = ArtifactStore(str(tmp_path / "s"), schema=SCHEMA,
-                              budget_bytes=2500)
-        self._fill(store, count=8)
-        assert store.size_bytes() <= 2500
-        assert store.evicted > 0
-
     def test_stats_shape(self, store):
         stats = store.stats()
         assert set(stats) == {"record_hits", "record_misses", "snapshot_hits",

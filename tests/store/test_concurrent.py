@@ -1,12 +1,11 @@
 """Concurrent writers racing one store key: no torn reads, one valid entry.
 
-Both persistent stores (:class:`repro.store.ArtifactStore` from this PR and
-PR 7's :class:`repro.avrora.codestore.PlanStore`) publish with
-write-temp + ``os.replace``, so racing writers for one key must each leave
-the store holding *some* complete, digest-valid envelope — and because
-identical specs serialize identically, the surviving entry is byte-for-byte
-what any single writer would have produced.  These tests fork real
-processes hammering one key while the parent reads concurrently.
+:class:`repro.store.ArtifactStore` publishes with write-temp +
+``os.replace``, so racing writers for one key must each leave the store
+holding *some* complete, digest-valid envelope — and because identical
+specs serialize identically, the surviving entry is byte-for-byte what any
+single writer would have produced.  These tests fork real processes
+hammering one key while the parent reads concurrently.
 """
 
 import json
@@ -15,7 +14,6 @@ import os
 
 import pytest
 
-from repro.avrora.codestore import PlanStore
 from repro.store import ArtifactStore
 
 SCHEMA = 2
@@ -27,13 +25,6 @@ def _artifact_writer(root: str, key: str, payload: dict, errors) -> None:
     for _ in range(ROUNDS):
         if not store.store_record(key, payload):
             errors.put("store_record returned False")
-
-
-def _plan_writer(root: str, key: str, payload: dict, errors) -> None:
-    store = PlanStore(root)
-    for _ in range(ROUNDS):
-        if not store.store(key, payload):
-            errors.put("store returned False")
 
 
 def _race(target, root, key, payload, reader):
@@ -88,23 +79,3 @@ class TestArtifactStoreRace:
         assert [name for name in os.listdir(root)
                 if name.endswith(".tmp")] == []
 
-
-class TestPlanStoreRace:
-    def test_racing_writers_never_tear(self, tmp_path):
-        root = str(tmp_path / "plans")
-        payload = {"plans": {"fn": [1, 2, 3]}, "pad": "y" * 4096}
-        reader = PlanStore(root)
-        observations = _race(_plan_writer, root, "cafebabe", payload,
-                             lambda: reader.load("cafebabe"))
-        assert reader.errors == 0
-        for seen in observations:
-            assert seen == payload
-
-    def test_final_entry_loads_equal_to_solo_write(self, tmp_path):
-        root = str(tmp_path / "plans")
-        payload = {"plans": {"fn": [1, 2, 3]}}
-        _race(_plan_writer, root, "cafebabe", payload, lambda: None)
-        raced = PlanStore(root).load("cafebabe")
-        solo_store = PlanStore(str(tmp_path / "solo"))
-        solo_store.store("cafebabe", payload)
-        assert raced == solo_store.load("cafebabe") == payload
