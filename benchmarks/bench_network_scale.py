@@ -1,10 +1,11 @@
 """Network-scale benchmark for the lockstep discrete-event kernel.
 
-Measures wall time and aggregate statement throughput of multi-node Surge
-networks in a ``chain`` topology as the node count grows, plus the lockstep
-kernel's overhead over the thread-free ``Node.run`` reference on a single
-node (where the two are byte-identical by construction, so the comparison
-is pure kernel overhead: one execution thread and one horizon grant).
+Measures wall time, aggregate statement throughput and lockstep grants
+(``Node.run_until`` calls) of multi-node Surge networks in a ``chain``
+topology as the node count grows, plus the lockstep kernel's overhead over
+the thread-free ``Node.run`` reference on a single node (where the two are
+byte-identical by construction, so the comparison is pure kernel overhead:
+one execution thread and one horizon grant).
 
 Also measures the shared code cache (:class:`repro.avrora.engine.\
 CodeCache`): the first node of a program pays the full lowering front end
@@ -18,9 +19,8 @@ Results are recorded in ``BENCH_network.json`` at the repository root (CI
 uploads it as an artifact); run this module directly for a standalone
 measurement, or via pytest as part of the benchmark suite.
 
-Set ``REPRO_BENCH_SMOKE=1`` to shrink the simulated window and node counts
-(CI smoke mode), and ``REPRO_BENCH_MAX_KERNEL_OVERHEAD`` to tune the
-asserted single-node overhead ceiling.
+Set ``REPRO_BENCH_MAX_KERNEL_OVERHEAD`` to tune the asserted single-node
+overhead ceiling.
 """
 
 from __future__ import annotations
@@ -39,10 +39,8 @@ from repro.toolchain.variants import BASELINE
 APP = "Surge_Mica2"
 
 SIM_SECONDS = 10.0
-SMOKE_SECONDS = 2.0
 
 NODE_COUNTS = (1, 2, 4, 8)
-SMOKE_NODE_COUNTS = (1, 2)
 
 #: Asserted ceiling on lockstep wall time / thread-free ``Node.run`` wall
 #: time for one node.  Generous so a loaded CI machine does not flake; an
@@ -51,10 +49,6 @@ MAX_KERNEL_OVERHEAD = float(
     os.environ.get("REPRO_BENCH_MAX_KERNEL_OVERHEAD", "1.6"))
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_network.json"
-
-
-def _smoke() -> bool:
-    return bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
 
 def _build_network(program, node_count: int) -> Network:
@@ -78,14 +72,30 @@ def _observe(network: Network) -> dict:
     }
 
 
+def _run_counting_grants(network: Network, seconds: float) -> int:
+    """Run ``network`` and return how many horizons the kernel granted."""
+    grants = 0
+    run_until = Node.run_until
+
+    def counting_run_until(node, horizon_cycles):
+        nonlocal grants
+        grants += 1
+        return run_until(node, horizon_cycles)
+
+    Node.run_until = counting_run_until
+    try:
+        network.run(seconds)
+    finally:
+        Node.run_until = run_until
+    return grants
+
+
 def measure() -> dict:
-    seconds = SMOKE_SECONDS if _smoke() else SIM_SECONDS
-    node_counts = SMOKE_NODE_COUNTS if _smoke() else NODE_COUNTS
     program = Workbench().build_result(APP, BASELINE).program
 
     results: dict = {
         "app": APP,
-        "sim_seconds": seconds,
+        "sim_seconds": SIM_SECONDS,
         "topology": "chain",
         "max_kernel_overhead_asserted": MAX_KERNEL_OVERHEAD,
         "scaling": [],
@@ -130,13 +140,13 @@ def measure() -> dict:
     thread_free = _build_network(program, 1)
     gc.collect()  # keep collection pauses out of the ~25ms windows
     start = time.perf_counter()
-    thread_free.nodes[0].run(seconds)
+    thread_free.nodes[0].run(SIM_SECONDS)
     thread_free_wall = time.perf_counter() - start
 
     lockstep = _build_network(program, 1)
     gc.collect()
     start = time.perf_counter()
-    lockstep.run(seconds)
+    lockstep.run(SIM_SECONDS)
     lockstep_wall = time.perf_counter() - start
 
     assert _observe(thread_free) == _observe(lockstep), \
@@ -152,11 +162,11 @@ def measure() -> dict:
     }
 
     # -- node-count scaling under the lockstep kernel -----------------------
-    for count in node_counts:
+    for count in NODE_COUNTS:
         network = _build_network(program, count)
         gc.collect()
         start = time.perf_counter()
-        network.run(seconds)
+        grants = _run_counting_grants(network, SIM_SECONDS)
         wall = time.perf_counter() - start
         statements = sum(node.interpreter.statements_executed
                          for node in network.nodes)
@@ -166,9 +176,10 @@ def measure() -> dict:
             "wall_s": round(wall, 4),
             "statements": statements,
             "statements_per_sec": round(statements / max(wall, 1e-9)),
+            "grants": grants,
             "delivered_packets": network.delivered_packets,
             "node_seconds_per_wall_second":
-                round(count * seconds / max(wall, 1e-9), 1),
+                round(count * SIM_SECONDS / max(wall, 1e-9), 1),
             "superblock_fused_fraction": superblocks["fused_fraction"],
         })
     # Every node of every network above shared the same plans: the front
@@ -197,11 +208,13 @@ def format_table(results: dict) -> str:
         f"per-extra-node compile {cache['extra_node_compile_s']}s vs "
         f"{cache['first_node_compile_s']}s cold "
         f"({cache['compile_amortization']}x amortized)",
-        f"{'nodes':>6} {'wall (s)':>9} {'stmts/s':>12} {'delivered':>10}",
+        f"{'nodes':>6} {'wall (s)':>9} {'stmts/s':>12} {'grants':>8} "
+        f"{'delivered':>10}",
     ]
     for row in results["scaling"]:
         lines.append(f"{row['nodes']:>6} {row['wall_s']:>9} "
                      f"{row['statements_per_sec']:>12,} "
+                     f"{row['grants']:>8,} "
                      f"{row['delivered_packets']:>10}")
     return "\n".join(lines)
 

@@ -351,7 +351,9 @@ class Network:
             # A peer may now react to this packet: the earliest possible
             # response transmission completes one minimum air time after
             # the delivery and lands one minimum latency later.  Pull the
-            # sender's pause horizon in so it does not outrun the answer.
+            # sender's pause horizon in so it does not outrun the answer:
+            # its grant assumed the receiver's next wake-up, which this
+            # packet may precede by far.
             sender.shrink_pause(earliest + self._air_min + self._lat_min)
 
     def _delivery(self, sender_id: int, receiver: Node, payload: bytes,
@@ -380,11 +382,14 @@ class Network:
 
         The scheduler repeatedly resumes the node with the smallest local
         clock and grants it a horizon no peer can beat: the earliest
-        instant any *other* node could land a packet on it (pending
-        transmission completions, next wake-up times, and the channel's
-        minimum air time and latency are all conservative bounds).  With a
-        single node the horizon is the end of the simulation, making the
-        run byte-identical to the thread-free :meth:`Node.run`.
+        instant any *other* node could land a packet on it
+        (:meth:`_earliest_effect`).  A sleeping peer bounds it only at its
+        next real wake-up, so one grant can span many latency windows; a
+        transmission mid-grant pulls the sender's horizon back in, and a
+        packet that would still land in a parked receiver's past raises
+        :class:`~repro.avrora.node.CausalityError` here.  With a single
+        node the horizon is the end of the simulation, making the run
+        byte-identical to the thread-free :meth:`Node.run`.
         """
         if not self.nodes:
             return
@@ -418,7 +423,15 @@ class Network:
         self.deliveries.sort(key=self.canonical_delivery_order)
 
     def _earliest_effect(self, peer: Node) -> float:
-        """Earliest instant ``peer`` could land a packet on another node."""
+        """Earliest instant ``peer`` could land a packet on another node.
+
+        A transmission in flight lands one minimum latency after it
+        completes.  Otherwise the peer must first act — at its earliest
+        real event if it is parked asleep (a timer or a queued delivery,
+        :meth:`Node.next_action_cycles`), at once if it is mid-computation
+        — and then send at least one byte: one minimum air time plus one
+        minimum latency later.
+        """
         bound = math.inf
         radio = peer.radio
         if radio.transmitting:

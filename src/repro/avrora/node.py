@@ -55,6 +55,16 @@ class SafetyFault(Exception):
     """An unchecked memory error occurred (only possible in unsafe builds)."""
 
 
+class CausalityError(RuntimeError):
+    """A packet would land in the past of a receiver parked at its horizon.
+
+    Raised by :meth:`Node.schedule_delivery`: the lockstep scheduler granted
+    some node a horizon past the instant a peer could still reach it, so
+    the receiver already ran beyond the delivery.  The run is wrong from
+    that point on; this is a kernel bug, not a program failure.
+    """
+
+
 class _SimulationFinished(Exception):
     """Internal: the simulation time limit was reached."""
 
@@ -190,10 +200,10 @@ class Node:
                     callback: Callable[[], None]) -> None:
         """Schedule ``callback`` at an absolute local time.
 
-        Used by the network to deliver cross-node packets: the lockstep
-        scheduler guarantees ``when_cycles`` is never in this node's past,
-        but a delivery landing exactly on the current cycle is legal and
-        fires at the next poll.
+        The caller keeps ``when_cycles`` out of this node's past (the fault
+        injector clamps it to the next cycle).  Cross-node packets go
+        through :meth:`schedule_delivery` instead, which enforces the same
+        rule against a lockstep scheduler that would break it.
         """
         heapq.heappush(self._event_queue,
                        (when_cycles, next(self._event_seq), callback))
@@ -210,7 +220,18 @@ class Node:
         when this queue learned about it — which keeps event order
         identical however the scheduler's grants interleave the sender
         and the receiver (grant-schedule invariance).
+
+        A delivery below the horizon of a receiver parked at its pause gate
+        would land in its past.  Only an unsound lookahead causes that, and
+        it raises :class:`CausalityError`, which :meth:`run_until`
+        re-raises on the scheduler.  A delivery at the horizon or above is
+        legal: it joins the unopened batch there.
         """
+        if self._status == "paused" and when_cycles < self.pause_cycles:
+            raise CausalityError(
+                f"packet from node {sender_id} would land on node "
+                f"{self.node_id} at cycle {when_cycles}, below the horizon "
+                f"{self.pause_cycles} it is parked at")
         heapq.heappush(
             self._event_queue,
             (when_cycles,
@@ -222,27 +243,6 @@ class Node:
         while self._event_queue and self._event_queue[0][0] <= self.time_cycles:
             _when, _seq, callback = heapq.heappop(self._event_queue)
             callback()
-
-    def next_event_cycles(self) -> Optional[int]:
-        """Local time of the next queued event, or ``None`` when idle.
-
-        The cheap probe behind the compiled engine's superblock poll-window
-        guard: anything that must interrupt straight-line execution — due
-        events, lockstep horizon sentinels (``run_until`` and
-        ``shrink_pause`` always queue one at the pause horizon), packet
-        deliveries — appears on the event queue, so "no event before
-        ``time + block_cycles``" proves a fused block cannot skip an
-        observable poll.  Trace superblocks guard with their *worst-case*
-        window (inlined callee branches take the more expensive side), so
-        the proof covers every dynamic path.  The engine inlines this
-        expression into its guard ops; keep the two in sync.
-        """
-        queue = self._event_queue
-        return queue[0][0] if queue else None
-
-    def interrupt_pending(self) -> bool:
-        """Whether any raised interrupt awaits delivery (the guard's twin)."""
-        return bool(self.pending_interrupts)
 
     # -- cycle accounting ----------------------------------------------------------------
 
@@ -311,7 +311,19 @@ class Node:
                 raise _SimulationFinished()
 
     def _sleep_gate(self) -> None:
-        """Park at the pause gate while flagged as idle (asleep)."""
+        """Park at the pause gate while flagged as idle (asleep).
+
+        Drops the horizon sentinels at the head of the queue first, so the
+        head is the node's earliest real event (a timer or a queued
+        delivery) for :meth:`next_action_cycles`.  Every sentinel queued
+        on a node parked asleep is spent: the one at its clock was reached,
+        and a later one belongs to a horizon that :meth:`shrink_pause`
+        superseded.  Each sentinel is pushed once and popped at most once,
+        so this costs amortised O(1) per grant.
+        """
+        queue = self._event_queue
+        while queue and queue[0][2] is _noop:
+            heapq.heappop(queue)
         self._paused_in_sleep = True
         try:
             self._pause_gate()
@@ -535,10 +547,13 @@ class Node:
         """Earliest local time at which this node could *initiate* anything.
 
         The lockstep scheduler uses this for lookahead: a node parked in
-        its sleep loop cannot act before its next queued event (or an
+        its sleep loop cannot act before its next real event (or an
         undelivered interrupt), while a node paused mid-computation can
-        act as soon as it resumes.  ``None`` means the node is idle with
-        an empty queue — only external input can ever wake it.
+        act as soon as it resumes.  :meth:`_sleep_gate` dropped the spent
+        horizon sentinels before parking, so the queue head *is* that
+        event — a local timer or a queued delivery — and the probe stays
+        O(1).  ``None`` means the node is idle with an empty queue — only
+        external input can ever wake it.
         """
         if self._paused_in_sleep and not self.pending_interrupts:
             if self._event_queue:
@@ -551,8 +566,9 @@ class Node:
 
         The network invokes this when a transmission during the current
         slice makes an earlier peer reaction possible than the horizon
-        assumed.  Runs on the node's own execution thread, so mutating the
-        queue and horizon is race-free.
+        assumed: the grant may reach a sleeping receiver's next wake-up,
+        long past its reply to this packet.  Runs on the node's own
+        execution thread, so mutating the queue and horizon is race-free.
         """
         horizon = max(int(horizon_cycles), self.time_cycles + 1)
         if horizon >= self.end_cycles:
@@ -590,7 +606,7 @@ class Node:
             self._status = "finished"
         except MemoryError_ as fault:
             self._run_error = SafetyFault(str(fault))
-        except BaseException as error:  # pragma: no cover - defensive
+        except BaseException as error:  # e.g. CausalityError
             self._run_error = error
         finally:
             self._paused_evt.set()

@@ -2,7 +2,8 @@
 
 Covers the discrete-event scheduler (resumable ``run_until`` slices must
 not change what a node computes, and neither may a tighter grant
-schedule across a whole network), the channel model (topology wiring,
+schedule across a whole network), the causality check that turns an
+unsound lookahead into an error, the channel model (topology wiring,
 seeded loss), and the acceptance scenario: a packet originated at a leaf
 Surge mote reaching the base station through an intermediate hop in a
 ``chain`` topology with causally ordered delivery timestamps.
@@ -10,12 +11,14 @@ Surge mote reaching the base station through an intermediate hop in a
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.api.workbench import Workbench
 from repro.avrora.memory import Pointer
 from repro.avrora.network import Channel, Network, simulate
-from repro.avrora.node import Node
+from repro.avrora.node import _DELIVERY_SEQ_BASE, CausalityError, Node
 from repro.cminor import typesys as ty
 from repro.tinyos import hardware as hw
 from repro.tinyos import messages as msgs
@@ -301,6 +304,9 @@ class TestReproducibility:
 #: stays conservative: a smaller horizon never lets a node outrun a packet.
 TIGHT_WINDOW_CYCLES = 2503
 
+#: Seed of the random grant cut, per engine: two different cut sequences.
+CUT_SEEDS = {"compiled": 1, "tree": 2}
+
 
 @pytest.fixture(scope="module")
 def cnt_program():
@@ -308,73 +314,245 @@ def cnt_program():
                                     BASELINE).program
 
 
-#: (application, simulated seconds, node count, channel) per field.
-#: Surge's first beacons go out just after 2 s, hence 2.5 simulated seconds.
+#: (application, simulated seconds, node count, channel, schedules) per
+#: field.  Surge's first beacons go out just after 2 s, hence 2.5 simulated
+#: seconds.  Only Surge transmits in reaction to the packets it receives,
+#: so its fields are the ones an unsound lookahead can reorder.  The
+#: capped schedule would cost the grid field ~37k more grants, nearly all
+#: in Surge's quiet first two seconds, so that field runs only the cut one.
 FIELDS = {
     "surge_lossy_chain": ("Surge_Mica2", 2.5, 8,
                           dict(topology="chain", loss=0.15, seed=5,
-                               jitter_us=40)),
+                               jitter_us=40), ("tight", "cut")),
+    "surge_lossy_grid": ("Surge_Mica2", 2.5, 6,
+                         dict(topology="grid", grid_width=3, loss=0.1,
+                              seed=7), ("cut",)),
     "cnt_to_rfm_grid": ("CntToLedsAndRfm_Mica2", 1.0, 6,
                         dict(topology="grid", grid_width=3, loss=0.1,
-                             seed=11)),
+                             seed=11), ("tight", "cut")),
 }
 
 
+def _app_network(program, app, node_count, channel, engine) -> Network:
+    network = Network(traffic=duty_cycle_context(app),
+                      channel=Channel(**channel))
+    for node_id in range(node_count):
+        node = Node(program, node_id=node_id, engine=engine)
+        node.boot()
+        network.add_node(node)
+    return network
+
+
+def _random_cut(seed: int):
+    """A seeded grant cut: lowers each horizon to a random safe point.
+
+    Each grant becomes a uniform point in ``[clock + 1, bound]``, the cycle
+    of a delivery already queued on the node, or the bound itself.  Any
+    horizon at or below the kernel's bound is conservative.
+    """
+    rng = random.Random(seed)
+
+    def cut(node: Node, bound: int) -> int:
+        low = node.time_cycles + 1
+        if bound <= low:
+            return bound
+        pick = rng.randrange(3)
+        if pick == 0:
+            return rng.randint(low, bound)
+        if pick == 1:
+            arrivals = [when for when, seq, _ in node._event_queue
+                        if seq >= _DELIVERY_SEQ_BASE and low <= when <= bound]
+            if arrivals:
+                return rng.choice(arrivals)
+        return bound
+
+    return cut
+
+
+#: A sender that transmits one full TOS-sized frame every 13 jiffies.
+LATE_SENDER = """
+uint8_t i = 0;
+
+__interrupt("TIMER1_COMPA") void tick(void) {
+  i = 0;
+  while (i < 36) {
+    __hw_write8(%d, i);
+    i = i + 1;
+  }
+  __hw_write8(%d, 36);
+}
+
+__spontaneous void main(void) {
+  __hw_write16(%d, 13);
+  __hw_write8(%d, 1);
+  __enable_interrupts();
+  while (1) {
+    __sleep();
+  }
+}
+""" % (hw.RADIO_TXBUF, hw.RADIO_TXGO, hw.TIMER_RATE, hw.TIMER_CTRL)
+
+#: A receiver that never sleeps: each loop iteration writes a UART byte,
+#: whose completion event falls ~1,250 cycles later, inside the iteration's
+#: ~2,000-cycle division statement.  A grant cut lands mid-statement, so
+#: the node overshoots it.  Whether a packet is handled before or after a
+#: UART event decides the LED toggles, so a delivery that misses the batch
+#: it was due in shows in the fingerprint.
+LATE_RECEIVER = """
+uint32_t a = 4000000000;
+uint32_t b = 3;
+uint32_t x = 0;
+uint16_t ticks = 0;
+uint8_t leds = 0;
+
+__interrupt("RADIO_RX") void received(void) {
+  uint8_t n = __hw_read8(%d);
+  while (n > 0) {
+    __hw_read8(%d);
+    n = n - 1;
+  }
+  if (ticks & 1) {
+    leds = leds ^ 1;
+    __hw_write8(%d, leds);
+  }
+}
+
+__interrupt("UART_TX") void uart_done(void) {
+  ticks = ticks + 1;
+}
+
+__spontaneous void main(void) {
+  __hw_write8(%d, 3);
+  __enable_interrupts();
+  while (1) {
+    __hw_write8(%d, 0);
+    x = a / b / b / b / b / b / b / b / b / b / b / b / b;
+  }
+}
+""" % (hw.RADIO_RXLEN, hw.RADIO_RXBUF, hw.LED_PORT, hw.RADIO_CTRL,
+       hw.UART_DATA)
+
+
+@pytest.fixture(scope="module")
+def late_delivery_programs():
+    sender = make_program(LATE_SENDER)
+    sender.interrupt_vectors["TIMER1_COMPA"] = "tick"
+    receiver = make_program(LATE_RECEIVER)
+    receiver.interrupt_vectors["RADIO_RX"] = "received"
+    receiver.interrupt_vectors["UART_TX"] = "uart_done"
+    return sender, receiver
+
+
 class TestGrantScheduleInvariance:
-    """A tighter grant schedule moves where nodes pause, nothing else.
+    """A different conservative grant schedule moves where nodes pause,
+    nothing else.
 
     Each seeded field runs once under the kernel's own lookahead (compiled
-    engine), then once per engine with ``Network._earliest_effect`` capped
-    at :data:`TIGHT_WINDOW_CYCLES` past each peer's clock.  The delivery
-    log, per-node statements, cycles, duty cycles and packet counts must
-    be byte-equal — what ``Channel.packet_fate``'s hash, the delivery
-    sequence band and park-before-batch guarantee.  Grant counts depend on
-    the schedule only, not on the engine, so the tree engine's tight run
-    is held to the same reference.
+    engine), then once per engine under each of its other schedules:
+    ``"tight"`` caps ``Network._earliest_effect`` at
+    :data:`TIGHT_WINDOW_CYCLES` past each peer's clock, and ``"cut"``
+    lowers every grant with :func:`_random_cut`.  The delivery log, per-node statements, cycles,
+    duty cycles and packet counts must be byte-equal — what
+    ``Channel.packet_fate``'s hash, the delivery sequence band and
+    park-before-batch guarantee.  Grant counts depend on the schedule
+    only, not on the engine, so the tree engine's runs are held to the
+    same reference.
     """
 
     @staticmethod
-    def _run(program, app, seconds, node_count, channel, engine,
-             monkeypatch, tight: bool) -> tuple[dict, int]:
+    def _run(make_network, seconds, engine, monkeypatch,
+             schedule: str) -> tuple[dict, int]:
         grants = 0
         run_until = Node.run_until
+        cut = _random_cut(CUT_SEEDS[engine]) if schedule == "cut" else None
 
         def counting_run_until(node, horizon_cycles):
             nonlocal grants
             grants += 1
+            if cut is not None:
+                horizon_cycles = cut(node, horizon_cycles)
             return run_until(node, horizon_cycles)
 
         with monkeypatch.context() as patch:
             patch.setattr(Node, "run_until", counting_run_until)
-            if tight:
+            if schedule == "tight":
                 natural = Network._earliest_effect
                 patch.setattr(
                     Network, "_earliest_effect",
                     lambda network, peer: min(
                         natural(network, peer),
                         peer.time_cycles + TIGHT_WINDOW_CYCLES))
-            network = Network(traffic=duty_cycle_context(app),
-                              channel=Channel(**channel))
-            for node_id in range(node_count):
-                node = Node(program, node_id=node_id, engine=engine)
-                node.boot()
-                network.add_node(node)
+            network = make_network(engine)
             network.run(seconds)
         return _fingerprint(network), grants
 
     @pytest.mark.parametrize("field_name", sorted(FIELDS))
     def test_tighter_lookahead_is_byte_identical(
             self, field_name, surge_program, cnt_program, monkeypatch):
-        app, seconds, node_count, channel = FIELDS[field_name]
+        app, seconds, node_count, channel, schedules = FIELDS[field_name]
         program = surge_program if app == "Surge_Mica2" else cnt_program
-        field = (program, app, seconds, node_count, channel)
+
+        def make_network(engine):
+            return _app_network(program, app, node_count, channel, engine)
+
         natural, natural_grants = self._run(
-            *field, "compiled", monkeypatch, tight=False)
+            make_network, seconds, "compiled", monkeypatch, "natural")
         # The field must exchange packets (and lose some) for the
         # comparison to mean anything.
         assert natural["deliveries"] and natural["lost"]
         for engine in ("compiled", "tree"):
-            tight, tight_grants = self._run(
-                *field, engine, monkeypatch, tight=True)
-            assert tight_grants > natural_grants, engine
-            assert tight == natural, engine
+            for schedule in schedules:
+                other, grants = self._run(
+                    make_network, seconds, engine, monkeypatch, schedule)
+                if schedule == "tight":
+                    # The kernel's own grants reach a sleeper's next real
+                    # event, so the capped schedule needs far more.
+                    assert grants >= 20 * natural_grants, engine
+                else:
+                    assert grants > natural_grants, engine
+                assert other == natural, (engine, schedule)
+
+    def test_late_delivery_joins_the_overshot_batch(
+            self, late_delivery_programs, monkeypatch):
+        """The kernel grants the receiver up to the exact cycle a packet
+        lands, and the receiver overshoots that cycle mid-statement
+        before the sender has even transmitted.  The packet must still
+        join the batch due at the overshot clock, ahead of any later
+        local event in it; opening ``poll``'s batch before its gate
+        breaks that only under some schedules, so they must all agree.
+        """
+        def make_network(engine):
+            network = Network(channel=Channel(topology="chain"))
+            for node_id, program in enumerate(late_delivery_programs):
+                node = Node(program, node_id=node_id, engine=engine)
+                node.boot()
+                network.add_node(node)
+            return network
+
+        natural, _ = self._run(
+            make_network, 0.5, "compiled", monkeypatch, "natural")
+        receiver = natural["nodes"][1]
+        assert receiver["packets_received"] and receiver["led_changes"]
+        for engine in ("compiled", "tree"):
+            for schedule in ("tight", "cut"):
+                other, _ = self._run(
+                    make_network, 0.5, engine, monkeypatch, schedule)
+                assert other == natural, (engine, schedule)
+
+
+class TestCausalityCheck:
+    def test_an_outrun_reply_raises_a_labelled_error(
+            self, surge_program, monkeypatch):
+        """Without ``shrink_pause`` a transmitting node outruns its peers'
+        replies under the kernel's own lookahead; the receiver-side check
+        turns the reordered packet into an error naming both nodes."""
+        app, seconds, node_count, channel, _ = FIELDS["surge_lossy_grid"]
+        monkeypatch.setattr(Node, "shrink_pause",
+                            lambda node, horizon_cycles: None)
+        network = _app_network(surge_program, app, node_count, channel,
+                               "compiled")
+        with pytest.raises(CausalityError,
+                           match=r"packet from node \d+ would land on node "
+                                 r"\d+ at cycle \d+, below the horizon "
+                                 r"\d+ it is parked at"):
+            network.run(seconds)
