@@ -124,6 +124,13 @@ def validated(factory):
         raise UsageError(message) from error
 
 
+def non_negative(value: Optional[int], flag: str) -> Optional[int]:
+    """``value`` of ``flag``, or a usage error when it is negative."""
+    if value is not None and value < 0:
+        raise UsageError(f"{flag} must be >= 0, got {value}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Output formatting
 # ---------------------------------------------------------------------------
@@ -205,10 +212,6 @@ def format_sim_record(record: SimRecord) -> str:
                 f"{superblocks.get('inlined_call_sites', 0):,} call sites "
                 f"inlined, {superblocks.get('inlined_calls', 0):,} calls "
                 f"executed inline")
-    cache = record.code_cache
-    if cache.get("functions"):
-        lines.append(f"  plan cache : {cache['functions']} plans, "
-                     f"{cache.get('lowerings', 0)} lowered")
     if record.packets_sent:
         lines.append(
             f"  radio tx   : " + ", ".join(map(str, record.packets_sent)) +
@@ -257,8 +260,9 @@ def cmd_sweep(args, workbench: Workbench, out) -> int:
     spec = validated(lambda: SweepSpec(
         apps=tuple(resolve_apps(args.apps)),
         variants=tuple(resolve_variants(args.variants))))
-    if args.processes:
-        records = workbench.submit(spec, processes=args.processes).result()
+    processes = non_negative(args.processes, "--processes")
+    if processes:
+        records = workbench.submit(spec, processes=processes).result()
     else:
         records = workbench.sweep(spec)
     payload = {"spec": spec.to_dict(),
@@ -336,17 +340,17 @@ def cmd_scenarios(args, workbench: Workbench, out) -> int:
 
 
 def cmd_gc(args, workbench: Workbench, out) -> int:
+    budget = non_negative(args.budget_bytes, "--budget-bytes")
     store = ArtifactStore(args.store, schema=SCHEMA_VERSION)
-    report = store.gc(args.budget_bytes)
+    report = store.gc(budget)
     if args.json:
         _emit_json(report, out)
     else:
-        budget = report["budget_bytes"]
         out.write(
             f"{args.store}: {report['entries']} entrie(s), "
             f"{report['bytes_before']} -> {report['bytes_after']} bytes "
             f"({report['evicted']} evicted, budget "
-            f"{'none' if budget < 0 else budget})\n")
+            f"{'none' if budget is None else budget})\n")
     return 0
 
 

@@ -37,6 +37,9 @@ class BuildRecord:
         passes: Names of the executed passes, in order (empty when the
             producing sweep carried summaries only).
         wall_time_s: Build wall time attributed to this build's pass list.
+
+    ``passes`` and ``wall_time_s`` are telemetry of the session that ran
+    the build, so they take no part in equality or hashing.
     """
 
     app: str
@@ -46,8 +49,8 @@ class BuildRecord:
     ram_bytes: int
     checks_inserted: int
     checks_surviving: int
-    passes: tuple[str, ...] = ()
-    wall_time_s: float = 0.0
+    passes: tuple[str, ...] = field(default=(), compare=False)
+    wall_time_s: float = field(default=0.0, compare=False)
 
     @property
     def checks_removed(self) -> int:
@@ -143,19 +146,15 @@ class SimRecord:
         superblocks: Engine superblock/fast-path statistics summed over
             every node (``Network.superblock_stats``): fused statement
             counts, fast/slow entry counts, burst iterations and the
-            fused fraction.  Empty for records predating the field.
-        code_cache: Lowering telemetry: the program's in-process
-            ``CodeCache`` counters (``functions``, ``lowerings``,
-            ``plan_hits``), cumulative over every simulation the session
-            ran on that build.  Execution telemetry: not part of the
-            simulation's identity, so it takes no part in equality.
-            Empty for records predating the field.
+            fused fraction.  Execution telemetry: the fast/slow split
+            depends on the engine and on where grants paused the nodes,
+            so it takes no part in equality or hashing.  Empty for
+            records predating the field.
 
     Records written by older versions may carry ``workers``, ``shards``
     and ``recovery`` keys (telemetry of a since-removed multi-process
-    kernel); :meth:`from_dict` ignores them.  Their ``code_cache`` may
-    also carry counters of a since-removed persistent lowering-plan
-    store; they load as they are.
+    kernel) and a ``code_cache`` key (session-wide lowering counters);
+    :meth:`from_dict` ignores them.
     """
 
     app: str
@@ -174,11 +173,7 @@ class SimRecord:
     injected_uart: tuple[int, ...] = ()
     packets_delivered: int = 0
     packets_lost: int = 0
-    #: hash=False keeps the frozen record hashable (dicts are not).
-    #: ``superblocks`` still participates in equality; ``code_cache``,
-    #: whose counters depend on what the session ran before, does not.
-    superblocks: dict = field(default_factory=dict, hash=False)
-    code_cache: dict = field(default_factory=dict, hash=False, compare=False)
+    superblocks: dict = field(default_factory=dict, compare=False)
 
     @property
     def duty_cycle(self) -> float:
@@ -209,7 +204,6 @@ class SimRecord:
             "halted": self.halted,
             "led_changes": self.led_changes,
             "superblocks": dict(self.superblocks),
-            "code_cache": dict(self.code_cache),
         }
 
     @classmethod
@@ -232,7 +226,6 @@ class SimRecord:
             halted=data["halted"],
             led_changes=data["led_changes"],
             superblocks=dict(data.get("superblocks", {})),
-            code_cache=dict(data.get("code_cache", {})),
         )
 
 
@@ -259,8 +252,9 @@ class ScenarioRecord:
             (failure totals, halted/diverged node positions, memory
             violations), read from node state only.
         golden: Golden-run cache statistics of the producing runner:
-            ``{"runs": ..., "cache_hits": ...}``.  Execution telemetry,
-            not identity.
+            ``{"runs": ..., "cache_hits": ...}``.  Execution telemetry: a
+            warm runner reports hits where a cold one reports runs, so it
+            takes no part in equality or hashing.
 
     An older record's ``workers`` key is ignored on load, like
     :class:`SimRecord`'s.
@@ -276,7 +270,7 @@ class ScenarioRecord:
     faults: tuple[str, ...]
     verdicts: tuple[tuple[str, ...], ...]
     details: dict = field(default_factory=dict, hash=False)
-    golden: dict = field(default_factory=dict, hash=False)
+    golden: dict = field(default_factory=dict, compare=False)
 
     def verdict(self, fault: str, variant: str) -> str:
         """The verdict for one (fault label, variant) cell."""

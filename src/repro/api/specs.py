@@ -18,13 +18,12 @@ inside the simulator.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.avrora.network import TOPOLOGIES
 from repro.scenarios.faults import FaultPlan
+from repro.store.artifacts import content_digest
 from repro.tinyos import suite
 from repro.toolchain.contexts import DEFAULT_DUTY_CYCLE_SECONDS
 from repro.toolchain.lower import variant_passes
@@ -56,11 +55,6 @@ def variant_pass_keys(variant_name: str) -> tuple[str, ...]:
     return tuple(pass_.cache_key(variant) for pass_ in variant_passes(variant))
 
 
-def _digest(material: dict) -> str:
-    canonical = json.dumps(material, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
-
 def _check_app(app: str) -> None:
     if app not in suite.FIGURE_APPS:
         raise KeyError(f"unknown application {app!r}; known: "
@@ -86,13 +80,13 @@ class BuildSpec:
         ``fig2-ccured-inline-cxprop-gcc``) and would otherwise collide,
         returning records labelled with the other variant's name.
         """
-        return _digest({
+        return content_digest({
             "schema": SCHEMA_VERSION,
             "kind": "build",
             "app": self.app,
             "variant": self.variant,
             "passes": list(variant_pass_keys(self.variant)),
-        })
+        })[:16]
 
     def to_dict(self) -> dict[str, object]:
         return {"kind": "build", "schema": SCHEMA_VERSION,
@@ -130,11 +124,11 @@ class SweepSpec:
                 for app in self.apps for variant in self.variants]
 
     def content_key(self) -> str:
-        return _digest({
+        return content_digest({
             "schema": SCHEMA_VERSION,
             "kind": "sweep",
             "builds": [spec.content_key() for spec in self.build_specs()],
-        })
+        })[:16]
 
     def to_dict(self) -> dict[str, object]:
         return {"kind": "sweep", "schema": SCHEMA_VERSION,
@@ -219,7 +213,7 @@ class SimSpec:
         return BuildSpec(app=self.app, variant=self.variant)
 
     def content_key(self) -> str:
-        return _digest({
+        return content_digest({
             "schema": SCHEMA_VERSION,
             "kind": "sim",
             "build": self.build_spec().content_key(),
@@ -229,7 +223,7 @@ class SimSpec:
             "topology": self.topology,
             "loss": self.loss,
             "seed": self.seed,
-        })
+        })[:16]
 
     def to_dict(self) -> dict[str, object]:
         return {"kind": "sim", "schema": SCHEMA_VERSION,
@@ -347,7 +341,7 @@ class ScenarioSpec:
                 for variant in self.variants]
 
     def content_key(self) -> str:
-        return _digest({
+        return content_digest({
             "schema": SCHEMA_VERSION,
             "kind": "scenario",
             "builds": [spec.content_key() for spec in self.build_specs()],
@@ -358,7 +352,7 @@ class ScenarioSpec:
             "topology": self.topology,
             "loss": self.loss,
             "seed": self.seed,
-        })
+        })[:16]
 
     def to_dict(self) -> dict[str, object]:
         return {"kind": "scenario", "schema": SCHEMA_VERSION,

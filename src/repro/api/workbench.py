@@ -105,8 +105,6 @@ class Workbench:
     """Cache-routed execution engine for builds, sweeps and simulations.
 
     Args:
-        processes: Default worker-process count for :meth:`submit`
-            (defaults to ``min(4, cpu_count)`` at submit time).
         store: Persistent artifact store — a directory path or a
             :class:`repro.store.ArtifactStore` — shared across sessions.
             Records are looked up there before any pass runs (a warm hit
@@ -116,9 +114,8 @@ class Workbench:
             front-end snapshot instead of re-flattening.
     """
 
-    def __init__(self, *, processes: Optional[int] = None,
+    def __init__(self, *,
                  store: Union[str, os.PathLike, ArtifactStore, None] = None):
-        self.processes = processes
         if store is not None and not isinstance(store, ArtifactStore):
             store = ArtifactStore(os.fspath(store), schema=SCHEMA_VERSION)
         self.store: Optional[ArtifactStore] = store
@@ -248,10 +245,12 @@ class Workbench:
         """Run a sweep concurrently on the process pool; returns a future.
 
         The future resolves to the sweep's records in (app, variant) order.
-        Pooled builds carry summaries only — use :meth:`build_result` when a
-        program or image is needed (it rebuilds in-process).
+        ``processes`` worker processes run it (default
+        ``min(4, cpu_count)``).  Pooled builds carry summaries only — use
+        :meth:`build_result` when a program or image is needed (it
+        rebuilds in-process).
         """
-        workers = processes or self.processes or min(4, os.cpu_count() or 1)
+        workers = processes or min(4, os.cpu_count() or 1)
 
         def run_pooled() -> list[BuildRecord]:
             specs = spec.build_specs()
@@ -339,7 +338,6 @@ class Workbench:
                 result.program, seconds=spec.seconds,
                 node_count=spec.node_count, traffic=traffic, channel=channel,
                 traffic_first_node_only=(spec.traffic == TRAFFIC_BASE))
-            code_cache = result.program.analysis().code_cache().stats()
         stats = network.node_stats()
         record = SimRecord(
             app=spec.app,
@@ -359,7 +357,6 @@ class Workbench:
             halted=any(node.halted for node in network.nodes),
             led_changes=sum(node.leds.state.changes for node in network.nodes),
             superblocks=network.superblock_stats(),
-            code_cache=code_cache,
         )
         with self._lock:
             self._simulations_executed += 1

@@ -33,7 +33,6 @@ from repro.avrora.network import (
     Network,
     TOPOLOGIES,
     TrafficGenerator,
-    simulate,
 )
 
 __all__ = [
@@ -45,5 +44,4 @@ __all__ = [
     "Network",
     "TOPOLOGIES",
     "TrafficGenerator",
-    "simulate",
 ]

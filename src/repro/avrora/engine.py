@@ -503,25 +503,21 @@ ProgramAnalysisCache` (see :meth:`code_cache
     records).
     """
 
-    __slots__ = ("plans", "lowerings", "plan_hits", "costs")
+    __slots__ = ("plans", "lowerings", "plan_hits")
 
     def __init__(self) -> None:
         self.plans: dict[str, FunctionPlan] = {}
         self.lowerings = 0
         self.plan_hits = 0
-        #: The cost model the cached plans were costed with.  Plans bake
-        #: per-statement cycle costs, so a node carrying a *different*
-        #: model (``Node(costs=...)`` accepts arbitrary ones, e.g. for a
-        #: sensitivity study) must lower privately instead of sharing;
-        #: CostModel is a frozen dataclass, so equality is by value.
-        self.costs = None
 
     def plan_for(self, func: ast.FunctionDef, program: Program,
                  costs) -> FunctionPlan:
-        if self.costs is None:
-            self.costs = costs
-        elif self.costs != costs:
-            return _build_plan(func, program, costs)
+        """The shared plan for ``func``, lowered with ``costs`` on a miss.
+
+        A cache belongs to one program, and every node simulating it costs
+        statements with ``cost_model_for(program.platform)``, so one plan
+        per function serves them all.
+        """
         plan = self.plans.get(func.name)
         if plan is None:
             plan = _build_plan(func, program, costs)
@@ -537,13 +533,6 @@ ProgramAnalysisCache` (see :meth:`code_cache
             self.plans.clear()
         else:
             self.plans.pop(func_name, None)
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "functions": len(self.plans),
-            "lowerings": self.lowerings,
-            "plan_hits": self.plan_hits,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -679,10 +668,6 @@ class CompiledEngine:
             "fused_fraction": round(fused / total, 4) if total else 0.0,
         }
 
-    def code_cache_stats(self) -> dict[str, int]:
-        """Shared code-cache counters (see :class:`CodeCache`)."""
-        return self.code_cache.stats()
-
     def compile_program(self) -> int:
         """Lower every program function now (normally lazy); returns count.
 
@@ -803,8 +788,6 @@ class CompiledEngine:
         try:
             return self.memory.read(pointer, ctype)
         except MemoryError_:
-            if self.node.strict_memory:
-                raise
             self.node.memory_violations += 1
             return 0
 
@@ -813,8 +796,6 @@ class CompiledEngine:
         try:
             self.memory.write(pointer, ctype, value)
         except MemoryError_:
-            if self.node.strict_memory:
-                raise
             self.node.memory_violations += 1
 
     # -- dynamic fallbacks (rare paths kept out of the fast closures) ------------
@@ -1027,11 +1008,11 @@ class _FunctionCompiler:
 
         Emits a guard op followed by the unchanged per-statement ops.  The
         guard checks the **poll window**: if the node's next queued event
-        (horizon sentinels included), the end of simulated time, a pending
-        interrupt, or strict-memory mode could make any per-statement poll
-        or end-check observable inside the run's worst-case cycle window,
-        it falls through to the per-statement ops — execution is then
-        bit-for-bit today's.  Otherwise it runs the bare work closures
+        (horizon sentinels included), the end of simulated time or a
+        pending interrupt could make any per-statement poll or end-check
+        observable inside the run's worst-case cycle window, it falls
+        through to the per-statement ops — execution is then bit-for-bit
+        today's.  Otherwise it runs the bare work closures
         back-to-back, charges the static total plus whatever the inlined
         callees accumulated, bumps the statement counter once, and jumps
         past the slow path.
@@ -1055,8 +1036,7 @@ class _FunctionCompiler:
             t = _n.time_cycles
             limit = t + _max
             end = _n.end_cycles
-            if (_pi or (_eq and _eq[0][0] <= limit)
-                    or (end and limit >= end) or _n.strict_memory):
+            if _pi or (_eq and _eq[0][0] <= limit) or (end and limit >= end):
                 _sb[1] += 1
                 return _slow
             _sb[0] += 1
@@ -1143,7 +1123,7 @@ class _FunctionCompiler:
                   _sb=self._sb, _acc=self._acc, _chunk=_BURST_CHUNK,
                   _nxt=nxt) -> Op:
             def op(frame: list) -> int:
-                if _pi or _n.strict_memory:
+                if _pi:
                     return _nxt
                 t = _n.time_cycles
                 end = _n.end_cycles

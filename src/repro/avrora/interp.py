@@ -123,14 +123,6 @@ class Interpreter:
             "fused_fraction": 0.0,
         }
 
-    def code_cache_stats(self) -> dict:
-        """Shared code-cache counters (zeros for the tree-walker)."""
-        impl = self._impl
-        stats = getattr(impl, "code_cache_stats", None)
-        if stats is not None:
-            return stats()
-        return {"functions": 0, "lowerings": 0, "plan_hits": 0}
-
     def warm(self) -> int:
         """Precompile every program function (no-op for the tree-walker)."""
         compile_all = getattr(self._impl, "compile_program", None)
@@ -189,9 +181,6 @@ class TreeWalkInterpreter:
 
     def _address_taken_locals(self, func: ast.FunctionDef) -> frozenset[str]:
         return self._analysis.address_taken_locals(func)
-
-    def _locals_of(self, func: ast.FunctionDef) -> dict[str, ty.CType]:
-        return self._analysis.local_types(func)
 
     # -- statements -------------------------------------------------------------
 
@@ -321,19 +310,17 @@ class TreeWalkInterpreter:
     # -- raw memory access ----------------------------------------------------------
 
     def _memory_read(self, pointer: Pointer, ctype: ty.CType) -> RuntimeValue:
-        """Read memory; out-of-bounds reads on lenient nodes return zero.
+        """Read memory; an out-of-bounds read returns zero.
 
         On real hardware an unchecked out-of-bounds access silently reads or
         corrupts whatever lives next in SRAM.  The simulator's per-object
-        memory cannot reproduce the exact corruption pattern, so by default
-        it models the *silent* part — the access is absorbed and counted in
-        ``node.memory_violations`` — while ``strict_memory`` nodes raise.
+        memory cannot reproduce the exact corruption pattern, so it models
+        the *silent* part: the access is absorbed and counted in
+        ``node.memory_violations``.
         """
         try:
             return self.memory.read(pointer, ctype)
         except MemoryError_:
-            if self.node.strict_memory:
-                raise
             self.node.memory_violations += 1
             return 0
 
@@ -342,8 +329,6 @@ class TreeWalkInterpreter:
         try:
             self.memory.write(pointer, ctype, value)
         except MemoryError_:
-            if self.node.strict_memory:
-                raise
             self.node.memory_violations += 1
 
     # -- lvalues ------------------------------------------------------------------
@@ -612,10 +597,3 @@ class TreeWalkInterpreter:
             return self.node.call_builtin(name, args)
         result = self.call(name, args)
         return result if result is not None else 0
-
-    # -- frames ------------------------------------------------------------------------
-
-
-def build_frame_marker(func_name: str) -> dict[str, object]:
-    """A frame pre-populated with bookkeeping keys."""
-    return {"__function__": func_name}

@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
-from repro.cminor.program import Program
 from repro.avrora.devices import Radio
 from repro.avrora.node import Node
 from repro.tinyos import messages as msgs
@@ -495,28 +494,3 @@ class Network:
             })
         return stats
 
-
-def simulate(program: Program, seconds: float = 5.0, node_count: int = 1,
-             traffic: Optional[TrafficGenerator] = None,
-             engine: Optional[str] = None,
-             channel: Optional[Channel] = None) -> list[Node]:
-    """Simulate ``node_count`` nodes running one image, in lockstep.
-
-    Returns the simulated nodes; duty cycle, LED history, failure records,
-    device statistics and the per-node traffic generator
-    (``node.traffic_generator``) can be read from them.  ``engine`` selects
-    the execution engine (``"compiled"``/``"tree"``) for every node;
-    ``channel`` the topology and link model (default: lossless broadcast).
-    Broadcast networks number nodes from 1 (the historical convention);
-    every other topology numbers them from 0, so the first node is the
-    multihop base station (``TOS_LOCAL_ADDRESS == 0``).
-    """
-    channel = channel or Channel()
-    network = Network(traffic=traffic, channel=channel)
-    first_id = 1 if channel.topology == "broadcast" else 0
-    for index in range(node_count):
-        node = Node(program, node_id=first_id + index, engine=engine)
-        node.boot()
-        network.add_node(node)
-    network.run(seconds)
-    return network.nodes

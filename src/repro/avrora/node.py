@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 from repro.cminor import typesys as ty
 from repro.cminor.program import Program
-from repro.backend.target import CostModel, cost_model_for
+from repro.backend.target import cost_model_for
 from repro.avrora.devices import Adc, Clock, DeviceBus, Leds, Radio, Uart, \
     standard_devices
 from repro.avrora.interp import Interpreter
@@ -82,11 +82,10 @@ class Node:
     """One mote running one program image."""
 
     def __init__(self, program: Program, node_id: int = 1,
-                 costs: Optional[CostModel] = None,
                  engine: Optional[str] = None):
         self.program = program
         self.node_id = node_id
-        self.costs = costs or cost_model_for(program.platform)
+        self.costs = cost_model_for(program.platform)
         self.clock_hz = self.costs.platform.clock_hz
         self.cycles_per_jiffy = max(1, self.clock_hz // JIFFIES_PER_SECOND)
 
@@ -116,9 +115,6 @@ class Node:
         #: Out-of-bounds accesses absorbed by the lenient memory model (an
         #: unsafe build silently corrupting memory shows up here).
         self.memory_violations = 0
-        #: When True, unchecked out-of-bounds accesses raise SafetyFault
-        #: instead of being absorbed.
-        self.strict_memory = False
 
         self._event_queue: list[tuple[int, int, Callable[[], None]]] = []
         #: Event sequence numbers (heap tie-break), in insertion order.
@@ -501,8 +497,8 @@ class Node:
         Returns the node's status: ``"paused"`` (horizon reached),
         ``"finished"`` (simulated time exhausted, or the node halted),
         or ``"returned"`` (the program's entry returned).  Errors raised
-        by the program (e.g. :class:`SafetyFault` under strict memory)
-        re-raise here, on the caller.
+        on the execution thread (e.g. :class:`SafetyFault` for a null
+        dereference) re-raise here, on the caller.
         """
         if self._status in ("finished", "returned", "error"):
             return self._status

@@ -58,23 +58,6 @@ class MemoryImage:
         """Static RAM usage (the Figure 3(b) metric)."""
         return self.data_bytes + self.bss_bytes + self.string_ram_bytes
 
-    @property
-    def rom_bytes(self) -> int:
-        """Total flash usage: code, read-only strings, and data initializers."""
-        return self.text_bytes + self.string_rom_bytes + self.data_bytes + \
-            self.string_ram_bytes
-
-    def symbols_matching(self, prefix: str) -> dict[str, int]:
-        """Function and global sizes whose name starts with ``prefix``."""
-        sizes: dict[str, int] = {}
-        for name, size in self.function_sizes.items():
-            if name.startswith(prefix):
-                sizes[name] = size
-        for name, size in self.global_sizes.items():
-            if name.startswith(prefix):
-                sizes[name] = size
-        return sizes
-
     def footprint_of(self, origin_functions: set[str],
                      origin_globals: set[str]) -> tuple[int, int]:
         """(ROM, RAM) bytes attributable to the named symbols."""

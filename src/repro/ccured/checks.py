@@ -91,15 +91,6 @@ class CheckInventory:
     def add(self, site: CheckSite) -> None:
         self.sites.append(site)
 
-    def by_id(self, check_id: int) -> Optional[CheckSite]:
-        for site in self.sites:
-            if site.check_id == check_id:
-                return site
-        return None
-
-    def by_function(self, function: str) -> list[CheckSite]:
-        return [s for s in self.sites if s.function == function]
-
     def count(self) -> int:
         return len(self.sites)
 

@@ -31,14 +31,6 @@ class MessageStrategy(enum.Enum):
     TERSE = "terse"
     FLID = "flid"
 
-    @property
-    def uses_strings(self) -> bool:
-        return self is not MessageStrategy.FLID
-
-    @property
-    def strings_in_rom(self) -> bool:
-        return self is MessageStrategy.VERBOSE_ROM
-
 
 class RuntimeMode(enum.Enum):
     """Which CCured runtime library is linked into the program.

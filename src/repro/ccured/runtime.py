@@ -40,9 +40,6 @@ class RuntimeLibrary:
     functions: list[ast.FunctionDef] = field(default_factory=list)
     globals: list[ast.GlobalVar] = field(default_factory=list)
 
-    def function_names(self) -> set[str]:
-        return {f.name for f in self.functions}
-
     def add_to_program(self, program: Program) -> None:
         """Link the runtime into ``program`` (replacing earlier versions)."""
         for var in self.globals:
@@ -289,10 +286,3 @@ def build_runtime(config: CCuredConfig) -> RuntimeLibrary:
             func.attributes["inline"] = True
         library.functions.append(func)
     return library
-
-
-def runtime_symbol_names(program: Program) -> set[str]:
-    """Names of runtime functions and globals present in ``program``."""
-    names = {f.name for f in program.iter_functions() if f.origin == RUNTIME_UNIT}
-    names |= {v.name for v in program.iter_globals() if v.origin == RUNTIME_UNIT}
-    return names

@@ -14,8 +14,8 @@ subset of C with:
   and ``__progmem`` (flash-resident data).
 
 The package provides a lexer, a recursive-descent parser, a type checker,
-a control-flow graph builder, a CIL-style simplifier, and a pretty-printer
-that turns transformed programs back into CMinor source.
+a CIL-style simplifier, and a pretty-printer that turns transformed
+programs back into CMinor source.
 """
 
 from repro.cminor.errors import CMinorError, LexError, ParseError, TypeCheckError

@@ -407,10 +407,6 @@ class FunctionDef(Node):
         return bool(self.attributes.get("runtime"))
 
     @property
-    def is_check_helper(self) -> bool:
-        return bool(self.attributes.get("check"))
-
-    @property
     def always_inline(self) -> bool:
         return bool(self.attributes.get("inline"))
 

@@ -181,10 +181,6 @@ class Program:
     def lookup_builtin(self, name: str) -> Optional[ast.ExternFunction]:
         return self.builtins.get(name)
 
-    def has_symbol(self, name: str) -> bool:
-        return (name in self.globals or name in self.functions
-                or name in self.builtins)
-
     def iter_functions(self) -> Iterator[ast.FunctionDef]:
         return iter(list(self.functions.values()))
 

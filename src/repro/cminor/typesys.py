@@ -34,9 +34,6 @@ class CType:
     def is_void(self) -> bool:
         return isinstance(self, VoidType)
 
-    def is_function(self) -> bool:
-        return isinstance(self, FunctionType)
-
     def is_scalar(self) -> bool:
         """True for types that fit in a machine register (ints, pointers)."""
         return self.is_integer() or self.is_pointer()

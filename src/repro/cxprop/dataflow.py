@@ -493,10 +493,3 @@ def _negate_comparison(op: str) -> str:
 
 def _swap_comparison(op: str) -> str:
     return {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}[op]
-
-
-def analyze_function(program: Program, func: ast.FunctionDef,
-                     facts: WholeProgramFacts,
-                     domain: Optional[AbstractDomain] = None) -> AnalysisResult:
-    """Run the flow-sensitive analysis over one function."""
-    return FunctionAnalysis(program, func, facts, domain).run()

@@ -71,10 +71,6 @@ class Evaluator:
         value = self._eval(expr, ctx)
         return value.clamp_to_type(expr.ctype) if value.is_int else value
 
-    def eval_condition(self, expr: ast.Expr, ctx: EvalContext) -> Optional[bool]:
-        """Definite truth value of a condition, if the analysis can prove it."""
-        return av.truth_of(self.eval(expr, ctx))
-
     # -- dispatch ----------------------------------------------------------------
 
     def _eval(self, expr: ast.Expr, ctx: EvalContext) -> Value:

@@ -120,6 +120,3 @@ class Application:
                 raise ValueError(
                     f"{self.name}: boot entry {component_name}.{instance} is not "
                     "a provided interface instance")
-
-    def component_names(self) -> list[str]:
-        return [c.name for c in self.components]

@@ -76,11 +76,6 @@ def add_uart_stack(app: Application, ifaces: dict[str, Interface]) -> None:
     app.boot.append(("UARTFramedPacketC", "Control"))
 
 
-def add_random(app: Application, ifaces: dict[str, Interface]) -> None:
-    """Add the LFSR random number generator."""
-    app.add_component(random_lfsr(ifaces))
-
-
 def add_time_stamping(app: Application, ifaces: dict[str, Interface]) -> None:
     """Add the time-stamping service."""
     app.add_component(time_stamping_c(ifaces))

@@ -4,9 +4,8 @@ The paper's evaluation is dozens of builds — every figure is an N-app ×
 M-variant sweep through the toolchain — so the stages are organized the way
 LLVM-style compilers organize transformations: each stage is a :class:`Pass`
 with a name and declared analysis-invalidation behaviour, and a
-:class:`PassManager` executes a pass list with uniform per-pass
-instrumentation (wall time, change counts, before/after program size)
-collected into a structured :class:`BuildTrace`.
+:class:`PassManager` executes a pass list, recording each pass's wall time
+and change count in a :class:`BuildTrace`.
 
 Layer modules register their passes here:
 
@@ -177,24 +176,12 @@ class PassContext:
 
 
 @dataclass
-class SizeSnapshot:
-    """Coarse program size at a pass boundary."""
-
-    functions: int
-    statements: int
-    code_bytes: Optional[int] = None
-    ram_bytes: Optional[int] = None
-
-
-@dataclass
 class PassReport:
     """Uniform instrumentation record for one executed pass."""
 
     name: str
     changed: int
     wall_time_s: float
-    before: Optional[SizeSnapshot] = None
-    after: Optional[SizeSnapshot] = None
     detail: object = None
 
 
@@ -205,64 +192,13 @@ class BuildTrace:
     passes: list[PassReport] = field(default_factory=list)
     wall_time_s: float = 0.0
 
-    def report(self, name: str) -> Optional[PassReport]:
-        """The (last) report of the named pass, or None if it did not run."""
-        found = None
-        for entry in self.passes:
-            if entry.name == name:
-                found = entry
-        return found
-
     def pass_names(self) -> list[str]:
         return [entry.name for entry in self.passes]
-
-    def changed_total(self) -> int:
-        return sum(entry.changed for entry in self.passes)
-
-    def merged_with(self, other: "BuildTrace") -> "BuildTrace":
-        """Concatenate two traces (shared front end + per-variant back end)."""
-        return BuildTrace(passes=list(self.passes) + list(other.passes),
-                          wall_time_s=self.wall_time_s + other.wall_time_s)
-
-    def summary(self) -> list[dict[str, object]]:
-        rows: list[dict[str, object]] = []
-        for entry in self.passes:
-            row: dict[str, object] = {
-                "pass": entry.name,
-                "changed": entry.changed,
-                "wall_time_s": round(entry.wall_time_s, 6),
-            }
-            if entry.before is not None and entry.after is not None:
-                row["statements"] = (entry.before.statements,
-                                     entry.after.statements)
-                if entry.after.code_bytes is not None:
-                    row["code_bytes"] = (entry.before.code_bytes,
-                                         entry.after.code_bytes)
-                    row["ram_bytes"] = (entry.before.ram_bytes,
-                                        entry.after.ram_bytes)
-            rows.append(row)
-        return rows
-
-    def format(self) -> str:
-        lines = [f"{'pass':<18} {'changed':>8} {'ms':>8} {'stmts':>14}"]
-        for entry in self.passes:
-            stmts = ""
-            if entry.before is not None and entry.after is not None:
-                stmts = f"{entry.before.statements}->{entry.after.statements}"
-            lines.append(f"{entry.name:<18} {entry.changed:>8} "
-                         f"{entry.wall_time_s * 1000:>8.2f} {stmts:>14}")
-        lines.append(f"total {self.wall_time_s * 1000:.2f} ms")
-        return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
 # The manager
 # ---------------------------------------------------------------------------
-
-
-#: Optional per-pass observer: called with (pass, report, ctx) after each
-#: executed pass.  Used by tests and ad-hoc tracing.
-PassObserver = Callable[[Pass, PassReport, PassContext], None]
 
 #: Process-wide count of passes *actually executed* by any PassManager.
 #: Passes replayed from a prefix snapshot never run, so they never count —
@@ -277,21 +213,10 @@ def executed_pass_count() -> int:
 
 
 class PassManager:
-    """Executes a pass list over a :class:`PassContext`.
+    """Executes a pass list, in order, over a :class:`PassContext`."""
 
-    Args:
-        passes: The pass list, in execution order.
-        measure_sizes: Also record code/RAM bytes in every snapshot (builds
-            a throwaway memory image per pass boundary — useful for traces
-            and ablations, too slow for batched sweeps; off by default).
-        observer: Optional callback invoked after every pass.
-    """
-
-    def __init__(self, passes: Sequence[Pass], measure_sizes: bool = False,
-                 observer: Optional[PassObserver] = None):
+    def __init__(self, passes: Sequence[Pass]):
         self.passes = list(passes)
-        self.measure_sizes = measure_sizes
-        self.observer = observer
 
     def run(self, ctx: PassContext) -> BuildTrace:
         global _EXECUTED_PASSES
@@ -299,21 +224,15 @@ class PassManager:
         started = time.perf_counter()
         for pass_ in self.passes:
             _EXECUTED_PASSES += 1
-            before = self._snapshot(ctx.program)
             t0 = time.perf_counter()
             outcome = pass_.run(ctx.program, ctx)
             if outcome.program is not None:
                 ctx.program = outcome.program
             self._apply_invalidation(pass_, outcome, ctx.program)
-            wall = time.perf_counter() - t0
-            after = self._snapshot(ctx.program)
-            report = PassReport(name=pass_.name, changed=outcome.changed,
-                                wall_time_s=wall, before=before, after=after,
-                                detail=outcome.detail)
-            trace.passes.append(report)
+            trace.passes.append(PassReport(
+                name=pass_.name, changed=outcome.changed,
+                wall_time_s=time.perf_counter() - t0, detail=outcome.detail))
             ctx.reports[pass_.name] = outcome.detail
-            if self.observer is not None:
-                self.observer(pass_, report, ctx)
         trace.wall_time_s = time.perf_counter() - started
         return trace
 
@@ -325,20 +244,6 @@ class PassManager:
         if not pass_.invalidates_analysis or ANALYSIS in pass_.preserves:
             return
         program.invalidate_analysis()
-
-    def _snapshot(self, program: Optional[Program]) -> Optional[SizeSnapshot]:
-        if program is None:
-            return None
-        stats = program.summary()
-        snapshot = SizeSnapshot(functions=stats["functions"],
-                                statements=stats["statements"])
-        if self.measure_sizes:
-            from repro.backend.image import build_image
-
-            image = build_image(program)
-            snapshot.code_bytes = image.code_bytes
-            snapshot.ram_bytes = image.ram_bytes
-        return snapshot
 
 
 # ---------------------------------------------------------------------------

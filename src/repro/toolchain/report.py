@@ -9,7 +9,6 @@ numbers printed across the top of each figure).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 
 @dataclass
@@ -81,11 +80,3 @@ def percent_change(value: float, baseline: float) -> float:
 def clip(value: float, lower: float, upper: float) -> float:
     """Clip a value into a range (the paper clips Figure 3(b) at +100%)."""
     return max(lower, min(upper, value))
-
-
-def format_rows(rows: Iterable[dict[str, object]]) -> str:
-    """Simple key=value formatting for ad-hoc report lines."""
-    lines = []
-    for row in rows:
-        lines.append("  ".join(f"{key}={value}" for key, value in row.items()))
-    return "\n".join(lines)

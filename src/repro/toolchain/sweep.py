@@ -170,7 +170,6 @@ def persistent_prefixes(variant: BuildVariant) -> list[tuple[str, ...]]:
 
 def _build_one_app(app_name: str, variants: Sequence[BuildVariant],
                    share_front_end: bool, keep_results: bool,
-                   measure_sizes: bool = False,
                    app: Optional[Application] = None,
                    snapshots: Optional[dict[tuple[str, ...], _Snapshot]] = None,
                    ) -> list[SweepBuild]:
@@ -193,8 +192,7 @@ def _build_one_app(app_name: str, variants: Sequence[BuildVariant],
                 variant=variant, label=app_name,
                 application=app if app is not None
                 else suite.build_application(app_name))
-            trace = PassManager(variant_passes(variant),
-                                measure_sizes=measure_sizes).run(ctx)
+            trace = PassManager(variant_passes(variant)).run(ctx)
             result = result_from_context(ctx, trace)
             builds.append(SweepBuild(app_name, variant.name, result.summary(),
                                      result if keep_results else None))
@@ -230,7 +228,7 @@ def _build_one_app(app_name: str, variants: Sequence[BuildVariant],
             ctx.reports.update(snapshot.reports)
             trace_passes.extend(snapshot.trace_passes)
 
-        manager = PassManager([], measure_sizes=measure_sizes)
+        manager = PassManager([])
         for index in range(start, len(plan.passes)):
             manager.passes = [plan.passes[index]]
             trace_passes.extend(manager.run(ctx).passes)
@@ -273,8 +271,6 @@ class SweepRunner:
             useful as the comparison baseline.
         processes: Opt-in process-pool mode: distribute applications over
             this many worker processes.  Builds then carry summaries only.
-        measure_sizes: Record code/RAM sizes at pass boundaries in traces
-            (slows the sweep down).
         snapshot_store: Cross-call prefix-snapshot cache keyed by
             application label.  Pass the same dict to successive runners and
             later sweeps resume from earlier sweeps' front-end (and CCured)
@@ -285,14 +281,12 @@ class SweepRunner:
                  variants: Sequence[BuildVariant],
                  *, share_front_end: bool = True,
                  processes: Optional[int] = None,
-                 measure_sizes: bool = False,
                  snapshot_store: Optional[
                      dict[str, dict[tuple[str, ...], _Snapshot]]] = None):
         self.apps = list(apps)
         self.variants = list(variants)
         self.share_front_end = share_front_end
         self.processes = processes
-        self.measure_sizes = measure_sizes
         self.snapshot_store = snapshot_store
 
     @staticmethod
@@ -309,8 +303,7 @@ class SweepRunner:
             if self.snapshot_store is not None:
                 snapshots = self.snapshot_store.setdefault(label, {})
             builds.extend(_build_one_app(
-                label, self.variants, self.share_front_end,
-                keep_results=True, measure_sizes=self.measure_sizes,
+                label, self.variants, self.share_front_end, keep_results=True,
                 app=None if isinstance(app, str) else app,
                 snapshots=snapshots))
         return SweepResult(builds)

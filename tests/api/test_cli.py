@@ -90,6 +90,12 @@ class TestSweepCommand:
             expected = reference_summary(record.app, record.variant)
             assert record.summary() == expected
 
+    def test_negative_process_count_is_a_usage_error(self):
+        status, _output = run_cli("sweep", "--apps", "BlinkTask_Mica2",
+                                  "--variants", "baseline",
+                                  "--processes", "-1")
+        assert status == 2
+
 
 class TestSimulateCommand:
     def test_json_record_round_trips(self):
@@ -186,3 +192,14 @@ class TestStoreFlag:
         report = json.loads(output)
         assert report["evicted"] > 0
         assert report["bytes_after"] <= 1
+
+    def test_negative_gc_budget_is_a_usage_error(self, tmp_path):
+        store = str(tmp_path / "artifacts")
+        run_cli("build", "BlinkTask_Mica2", "--store", store)
+        _, output = run_cli("gc", "--store", store, "--json")
+        entries = json.loads(output)["entries"]
+        assert entries > 0
+        status, _ = run_cli("gc", "--store", store, "--budget-bytes", "-1")
+        assert status == 2
+        _, output = run_cli("gc", "--store", store, "--json")
+        assert json.loads(output)["entries"] == entries

@@ -1,6 +1,7 @@
 """Record schemas: JSON round-trips and summary compatibility."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -19,6 +20,30 @@ SIM = SimRecord(app="Surge_Mica2", variant="safe-optimized",
                              "statements_total": 40,
                              "entries_fast": 3, "entries_slow": 1,
                              "fused_fraction": 0.25})
+
+SCENARIO = ScenarioRecord(
+    app="Surge_Mica2", content_key="c1a0b2a4b9612bf4", node_count=2,
+    seconds=2.0, topology="chain", seed=0,
+    variants=("baseline", "safe-optimized"),
+    faults=("bit-flip@RadioCRCPacketC__radio_rx_ptr",),
+    verdicts=(("silent-corruption", "detected"),),
+    golden={"runs": 2, "cache_hits": 0})
+
+
+@pytest.mark.parametrize("record, telemetry", [
+    (BUILD, {"passes": ("image",)}),
+    (BUILD, {"wall_time_s": 0.25}),
+    (SIM, {"superblocks": {"fused_statements": 0, "statements_total": 40}}),
+    (SCENARIO, {"golden": {"runs": 0, "cache_hits": 2}}),
+], ids=["build-passes", "build-wall-time", "sim-superblocks",
+        "scenario-golden"])
+def test_telemetry_never_decides_equality(record, telemetry):
+    """What the session ran before, how long it took and how the engine
+    got there are telemetry: a record differing only in them is equal,
+    with an equal hash."""
+    changed = replace(record, **telemetry)
+    assert changed == record
+    assert hash(changed) == hash(record)
 
 
 class TestBuildRecord:
@@ -93,32 +118,26 @@ class TestSimRecord:
 
     def test_records_carrying_plan_store_telemetry_still_load(self):
         """Records written while the persistent plan store existed carry
-        its counters and directory in ``code_cache``; they still load."""
+        its counters and directory in ``code_cache``; loading ignores
+        them."""
         code_cache = {"functions": 31, "lowerings": 0, "plan_hits": 60,
                       "disk_loads": 31, "store_hits": 1, "store_misses": 0,
                       "store_stores": 0, "store_dir": "/tmp/plans"}
         wire = {**SIM.to_dict(), "code_cache": code_cache}
         record = SimRecord.from_dict(json.loads(json.dumps(wire)))
         assert record == SIM
-        assert record.code_cache == code_cache
+        assert "code_cache" not in record.to_dict()
 
     def test_records_stay_hashable_despite_the_stats_dict(self):
         # frozen dataclass: the superblocks field is excluded from the
-        # generated __hash__ (dicts are unhashable) but not from equality.
+        # generated __hash__ (dicts are unhashable) and from equality.
         assert hash(SIM) == hash(SIM)
         assert len({SIM, SIM}) == 1
 
 
 class TestScenarioRecord:
     def test_records_carrying_a_workers_count_still_load(self):
-        record = ScenarioRecord(
-            app="Surge_Mica2", content_key="c1a0b2a4b9612bf4", node_count=2,
-            seconds=2.0, topology="chain", seed=0,
-            variants=("baseline", "safe-optimized"),
-            faults=("bit-flip@RadioCRCPacketC__radio_rx_ptr",),
-            verdicts=(("silent-corruption", "detected"),),
-            golden={"runs": 2, "cache_hits": 0})
-        wire = {**record.to_dict(), "workers": 2}
+        wire = {**SCENARIO.to_dict(), "workers": 2}
         loaded = ScenarioRecord.from_dict(json.loads(json.dumps(wire)))
-        assert loaded == record
+        assert loaded == SCENARIO
         assert "workers" not in loaded.to_dict()

@@ -5,6 +5,7 @@ import pytest
 from repro.api.records import BuildRecord
 from repro.api.specs import BuildSpec, SimSpec, SweepSpec
 from repro.api.workbench import Workbench, is_registered_variant
+from repro.avrora import interp
 from repro.ccured.passes import CurePass
 from repro.nesc.passes import FlattenPass
 from repro.tinyos.suite import FIGURE_APPS
@@ -245,18 +246,29 @@ class TestSimulation:
         assert bench.simulate(lossy) is bench.simulate(lossy)
         assert bench.simulate(lossy) is not bench.simulate(other_seed)
 
-    def test_record_equality_ignores_what_the_session_ran_before(self):
-        """``code_cache`` holds the build's cumulative lowering counters,
-        so under the compiled engine it differs between a fresh session
-        and one that simulated the same build before; the records must
-        still compare equal."""
+    def test_record_equality_ignores_what_the_session_ran_before(
+            self, monkeypatch):
+        """A record is a function of its spec.  A session that simulated
+        the build before, the compiled engine without fusion and the tree
+        engine all record equal results, while their ``superblocks``
+        telemetry differs; the records must compare equal and hash alike."""
         spec = SimSpec(app="BlinkTask_Mica2", variant="baseline", seconds=1.0)
         fresh = Workbench().simulate(spec)
         warmed = Workbench()
         warmed.simulate(SimSpec(app="BlinkTask_Mica2", variant="baseline",
                                 seconds=0.5))
-        after = warmed.simulate(spec)
-        if fresh.code_cache["lowerings"]:  # zero under the tree engine
-            assert after.code_cache != fresh.code_cache
-        assert after.content_key == fresh.content_key
-        assert after == fresh
+        records = [warmed.simulate(spec)]
+        with monkeypatch.context() as patch:
+            patch.setenv("REPRO_AVRORA_SUPERBLOCKS", "0")
+            records.append(Workbench().simulate(spec))
+        with monkeypatch.context() as patch:
+            patch.setattr(interp, "DEFAULT_ENGINE", "tree")
+            records.append(Workbench().simulate(spec))
+        unfused, tree = records[1:]
+        if fresh.superblocks["fused_statements"]:  # zero under the tree engine
+            assert unfused.superblocks != fresh.superblocks
+            assert tree.superblocks != fresh.superblocks
+        for record in records:
+            assert record.content_key == fresh.content_key
+            assert record == fresh
+            assert hash(record) == hash(fresh)

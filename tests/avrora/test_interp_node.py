@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.avrora.network import Network, TrafficGenerator, simulate
+from repro.api.workbench import run_network
+from repro.avrora.network import Network, TrafficGenerator
 from repro.avrora.node import Node
 from repro.cminor import typesys as ty
 from repro.tinyos import hardware as hw
@@ -200,14 +201,15 @@ class TestNetworkHarness:
         assert frame[2] == 7
 
     def test_simulate_runs_multiple_nodes(self, blink_baseline_build):
-        nodes = simulate(blink_baseline_build.program, seconds=0.5, node_count=2)
+        nodes = run_network(blink_baseline_build.program, seconds=0.5,
+                            node_count=2).nodes
         assert len(nodes) == 2
         assert all(n.interrupts_delivered > 0 for n in nodes)
 
     def test_injected_traffic_reaches_the_program(self, blink_baseline_build):
         generator = TrafficGenerator(radio_period_s=0.2)
-        nodes = simulate(blink_baseline_build.program, seconds=1.0,
-                         traffic=generator)
+        nodes = run_network(blink_baseline_build.program, seconds=1.0,
+                            traffic=generator).nodes
         # Blink has no radio stack wired, so the packets are dropped at the
         # device, but the node's generator must have produced them.
         assert nodes[0].traffic_generator.injected_radio >= 3
@@ -217,8 +219,8 @@ class TestNetworkHarness:
 
     def test_traffic_counters_are_per_node(self, blink_baseline_build):
         generator = TrafficGenerator(radio_period_s=0.25)
-        nodes = simulate(blink_baseline_build.program, seconds=1.0,
-                         node_count=2, traffic=generator)
+        nodes = run_network(blink_baseline_build.program, seconds=1.0,
+                            node_count=2, traffic=generator).nodes
         generators = [node.traffic_generator for node in nodes]
         assert generators[0] is not generators[1]
         for per_node in generators:

@@ -15,9 +15,9 @@ import random
 
 import pytest
 
-from repro.api.workbench import Workbench
+from repro.api.workbench import Workbench, run_network
 from repro.avrora.memory import Pointer
-from repro.avrora.network import Channel, Network, simulate
+from repro.avrora.network import Channel, Network
 from repro.avrora.node import _DELIVERY_SEQ_BASE, CausalityError, Node
 from repro.cminor import typesys as ty
 from repro.tinyos import hardware as hw
@@ -73,10 +73,10 @@ class TestChannel:
         (``TOS_LOCAL_ADDRESS == 0``), or multihop collection never forms."""
         program = make_program(
             "__spontaneous void main(void) { __sleep(); }")
-        chained = simulate(program, seconds=0.05, node_count=2,
-                           channel=Channel(topology="chain"))
+        chained = run_network(program, seconds=0.05, node_count=2,
+                              channel=Channel(topology="chain")).nodes
         assert [node.node_id for node in chained] == [0, 1]
-        broadcast = simulate(program, seconds=0.05, node_count=2)
+        broadcast = run_network(program, seconds=0.05, node_count=2).nodes
         assert [node.node_id for node in broadcast] == [1, 2]
 
     def test_link_latency_jitter_is_deterministic_and_per_link(self):

@@ -12,13 +12,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api.workbench import run_network
 from repro.avrora.memory import Pointer
-from repro.avrora.network import (
-    TrafficGenerator,
-    crc16,
-    encode_tos_msg,
-    simulate,
-)
+from repro.avrora.network import TrafficGenerator, crc16, encode_tos_msg
 from repro.avrora.node import Node
 from repro.cminor import typesys as ty
 from repro.tinyos import hardware as hw
@@ -144,7 +140,7 @@ class TestUartInjection:
         program.interrupt_vectors[hw.VECTOR_UART_RX] = "uart_rx"
         generator = TrafficGenerator(uart_period_s=0.3,
                                      payload=bytes([2, 0, 7]))
-        nodes = simulate(program, seconds=seconds, traffic=generator)
+        nodes = run_network(program, seconds=seconds, traffic=generator).nodes
         return nodes[0], nodes[0].traffic_generator
 
     def test_injected_frames_reach_the_program_byte_by_byte(self):

@@ -1,11 +1,10 @@
-"""Tests for whole-program linking, the CFG builder, and the call graph."""
+"""Tests for whole-program linking and the call graph."""
 
 import pytest
 
 from repro.cminor import ast_nodes as ast
 from repro.cminor import typesys as ty
 from repro.cminor.callgraph import build_call_graph
-from repro.cminor.cfg import build_cfg, has_unreachable_code
 from repro.cminor.errors import LinkError
 from repro.cminor.parser import parse_program
 from repro.cminor.program import Program, link_units, standard_builtins
@@ -75,72 +74,6 @@ __spontaneous void main(void) { f(); }
         assert summary["functions"] == 2
         assert summary["globals"] == 1
         assert summary["statements"] >= 2
-
-
-class TestControlFlowGraph:
-    def test_linear_function_has_single_path(self):
-        program = make_program("""
-uint8_t x;
-__spontaneous void main(void) { x = 1; x = 2; }
-""")
-        cfg = build_cfg(program.lookup_function("main"))
-        assert cfg.statement_count() == 2
-        assert cfg.exit.index in cfg.reachable_blocks()
-
-    def test_if_produces_branching(self):
-        program = make_program("""
-uint8_t x;
-__spontaneous void main(void) {
-  if (x) { x = 1; } else { x = 2; }
-  x = 3;
-}
-""")
-        cfg = build_cfg(program.lookup_function("main"))
-        branch_blocks = [b for b in cfg.iter_blocks() if len(b.successors) >= 2]
-        assert branch_blocks, "the if statement should create a two-way branch"
-
-    def test_loop_creates_back_edge(self):
-        program = make_program("""
-uint8_t n = 4;
-__spontaneous void main(void) {
-  while (n) { n = n - 1; }
-}
-""")
-        cfg = build_cfg(program.lookup_function("main"))
-
-        def reaches(start, target, seen=None):
-            seen = seen or set()
-            for succ in cfg.block(start).successors:
-                if succ == target:
-                    return True
-                if succ not in seen:
-                    seen.add(succ)
-                    if reaches(succ, target, seen):
-                        return True
-            return False
-
-        has_cycle = any(reaches(b.index, b.index) for b in cfg.iter_blocks())
-        assert has_cycle
-
-    def test_code_after_return_is_unreachable(self):
-        program = make_program("""
-uint8_t f(void) {
-  return 1;
-  return 2;
-}
-__spontaneous void main(void) { f(); }
-""")
-        assert has_unreachable_code(program.lookup_function("f"))
-
-    def test_fully_reachable_function(self):
-        program = make_program("""
-uint8_t f(uint8_t x) {
-  if (x) { return 1; }
-  return 0;
-}
-__spontaneous void main(void) { f(1); }
-""")
-        assert not has_unreachable_code(program.lookup_function("f"))
 
 
 class TestCallGraph:
