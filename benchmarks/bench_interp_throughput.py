@@ -41,7 +41,6 @@ from repro.avrora.node import Node
 from repro.cminor import typesys as ty
 from repro.cminor.parser import parse_program
 from repro.cminor.program import Program, link_units
-from repro.cminor.simplify import simplify_program
 from repro.cminor.typecheck import check_program
 from repro.tinyos import hardware as hw
 
@@ -138,8 +137,6 @@ WORKLOADS: dict[str, tuple[str, dict[str, str]]] = {
 def _build(source: str, vectors: dict[str, str]) -> Program:
     unit = parse_program(source, "bench")
     program = link_units([unit], name="bench")
-    check_program(program)
-    simplify_program(program)
     check_program(program)
     program.interrupt_vectors.update(vectors)
     return program

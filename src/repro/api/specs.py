@@ -11,13 +11,14 @@ same deterministic build output across sessions and processes.  The
 
 Validation happens at construction time: unknown applications and variants
 raise :class:`KeyError` (matching the suite and variant registries), and
-malformed simulation parameters (``node_count < 1``, non-positive
-``seconds``) raise :class:`ValueError` immediately instead of failing deep
-inside the simulator.
+malformed simulation parameters (``node_count < 1``, ``seconds`` that is
+not positive and finite) raise :class:`ValueError` immediately instead of
+failing deep inside the simulator.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -59,6 +60,15 @@ def _check_app(app: str) -> None:
     if app not in suite.FIGURE_APPS:
         raise KeyError(f"unknown application {app!r}; known: "
                        f"{suite.FIGURE_APPS}")
+
+
+def _check_seconds(spec) -> None:
+    """Simulated time must be positive and finite: the node converts it to
+    an integer cycle budget."""
+    if not 0 < spec.seconds < math.inf:
+        raise ValueError(
+            f"{spec.describe()}: seconds must be positive and finite, "
+            f"got {spec.seconds}")
 
 
 @dataclass(frozen=True)
@@ -148,7 +158,7 @@ class SimSpec:
             :class:`BuildSpec`).
         variant: Registered build variant.
         node_count: Number of motes in the simulated network (>= 1).
-        seconds: Virtual seconds to simulate (> 0).
+        seconds: Virtual seconds to simulate (finite, > 0).
         traffic: ``"default"`` runs every node inside the application's
             duty-cycle traffic context (Section 3.4); ``"base"`` stimulates
             only the first node (the base station / hub of a topology);
@@ -184,10 +194,7 @@ class SimSpec:
             raise ValueError(
                 f"{self.describe()}: node_count must be >= 1, "
                 f"got {self.node_count}")
-        if not self.seconds > 0:
-            raise ValueError(
-                f"{self.describe()}: seconds must be positive, "
-                f"got {self.seconds}")
+        _check_seconds(self)
         if self.traffic not in TRAFFIC_PROFILES:
             raise ValueError(
                 f"{self.describe()}: traffic must be one of "
@@ -267,7 +274,7 @@ class ScenarioSpec:
             simulation runs per fault, per variant.
         node_count: Motes in the network (>= 1; every fault targeting a
             node position must fit).
-        seconds: Virtual seconds per run (> 0).
+        seconds: Virtual seconds per run (finite, > 0).
         traffic: Synthetic-traffic profile, as in :class:`SimSpec`.
         topology: Channel wiring, as in :class:`SimSpec`.
         loss: Per-link drop probability in [0, 1).
@@ -310,10 +317,7 @@ class ScenarioSpec:
                 f"{self.describe()}: plan targets node "
                 f"{self.plan.max_node()} but the network has only "
                 f"{self.node_count} node(s)")
-        if not self.seconds > 0:
-            raise ValueError(
-                f"{self.describe()}: seconds must be positive, "
-                f"got {self.seconds}")
+        _check_seconds(self)
         if self.traffic not in TRAFFIC_PROFILES:
             raise ValueError(
                 f"{self.describe()}: traffic must be one of "

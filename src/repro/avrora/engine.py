@@ -33,11 +33,10 @@ Two mechanisms push past per-statement dispatch:
 * **superblocks** — maximal straight-line runs of simple statements fuse
   into a single op that charges the run's precomputed cycle total once,
   bumps the statement counter once, and executes the bare work closures
-  back-to-back.  Loops in the simplifier's one loop form,
-  ``while (1) { [if (c) break;] tail }`` with a fusable tail,
-  additionally get a **loop superblock** that runs whole iterations in a
-  burst; every other loop shape keeps the per-statement lowering (only
-  un-simplified programs contain one).  Entry is gated by a
+  back-to-back.  The parser emits every loop in one form,
+  ``while (1) { [if (c) break;] tail }``; a loop whose tail is fusable
+  additionally gets a **loop superblock** that runs whole iterations in a
+  burst.  Entry is gated by a
   **poll-window guard**: if the node's next queued event (which
   includes the lockstep kernel's horizon sentinels), a pending interrupt,
   or the end of simulated time could land inside the block's cycle window,
@@ -135,7 +134,7 @@ _BURST_CHUNK = 1 << 16
 #: ops are pure frame/memory work with no control transfer, no poll
 #: obligations of their own, and no cycle charges beyond the statement's
 #: precomputed cost.
-_FUSABLE_KINDS = (ast.Assign, ast.ExprStmt, ast.VarDecl, ast.Nop)
+_FUSABLE_KINDS = (ast.Assign, ast.ExprStmt, ast.VarDecl)
 
 
 def _superblocks_enabled() -> bool:
@@ -1059,16 +1058,15 @@ class _FunctionCompiler:
         self.ops[guard_index] = op
 
     def _emit_loop_burst(self, stmt: ast.While, exit_label: _Label) -> None:
-        """The loop superblock for the simplifier's one loop form.
+        """The loop superblock for the parser's one loop form.
 
-        The simplifier rewrites every loop into
+        The parser emits every loop as
         ``while (1) { [if (c) break;] tail }`` (see
-        :mod:`repro.cminor.simplify`).  When ``stmt`` has that form, the
-        optional if-break guard's condition is call-free and the tail is
-        one fusable run, this emits a burst op at the loop head, in front
-        of the normal condition op.  Every other loop — only
-        un-simplified programs contain them — keeps the per-statement
-        lowering.
+        :mod:`repro.cminor.parser`).  When the optional if-break guard's
+        condition is call-free and the tail is one fusable run, this emits
+        a burst op at the loop head, in front of the normal condition op.
+        A loop whose guard calls or whose tail does not fuse keeps the
+        per-statement lowering.
 
         Each entry computes how many whole iterations fit strictly inside
         the poll window (next event, horizon sentinel, end of time),
@@ -1202,9 +1200,7 @@ class _FunctionCompiler:
                 _v(frame)
 
             return work
-        if isinstance(stmt, ast.VarDecl):
-            return self._compile_vardecl_work(stmt)
-        return lambda frame: None  # ast.Nop
+        return self._compile_vardecl_work(stmt)
 
     def _compile_vardecl_work(self, stmt: ast.VarDecl
                               ) -> Callable[[list], None]:
@@ -1421,32 +1417,27 @@ class _FunctionCompiler:
 
     # -- statements -------------------------------------------------------------
 
-    def _compile_stmt(self, stmt: ast.Stmt, poll_after: bool = True) -> None:
-        """Emit the ops for one statement.
+    def _compile_stmt(self, stmt: ast.Stmt) -> None:
+        """Emit the ops for one statement of a block.
 
-        ``poll_after`` is False only for ``for``-loop init/update statements,
-        which the tree-walker executes via ``_exec_stmt`` without the
-        per-statement poll that ``_exec_block`` performs.
+        Every statement ends in a poll, as in the tree-walker's
+        ``_exec_block``; the parser's normal form leaves no statement that
+        runs outside a block.
         """
         if isinstance(stmt, ast.Block):
             self._emit_entry(self._stmt_cost(stmt))
             self._compile_block(stmt)
-            if poll_after:
-                self._emit_poll()
+            self._emit_poll()
         elif isinstance(stmt, ast.VarDecl):
-            self._compile_vardecl(stmt, poll_after)
+            self._compile_vardecl(stmt)
         elif isinstance(stmt, ast.Assign):
-            self._compile_assign(stmt, poll_after)
+            self._compile_assign(stmt)
         elif isinstance(stmt, ast.ExprStmt):
-            self._compile_exprstmt(stmt, poll_after)
+            self._compile_exprstmt(stmt)
         elif isinstance(stmt, ast.If):
-            self._compile_if(stmt, poll_after)
+            self._compile_if(stmt)
         elif isinstance(stmt, ast.While):
-            self._compile_while(stmt, poll_after)
-        elif isinstance(stmt, ast.DoWhile):
-            self._compile_dowhile(stmt, poll_after)
-        elif isinstance(stmt, ast.For):
-            self._compile_for(stmt, poll_after)
+            self._compile_while(stmt)
         elif isinstance(stmt, ast.Return):
             self._compile_return(stmt)
         elif isinstance(stmt, ast.Break):
@@ -1454,9 +1445,7 @@ class _FunctionCompiler:
         elif isinstance(stmt, ast.Continue):
             self._compile_continue(stmt)
         elif isinstance(stmt, ast.Atomic):
-            self._compile_atomic(stmt, poll_after)
-        elif isinstance(stmt, ast.Nop):
-            self._compile_nop(stmt, poll_after)
+            self._compile_atomic(stmt)
         else:
             # ``Post`` (must be lowered before simulation) and any unknown
             # statement kind: charge the cost, then fail — exactly like the
@@ -1521,8 +1510,7 @@ class _FunctionCompiler:
     # -- simple statements ------------------------------------------------------
 
     def _compile_call_stmt(self, cost: int, call: ast.Call,
-                           store: Optional[Callable], poll_after: bool
-                           ) -> None:
+                           store: Optional[Callable]) -> None:
         """A statement-level program call: one CALL op on the frame stack.
 
         Replicates the recursive path exactly — statement entry accounting,
@@ -1560,48 +1548,33 @@ class _FunctionCompiler:
             return _CALL
 
         self._emit(op)
-        if poll_after:
-            self._emit_poll()
+        self._emit_poll()
 
-    def _compile_exprstmt(self, stmt: ast.ExprStmt, poll_after: bool) -> None:
+    def _compile_exprstmt(self, stmt: ast.ExprStmt) -> None:
         cost = self._stmt_cost(stmt)
         if isinstance(stmt.expr, ast.Call) and \
                 stmt.expr.callee not in self.program.builtins:
-            self._compile_call_stmt(cost, stmt.expr, None, poll_after)
+            self._compile_call_stmt(cost, stmt.expr, None)
             return
         value = self._compile_expr(stmt.expr)
         nxt = len(self.ops) + 1
-        if poll_after:
-            def op(frame: list, _n=self.node, _cost=cost, _v=value,
-                   _cell=self._cell, _sf=self._sf, _eq=self._eq,
-                   _pi=self._pending, _poll=self._poll, _nxt=nxt) -> int:
-                _cell[0] += 1
-                t = _n.time_cycles + _cost
-                _n.time_cycles = t
-                if _n.end_cycles and t >= _n.end_cycles:
-                    raise _sf()
-                _v(frame)
-                if (_eq and _eq[0][0] <= _n.time_cycles) or _pi:
-                    _poll()
-                return _nxt
-        else:
-            def op(frame: list, _n=self.node, _cost=cost, _v=value,
-                   _cell=self._cell, _sf=self._sf, _nxt=nxt) -> int:
-                _cell[0] += 1
-                t = _n.time_cycles + _cost
-                _n.time_cycles = t
-                if _n.end_cycles and t >= _n.end_cycles:
-                    raise _sf()
-                _v(frame)
-                return _nxt
+
+        def op(frame: list, _n=self.node, _cost=cost, _v=value,
+               _cell=self._cell, _sf=self._sf, _eq=self._eq,
+               _pi=self._pending, _poll=self._poll, _nxt=nxt) -> int:
+            _cell[0] += 1
+            t = _n.time_cycles + _cost
+            _n.time_cycles = t
+            if _n.end_cycles and t >= _n.end_cycles:
+                raise _sf()
+            _v(frame)
+            if (_eq and _eq[0][0] <= _n.time_cycles) or _pi:
+                _poll()
+            return _nxt
+
         self._emit(op)
 
-    def _compile_nop(self, stmt: ast.Nop, poll_after: bool) -> None:
-        self._emit_entry(self._stmt_cost(stmt))
-        if poll_after:
-            self._emit_poll()
-
-    def _compile_vardecl(self, stmt: ast.VarDecl, poll_after: bool) -> None:
+    def _compile_vardecl(self, stmt: ast.VarDecl) -> None:
         cost = self._stmt_cost(stmt)
         slot = self.slots[stmt.name]
         nxt = len(self.ops) + 1
@@ -1623,7 +1596,7 @@ class _FunctionCompiler:
             def op(frame: list, _n=self.node, _cost=cost, _cell=self._cell,
                    _sf=self._sf, _mem=memory, _storage=storage, _size=size,
                    _slot=slot, _iv=init_value, _ib=init_bytes, _ct=ctype,
-                   _dp=poll_after, _eq=self._eq, _pi=self._pending,
+                   _eq=self._eq, _pi=self._pending,
                    _poll=self._poll, _nxt=nxt) -> int:
                 _cell[0] += 1
                 t = _n.time_cycles + _cost
@@ -1636,7 +1609,7 @@ class _FunctionCompiler:
                     _mem.write(Pointer(obj, 0), _ct, _iv(frame))
                 elif _ib is not None:
                     obj.data[0:len(_ib)] = _ib
-                if _dp and ((_eq and _eq[0][0] <= _n.time_cycles) or _pi):
+                if (_eq and _eq[0][0] <= _n.time_cycles) or _pi:
                     _poll()
                 return _nxt
 
@@ -1648,7 +1621,7 @@ class _FunctionCompiler:
 
         def op(frame: list, _n=self.node, _cost=cost, _cell=self._cell,
                _sf=self._sf, _slot=slot, _init=init, _wrap=wrap,
-               _dp=poll_after, _eq=self._eq, _pi=self._pending,
+               _eq=self._eq, _pi=self._pending,
                _poll=self._poll, _nxt=nxt) -> int:
             _cell[0] += 1
             t = _n.time_cycles + _cost
@@ -1662,54 +1635,43 @@ class _FunctionCompiler:
                 if _wrap is not None and isinstance(value, int):
                     value = _wrap(value)
                 frame[_slot] = value
-            if _dp and ((_eq and _eq[0][0] <= _n.time_cycles) or _pi):
+            if (_eq and _eq[0][0] <= _n.time_cycles) or _pi:
                 _poll()
             return _nxt
 
         self._emit(op)
 
-    def _compile_assign(self, stmt: ast.Assign, poll_after: bool) -> None:
+    def _compile_assign(self, stmt: ast.Assign) -> None:
         cost = self._stmt_cost(stmt)
         if isinstance(stmt.rvalue, ast.Call) and \
                 stmt.rvalue.callee not in self.program.builtins:
             self._compile_call_stmt(cost, stmt.rvalue,
-                                    self._compile_store(stmt.lvalue),
-                                    poll_after)
+                                    self._compile_store(stmt.lvalue))
             return
         rvalue = self._compile_expr(stmt.rvalue)
-        if poll_after and self._try_inline_assign(stmt, cost, rvalue):
+        if self._try_inline_assign(stmt, cost, rvalue):
             return
         store = self._compile_store(stmt.lvalue)
         nxt = len(self.ops) + 1
-        if poll_after:
-            def op(frame: list, _n=self.node, _cost=cost, _rv=rvalue,
-                   _st=store, _cell=self._cell, _sf=self._sf, _eq=self._eq,
-                   _pi=self._pending, _poll=self._poll, _nxt=nxt) -> int:
-                _cell[0] += 1
-                t = _n.time_cycles + _cost
-                _n.time_cycles = t
-                if _n.end_cycles and t >= _n.end_cycles:
-                    raise _sf()
-                _st(frame, _rv(frame))
-                if (_eq and _eq[0][0] <= _n.time_cycles) or _pi:
-                    _poll()
-                return _nxt
-        else:
-            def op(frame: list, _n=self.node, _cost=cost, _rv=rvalue,
-                   _st=store, _cell=self._cell, _sf=self._sf,
-                   _nxt=nxt) -> int:
-                _cell[0] += 1
-                t = _n.time_cycles + _cost
-                _n.time_cycles = t
-                if _n.end_cycles and t >= _n.end_cycles:
-                    raise _sf()
-                _st(frame, _rv(frame))
-                return _nxt
+
+        def op(frame: list, _n=self.node, _cost=cost, _rv=rvalue,
+               _st=store, _cell=self._cell, _sf=self._sf, _eq=self._eq,
+               _pi=self._pending, _poll=self._poll, _nxt=nxt) -> int:
+            _cell[0] += 1
+            t = _n.time_cycles + _cost
+            _n.time_cycles = t
+            if _n.end_cycles and t >= _n.end_cycles:
+                raise _sf()
+            _st(frame, _rv(frame))
+            if (_eq and _eq[0][0] <= _n.time_cycles) or _pi:
+                _poll()
+            return _nxt
+
         self._emit(op)
 
     # -- control flow -----------------------------------------------------------
 
-    def _compile_if(self, stmt: ast.If, poll_after: bool) -> None:
+    def _compile_if(self, stmt: ast.If) -> None:
         cost = self._stmt_cost(stmt)
         cond = self._compile_expr(stmt.cond)
         then_index = len(self.ops) + 1
@@ -1737,10 +1699,9 @@ class _FunctionCompiler:
             self._bind(merge_label)
         else:
             self._bind(else_label)
-        if poll_after:
-            self._emit_poll()
+        self._emit_poll()
 
-    def _compile_while(self, stmt: ast.While, poll_after: bool) -> None:
+    def _compile_while(self, stmt: ast.While) -> None:
         cost = self._stmt_cost(stmt)
         self._emit_entry(cost)
         cond = self._compile_expr(stmt.cond)
@@ -1773,64 +1734,7 @@ class _FunctionCompiler:
         self.loop_stack.pop()
         self._emit_jump(loop_head)
         self._bind(exit_label)
-        if poll_after:
-            self._emit_poll()
-
-    def _compile_dowhile(self, stmt: ast.DoWhile, poll_after: bool) -> None:
-        cost = self._stmt_cost(stmt)
-        self._emit_entry(cost)
-        body_index = len(self.ops)
-        exit_label = _Label()
-        cond_label = _Label()
-        self.loop_stack.append(
-            _LoopCtx(exit_label, cond_label, self.atomic_depth))
-        self._compile_block(stmt.body)
-        self.loop_stack.pop()
-        self._bind(cond_label)
-        cond = self._compile_expr(stmt.cond)
-        exit_index = len(self.ops) + 1
-
-        def op(frame: list, _cond=cond, _body=body_index,
-               _exit=exit_index) -> int:
-            return _body if _cond(frame) != 0 else _exit
-
-        self._emit(op)
-        self._bind(exit_label)
-        if poll_after:
-            self._emit_poll()
-
-    def _compile_for(self, stmt: ast.For, poll_after: bool) -> None:
-        cost = self._stmt_cost(stmt)
-        self._emit_entry(cost)
-        if stmt.init is not None:
-            self._compile_stmt(stmt.init, poll_after=False)
-        exit_label = _Label()
-        update_label = _Label()
-        cond = self._compile_expr(stmt.cond) if stmt.cond is not None \
-            else None
-        loop_head = len(self.ops)
-        if cond is not None:
-            cond_index = len(self.ops)
-            body_index = cond_index + 1
-
-            def maker(exit_index: int, _cond=cond, _body=body_index) -> Op:
-                def op(frame: list) -> int:
-                    return _body if _cond(frame) != 0 else exit_index
-
-                return op
-
-            self._emit_pending(maker, exit_label)
-        self.loop_stack.append(
-            _LoopCtx(exit_label, update_label, self.atomic_depth))
-        self._compile_block(stmt.body)
-        self.loop_stack.pop()
-        self._bind(update_label)
-        if stmt.update is not None:
-            self._compile_stmt(stmt.update, poll_after=False)
-        self._emit_jump(loop_head)
-        self._bind(exit_label)
-        if poll_after:
-            self._emit_poll()
+        self._emit_poll()
 
     def _compile_return(self, stmt: ast.Return) -> None:
         cost = self._stmt_cost(stmt)
@@ -1897,7 +1801,7 @@ class _FunctionCompiler:
 
         self._emit_pending(maker, label)
 
-    def _compile_atomic(self, stmt: ast.Atomic, poll_after: bool) -> None:
+    def _compile_atomic(self, stmt: ast.Atomic) -> None:
         self.has_atomic = True
         cost = self._stmt_cost(stmt)
         nxt = len(self.ops) + 1
@@ -1923,8 +1827,7 @@ class _FunctionCompiler:
             return _nxt
 
         self._emit(leave)
-        if poll_after:
-            self._emit_poll()
+        self._emit_poll()
 
     # -- stores -----------------------------------------------------------------
 

@@ -220,18 +220,6 @@ class TreeWalkInterpreter:
                 self._exec_block(stmt.else_body, frame)
         elif isinstance(stmt, ast.While):
             self._exec_while(stmt, frame)
-        elif isinstance(stmt, ast.DoWhile):
-            while True:
-                try:
-                    self._exec_block(stmt.body, frame)
-                except _BreakSignal:
-                    break
-                except _ContinueSignal:
-                    pass
-                if not self._truthy(self._eval(stmt.cond, frame)):
-                    break
-        elif isinstance(stmt, ast.For):
-            self._exec_for(stmt, frame)
         elif isinstance(stmt, ast.Return):
             value = self._eval(stmt.value, frame) if stmt.value is not None else None
             raise _ReturnSignal(value)
@@ -247,8 +235,6 @@ class TreeWalkInterpreter:
                 self.node.atomic_depth -= 1
         elif isinstance(stmt, ast.Post):
             raise RuntimeError("post statements must be lowered before simulation")
-        elif isinstance(stmt, ast.Nop):
-            pass
         else:
             raise RuntimeError(f"cannot execute {type(stmt).__name__}")
 
@@ -293,19 +279,6 @@ class TreeWalkInterpreter:
                 break
             except _ContinueSignal:
                 continue
-
-    def _exec_for(self, stmt: ast.For, frame: dict[str, object]) -> None:
-        if stmt.init is not None:
-            self._exec_stmt(stmt.init, frame)
-        while stmt.cond is None or self._truthy(self._eval(stmt.cond, frame)):
-            try:
-                self._exec_block(stmt.body, frame)
-            except _BreakSignal:
-                break
-            except _ContinueSignal:
-                pass
-            if stmt.update is not None:
-                self._exec_stmt(stmt.update, frame)
 
     # -- raw memory access ----------------------------------------------------------
 

@@ -171,7 +171,7 @@ class CostModel:
             return self.load_store_global_bytes * self._alu_units(width)
         if isinstance(stmt, ast.If):
             return self.branch_bytes
-        if isinstance(stmt, (ast.While, ast.DoWhile, ast.For)):
+        if isinstance(stmt, ast.While):
             return self.branch_bytes * 2
         if isinstance(stmt, ast.Return):
             return self.branch_bytes
@@ -189,7 +189,7 @@ class CostModel:
             return self.load_store_cycles
         if isinstance(stmt, ast.If):
             return self.branch_cycles
-        if isinstance(stmt, (ast.While, ast.DoWhile, ast.For)):
+        if isinstance(stmt, ast.While):
             return self.branch_cycles
         if isinstance(stmt, ast.Return):
             return self.branch_cycles

@@ -133,9 +133,8 @@ class Instrumenter:
         self._locals = local_types(func)
 
         def rewrite(stmt: ast.Stmt):
-            if isinstance(stmt, (ast.Block, ast.Atomic, ast.If, ast.While,
-                                 ast.DoWhile, ast.For)) and not \
-                    statement_expressions(stmt):
+            if isinstance(stmt, (ast.Block, ast.Atomic, ast.If, ast.While)) \
+                    and not statement_expressions(stmt):
                 return stmt
             accesses = self._statement_accesses(stmt)
             if not accesses:

@@ -13,9 +13,10 @@ subset of C with:
 * qualifiers relevant to the paper: ``const``, ``volatile``, ``norace``,
   and ``__progmem`` (flash-resident data).
 
-The package provides a lexer, a recursive-descent parser, a type checker,
-a CIL-style simplifier, and a pretty-printer that turns transformed
-programs back into CMinor source.
+The package provides a lexer, a recursive-descent parser that emits CIL's
+normal form (every loop is ``while (1)`` with explicit breaks, and no empty
+statements survive), a type checker, and a pretty-printer that turns
+transformed programs back into CMinor source.
 """
 
 from repro.cminor.errors import CMinorError, LexError, ParseError, TypeCheckError

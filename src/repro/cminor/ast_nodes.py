@@ -2,8 +2,9 @@
 
 The AST intentionally resembles CIL, the simplified C representation that
 CCured and cXprop are built on in the paper: there are no function pointers,
-``switch`` statements, or gotos; compound assignments are desugared; and
-expressions carry their computed type after type checking.
+``switch`` statements, or gotos; compound assignments are desugared; every
+loop is a :class:`While`; and expressions carry their computed type after
+type checking.
 
 Nodes are plain mutable dataclasses.  Transformation passes either rewrite
 nodes in place or build new subtrees; :mod:`repro.cminor.visitor` provides
@@ -227,27 +228,14 @@ class If(Stmt):
 
 @dataclass
 class While(Stmt):
-    """A ``while`` loop."""
+    """A ``while`` loop.
+
+    The parser emits only ``while (1)``, leaving the loop through explicit
+    ``break`` statements.  The literal condition stays in the tree because
+    the backend costs it in code bytes and cycles.
+    """
 
     cond: Expr
-    body: Block = field(default_factory=Block)
-
-
-@dataclass
-class DoWhile(Stmt):
-    """A ``do { ... } while (cond);`` loop."""
-
-    body: Block = field(default_factory=Block)
-    cond: Expr = None  # type: ignore[assignment]
-
-
-@dataclass
-class For(Stmt):
-    """A ``for`` loop.  ``init`` and ``update`` are optional statements."""
-
-    init: Optional[Stmt]
-    cond: Optional[Expr]
-    update: Optional[Stmt]
     body: Block = field(default_factory=Block)
 
 
@@ -296,11 +284,6 @@ class Post(Stmt):
     """A nesC ``post task();`` statement: enqueue a task for the scheduler."""
 
     task: str
-
-
-@dataclass
-class Nop(Stmt):
-    """A no-op left behind by optimization passes; removed by cleanup."""
 
 
 # ---------------------------------------------------------------------------

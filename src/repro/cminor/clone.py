@@ -122,15 +122,11 @@ _STMT_CLONERS: dict[type, Callable[[ast.Stmt], ast.Stmt]] = {
                              clone_block(s.else_body)
                              if s.else_body is not None else None),
     ast.While: lambda s: ast.While(clone_expr(s.cond), clone_block(s.body)),
-    ast.DoWhile: lambda s: ast.DoWhile(clone_block(s.body), clone_expr(s.cond)),
-    ast.For: lambda s: ast.For(clone_stmt(s.init), clone_expr(s.cond),
-                               clone_stmt(s.update), clone_block(s.body)),
     ast.Return: lambda s: ast.Return(clone_expr(s.value)),
     ast.Break: lambda s: ast.Break(),
     ast.Continue: lambda s: ast.Continue(),
     ast.Atomic: _clone_atomic,
     ast.Post: lambda s: ast.Post(s.task),
-    ast.Nop: lambda s: ast.Nop(),
 }
 
 

@@ -1,14 +1,22 @@
 """Recursive-descent parser for CMinor.
 
-Produces the AST defined in :mod:`repro.cminor.ast_nodes`.  The parser
-performs a small amount of desugaring so that later passes see a CIL-like
-program form:
+Produces the AST defined in :mod:`repro.cminor.ast_nodes`.  Like CIL's
+front end, which CCured and cXprop run on in the paper, the parser emits
+the program in one normal form, so every later pass sees a single loop
+shape and no empty statements:
 
 * compound assignments (``x += e``) become plain assignments
   (``x = x + e``),
 * ``++``/``--`` statements become ``x = x + 1`` / ``x = x - 1``,
 * ``true``/``false``/``NULL`` become integer literals,
-* character literals become integer literals.
+* character literals become integer literals,
+* every loop becomes ``while (1) { ... }``: ``while (c)`` and ``for``
+  test ``if (!c) break;`` at the top of the body, ``do``/``while`` at its
+  end, and a ``for``'s init moves in front of the loop;
+* a ``continue`` that would skip a ``for``'s update or a ``do``/``while``'s
+  test gets a copy of it in front (CMinor has no ``goto``; CIL does the
+  same when it cannot introduce labels);
+* ``;`` statements and empty nested blocks are dropped.
 """
 
 from __future__ import annotations
@@ -262,25 +270,49 @@ class Parser:
         open_tok = self._expect_op("{")
         stmts: list[ast.Stmt] = []
         while not self._peek().is_op("}"):
-            stmts.append(self.parse_statement())
+            stmts.extend(self._parse_statements())
         self._expect_op("}")
         block = ast.Block(stmts)
         block.loc = open_tok.loc
         return block
 
+    def _parse_body(self) -> ast.Block:
+        """Parse the body of a branch or loop, always as a block."""
+        if self._peek().is_op("{"):
+            return self._parse_block()
+        block = ast.Block()
+        block.loc = self._peek().loc
+        block.stmts = self._parse_statements()
+        return block
+
     def parse_statement(self) -> ast.Stmt:
-        """Parse a single statement."""
+        """Parse a single statement.
+
+        A ``for`` with an init normalizes to two statements and ``;`` to
+        none; those come back wrapped in a :class:`~ast_nodes.Block`.
+        """
+        if self._peek().is_op("{"):
+            return self._parse_block()
+        block = self._parse_body()
+        return block.stmts[0] if len(block.stmts) == 1 else block
+
+    def _parse_statements(self) -> list[ast.Stmt]:
+        """Parse one statement into its normal form: zero or more statements."""
         tok = self._peek()
         if tok.is_op("{"):
-            return self._parse_block()
-        if tok.is_keyword("if"):
-            return self._parse_if()
-        if tok.is_keyword("while"):
-            return self._parse_while()
-        if tok.is_keyword("do"):
-            return self._parse_do_while()
+            block = self._parse_block()
+            return [block] if block.stmts else []
+        if tok.is_op(";"):
+            self._advance()
+            return []
         if tok.is_keyword("for"):
             return self._parse_for()
+        if tok.is_keyword("if"):
+            return [self._parse_if()]
+        if tok.is_keyword("while"):
+            return [self._parse_while()]
+        if tok.is_keyword("do"):
+            return [self._parse_do_while()]
         if tok.is_keyword("return"):
             self._advance()
             value = None
@@ -289,25 +321,25 @@ class Parser:
             self._expect_op(";")
             stmt: ast.Stmt = ast.Return(value)
             stmt.loc = tok.loc
-            return stmt
+            return [stmt]
         if tok.is_keyword("break"):
             self._advance()
             self._expect_op(";")
             stmt = ast.Break()
             stmt.loc = tok.loc
-            return stmt
+            return [stmt]
         if tok.is_keyword("continue"):
             self._advance()
             self._expect_op(";")
             stmt = ast.Continue()
             stmt.loc = tok.loc
-            return stmt
+            return [stmt]
         if tok.is_keyword("atomic"):
             self._advance()
             body = self._parse_block()
             stmt = ast.Atomic(body)
             stmt.loc = tok.loc
-            return stmt
+            return [stmt]
         if tok.is_keyword("post"):
             self._advance()
             task_tok = self._expect_ident()
@@ -316,19 +348,14 @@ class Parser:
             self._expect_op(";")
             stmt = ast.Post(task_tok.text)
             stmt.loc = tok.loc
-            return stmt
-        if tok.is_op(";"):
-            self._advance()
-            stmt = ast.Nop()
-            stmt.loc = tok.loc
-            return stmt
+            return [stmt]
         if self._at_type():
             stmt = self._parse_local_decl()
             self._expect_op(";")
-            return stmt
+            return [stmt]
         stmt = self._parse_simple_statement()
         self._expect_op(";")
-        return stmt
+        return [stmt]
 
     def _parse_local_decl(self) -> ast.Stmt:
         loc = self._peek().loc
@@ -347,11 +374,11 @@ class Parser:
         self._expect_op("(")
         cond = self.parse_expression()
         self._expect_op(")")
-        then_body = self._as_block(self.parse_statement())
+        then_body = self._parse_body()
         else_body = None
         if self._peek().is_keyword("else"):
             self._advance()
-            else_body = self._as_block(self.parse_statement())
+            else_body = self._parse_body()
         stmt = ast.If(cond, then_body, else_body)
         stmt.loc = tok.loc
         return stmt
@@ -361,24 +388,26 @@ class Parser:
         self._expect_op("(")
         cond = self.parse_expression()
         self._expect_op(")")
-        body = self._as_block(self.parse_statement())
-        stmt = ast.While(cond, body)
-        stmt.loc = tok.loc
-        return stmt
+        body = self._parse_body()
+        if _is_constant_true(cond):
+            stmt = ast.While(cond, body)
+            stmt.loc = tok.loc
+            return stmt
+        return _infinite_loop([_loop_guard(cond), *body.stmts], tok.loc)
 
     def _parse_do_while(self) -> ast.Stmt:
         tok = self._expect_keyword("do")
-        body = self._as_block(self.parse_statement())
+        body = self._parse_body()
         self._expect_keyword("while")
         self._expect_op("(")
         cond = self.parse_expression()
         self._expect_op(")")
         self._expect_op(";")
-        stmt = ast.DoWhile(body, cond)
-        stmt.loc = tok.loc
-        return stmt
+        guard = _loop_guard(cond)
+        stmts = _prepend_to_continues(body.stmts, guard)
+        return _infinite_loop([*stmts, guard], tok.loc)
 
-    def _parse_for(self) -> ast.Stmt:
+    def _parse_for(self) -> list[ast.Stmt]:
         tok = self._expect_keyword("for")
         self._expect_op("(")
         init: Optional[ast.Stmt] = None
@@ -396,17 +425,13 @@ class Parser:
         if not self._peek().is_op(")"):
             update = self._parse_simple_statement()
         self._expect_op(")")
-        body = self._as_block(self.parse_statement())
-        stmt = ast.For(init, cond, update, body)
-        stmt.loc = tok.loc
-        return stmt
-
-    def _as_block(self, stmt: ast.Stmt) -> ast.Block:
-        if isinstance(stmt, ast.Block):
-            return stmt
-        block = ast.Block([stmt])
-        block.loc = stmt.loc
-        return block
+        stmts = self._parse_body().stmts
+        if update is not None:
+            stmts = [*_prepend_to_continues(stmts, update), update]
+        if cond is not None and not _is_constant_true(cond):
+            stmts = [_loop_guard(cond), *stmts]
+        loop = _infinite_loop(stmts, tok.loc)
+        return [init, loop] if init is not None else [loop]
 
     def _parse_simple_statement(self) -> ast.Stmt:
         """Parse an assignment, increment/decrement, or expression statement."""
@@ -590,6 +615,59 @@ def _clone_expr(expr: ast.Expr) -> ast.Expr:
     from repro.cminor.visitor import clone_expression
 
     return clone_expression(expr)
+
+
+def _is_constant_true(cond: ast.Expr) -> bool:
+    return isinstance(cond, ast.IntLiteral) and cond.value != 0
+
+
+def _loop_guard(cond: ast.Expr) -> ast.Stmt:
+    """Build ``if (!cond) break;`` for a loop condition, at its location."""
+    negated = ast.UnaryOp("!", cond)
+    negated.loc = cond.loc
+    break_stmt = ast.Break()
+    break_stmt.loc = cond.loc
+    guard = ast.If(negated, ast.Block([break_stmt]), None)
+    guard.loc = cond.loc
+    return guard
+
+
+def _infinite_loop(stmts: list[ast.Stmt], loc: SourceLocation) -> ast.While:
+    """Build ``while (1) { stmts }`` at the source loop's location."""
+    one = ast.IntLiteral(1)
+    one.loc = loc
+    loop = ast.While(one, ast.Block(stmts))
+    loop.loc = loc
+    return loop
+
+
+def _prepend_to_continues(stmts: list[ast.Stmt],
+                          stmt: ast.Stmt) -> list[ast.Stmt]:
+    """Put a copy of ``stmt`` in front of each ``continue`` of a loop body.
+
+    ``stmt`` is the code a ``continue`` must still run before the next
+    iteration: a ``for``'s update or a ``do``/``while``'s exit test.  The
+    walk does not descend into nested loops, whose ``continue`` statements
+    belong to them.
+    """
+    from repro.cminor.visitor import clone_statement
+
+    out: list[ast.Stmt] = []
+    for inner in stmts:
+        if isinstance(inner, ast.Continue):
+            out.append(clone_statement(stmt))
+        elif isinstance(inner, ast.If):
+            inner.then_body.stmts = _prepend_to_continues(
+                inner.then_body.stmts, stmt)
+            if inner.else_body is not None:
+                inner.else_body.stmts = _prepend_to_continues(
+                    inner.else_body.stmts, stmt)
+        elif isinstance(inner, ast.Block):
+            inner.stmts = _prepend_to_continues(inner.stmts, stmt)
+        elif isinstance(inner, ast.Atomic):
+            inner.body.stmts = _prepend_to_continues(inner.body.stmts, stmt)
+        out.append(inner)
+    return out
 
 
 def parse_program(source: str, unit_name: str = "<string>",

@@ -8,8 +8,6 @@ show what the instrumented program looks like.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.cminor import ast_nodes as ast
 from repro.cminor import typesys as ty
 from repro.cminor.program import Program
@@ -141,15 +139,6 @@ class PrettyPrinter:
         if isinstance(stmt, ast.While):
             return (f"{pad}while ({self.format_expr(stmt.cond)}) "
                     f"{self.format_block(stmt.body, level, inline=True)}")
-        if isinstance(stmt, ast.DoWhile):
-            return (f"{pad}do {self.format_block(stmt.body, level, inline=True)} "
-                    f"while ({self.format_expr(stmt.cond)});")
-        if isinstance(stmt, ast.For):
-            init = self._inline_stmt(stmt.init)
-            cond = self.format_expr(stmt.cond) if stmt.cond is not None else ""
-            update = self._inline_stmt(stmt.update)
-            return (f"{pad}for ({init}; {cond}; {update}) "
-                    f"{self.format_block(stmt.body, level, inline=True)}")
         if isinstance(stmt, ast.Return):
             if stmt.value is not None:
                 return f"{pad}return {self.format_expr(stmt.value)};"
@@ -164,15 +153,7 @@ class PrettyPrinter:
                     f"{self.format_block(stmt.body, level, inline=True)}")
         if isinstance(stmt, ast.Post):
             return f"{pad}post {stmt.task}();"
-        if isinstance(stmt, ast.Nop):
-            return f"{pad};"
         raise TypeError(f"cannot format statement {type(stmt).__name__}")
-
-    def _inline_stmt(self, stmt: Optional[ast.Stmt]) -> str:
-        if stmt is None:
-            return ""
-        text = self.format_stmt(stmt, 0).strip()
-        return text.rstrip(";")
 
     def format_block(self, block: ast.Block, level: int = 0,
                      inline: bool = False) -> str:

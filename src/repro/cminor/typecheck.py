@@ -150,18 +150,6 @@ class TypeChecker:
         elif isinstance(stmt, ast.While):
             self._check_condition(stmt.cond, scope, stmt.loc)
             self._check_block(stmt.body, _Scope(scope))
-        elif isinstance(stmt, ast.DoWhile):
-            self._check_block(stmt.body, _Scope(scope))
-            self._check_condition(stmt.cond, scope, stmt.loc)
-        elif isinstance(stmt, ast.For):
-            inner = _Scope(scope)
-            if stmt.init is not None:
-                self._check_stmt(stmt.init, inner)
-            if stmt.cond is not None:
-                self._check_condition(stmt.cond, inner, stmt.loc)
-            if stmt.update is not None:
-                self._check_stmt(stmt.update, inner)
-            self._check_block(stmt.body, _Scope(inner))
         elif isinstance(stmt, ast.Return):
             assert self._current_function is not None
             expected = self._current_function.return_type
@@ -185,7 +173,7 @@ class TypeChecker:
             if (stmt.task not in self.program.functions
                     and stmt.task not in self.program.tasks):
                 raise TypeCheckError(f"post of unknown task {stmt.task!r}", stmt.loc)
-        elif isinstance(stmt, (ast.Break, ast.Continue, ast.Nop)):
+        elif isinstance(stmt, (ast.Break, ast.Continue)):
             pass
         else:
             raise TypeCheckError(f"unknown statement kind {type(stmt).__name__}",

@@ -8,7 +8,7 @@ in one place so that individual passes stay small and declarative.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Union
 
 from repro.cminor import ast_nodes as ast
 
@@ -120,9 +120,7 @@ def child_blocks(stmt: ast.Stmt) -> list[ast.Block]:
         if stmt.else_body is not None:
             blocks.append(stmt.else_body)
         return blocks
-    if isinstance(stmt, (ast.While, ast.DoWhile, ast.Atomic)):
-        return [stmt.body]
-    if isinstance(stmt, ast.For):
+    if isinstance(stmt, (ast.While, ast.Atomic)):
         return [stmt.body]
     return []
 
@@ -139,12 +137,8 @@ def statement_expressions(stmt: ast.Stmt) -> list[ast.Expr]:
         return [stmt.lvalue, stmt.rvalue]
     if isinstance(stmt, ast.ExprStmt):
         return [stmt.expr]
-    if isinstance(stmt, ast.If):
+    if isinstance(stmt, (ast.If, ast.While)):
         return [stmt.cond]
-    if isinstance(stmt, (ast.While, ast.DoWhile)):
-        return [stmt.cond]
-    if isinstance(stmt, ast.For):
-        return [stmt.cond] if stmt.cond is not None else []
     if isinstance(stmt, ast.Return):
         return [stmt.value] if stmt.value is not None else []
     return []
@@ -160,21 +154,14 @@ def replace_statement_expressions(stmt: ast.Stmt,
         stmt.rvalue = map_expression(stmt.rvalue, fn)
     elif isinstance(stmt, ast.ExprStmt):
         stmt.expr = map_expression(stmt.expr, fn)
-    elif isinstance(stmt, ast.If):
-        stmt.cond = map_expression(stmt.cond, fn)
-    elif isinstance(stmt, (ast.While, ast.DoWhile)):
-        stmt.cond = map_expression(stmt.cond, fn)
-    elif isinstance(stmt, ast.For) and stmt.cond is not None:
+    elif isinstance(stmt, (ast.If, ast.While)):
         stmt.cond = map_expression(stmt.cond, fn)
     elif isinstance(stmt, ast.Return) and stmt.value is not None:
         stmt.value = map_expression(stmt.value, fn)
 
 
 def walk_statements(block: ast.Block) -> Iterator[ast.Stmt]:
-    """Yield every statement nested anywhere inside ``block``, pre-order.
-
-    ``For`` loops yield their ``init`` and ``update`` statements as well.
-    """
+    """Yield every statement nested anywhere inside ``block``, pre-order."""
     for stmt in block.stmts:
         yield from walk_statements_single(stmt)
 
@@ -182,11 +169,6 @@ def walk_statements(block: ast.Block) -> Iterator[ast.Stmt]:
 def walk_statements_single(stmt: ast.Stmt) -> Iterator[ast.Stmt]:
     """Yield ``stmt`` and every statement nested inside it."""
     yield stmt
-    if isinstance(stmt, ast.For):
-        if stmt.init is not None:
-            yield from walk_statements_single(stmt.init)
-        if stmt.update is not None:
-            yield from walk_statements_single(stmt.update)
     for block in child_blocks(stmt):
         if block is stmt:
             for inner in block.stmts:  # type: ignore[attr-defined]
@@ -212,7 +194,8 @@ def transform_block(block: ast.Block,
     """
     new_stmts: list[ast.Stmt] = []
     for stmt in block.stmts:
-        _transform_children(stmt, fn)
+        for child in child_blocks(stmt):
+            transform_block(child, fn)
         result = fn(stmt)
         if result is None:
             continue
@@ -221,30 +204,6 @@ def transform_block(block: ast.Block,
         else:
             new_stmts.append(result)
     block.stmts = new_stmts
-
-
-def _transform_children(stmt: ast.Stmt, fn: Callable[[ast.Stmt], StmtRewrite]) -> None:
-    if isinstance(stmt, ast.For):
-        if stmt.init is not None:
-            replaced = fn(stmt.init)
-            stmt.init = _single_or_block(replaced)
-        if stmt.update is not None:
-            replaced = fn(stmt.update)
-            stmt.update = _single_or_block(replaced)
-    for block in child_blocks(stmt):
-        transform_block(block, fn)
-
-
-def _single_or_block(result: StmtRewrite) -> Optional[ast.Stmt]:
-    if result is None:
-        return None
-    if isinstance(result, list):
-        if not result:
-            return None
-        if len(result) == 1:
-            return result[0]
-        return ast.Block(list(result))
-    return result
 
 
 def count_statements(block: ast.Block) -> int:

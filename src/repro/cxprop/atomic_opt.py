@@ -58,7 +58,7 @@ def _call_sites_by_context(program: Program) -> dict[str, list[tuple[str, bool]]
                 visit_block(stmt.then_body, caller, in_atomic)
                 if stmt.else_body is not None:
                     visit_block(stmt.else_body, caller, in_atomic)
-            elif isinstance(stmt, (ast.While, ast.DoWhile, ast.For)):
+            elif isinstance(stmt, ast.While):
                 visit_block(stmt.body, caller, in_atomic)
             elif isinstance(stmt, ast.Block):
                 visit_block(stmt, caller, in_atomic)
@@ -148,7 +148,7 @@ def _flatten_block(block: ast.Block, interrupts_off: bool,
             _flatten_block(stmt.then_body, interrupts_off, report)
             if stmt.else_body is not None:
                 _flatten_block(stmt.else_body, interrupts_off, report)
-        elif isinstance(stmt, (ast.While, ast.DoWhile, ast.For)):
+        elif isinstance(stmt, ast.While):
             _flatten_block(stmt.body, interrupts_off, report)
         elif isinstance(stmt, ast.Block):
             _flatten_block(stmt, interrupts_off, report)

@@ -60,7 +60,7 @@ class _BlockPropagator:
         from repro.cminor.visitor import child_blocks
 
         inner_copies = dict(copies)
-        if isinstance(stmt, (ast.While, ast.DoWhile, ast.For)):
+        if isinstance(stmt, ast.While):
             # A loop body may run many times: a copy established before the
             # loop is only valid inside it if the body never reassigns either
             # side, so prune against the body's assignments *before*
@@ -79,8 +79,7 @@ class _BlockPropagator:
             self._process_block(block, dict(inner_copies))
         if isinstance(stmt, ast.Block):
             self._process_block(stmt, dict(inner_copies))
-        if isinstance(stmt, (ast.If, ast.While, ast.DoWhile, ast.For, ast.Atomic,
-                             ast.Block)):
+        if isinstance(stmt, (ast.If, ast.While, ast.Atomic, ast.Block)):
             # After a branch or loop, assignments inside may have changed
             # anything they mention; drop affected copies.
             assigned = self._assigned_in(stmt)

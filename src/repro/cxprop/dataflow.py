@@ -1,10 +1,12 @@
 """The flow-sensitive abstract interpreter over one function.
 
-The engine walks a function's (simplified, structured) body, tracking an
-abstract state — a mapping from variable names to
-:class:`~repro.cxprop.values.Value` — and records a joined snapshot of the
-state in front of every statement.  The transformation passes (branch
-folding, check elimination, constant substitution) consult those snapshots.
+The engine walks a function's structured body, tracking an abstract state
+— a mapping from variable names to :class:`~repro.cxprop.values.Value` —
+and records a joined snapshot of the state in front of every statement.
+The parser's normal form leaves one loop shape, ``while (1)`` with explicit
+``if (!c) break;`` exits, so a loop condition is refined like any other
+branch condition.  The transformation passes (branch folding, check
+elimination, constant substitution) consult those snapshots.
 
 Concurrency soundness: variables that interrupt handlers touch are only
 trusted *inside* atomic sections (and inside interrupt handlers, which run
@@ -234,15 +236,6 @@ class FunctionAnalysis:
             return self._exec_if(stmt, state, in_atomic)
         if isinstance(stmt, ast.While):
             return self._exec_loop(stmt, state, in_atomic)
-        if isinstance(stmt, (ast.DoWhile, ast.For)):
-            # The simplifier removes these; treat conservatively if present.
-            havoced = self._havoc_all(state)
-            body_flow = self._exec_block(stmt.body, havoced, in_atomic)
-            exit_state = havoced
-            for extra in body_flow.breaks + ([body_flow.fall]
-                                             if body_flow.fall else []):
-                exit_state = join_states(self.domain, exit_state, extra) or {}
-            return Flow(fall=exit_state, returns=body_flow.returns)
         if isinstance(stmt, ast.Return):
             if stmt.value is not None:
                 self._eval(stmt.value, state, in_atomic)
@@ -251,7 +244,7 @@ class FunctionAnalysis:
             return Flow(fall=None, breaks=[dict(state)])
         if isinstance(stmt, ast.Continue):
             return Flow(fall=None, continues=[dict(state)])
-        if isinstance(stmt, (ast.Nop, ast.Post)):
+        if isinstance(stmt, ast.Post):
             return Flow.falling(state)
         new_state = dict(state)
         if isinstance(stmt, ast.VarDecl):
@@ -482,9 +475,6 @@ class FunctionAnalysis:
                         node.callee in self.program.functions:
                     for name in self.facts.modified_globals(node.callee):
                         state.pop(name, None)
-
-    def _havoc_all(self, state: State) -> State:
-        return {}
 
 
 def _negate_comparison(op: str) -> str:

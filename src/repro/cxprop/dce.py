@@ -207,10 +207,6 @@ def _remove_empty_statements(program: Program, report: DceReport) -> bool:
 
     def rewrite(stmt: ast.Stmt):
         nonlocal changed
-        if isinstance(stmt, ast.Nop):
-            changed = True
-            report.statements_removed += 1
-            return None
         if isinstance(stmt, ast.Block) and not stmt.stmts:
             changed = True
             report.statements_removed += 1

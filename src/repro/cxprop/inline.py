@@ -184,8 +184,7 @@ def _normalize_function(program: Program, func: ast.FunctionDef,
 
 
 def _has_loops(func: ast.FunctionDef) -> bool:
-    return any(isinstance(s, (ast.While, ast.DoWhile, ast.For))
-               for s in walk_statements(func.body))
+    return any(isinstance(s, ast.While) for s in walk_statements(func.body))
 
 
 def _return_statements(func: ast.FunctionDef) -> list[ast.Return]:

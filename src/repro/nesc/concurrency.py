@@ -78,9 +78,7 @@ def _collect_accesses(program: Program, func: ast.FunctionDef,
                 record(stmt.then_body, nested_atomic if isinstance(stmt, ast.Atomic) else in_atomic)
                 if stmt.else_body is not None:
                     record(stmt.else_body, in_atomic)
-            elif isinstance(stmt, (ast.While, ast.DoWhile)):
-                record(stmt.body, in_atomic)
-            elif isinstance(stmt, ast.For):
+            elif isinstance(stmt, ast.While):
                 record(stmt.body, in_atomic)
             elif isinstance(stmt, ast.Block):
                 record(stmt, in_atomic)

@@ -27,7 +27,6 @@ from repro.cminor import typesys as ty
 from repro.cminor.errors import CMinorError
 from repro.cminor.parser import parse_program
 from repro.cminor.program import Program, StructTable, TranslationUnit
-from repro.cminor.simplify import simplify_program
 from repro.cminor.typecheck import check_program
 from repro.cminor.visitor import (
     map_expression,
@@ -122,7 +121,6 @@ class NescCompiler:
         program.tasks = [name for name, _ in
                          sorted(self.task_ids.items(), key=lambda item: item[1])]
 
-        simplify_program(program)
         check_program(program)
         nesc_race_analysis(program, suppress_norace=self.suppress_norace)
         return program

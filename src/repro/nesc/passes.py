@@ -16,9 +16,10 @@ class FlattenPass(Pass):
     """Run the nesC compiler: flatten the wired application into a program.
 
     This pass *produces* the context's program (``outcome.program``); it is
-    always the first pass of a pipeline.  The CIL-style simplifier and the
-    nesC concurrency analysis run inside flattening, exactly as in the
-    original toolchain.
+    always the first pass of a pipeline.  The type checker and the nesC
+    concurrency analysis run inside flattening, exactly as in the original
+    toolchain; the CIL-style loop normalization already happened in the
+    parser.
     """
 
     name = "nesc.flatten"

@@ -2,7 +2,7 @@
 
 Every figure of the paper is a sweep: each of the twelve applications built
 under each of several variants.  Building them independently re-runs the
-nesC front end (parse, flatten, simplify, type check, race analysis) once
+nesC front end (parse, flatten, type check, race analysis) once
 per variant — and, for variants that also agree on their CCured
 configuration, the whole instrumentation stage — even though those prefixes
 of the pass list are deterministic functions of the application and the

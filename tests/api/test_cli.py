@@ -3,6 +3,8 @@
 import io
 import json
 
+import pytest
+
 from repro.api.cli import main, resolve_apps, resolve_variants
 from repro.api.records import BuildRecord, SimRecord
 from repro.tinyos.suite import FIGURE_APPS, MICA2_APPS
@@ -129,6 +131,16 @@ class TestSimulateCommand:
         status, _output = run_cli("simulate", "BlinkTask_Mica2",
                                   "--loss", "1.5")
         assert status == 2
+
+
+@pytest.mark.parametrize("command", [
+    ("simulate", "BlinkTask_Mica2"),
+    ("scenarios", "BlinkTask_Mica2"),
+    ("figures", "--figure", "3c", "--apps", "BlinkTask_Mica2"),
+])
+def test_infinite_seconds_is_a_usage_error(command):
+    status, _output = run_cli(*command, "--seconds", "inf")
+    assert status == 2
 
 
 class TestFiguresCommand:

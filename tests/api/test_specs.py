@@ -154,6 +154,15 @@ class TestSimSpec:
         with pytest.raises(ValueError, match="seconds must be positive"):
             SimSpec(app="BlinkTask_Mica2", seconds=0.0)
 
+    @pytest.mark.parametrize("seconds", [float("inf"), float("nan")])
+    def test_infinite_seconds_rejected_by_both_simulation_specs(self, seconds):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SimSpec(app="BlinkTask_Mica2", seconds=seconds)
+        with pytest.raises(ValueError, match="positive and finite"):
+            ScenarioSpec(app="Surge_Mica2", variants=("baseline",),
+                         plan=FaultPlan(faults=(BitFlipFault(),), seed=1),
+                         seconds=seconds)
+
     def test_unknown_traffic_mode_rejected(self):
         with pytest.raises(ValueError, match="traffic"):
             SimSpec(app="BlinkTask_Mica2", traffic="storm")

@@ -7,9 +7,8 @@ same ``__error_report`` output, same radio traffic.  This module enforces
 that on every application in the paper's figure suite plus a set of
 hand-written semantic edge cases — and, for the figure suite, that
 superblock fusion on vs off (``REPRO_AVRORA_SUPERBLOCKS=0``) is equally
-invisible.  Un-simplified programs reach the loop lowerings the simplifier
-never emits (``for``, ``do``/``while``, non-constant ``while``), which only
-ever run per statement.
+invisible.  Loops written in C's other forms, which the parser normalizes to
+``while (1)``, are also checked against results worked out by hand.
 """
 
 from __future__ import annotations
@@ -236,10 +235,13 @@ def test_edge_programs_identical_under_both_engines(name):
     assert results["tree"] == results["compiled"]
 
 
-#: Loops the simplifier rewrites away, so only un-simplified programs
-#: reach their per-statement lowerings.
+#: Source loops in C's other forms — ``for``, ``do``/``while`` and a
+#: conditional ``while``, which the parser rewrites to ``while (1)`` — with
+#: the scalar globals C leaves behind, worked out by hand from C semantics.
 UNSIMPLIFIED_LOOPS = {
-    "for_with_continue": """
+    # i = 0..39; the ten i = 1 (mod 4) take the continue, so
+    # i == 33 never breaks: skipped = 10, out = 780 - (1 + 5 + ... + 37).
+    "for_with_continue": ("""
 uint16_t out = 0;
 uint8_t skipped = 0;
 __spontaneous void main(void) {
@@ -251,8 +253,9 @@ __spontaneous void main(void) {
   }
   __sleep();
 }
-""",
-    "do_while": """
+""", {"out": 590, "skipped": 10}),
+    # n = 1..25, folding out = out * 3 + n (mod 2^16) for every n but 4.
+    "do_while": ("""
 uint16_t out = 0;
 uint8_t n = 0;
 __spontaneous void main(void) {
@@ -263,8 +266,73 @@ __spontaneous void main(void) {
   } while (n < 25);
   __sleep();
 }
-""",
-    "nonconstant_while": """
+""", {"out": 46069, "n": 25}),
+    # A continue jumps to the test: i < 3 fails at i == 3, so the body
+    # never reaches x = x + 1.
+    "do_while_continue_runs_the_test": ("""
+uint8_t i = 0;
+uint8_t x = 0;
+__spontaneous void main(void) {
+  do {
+    i = i + 1;
+    if (i < 5) { continue; }
+    x = x + 1;
+  } while (i < 3);
+  __sleep();
+}
+""", {"i": 3, "x": 0}),
+    # n = 1: the for skips j == 1 (inner 3), out = 1.  n = 2: the for
+    # skips j == 2 (inner 6), then the continue runs the test, which ends
+    # the loop.
+    "for_in_do_while_with_continues": ("""
+uint8_t n = 0;
+uint8_t inner = 0;
+uint8_t out = 0;
+__spontaneous void main(void) {
+  uint8_t j;
+  do {
+    n = n + 1;
+    for (j = 0; j < 4; j++) {
+      if (j == n) { continue; }
+      inner = inner + 1;
+    }
+    if (n == 2) { continue; }
+    out = out + n;
+  } while (n < 2);
+  __sleep();
+}
+""", {"n": 2, "inner": 6, "out": 1}),
+    # k = 3, 6, ..., 18 add up to 63; k = 21 breaks.
+    "for_ever_with_break": ("""
+uint16_t k = 0;
+uint16_t out = 0;
+__spontaneous void main(void) {
+  for (;;) {
+    k = k + 3;
+    if (k > 20) { break; }
+    out = out + k;
+  }
+  __sleep();
+}
+""", {"k": 21, "out": 63}),
+    # count = 1..5 add up to 15; count = 6 breaks out of the atomic
+    # section, which must leave interrupts enabled again.
+    "while_left_from_atomic": ("""
+uint8_t count = 0;
+uint16_t total = 0;
+__spontaneous void main(void) {
+  while (count < 10) {
+    count = count + 1;
+    atomic {
+      if (count == 6) { break; }
+      total = total + count;
+    }
+  }
+  __sleep();
+}
+""", {"count": 6, "total": 15}),
+    # j = 7, 14, ..., 301: out = 7 ^ 14 ^ ... ^ 301.
+    "nonconstant_while": ("""
 uint16_t out = 0;
 uint16_t j = 0;
 __spontaneous void main(void) {
@@ -274,7 +342,7 @@ __spontaneous void main(void) {
   }
   __sleep();
 }
-""",
+""", {"out": 276, "j": 301}),
 }
 
 
@@ -287,18 +355,24 @@ def _globals(node: Node) -> dict:
 
 @pytest.mark.parametrize("name", list(UNSIMPLIFIED_LOOPS))
 def test_unsimplified_loops_identical_under_both_engines(name):
-    """``for`` with ``continue``, ``do``/``while`` and a non-constant
-    ``while`` match the tree-walker on statements, cycles and globals."""
+    """Loops written as ``for``, ``do``/``while`` or conditional ``while``
+    end with the globals C gives them under the tree engine, the compiled
+    engine and the compiled engine without superblocks, with equal
+    statement and cycle counts."""
+    source, expected = UNSIMPLIFIED_LOOPS[name]
     results = {}
-    for engine in ("tree", "compiled"):
-        program = make_program(UNSIMPLIFIED_LOOPS[name], simplify=False)
-        node = _pinned_node(program, engine, superblocks=True)
+    for engine, superblocks in (("tree", True), ("compiled", True),
+                                ("compiled", False)):
+        program = make_program(source)
+        node = _pinned_node(program, engine, superblocks=superblocks)
         node.boot()
         node.run(0.05)
-        results[engine] = (node.interpreter.statements_executed,
-                           node.busy_cycles, node.time_cycles,
-                           _globals(node))
-    assert results["tree"] == results["compiled"]
+        assert _globals(node) == expected, (engine, superblocks)
+        assert node.atomic_depth == 0
+        results[engine, superblocks] = (
+            node.interpreter.statements_executed, node.busy_cycles,
+            node.time_cycles)
+    assert len(set(results.values())) == 1, results
 
 
 def test_store_before_declaration_of_address_taken_local():

@@ -14,7 +14,6 @@ from repro.ccured.instrument import cure
 from repro.ccured.optimizer import optimize_checks
 from repro.backend.gcc_opt import gcc_optimize
 from repro.cminor.analysis_cache import ProgramAnalysisCache
-from repro.cminor.simplify import simplify_program
 from repro.cminor.visitor import statement_expressions, walk_statements
 from repro.cxprop.driver import CxpropConfig
 from repro.cxprop.inline import inline_program
@@ -74,11 +73,6 @@ def _run_pass(program, pass_, ctx=None):
 
 
 class TestMutatingStagesKeepAnalysisConsistent:
-    def test_simplify(self, program):
-        _warm(program)
-        simplify_program(program)
-        _assert_cache_fresh(program)
-
     def test_hwrefactor(self, program):
         _warm(program)
         refactor_hardware_accesses(program)

@@ -74,6 +74,20 @@ class TestExpressions:
         assert expr.value == "abc"
 
 
+def _is_while_one(stmt) -> bool:
+    """``stmt`` is the parser's one loop form, ``while (1) { ... }``."""
+    return (isinstance(stmt, ast.While) and isinstance(stmt.cond, ast.IntLiteral)
+            and stmt.cond.value == 1)
+
+
+def _is_exit_test(stmt, op: str) -> bool:
+    """``stmt`` is ``if (!(a op b)) break;``."""
+    return (isinstance(stmt, ast.If) and stmt.else_body is None
+            and isinstance(stmt.cond, ast.UnaryOp) and stmt.cond.op == "!"
+            and stmt.cond.operand.op == op
+            and [type(s) for s in stmt.then_body.stmts] == [ast.Break])
+
+
 class TestStatements:
     def test_compound_assignment_is_desugared(self):
         stmt = parse_statement("x += 2;")
@@ -98,20 +112,51 @@ class TestStatements:
 
     def test_while_loop(self):
         stmt = parse_statement("while (i < 10) { i++; }")
-        assert isinstance(stmt, ast.While)
+        assert _is_while_one(stmt)
+        guard, step = stmt.body.stmts
+        assert _is_exit_test(guard, "<")
+        assert isinstance(step, ast.Assign)
 
     def test_do_while_loop(self):
         stmt = parse_statement("do { i++; } while (i < 10);")
-        assert isinstance(stmt, ast.DoWhile)
+        assert _is_while_one(stmt)
+        step, guard = stmt.body.stmts
+        assert isinstance(step, ast.Assign)
+        assert _is_exit_test(guard, "<")
 
     def test_for_loop(self):
         stmt = parse_statement("for (i = 0; i < 4; i++) { total += i; }")
-        assert isinstance(stmt, ast.For)
-        assert stmt.init is not None and stmt.update is not None
+        # The init moves in front of the loop; the update ends its body.
+        assert isinstance(stmt, ast.Block)
+        init, loop = stmt.stmts
+        assert isinstance(init, ast.Assign) and init.lvalue.name == "i"
+        assert _is_while_one(loop)
+        guard, body, update = loop.body.stmts
+        assert _is_exit_test(guard, "<")
+        assert body.lvalue.name == "total" and update.lvalue.name == "i"
 
     def test_for_loop_with_declaration(self):
         stmt = parse_statement("for (uint8_t i = 0; i < 4; i++) { }")
-        assert isinstance(stmt.init, ast.VarDecl)
+        init, loop = stmt.stmts
+        assert isinstance(init, ast.VarDecl)
+        assert _is_while_one(loop) and len(loop.body.stmts) == 2
+
+    def test_for_loop_without_init_or_condition(self):
+        stmt = parse_statement("for (;;) { x = 1; }")
+        assert _is_while_one(stmt)
+        assert [type(s) for s in stmt.body.stmts] == [ast.Assign]
+
+    def test_empty_statements_are_dropped(self):
+        assert parse_statement(";") == ast.Block([])
+        stmt = parse_statement("if (a) ; else { ; { } }")
+        assert stmt.then_body.stmts == [] and stmt.else_body.stmts == []
+
+    def test_new_nodes_carry_the_source_locations(self):
+        stmt = parse_statement("for (i = 0;\n i < 4; i++) { }")
+        _, loop = stmt.stmts
+        guard = loop.body.stmts[0]
+        assert loop.loc.line == loop.cond.loc.line == 1
+        assert guard.loc.line == guard.then_body.stmts[0].loc.line == 2
 
     def test_atomic_statement(self):
         stmt = parse_statement("atomic { x = 1; }")

@@ -87,16 +87,16 @@ __spontaneous void main(void) {
   total = tally();
 }
 """
-        program = make_program(source, simplify=False)
+        program = make_program(source)
         printed = to_source(program)
-        reparsed = make_program(printed, simplify=False)
+        reparsed = make_program(printed)
         assert set(reparsed.functions) == set(program.functions)
         assert set(reparsed.globals) == set(program.globals)
 
     def test_function_attributes_survive_printing(self):
         program = make_program(
             '__interrupt("ADC") void handler(void) { }\n'
-            '__spontaneous void main(void) { }', simplify=False)
+            '__spontaneous void main(void) { }')
         printed = to_source(program)
         assert '__interrupt("ADC")' in printed
         assert "__spontaneous" in printed

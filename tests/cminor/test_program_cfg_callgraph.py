@@ -52,7 +52,7 @@ __spontaneous void main(void) { }
 __interrupt("ADC") void adc(void) { }
 void task_one(void) { }
 void helper(void) { }
-""", simplify=False)
+""")
         program.interrupt_vectors["ADC"] = "adc"
         program.tasks = ["task_one"]
         roots = set(program.root_functions())

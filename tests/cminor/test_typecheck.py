@@ -46,13 +46,13 @@ class TestAcceptedPrograms:
         assert program.lookup_function("sum") is not None
 
     def test_expressions_are_annotated_with_types(self):
-        program = make_program(GOOD_PROGRAM, simplify=False)
+        program = make_program(GOOD_PROGRAM)
         func = program.lookup_function("sum")
         for expr in walk_function_expressions(func.body):
             assert expr.ctype is not None, f"unannotated {type(expr).__name__}"
 
     def test_pointer_member_access_type(self):
-        program = make_program(GOOD_PROGRAM, simplify=False)
+        program = make_program(GOOD_PROGRAM)
         main = program.lookup_function("main")
         members = [e for e in walk_function_expressions(main.body)
                    if isinstance(e, ast.Member)]
@@ -60,7 +60,7 @@ class TestAcceptedPrograms:
         assert all(m.ctype == ty.UINT16 for m in members)
 
     def test_call_type_is_return_type(self):
-        program = make_program(GOOD_PROGRAM, simplify=False)
+        program = make_program(GOOD_PROGRAM)
         main = program.lookup_function("main")
         calls = [e for e in walk_function_expressions(main.body)
                  if isinstance(e, ast.Call) and e.callee == "sum"]

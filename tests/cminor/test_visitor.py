@@ -87,24 +87,24 @@ void work(void) { }
 """
 
     def test_walk_statements_reaches_nested_statements(self):
-        program = make_program(self.SOURCE, simplify=False)
+        program = make_program(self.SOURCE)
         func = program.lookup_function("main")
         kinds = {type(s).__name__ for s in walk_statements(func.body)}
-        assert {"For", "If", "Assign", "ExprStmt", "Post"} <= kinds
+        assert {"While", "If", "Assign", "ExprStmt", "Post"} <= kinds
 
     def test_collect_called_functions_includes_posts(self):
-        program = make_program(self.SOURCE, simplify=False)
+        program = make_program(self.SOURCE)
         func = program.lookup_function("main")
         assert collect_called_functions(func.body) == {"helper", "work"}
 
     def test_collect_identifiers(self):
-        program = make_program(self.SOURCE, simplify=False)
+        program = make_program(self.SOURCE)
         func = program.lookup_function("main")
         names = collect_identifiers(func.body)
         assert {"i", "table", "total"} <= names
 
     def test_count_statements_excludes_blocks(self):
-        program = make_program(self.SOURCE, simplify=False)
+        program = make_program(self.SOURCE)
         func = program.lookup_function("helper")
         assert count_statements(func.body) == 1
 

@@ -1,8 +1,9 @@
 """Shared helpers for the test suite.
 
 Most tests need a small CMinor program built from source text; these helpers
-wrap the parse/link/typecheck/simplify boilerplate and provide tiny
-applications for the nesC and toolchain layers.
+wrap the parse/link/typecheck boilerplate (the parser already emits the
+normal form every pass expects) and provide tiny applications for the nesC
+and toolchain layers.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 from repro.cminor import ast_nodes as ast
 from repro.cminor.parser import parse_program
 from repro.cminor.program import Program, link_units
-from repro.cminor.simplify import simplify_program
 from repro.cminor.typecheck import check_program
 from repro.cminor.visitor import walk_statements
 from repro.nesc.application import Application
@@ -19,15 +19,12 @@ from repro.nesc.interface import standard_interfaces
 from repro.tinyos import messages as msgs
 
 
-def make_program(source: str, name: str = "test", platform: str = "mica2",
-                 simplify: bool = True) -> Program:
-    """Parse, link, (optionally) simplify and type-check one source unit."""
+def make_program(source: str, name: str = "test",
+                 platform: str = "mica2") -> Program:
+    """Parse, link and type-check one source unit."""
     unit = parse_program(source, name)
     program = link_units([unit], name=name, platform=platform)
     check_program(program)
-    if simplify:
-        simplify_program(program)
-        check_program(program)
     return program
 
 

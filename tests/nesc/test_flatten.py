@@ -2,11 +2,15 @@
 
 import pytest
 
+from repro.ccured.config import CCuredConfig, MessageStrategy, RuntimeMode
+from repro.ccured.runtime import build_runtime
 from repro.cminor import ast_nodes as ast
+from repro.cminor.visitor import walk_function_expressions, walk_statements
 from repro.nesc.application import Application
 from repro.nesc.component import Component
 from repro.nesc.flatten import NescCompiler, WiringError, flatten_application
 from repro.tinyos import messages as msgs
+from repro.tinyos import suite
 
 import sys
 from pathlib import Path
@@ -136,8 +140,37 @@ uint8_t Timer_fired(void) {
         assert count_calls(program, "SecondClientM__Timer_fired") >= 1
 
     def test_flattened_program_is_type_checked_and_simplified(self, tiny_app_program):
-        from repro.cminor.visitor import walk_statements
-
         for func in tiny_app_program.iter_functions():
-            for stmt in walk_statements(func.body):
-                assert not isinstance(stmt, ast.For)
+            assert _outside_the_normal_form(func) == []
+            for expr in walk_function_expressions(func.body):
+                assert expr.ctype is not None, (func.name, expr)
+
+
+def _outside_the_normal_form(func: ast.FunctionDef) -> list[str]:
+    """Statements of ``func`` the parser's normal form rules out: loops
+    other than ``while (1)`` and empty block statements."""
+    found = []
+    for stmt in walk_statements(func.body):
+        if isinstance(stmt, ast.While) and not (
+                isinstance(stmt.cond, ast.IntLiteral) and stmt.cond.value != 0):
+            found.append(f"{func.name}: conditional while at {stmt.loc}")
+        elif isinstance(stmt, ast.Block) and not stmt.stmts:
+            found.append(f"{func.name}: empty block at {stmt.loc}")
+    return found
+
+
+def test_toolchain_sees_one_loop_form():
+    """Every application's flattened program and every CCured runtime
+    library (trimmed and naive, under each message strategy) reach the
+    passes in the one loop form."""
+    found = []
+    for name in suite.FIGURE_APPS:
+        for func in suite.build_program(name).iter_functions():
+            found += _outside_the_normal_form(func)
+    for mode in RuntimeMode:
+        for strategy in MessageStrategy:
+            library = build_runtime(CCuredConfig(message_strategy=strategy,
+                                                 runtime_mode=mode))
+            for func in library.functions:
+                found += _outside_the_normal_form(func)
+    assert found == []

@@ -106,7 +106,7 @@ class TestPassManager:
             name = "touch"
 
             def run(self, program, ctx):
-                program.functions["main"].body.stmts.append(ast.Nop())
+                program.functions["main"].body.stmts.append(ast.Return())
                 return PassOutcome(changed=1, detail=None)
 
         class Preserving(Pass):
