@@ -13,6 +13,12 @@ resolves per statement:
 
 * **slot-indexed frames** — every parameter and local gets an integer slot
   in a plain list; no per-call dict, no hashing;
+* **names bound once** — each identifier is bound to its slot or to the
+  booted node's global object, with no runtime fallback: the parser gives
+  every local one name and the type checker rejects a function that
+  declares a name twice or uses a global under a local's name, so the
+  flat slot table is C's scoping (lowering therefore follows
+  ``Node.boot``);
 * **precomputed costs** — each statement's cycle cost (statement +
   expression nodes) is folded into its op;
 * **structured jumps** — ``if``/loops/``break``/``continue``/``return``
@@ -101,14 +107,6 @@ def _simulation_finished():
 
     return _SimulationFinished
 
-
-class _Unset:
-    """Sentinel for a frame slot whose declaration has not executed yet."""
-
-    __repr__ = lambda self: "<unset>"  # noqa: E731
-
-
-_UNSET = _Unset()
 
 #: Slot 0 of every frame holds the (eventual) return value.
 _RET = 0
@@ -323,7 +321,7 @@ class FunctionPlan:
                  fusable: frozenset[int], loop_conds: frozenset[int],
                  call_sites: dict[int, tuple], leaf_cost: Optional[int]):
         self.name = name
-        #: Frame slot of every local / stray identifier (slot 0 = return).
+        #: Frame slot of every parameter and local (slot 0 = return).
         self.slots = slots
         #: Per-parameter plan: (slot, taken, ctype, size, storage_name).
         self.params = params
@@ -355,15 +353,12 @@ def _build_plan(func: ast.FunctionDef, program: Program,
     """Run the lowering front end for one function (AST walks live here)."""
     cache = program.analysis()
     pointer_size = costs.platform.pointer_bytes
-    locals_ = cache.local_types(func)
     taken = cache.address_taken_locals(func)
-    globals_ = program.globals
 
-    # Frame layout: slot 0 is the return value; every local name (and any
-    # stray identifier that is neither local nor global, to mirror the
-    # tree-walker's scratch-frame semantics) gets a slot.
+    # Frame layout: slot 0 is the return value; every parameter and local
+    # gets a slot (the checker has made each name one variable).
     slots: dict[str, int] = {}
-    for name in locals_:
+    for name in cache.local_types(func):
         slots[name] = 1 + len(slots)
 
     from repro.cminor.visitor import walk_statements
@@ -373,8 +368,6 @@ def _build_plan(func: ast.FunctionDef, program: Program,
     loop_conds: set[int] = set()
     call_free: set[int] = set()
     call_sites: dict[int, tuple] = {}
-    stray: list[str] = []
-    stray_seen: set[str] = set()
     builtins = program.builtins
     for stmt in walk_statements(func.body):
         cycles = costs.stmt_cycles(stmt)
@@ -384,12 +377,6 @@ def _build_plan(func: ast.FunctionDef, program: Program,
                 cycles += costs.expr_cycles(node)
                 if isinstance(node, ast.Call):
                     calls.append(node)
-                elif isinstance(node, ast.Identifier) and \
-                        node.name not in locals_ and \
-                        node.name not in globals_ and \
-                        node.name not in stray_seen:
-                    stray_seen.add(node.name)
-                    stray.append(node.name)
         stmt_costs[stmt.node_id] = max(cycles, 1)
         if not calls:
             call_free.add(stmt.node_id)
@@ -415,9 +402,6 @@ def _build_plan(func: ast.FunctionDef, program: Program,
                 isinstance(node, ast.Call)
                 for node in walk_expression(stmt.cond)):
             loop_conds.add(stmt.node_id)
-    for name in stray:
-        if name not in slots:
-            slots[name] = 1 + len(slots)
 
     params = []
     for param in func.params:
@@ -670,8 +654,10 @@ class CompiledEngine:
     def compile_program(self) -> int:
         """Lower every program function now (normally lazy); returns count.
 
-        Used by benchmarks to separate compile time from run time when
-        measuring how the shared code cache amortizes per-node lowering.
+        Lowering binds every global to the node's memory object, so the
+        node must have booted (:meth:`~repro.avrora.node.Node.boot`).  Used
+        by benchmarks to separate compile time from run time when measuring
+        how the shared code cache amortizes per-node lowering.
         """
         for name in self.program.functions:
             if name not in self._compiled:
@@ -716,7 +702,7 @@ class CompiledEngine:
             raise TypeError(
                 f"{cf.name}() takes {nparams} argument(s) "
                 f"but {len(args)} were given")
-        slots = [_UNSET] * cf.nslots
+        slots = [None] * cf.nslots
         slots[_RET] = cf.default_return
         if cf.flat_params:
             if nparams:
@@ -797,27 +783,6 @@ class CompiledEngine:
         except MemoryError_:
             self.node.memory_violations += 1
 
-    # -- dynamic fallbacks (rare paths kept out of the fast closures) ------------
-
-    def _load_global_like(self, name: str,
-                          expr_ctype: Optional[ty.CType]) -> RuntimeValue:
-        """Identifier read when the frame slot is unset (pre-declaration)."""
-        obj = self.memory.global_object(name)
-        if obj is not None:
-            var = self.program.lookup_global(name)
-            ctype = var.ctype if var is not None else (expr_ctype or ty.UINT8)
-            if isinstance(ctype, (ty.ArrayType, ty.StructType)):
-                return Pointer(obj, 0)
-            return self.memory.read(Pointer(obj, 0), ctype)
-        raise MemoryError_(f"read of unknown variable {name!r}")
-
-    def _locate_name(self, name: str) -> Pointer:
-        """Identifier locate when no memory object sits in the frame slot."""
-        obj = self.memory.global_object(name)
-        if obj is not None:
-            return Pointer(obj, 0)
-        raise MemoryError_(f"no storage for {name!r}")
-
 
 # ---------------------------------------------------------------------------
 # The lowering pass
@@ -836,7 +801,6 @@ class _FunctionCompiler:
         cache = self.program.analysis()
         self._cache = cache
         self.taken = cache.address_taken_locals(func)
-        self.globals_ = self.program.globals
 
         # The node-independent front end — frame layout, per-statement
         # costs, fusability — comes from the shared per-program code cache:
@@ -872,7 +836,6 @@ class _FunctionCompiler:
         self._cell = engine._stmt_cell
         self._sb = engine._sb_cell
         self._poll = self.node.poll
-        self._param_names = {p.name for p in func.params}
 
     # -- emission helpers -------------------------------------------------------
 
@@ -1276,8 +1239,7 @@ class _FunctionCompiler:
         charge the trace accumulator exactly as the per-statement path
         charges the node: cost-and-count first, then the effect.  The
         call itself adds the function-entry overhead, resets the slot
-        block (every invocation starts from unset slots, like a fresh
-        frame), stores the raw argument values into the parameter slots
+        block (every invocation starts from a fresh frame's slots), stores the raw argument values into the parameter slots
         and runs the units; the return slot then holds the result, with
         the same void-to-0 coercion as ``_invoke``.
         """
@@ -1302,7 +1264,7 @@ class _FunctionCompiler:
             units.append(self._leaf_return_unit(sub, body[-1], base))
         else:
             units = self._leaf_units(sub, body)
-        template = [_UNSET] * nslots
+        template = [None] * nslots
         template[0] = plan.default_return
         engine.inlined_sites += 1
         acc = self._acc
@@ -1766,21 +1728,9 @@ class _FunctionCompiler:
         self._compile_loop_exit(stmt, continue_=True)
 
     def _compile_loop_exit(self, stmt: ast.Stmt, continue_: bool) -> None:
+        # The type checker puts every break and continue inside a loop.
         cost = self._stmt_cost(stmt)
-        consume = self.engine.node.consume
         cell = self._cell
-        if not self.loop_stack:
-            # The tree-walker would let the signal escape the function and
-            # crash the simulation; fail with a clearer message, and only
-            # when the statement is actually executed.
-            def bad_op(frame: list, _consume=consume, _cost=cost,
-                       _cell=cell) -> int:
-                _cell[0] += 1
-                _consume(_cost)
-                raise RuntimeError("break/continue outside any loop")
-
-            self._emit(bad_op)
-            return
         ctx = self.loop_stack[-1]
         label = ctx.continue_label if continue_ else ctx.break_label
         unwind = self.atomic_depth - ctx.atomic_depth
@@ -1835,9 +1785,8 @@ class _FunctionCompiler:
                            rvalue: ExprFn) -> bool:
         """Fuse the two hottest store shapes straight into the assign op.
 
-        Covers (a) scalar locals that do not shadow a global and (b)
-        integer globals whose memory object is already resolvable; both
-        replicate ``_compile_store`` exactly, minus one closure call.
+        Covers (a) scalar locals and (b) integer globals; both replicate
+        ``_compile_store`` exactly, minus one closure call.
         """
         lvalue = stmt.lvalue
         if not isinstance(lvalue, ast.Identifier):
@@ -1845,8 +1794,9 @@ class _FunctionCompiler:
         name = lvalue.name
         nxt = len(self.ops) + 1
         slot = self.slots.get(name)
-        if slot is not None and name not in self.taken and \
-                name not in self.globals_:
+        if slot is not None:
+            if name in self.taken:
+                return False
             ctype = lvalue.ctype
             wrap = _make_wrap(ctype) if ctype is not None and \
                 ctype.is_integer() else None
@@ -1861,137 +1811,73 @@ class _FunctionCompiler:
                 if _n.end_cycles and t >= _n.end_cycles:
                     raise _sf()
                 value = _rv(frame)
-                if frame[_slot] is _UNSET:
-                    frame[_slot] = value
-                elif _w is not None and isinstance(value, int):
-                    frame[_slot] = _w(value)
-                else:
-                    frame[_slot] = value
+                if _w is not None and isinstance(value, int):
+                    value = _w(value)
+                frame[_slot] = value
                 if (_eq and _eq[0][0] <= _n.time_cycles) or _pi:
                     _poll()
                 return _nxt
 
             self._emit(op)
             return True
-        if slot is None and name in self.globals_:
-            ctype = lvalue.ctype or ty.UINT8
-            var = self.program.lookup_global(name)
-            if not isinstance(ctype, (ty.IntType, ty.BoolType, ty.CharType)) \
-                    or var is None:
-                return False
-            size = ctype.sizeof(self.pointer_size)
-            if size > max(var.ctype.sizeof(self.pointer_size), 1):
-                return False
-            obj = self.engine.memory.objects.get(name)
-            if obj is None:
-                return False
-            mask = (1 << (8 * size)) - 1
-            mwrite = self.engine._memory_write
+        obj = self._global(name)
+        size = self._global_int_size(lvalue)
+        if size is None:
+            return False
+        ctype = lvalue.ctype or ty.UINT8
+        mask = (1 << (8 * size)) - 1
+        mwrite = self.engine._memory_write
 
-            def op(frame: list, _n=self.node, _cost=cost, _rv=rvalue,
-                   _obj=obj, _size=size, _mask=mask, _ct=ctype, _mw=mwrite,
-                   _cell=self._cell, _sf=self._sf, _eq=self._eq,
-                   _pi=self._pending, _poll=self._poll, _nxt=nxt) -> int:
-                _cell[0] += 1
-                t = _n.time_cycles + _cost
-                _n.time_cycles = t
-                if _n.end_cycles and t >= _n.end_cycles:
-                    raise _sf()
-                value = _rv(frame)
-                if type(value) is int:
-                    if _obj.pointer_slots:
-                        _obj.pointer_slots.pop(0, None)
-                    _obj.data[0:_size] = \
-                        (value & _mask).to_bytes(_size, "little")
-                else:
-                    _mw(Pointer(_obj, 0), _ct, value)
-                if (_eq and _eq[0][0] <= _n.time_cycles) or _pi:
-                    _poll()
-                return _nxt
+        def op(frame: list, _n=self.node, _cost=cost, _rv=rvalue,
+               _obj=obj, _size=size, _mask=mask, _ct=ctype, _mw=mwrite,
+               _cell=self._cell, _sf=self._sf, _eq=self._eq,
+               _pi=self._pending, _poll=self._poll, _nxt=nxt) -> int:
+            _cell[0] += 1
+            t = _n.time_cycles + _cost
+            _n.time_cycles = t
+            if _n.end_cycles and t >= _n.end_cycles:
+                raise _sf()
+            value = _rv(frame)
+            if type(value) is int:
+                if _obj.pointer_slots:
+                    _obj.pointer_slots.pop(0, None)
+                _obj.data[0:_size] = \
+                    (value & _mask).to_bytes(_size, "little")
+            else:
+                _mw(Pointer(_obj, 0), _ct, value)
+            if (_eq and _eq[0][0] <= _n.time_cycles) or _pi:
+                _poll()
+            return _nxt
 
-            self._emit(op)
-            return True
-        return False
+        self._emit(op)
+        return True
 
     def _compile_store(self, lvalue: ast.Expr
                        ) -> Callable[[list, RuntimeValue], None]:
         """A closure ``store(frame, value)`` mirroring ``_store``."""
-        engine = self.engine
         if isinstance(lvalue, ast.Identifier):
-            name = lvalue.name
-            slot = self.slots.get(name)
-            is_global = name in self.globals_
-            if slot is not None and name not in self.taken:
-                # Scalar local (or stray name): slot store with the
-                # tree-walker's wrap rule; before the declaration executes,
-                # fall back to its slot-miss behaviour.
+            slot = self.slots.get(lvalue.name)
+            if slot is None:
+                size = self._global_int_size(lvalue)
+                if size is not None:
+                    return self._compile_global_write(lvalue, size)
+            elif lvalue.name not in self.taken:
+                # Scalar local: slot store with the tree-walker's wrap rule.
                 ctype = lvalue.ctype
                 wrap = _make_wrap(ctype) if ctype is not None and \
                     ctype.is_integer() else None
-                if is_global:
-                    write_fallback = self._compile_global_write(lvalue)
-
-                    def store(frame: list, value: RuntimeValue, _slot=slot,
-                              _wrap=wrap, _fb=write_fallback) -> None:
-                        if frame[_slot] is _UNSET:
-                            _fb(frame, value)
-                            return
-                        if _wrap is not None and isinstance(value, int):
-                            value = _wrap(value)
-                        frame[_slot] = value
-                else:
-                    def store(frame: list, value: RuntimeValue, _slot=slot,
-                              _wrap=wrap) -> None:
-                        if frame[_slot] is _UNSET:
-                            frame[_slot] = value
-                            return
-                        if _wrap is not None and isinstance(value, int):
-                            value = _wrap(value)
-                        frame[_slot] = value
-                return store
-            if slot is not None:
-                # Address-taken local: normally a write through its memory
-                # object, but the slot can also be unset (store before the
-                # declaration executes — the tree-walker absorbs it into
-                # the frame) or hold a scalar from such an earlier store.
-                ctype = lvalue.ctype or ty.UINT8
-                wrap = _make_wrap(lvalue.ctype) if lvalue.ctype is not None \
-                    and lvalue.ctype.is_integer() else None
-                mwrite = engine._memory_write
-                locate_fallback = engine._locate_name
-                shadows_global = name in self.globals_
 
                 def store(frame: list, value: RuntimeValue, _slot=slot,
-                          _ct=ctype, _mw=mwrite, _fb=locate_fallback,
-                          _name=name, _w=wrap,
-                          _g=shadows_global) -> None:
-                    obj = frame[_slot]
-                    if type(obj) is MemoryObject:
-                        _mw(Pointer(obj, 0), _ct, value)
-                    elif obj is _UNSET:
-                        if _g:
-                            _mw(_fb(_name), _ct, value)
-                        else:
-                            frame[_slot] = value
-                    else:
-                        if _w is not None and isinstance(value, int):
-                            value = _w(value)
-                        frame[_slot] = value
+                          _wrap=wrap) -> None:
+                    if _wrap is not None and isinstance(value, int):
+                        value = _wrap(value)
+                    frame[_slot] = value
 
                 return store
-            if is_global:
-                return self._compile_global_write(lvalue)
-
-            # Neither local nor global nor stray (cannot normally happen —
-            # strays got slots): mirror the tree-walker's error.
-            def store(frame: list, value: RuntimeValue, _name=name) -> None:
-                raise MemoryError_(f"no storage for {_name!r}")
-
-            return store
 
         locate = self._compile_locate(lvalue)
         ctype = lvalue.ctype or ty.UINT8
-        mwrite = engine._memory_write
+        mwrite = self.engine._memory_write
 
         def store(frame: list, value: RuntimeValue, _loc=locate, _ct=ctype,
                   _mw=mwrite) -> None:
@@ -1999,62 +1885,47 @@ class _FunctionCompiler:
 
         return store
 
-    def _compile_global_write(self, lvalue: ast.Identifier
-                              ) -> Callable[[list, RuntimeValue], None]:
-        """Store to a global scalar, with an inlined integer fast path."""
-        engine = self.engine
-        name = lvalue.name
+    def _global(self, name: str) -> MemoryObject:
+        """The booted node's memory object of global ``name``.
+
+        Lowering binds every identifier: a parameter or local to its slot,
+        anything else to a global, which boot has allocated.
+        """
+        obj = self.engine.memory.objects.get(name)
+        if obj is None:
+            raise RuntimeError(f"{self.func.name}: no storage for {name!r} "
+                               "(functions lower after Node.boot())")
+        return obj
+
+    def _global_int_size(self, lvalue: ast.Identifier) -> Optional[int]:
+        """Bytes of an integer store to a global that fit its object."""
         ctype = lvalue.ctype or ty.UINT8
-        objects_get = engine.memory.objects.get
-        mwrite = engine._memory_write
-        var = self.program.lookup_global(name)
-        size = None
-        if isinstance(ctype, (ty.IntType, ty.BoolType, ty.CharType)) and \
-                var is not None:
-            write_size = ctype.sizeof(self.pointer_size)
-            if write_size <= max(var.ctype.sizeof(self.pointer_size), 1):
-                size = write_size
-        if size is None:
-            def store(frame: list, value: RuntimeValue, _og=objects_get,
-                      _name=name, _ct=ctype, _mw=mwrite) -> None:
-                obj = _og(_name)
-                if obj is None:
-                    raise MemoryError_(f"no storage for {_name!r}")
-                _mw(Pointer(obj, 0), _ct, value)
+        if not isinstance(ctype, (ty.IntType, ty.BoolType, ty.CharType)):
+            return None
+        size = ctype.sizeof(self.pointer_size)
+        declared = self.program.globals[lvalue.name].ctype
+        if size > max(declared.sizeof(self.pointer_size), 1):
+            return None
+        return size
 
-            return store
-
+    def _compile_global_write(self, lvalue: ast.Identifier, size: int
+                              ) -> Callable[[list, RuntimeValue], None]:
+        """Store ``size`` integer bytes to a global, straight into them."""
+        ctype = lvalue.ctype or ty.UINT8
+        obj = self._global(lvalue.name)
+        mwrite = self.engine._memory_write
         mask = (1 << (8 * size)) - 1
-        # Compiling on first call normally happens after boot(), so the
-        # object can be resolved now and baked into the closure; fall back
-        # to a per-store lookup when the node has not booted yet.
-        known = objects_get(name)
-        if known is not None:
-            def store(frame: list, value: RuntimeValue, _obj=known,
-                      _ct=ctype, _mw=mwrite, _size=size,
-                      _mask=mask) -> None:
-                if type(value) is int:
-                    if _obj.pointer_slots:
-                        _obj.pointer_slots.pop(0, None)
-                    _obj.data[0:_size] = \
-                        (value & _mask).to_bytes(_size, "little")
-                else:
-                    _mw(Pointer(_obj, 0), _ct, value)
 
-            return store
-
-        def store(frame: list, value: RuntimeValue, _og=objects_get,
-                  _name=name, _ct=ctype, _mw=mwrite, _size=size,
+        def store(frame: list, value: RuntimeValue, _obj=obj,
+                  _ct=ctype, _mw=mwrite, _size=size,
                   _mask=mask) -> None:
-            obj = _og(_name)
-            if obj is None:
-                raise MemoryError_(f"no storage for {_name!r}")
             if type(value) is int:
-                if obj.pointer_slots:
-                    obj.pointer_slots.pop(0, None)
-                obj.data[0:_size] = (value & _mask).to_bytes(_size, "little")
+                if _obj.pointer_slots:
+                    _obj.pointer_slots.pop(0, None)
+                _obj.data[0:_size] = \
+                    (value & _mask).to_bytes(_size, "little")
             else:
-                _mw(Pointer(obj, 0), _ct, value)
+                _mw(Pointer(_obj, 0), _ct, value)
 
         return store
 
@@ -2062,25 +1933,14 @@ class _FunctionCompiler:
 
     def _compile_locate(self, lvalue: ast.Expr) -> Callable[[list], Pointer]:
         """A closure computing an lvalue's location; mirrors ``_locate``."""
-        engine = self.engine
         if isinstance(lvalue, ast.Identifier):
-            name = lvalue.name
-            slot = self.slots.get(name)
-            fallback = engine._locate_name
-            if slot is not None and name in self.taken:
-                def locate(frame: list, _slot=slot, _fb=fallback,
-                           _name=name) -> Pointer:
-                    obj = frame[_slot]
-                    if type(obj) is MemoryObject:
-                        return Pointer(obj, 0)
-                    return _fb(_name)
-
-                return locate
-
-            def locate(frame: list, _fb=fallback, _name=name) -> Pointer:
-                return _fb(_name)
-
-            return locate
+            slot = self.slots.get(lvalue.name)
+            if slot is None:
+                pointer = Pointer(self._global(lvalue.name), 0)
+                return lambda frame, _p=pointer: _p
+            # Only address-taken locals are located; their slot holds the
+            # memory object from the declaration.
+            return lambda frame, _slot=slot: Pointer(frame[_slot], 0)
         if isinstance(lvalue, ast.Deref):
             pointer = self._compile_expr(lvalue.pointer)
 
@@ -2221,161 +2081,67 @@ class _FunctionCompiler:
         return unknown
 
     def _compile_identifier(self, expr: ast.Identifier) -> ExprFn:
-        engine = self.engine
         name = expr.name
         slot = self.slots.get(name)
         if slot is not None:
-            fallback_ct = expr.ctype
-            fallback = engine._load_global_like
-            if name in self.taken:
-                # The slot may also hold a scalar stored before the
-                # declaration executed — the tree-walker returns it as-is.
-                is_array = isinstance(expr.ctype, ty.ArrayType)
-                ctype = expr.ctype or ty.UINT8
-                read = engine.memory.read
-                if is_array:
-                    def load(frame: list, _slot=slot, _fb=fallback,
-                             _name=name, _fct=fallback_ct) -> RuntimeValue:
-                        obj = frame[_slot]
-                        if type(obj) is MemoryObject:
-                            return Pointer(obj, 0)
-                        if obj is _UNSET:
-                            return _fb(_name, _fct)
-                        return obj
-                else:
-                    def load(frame: list, _slot=slot, _fb=fallback,
-                             _name=name, _fct=fallback_ct, _ct=ctype,
-                             _rd=read) -> RuntimeValue:
-                        obj = frame[_slot]
-                        if type(obj) is MemoryObject:
-                            return _rd(Pointer(obj, 0), _ct)
-                        if obj is _UNSET:
-                            return _fb(_name, _fct)
-                        return obj
-                return load
-
-            if name in self._param_names:
-                # Parameter slots are always populated at frame build, so
-                # the pre-declaration check can be dropped entirely.
+            if name not in self.taken:
                 return lambda frame, _slot=slot: frame[_slot]
+            if isinstance(expr.ctype, ty.ArrayType):
+                return lambda frame, _slot=slot: Pointer(frame[_slot], 0)
+            ctype = expr.ctype or ty.UINT8
+            read = self.engine.memory.read
 
-            def load(frame: list, _slot=slot, _fb=fallback, _name=name,
-                     _fct=fallback_ct) -> RuntimeValue:
-                value = frame[_slot]
-                if value is _UNSET:
-                    return _fb(_name, _fct)
-                return value
+            def load(frame: list, _slot=slot, _ct=ctype,
+                     _rd=read) -> RuntimeValue:
+                return _rd(Pointer(frame[_slot], 0), _ct)
 
             return load
 
         # Global variable: the tree-walker reads with the *declared* type.
-        var = self.program.lookup_global(name)
-        ctype = var.ctype if var is not None else (expr.ctype or ty.UINT8)
-        objects_get = engine.memory.objects.get
-        fallback = engine._load_global_like
-        fallback_ct = expr.ctype
+        # Its object's byte buffer is mutated in place and never replaced
+        # after boot (restores included), so loads bake it in.
+        obj = self._global(name)
+        ctype = self.program.globals[name].ctype
         if isinstance(ctype, (ty.ArrayType, ty.StructType)):
-            known = objects_get(name)
-            if known is not None:
-                return lambda frame, _obj=known: Pointer(_obj, 0)
-
-            def load(frame: list, _og=objects_get, _name=name, _fb=fallback,
-                     _fct=fallback_ct) -> RuntimeValue:
-                obj = _og(_name)
-                if obj is None:
-                    return _fb(_name, _fct)
-                return Pointer(obj, 0)
-
-            return load
+            pointer = Pointer(obj, 0)
+            return lambda frame, _p=pointer: _p
+        data = obj.data
         if isinstance(ctype, ty.IntType):
             size = ctype.sizeof(self.pointer_size)
-            # Bake the byte buffer when the node already booted (the normal
-            # compile-on-first-call case); the buffer is mutated in place
-            # and never replaced after boot.
-            known = objects_get(name)
-            if known is not None and not ctype.signed:
-                data = known.data
-
+            if not ctype.signed:
                 def load(frame: list, _data=data,
                          _size=size) -> RuntimeValue:
                     return int.from_bytes(_data[0:_size], "little")
 
                 return load
-            if not ctype.signed:
-                def load(frame: list, _og=objects_get, _name=name,
-                         _fb=fallback, _fct=fallback_ct,
-                         _size=size) -> RuntimeValue:
-                    obj = _og(_name)
-                    if obj is None:
-                        return _fb(_name, _fct)
-                    return int.from_bytes(obj.data[0:_size], "little")
-
-                return load
             maxv = ctype.max_value
             span = 1 << ctype.bits
-            if known is not None:
-                data = known.data
 
-                def load(frame: list, _data=data, _size=size, _maxv=maxv,
-                         _span=span) -> RuntimeValue:
-                    raw = int.from_bytes(_data[0:_size], "little")
-                    return raw - _span if raw > _maxv else raw
-
-                return load
-
-            def load(frame: list, _og=objects_get, _name=name, _fb=fallback,
-                     _fct=fallback_ct, _size=size, _maxv=maxv,
+            def load(frame: list, _data=data, _size=size, _maxv=maxv,
                      _span=span) -> RuntimeValue:
-                obj = _og(_name)
-                if obj is None:
-                    return _fb(_name, _fct)
-                raw = int.from_bytes(obj.data[0:_size], "little")
+                raw = int.from_bytes(_data[0:_size], "little")
                 return raw - _span if raw > _maxv else raw
 
             return load
         if isinstance(ctype, ty.CharType):
-            def load(frame: list, _og=objects_get, _name=name, _fb=fallback,
-                     _fct=fallback_ct) -> RuntimeValue:
-                obj = _og(_name)
-                if obj is None:
-                    return _fb(_name, _fct)
-                raw = obj.data[0]
+            def load(frame: list, _data=data) -> RuntimeValue:
+                raw = _data[0]
                 return raw - 0x100 if raw > 0x7F else raw
 
             return load
         if isinstance(ctype, ty.PointerType):
             size = ctype.sizeof(self.pointer_size)
-            known = objects_get(name)
-            if known is not None:
-                def load(frame: list, _obj=known, _size=size) -> RuntimeValue:
-                    stored = _obj.pointer_slots.get(0)
-                    if stored is not None:
-                        return stored
-                    return int.from_bytes(_obj.data[0:_size], "little")
 
-                return load
-
-            def load(frame: list, _og=objects_get, _name=name, _fb=fallback,
-                     _fct=fallback_ct, _size=size) -> RuntimeValue:
-                obj = _og(_name)
-                if obj is None:
-                    return _fb(_name, _fct)
-                stored = obj.pointer_slots.get(0)
+            def load(frame: list, _obj=obj, _size=size) -> RuntimeValue:
+                stored = _obj.pointer_slots.get(0)
                 if stored is not None:
                     return stored
-                return int.from_bytes(obj.data[0:_size], "little")
+                return int.from_bytes(_obj.data[0:_size], "little")
 
             return load
-        read = engine.memory.read
-
-        def load(frame: list, _og=objects_get, _name=name, _fb=fallback,
-                 _fct=fallback_ct, _ct=ctype, _rd=read) -> RuntimeValue:
-            obj = _og(_name)
-            if obj is None:
-                return _fb(_name, _fct)
-            return _rd(Pointer(obj, 0), _ct)
-
-        return load
+        pointer = Pointer(obj, 0)
+        read = self.engine.memory.read
+        return lambda frame, _p=pointer, _ct=ctype, _rd=read: _rd(_p, _ct)
 
     def _compile_binary(self, expr: ast.BinaryOp) -> ExprFn:
         op = expr.op

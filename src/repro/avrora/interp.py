@@ -124,7 +124,10 @@ class Interpreter:
         }
 
     def warm(self) -> int:
-        """Precompile every program function (no-op for the tree-walker)."""
+        """Precompile every program function (no-op for the tree-walker).
+
+        The node must have booted: lowering binds globals to its memory.
+        """
         compile_all = getattr(self._impl, "compile_program", None)
         return compile_all() if compile_all is not None else 0
 
@@ -357,12 +360,6 @@ class TreeWalkInterpreter:
                 ctype = lvalue.ctype
                 if ctype is not None and ctype.is_integer() and isinstance(value, int):
                     value = ty.wrap_to(ctype, value)
-                frame[lvalue.name] = value
-                return
-            if slot is None and lvalue.name not in self.program.globals and \
-                    lvalue.name not in frame:
-                # A scalar local assigned before its declaration is executed
-                # (possible after aggressive code motion): store in the frame.
                 frame[lvalue.name] = value
                 return
         location = self._locate(lvalue, frame)

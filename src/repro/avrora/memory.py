@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from repro.cminor import ast_nodes as ast
 from repro.cminor import typesys as ty
@@ -332,13 +332,21 @@ class MemorySystem:
 
     # -- global initialization ------------------------------------------------------
 
-    def initialize_global(self, var: ast.GlobalVar, pointer_size: int) -> MemoryObject:
-        """Allocate and statically initialize one global variable."""
-        size = var.ctype.sizeof(pointer_size)
-        obj = self.allocate(var.name, size, "global")
-        if var.init is not None:
-            self._apply_initializer(obj, 0, var.ctype, var.init)
-        return obj
+    def initialize_globals(self, variables: Iterable[ast.GlobalVar],
+                           pointer_size: int) -> None:
+        """Allocate every global, then apply each static initializer once.
+
+        Allocating first means an address initializer (``&g``, also inside
+        an aggregate) binds the object the program actually uses, whatever
+        the declaration order.
+        """
+        variables = list(variables)
+        for var in variables:
+            self.allocate(var.name, var.ctype.sizeof(pointer_size), "global")
+        for var in variables:
+            if var.init is not None:
+                self._apply_initializer(self.objects[var.name], 0, var.ctype,
+                                        var.init)
 
     def _apply_initializer(self, obj: MemoryObject, offset: int, ctype: ty.CType,
                            init: ast.Expr) -> None:

@@ -433,13 +433,8 @@ class Node:
 
     def boot(self) -> None:
         """Allocate and initialize global memory (done once before running)."""
-        pointer_size = self.costs.platform.pointer_bytes
-        for var in self.program.iter_globals():
-            self.memory.initialize_global(var, pointer_size)
-        # Second pass: pointer initializers that reference other globals.
-        for var in self.program.iter_globals():
-            if var.init is not None and var.ctype.is_pointer():
-                self.memory.initialize_global(var, pointer_size)
+        self.memory.initialize_globals(self.program.iter_globals(),
+                                       self.costs.platform.pointer_bytes)
         local_address = self.memory.global_object("TOS_LOCAL_ADDRESS")
         if local_address is not None:
             self.memory.write(Pointer(local_address, 0), ty.UINT16, self.node_id)

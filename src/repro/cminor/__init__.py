@@ -14,9 +14,10 @@ subset of C with:
   and ``__progmem`` (flash-resident data).
 
 The package provides a lexer, a recursive-descent parser that emits CIL's
-normal form (every loop is ``while (1)`` with explicit breaks, and no empty
-statements survive), a type checker, and a pretty-printer that turns
-transformed programs back into CMinor source.
+normal form (every loop is ``while (1)`` with explicit breaks, no empty
+statements survive, and every local has one name in its function), a type
+checker, and a pretty-printer that turns transformed programs back into
+CMinor source.
 """
 
 from repro.cminor.errors import CMinorError, LexError, ParseError, TypeCheckError

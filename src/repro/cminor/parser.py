@@ -16,7 +16,14 @@ shape and no empty statements:
 * a ``continue`` that would skip a ``for``'s update or a ``do``/``while``'s
   test gets a copy of it in front (CMinor has no ``goto``; CIL does the
   same when it cannot introduce labels);
-* ``;`` statements and empty nested blocks are dropped.
+* ``;`` statements and empty nested blocks are dropped;
+* every local has one name in its function: a declaration that would
+  shadow a local of its function or a file-scope variable parsed earlier in
+  the unit gets a fresh ``name__N``, and every use is resolved to it while
+  C's scopes are still visible, before loops are spliced (a ``for``'s
+  update and a ``do``/``while``'s test keep reading the names of the scope
+  they were written in).  A redeclaration in the same scope keeps its name,
+  so the type checker still reports it as a redefinition.
 """
 
 from __future__ import annotations
@@ -56,6 +63,13 @@ class Parser:
         self.pos = 0
         self.unit_name = unit_name
         self.structs = structs if structs is not None else StructTable()
+        #: File-scope variables parsed so far in this unit.
+        self._globals: set[str] = set()
+        #: C's block scopes of the function being parsed, innermost last:
+        #: source name -> the local's one name in its function.
+        self._scopes: list[dict[str, str]] = []
+        #: Every local name given out in the function being parsed.
+        self._locals: set[str] = set()
 
     # -- token stream helpers ------------------------------------------------
 
@@ -92,6 +106,30 @@ class Parser:
             self._advance()
             return True
         return False
+
+    # -- names ----------------------------------------------------------------
+
+    def _declare(self, name: str) -> str:
+        """Bind a parameter or local in the innermost scope; its one name."""
+        scope = self._scopes[-1]
+        if name in scope:
+            return scope[name]
+        unique = name
+        suffix = 0
+        while unique in self._locals or unique in self._globals:
+            suffix += 1
+            unique = f"{name}__{suffix}"
+        scope[name] = unique
+        self._locals.add(unique)
+        return unique
+
+    def _resolve(self, name: str) -> str:
+        """The name a use of ``name`` refers to (a global's is its own)."""
+        for scope in reversed(self._scopes):
+            unique = scope.get(name)
+            if unique is not None:
+                return unique
+        return name
 
     def _at_type(self, offset: int = 0) -> bool:
         tok = self._peek(offset)
@@ -163,6 +201,7 @@ class Parser:
             raise ParseError("attributes are only valid on functions", name_tok.loc)
         var = self._parse_global_rest(name_tok, ctype, quals)
         unit.globals.append(var)
+        self._globals.add(var.name)
 
     def _parse_attributes(self) -> dict[str, object]:
         attributes: dict[str, object] = {}
@@ -232,6 +271,8 @@ class Parser:
     def _parse_function_rest(self, name_tok: Token, return_type: ty.CType,
                              attributes: dict[str, object]) -> Optional[ast.FunctionDef]:
         self._expect_op("(")
+        # The parameters and the body's outermost block share one scope.
+        self._scopes, self._locals = [{}], set()
         params: list[ast.Param] = []
         if self._peek().is_keyword("void") and self._peek(1).is_op(")"):
             self._advance()
@@ -240,11 +281,12 @@ class Parser:
             while self._accept_op(","):
                 params.append(self._parse_param())
         self._expect_op(")")
+        scope = self._scopes.pop()
         if self._accept_op(";"):
             # A prototype: recorded implicitly; the definition must follow in
             # some unit before linking.
             return None
-        body = self._parse_block()
+        body = self._parse_block(scope)
         return ast.FunctionDef(
             name=name_tok.text,
             return_type=return_type,
@@ -262,27 +304,33 @@ class Parser:
         # Arrays decay to pointers in parameter position, as in C.
         if isinstance(ctype, ty.ArrayType):
             ctype = ty.PointerType(ctype.element)
-        return ast.Param(name_tok.text, ctype)
+        return ast.Param(self._declare(name_tok.text), ctype)
 
     # -- statements -----------------------------------------------------------
 
-    def _parse_block(self) -> ast.Block:
+    def _parse_block(self, scope: Optional[dict[str, str]] = None
+                     ) -> ast.Block:
+        """Parse ``{ ... }`` in a new scope (or in ``scope``, if given)."""
         open_tok = self._expect_op("{")
+        self._scopes.append({} if scope is None else scope)
         stmts: list[ast.Stmt] = []
         while not self._peek().is_op("}"):
             stmts.extend(self._parse_statements())
         self._expect_op("}")
+        self._scopes.pop()
         block = ast.Block(stmts)
         block.loc = open_tok.loc
         return block
 
     def _parse_body(self) -> ast.Block:
-        """Parse the body of a branch or loop, always as a block."""
+        """Parse the body of a branch or loop, always as a block and scope."""
         if self._peek().is_op("{"):
             return self._parse_block()
         block = ast.Block()
         block.loc = self._peek().loc
+        self._scopes.append({})
         block.stmts = self._parse_statements()
+        self._scopes.pop()
         return block
 
     def parse_statement(self) -> ast.Stmt:
@@ -365,7 +413,9 @@ class Parser:
         init = None
         if self._accept_op("="):
             init = self._parse_initializer()
-        decl = ast.VarDecl(name_tok.text, ctype, init, frozenset(quals))
+        # Declared after its initializer, which reads the enclosing scope.
+        decl = ast.VarDecl(self._declare(name_tok.text), ctype, init,
+                           frozenset(quals))
         decl.loc = loc
         return decl
 
@@ -410,6 +460,9 @@ class Parser:
     def _parse_for(self) -> list[ast.Stmt]:
         tok = self._expect_keyword("for")
         self._expect_op("(")
+        # The init, test and update have a scope of their own around the
+        # body's, which is gone by the time the loop is spliced together.
+        self._scopes.append({})
         init: Optional[ast.Stmt] = None
         if not self._peek().is_op(";"):
             if self._at_type():
@@ -426,6 +479,7 @@ class Parser:
             update = self._parse_simple_statement()
         self._expect_op(")")
         stmts = self._parse_body().stmts
+        self._scopes.pop()
         if update is not None:
             stmts = [*_prepend_to_continues(stmts, update), update]
         if cond is not None and not _is_constant_true(cond):
@@ -598,7 +652,10 @@ class Parser:
             self._expect_op(")")
         elif tok.kind == "ident":
             self._advance()
-            node = ast.Identifier(tok.text)
+            # A name about to be called is a function's, never a local's.
+            name = tok.text if self._peek().is_op("(") else \
+                self._resolve(tok.text)
+            node = ast.Identifier(name)
         elif tok.is_op("("):
             self._advance()
             node = self.parse_expression()

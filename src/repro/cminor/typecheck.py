@@ -6,6 +6,13 @@ Later passes — CCured's pointer-kind inference, the fat-pointer transform,
 cXprop's abstract interpretation and the backend's lowering — all rely on
 these annotations, so the toolchain re-runs the checker after transformation
 passes that synthesize new expressions.
+
+Every pass and both simulator engines also read a function's locals as one
+flat table (:func:`local_types`).  The parser makes that exact by giving
+every local one name, as CIL does; the checker enforces it for any program,
+parsed or built by a pass: a function may declare each name once, and may
+not use a global that shares a name with one of its locals.  ``break`` and
+``continue`` must sit inside a loop.
 """
 
 from __future__ import annotations
@@ -61,6 +68,12 @@ class TypeChecker:
         self.program = program
         self.pointer_size = pointer_size
         self._current_function: Optional[ast.FunctionDef] = None
+        #: Declarations met in the current function, in order.
+        self._decls: list[ast.VarDecl] = []
+        #: Globals the current function uses -> the first use's location.
+        self._global_uses: dict[str, Optional[SourceLocation]] = {}
+        #: Loops enclosing the statement being checked.
+        self._loop_depth = 0
 
     # -- program / function level ---------------------------------------------
 
@@ -107,13 +120,28 @@ class TypeChecker:
     def check_function(self, func: ast.FunctionDef) -> None:
         """Type-check one function definition."""
         self._current_function = func
+        self._decls, self._global_uses = [], {}
+        # The parameters and the body's outermost block share one scope.
         scope = _Scope()
         for param in func.params:
             if param.ctype.is_void():
                 raise TypeCheckError(
                     f"parameter {param.name!r} has void type", func.loc)
             scope.define(param.name, param.ctype, func.loc)
-        self._check_block(func.body, _Scope(scope))
+        self._check_block(func.body, scope)
+        # Every pass reads the locals as one flat table (``local_types``).
+        names = {p.name for p in func.params}
+        for decl in self._decls:
+            if decl.name in names:
+                raise TypeCheckError(
+                    f"{func.name}: local {decl.name!r} is declared twice "
+                    "(each local needs its own name)", decl.loc)
+            names.add(decl.name)
+        for name, loc in self._global_uses.items():
+            if name in names:
+                raise TypeCheckError(
+                    f"{func.name}: use of global {name!r}, which shares its "
+                    "name with a local", loc)
         self._current_function = None
 
     # -- statements -----------------------------------------------------------
@@ -131,6 +159,7 @@ class TypeChecker:
             if stmt.init is not None:
                 self._check_initializer(stmt.init, stmt.ctype, stmt.loc, scope)
             scope.define(stmt.name, stmt.ctype, stmt.loc)
+            self._decls.append(stmt)
         elif isinstance(stmt, ast.Assign):
             lhs = self._check_expr(stmt.lvalue, scope)
             rhs = self._check_expr(stmt.rvalue, scope)
@@ -149,7 +178,9 @@ class TypeChecker:
                 self._check_block(stmt.else_body, _Scope(scope))
         elif isinstance(stmt, ast.While):
             self._check_condition(stmt.cond, scope, stmt.loc)
+            self._loop_depth += 1
             self._check_block(stmt.body, _Scope(scope))
+            self._loop_depth -= 1
         elif isinstance(stmt, ast.Return):
             assert self._current_function is not None
             expected = self._current_function.return_type
@@ -174,7 +205,10 @@ class TypeChecker:
                     and stmt.task not in self.program.tasks):
                 raise TypeCheckError(f"post of unknown task {stmt.task!r}", stmt.loc)
         elif isinstance(stmt, (ast.Break, ast.Continue)):
-            pass
+            if not self._loop_depth:
+                keyword = "break" if isinstance(stmt, ast.Break) else "continue"
+                raise TypeCheckError(
+                    f"{keyword} statement not within a loop", stmt.loc)
         else:
             raise TypeCheckError(f"unknown statement kind {type(stmt).__name__}",
                                  getattr(stmt, "loc", None))
@@ -269,6 +303,7 @@ class TypeChecker:
             return local
         var = self.program.lookup_global(expr.name)
         if var is not None:
+            self._global_uses.setdefault(expr.name, expr.loc)
             return var.ctype
         raise TypeCheckError(f"use of undeclared identifier {expr.name!r}", expr.loc)
 

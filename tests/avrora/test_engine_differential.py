@@ -331,6 +331,40 @@ __spontaneous void main(void) {
   __sleep();
 }
 """, {"count": 6, "total": 15}),
+    # The body's x is a new variable; the update and the test read the
+    # global, so three iterations run.
+    "for_body_local_shadows_the_counter": ("""
+uint8_t x = 0;
+uint8_t n = 0;
+__spontaneous void main(void) {
+  for (x = 0; x < 3; x = x + 1) {
+    uint8_t x = 7;
+    n = n + 1;
+  }
+  __sleep();
+}
+""", {"x": 3, "n": 3}),
+    # Each for declares its own i: 2 + 3 iterations.
+    "two_for_declarations_in_one_block": ("""
+uint8_t n = 0;
+__spontaneous void main(void) {
+  for (uint8_t i = 0; i < 2; i++) { n = n + 1; }
+  for (uint8_t i = 0; i < 3; i++) { n = n + 1; }
+  __sleep();
+}
+""", {"n": 5}),
+    # The test reads the outer i (0), not the body's (9): one iteration.
+    "do_while_test_outside_the_body_scope": ("""
+uint8_t n = 0;
+__spontaneous void main(void) {
+  uint8_t i = 0;
+  do {
+    uint8_t i = 9;
+    n = n + 1;
+  } while (i > 0);
+  __sleep();
+}
+""", {"n": 1}),
     # j = 7, 14, ..., 301: out = 7 ^ 14 ^ ... ^ 301.
     "nonconstant_while": ("""
 uint16_t out = 0;
@@ -375,36 +409,27 @@ def test_unsimplified_loops_identical_under_both_engines(name):
     assert len(set(results.values())) == 1, results
 
 
-def test_store_before_declaration_of_address_taken_local():
-    """Code motion can move a store above its VarDecl; both engines must
-    absorb it into the frame (and read it back) the same way."""
-    from repro.cminor import ast_nodes as ast
-    from repro.cminor import typesys as ty
-    from repro.cminor.program import Program
-    from repro.avrora.memory import Pointer
-
-    results = {}
-    for engine in ("tree", "compiled"):
-        body = ast.Block([
-            ast.Assign(ast.Identifier("x"), ast.IntLiteral(7)),
-            ast.Assign(ast.Identifier("sink"), ast.Identifier("x")),
-            ast.VarDecl("x", ty.UINT8, None),
-            ast.ExprStmt(ast.AddressOf(ast.Identifier("x"))),
-        ])
-        func = ast.FunctionDef("main", ty.VOID, [], body,
-                               {"spontaneous": True})
-        program = Program()
-        program.add_function(func)
-        program.add_global(ast.GlobalVar("sink", ty.UINT16))
-        node = Node(program, engine=engine)
-        node.boot()
-        node.interpreter.call("main")
-        obj = node.memory.global_object("sink")
-        results[engine] = (node.memory.read(Pointer(obj, 0), ty.UINT16),
-                           node.memory_violations, node.busy_cycles,
-                           node.interpreter.statements_executed)
-    assert results["tree"] == results["compiled"]
-    assert results["tree"][0] == 7
+@pytest.mark.parametrize("engine", ["tree", "compiled"])
+def test_address_initializers_bind_the_live_object(engine):
+    """Boot allocates every global before it applies any initializer, so
+    ``tp[0]`` points at the ``p`` the program uses: writing through it
+    moves ``p``."""
+    program = make_program("""
+uint8_t a = 3;
+uint8_t b = 5;
+uint8_t *p = &b;
+uint8_t **tp[1] = { &p };
+uint8_t out = 0;
+__spontaneous void main(void) {
+  *tp[0] = &a;
+  out = *p;
+  __sleep();
+}
+""")
+    node = Node(program, engine=engine)
+    node.boot()
+    node.run(0.01)
+    assert _globals(node)["out"] == 3
 
 
 def test_arity_mismatch_raises_for_both_engines():

@@ -58,7 +58,8 @@ class TestMemorySystem:
     def test_global_initialization_from_ast(self):
         var = ast.GlobalVar("table", ty.ArrayType(ty.UINT16, 3),
                             ast.InitList([ast.IntLiteral(5), ast.IntLiteral(6)]))
-        obj = self.memory.initialize_global(var, pointer_size=2)
+        self.memory.initialize_globals([var], pointer_size=2)
+        obj = self.memory.global_object("table")
         assert self.memory.read(Pointer(obj, 0), ty.UINT16) == 5
         assert self.memory.read(Pointer(obj, 2), ty.UINT16) == 6
         assert self.memory.read(Pointer(obj, 4), ty.UINT16) == 0

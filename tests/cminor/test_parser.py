@@ -6,6 +6,7 @@ from repro.cminor import ast_nodes as ast
 from repro.cminor import typesys as ty
 from repro.cminor.errors import ParseError
 from repro.cminor.parser import parse_expression, parse_program, parse_statement
+from repro.cminor.pretty import to_source
 
 
 class TestExpressions:
@@ -176,6 +177,52 @@ class TestStatements:
         stmt = parse_statement("uint16_t total = a + b;")
         assert isinstance(stmt, ast.VarDecl)
         assert stmt.ctype == ty.UINT16
+
+
+class TestNames:
+    def test_shadowing_locals_get_fresh_names(self):
+        """A local that would shadow a global or a local gets ``name__N``
+        and every use in its scope follows it; an initializer still reads
+        the enclosing scope."""
+        unit = parse_program("""
+uint8_t x;
+void f(uint8_t a) {
+  uint8_t y = x;
+  { uint8_t x = a; uint8_t y = x + y; a = y; }
+  x = y;
+}
+""")
+        assert to_source(unit.functions[0]) == """void f(uint8_t a) {
+  uint8_t y = x;
+  {
+    uint8_t x__1 = a;
+    uint8_t y__1 = x__1 + y;
+    a = y__1;
+  }
+  x = y;
+}"""
+
+    def test_loop_parts_keep_the_names_of_their_scope(self):
+        """A ``for``'s update and a ``do``/``while``'s test are spliced into
+        the body but still read the variables they were written with."""
+        loop = parse_statement(
+            "for (uint8_t i = 0; i < 3; i++) { uint8_t i = 7; }")
+        decl, inner = loop.stmts[0], loop.stmts[1].body.stmts
+        assert decl.name == "i" and inner[1].name == "i__1"
+        assert inner[-1].lvalue.name == "i"
+        block = parse_statement(
+            "{ uint8_t k = 0; do { uint8_t k = 1; } while (k > 0); }")
+        body = block.stmts[1].body.stmts
+        assert body[0].name == "k__1"
+        assert body[-1].cond.operand.left.name == "k"
+
+    def test_called_names_are_not_resolved_to_locals(self):
+        unit = parse_program("""
+uint8_t g(void) { return 1; }
+void f(void) { uint8_t g = 2; { uint8_t g = g(); } }
+""")
+        inner = unit.functions[1].body.stmts[1].stmts[0]
+        assert inner.name == "g__1" and inner.init.callee == "g"
 
 
 class TestTopLevel:

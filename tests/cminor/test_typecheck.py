@@ -5,7 +5,8 @@ import pytest
 from repro.cminor import ast_nodes as ast
 from repro.cminor import typesys as ty
 from repro.cminor.errors import TypeCheckError
-from repro.cminor.visitor import walk_function_expressions
+from repro.cminor.typecheck import check_program
+from repro.cminor.visitor import walk_function_expressions, walk_statements
 
 import sys
 from pathlib import Path
@@ -154,6 +155,42 @@ __spontaneous void main(void) { a = b; }
 
     def test_duplicate_local_in_same_scope(self):
         self.rejects("__spontaneous void main(void) { uint8_t x; uint8_t x; }")
+
+    def test_local_declared_twice_in_one_function(self):
+        """A pass that declares one name in two blocks breaks the flat
+        local table every later pass reads."""
+        program = make_program("""
+__spontaneous void main(void) {
+  { uint8_t a = 1; }
+  { uint8_t b = 2; }
+}
+""")
+        decls = [s for s in walk_statements(program.functions["main"].body)
+                 if isinstance(s, ast.VarDecl)]
+        decls[1].name = "a"
+        with pytest.raises(TypeCheckError, match="'a' is declared twice"):
+            check_program(program)
+
+    def test_global_used_under_a_local_name(self):
+        """The parser cannot rename a local after a global it has not seen
+        yet; the checker rejects the function that uses both."""
+        with pytest.raises(TypeCheckError, match="shares its name"):
+            make_program("""
+__spontaneous void main(void) {
+  { uint8_t x = 2; }
+  x = 1;
+}
+uint8_t x;
+""")
+
+    def test_break_or_continue_outside_a_loop(self):
+        for keyword in ("break", "continue"):
+            with pytest.raises(TypeCheckError, match="not within a loop"):
+                make_program(f"""
+uint8_t n;
+void helper(void) {{ n = n + 1; {keyword}; }}
+__spontaneous void main(void) {{ while (1) {{ helper(); }} }}
+""")
 
     def test_duplicate_struct_definition_conflicts(self):
         self.rejects("""

@@ -159,18 +159,34 @@ def _outside_the_normal_form(func: ast.FunctionDef) -> list[str]:
     return found
 
 
+def _outside_the_naming_rule(func: ast.FunctionDef,
+                             global_names: set[str]) -> list[str]:
+    """Locals of ``func`` that break the one-name rule: declared twice, or
+    named like a global."""
+    names = [p.name for p in func.params] + [
+        s.name for s in walk_statements(func.body)
+        if isinstance(s, ast.VarDecl)]
+    return [f"{func.name}: local {name!r}" for name in sorted(set(names))
+            if names.count(name) > 1 or name in global_names]
+
+
 def test_toolchain_sees_one_loop_form():
     """Every application's flattened program and every CCured runtime
     library (trimmed and naive, under each message strategy) reach the
-    passes in the one loop form."""
+    passes in the one loop form, with every local under one name that no
+    global shares."""
     found = []
     for name in suite.FIGURE_APPS:
-        for func in suite.build_program(name).iter_functions():
+        program = suite.build_program(name)
+        for func in program.iter_functions():
             found += _outside_the_normal_form(func)
+            found += _outside_the_naming_rule(func, set(program.globals))
     for mode in RuntimeMode:
         for strategy in MessageStrategy:
             library = build_runtime(CCuredConfig(message_strategy=strategy,
                                                  runtime_mode=mode))
+            global_names = {var.name for var in library.globals}
             for func in library.functions:
                 found += _outside_the_normal_form(func)
+                found += _outside_the_naming_rule(func, global_names)
     assert found == []
