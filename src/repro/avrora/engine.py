@@ -24,7 +24,9 @@ resolves per statement:
 * **structured jumps** — ``if``/loops/``break``/``continue``/``return``
   become next-index threading, not signal exceptions;
 * **precomputed analyses** — address-taken sets, struct field offsets,
-  element sizes, integer wrap masks are all baked into the closures;
+  element sizes, integer wrap masks are all baked into the closures; the
+  operators and wraps are :mod:`repro.cminor.cint`'s, the one C integer
+  semantics the build passes also fold with;
 * **explicit frames** — the engine is a frame-stack machine: statement-
   level calls (``f(x);``, ``y = f(x);``) are CALL ops that push a
   :class:`CompiledFrame`, and returns pop it, so call chains through the
@@ -81,11 +83,11 @@ application in the paper's figure suite, with fusion on and off.
 
 from __future__ import annotations
 
-import operator
 import os
 from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.cminor import ast_nodes as ast
+from repro.cminor import cint
 from repro.cminor import typesys as ty
 from repro.cminor.program import Program
 from repro.cminor.visitor import walk_expression
@@ -95,6 +97,9 @@ from repro.avrora.memory import (
     MemorySystem,
     Pointer,
     RuntimeValue,
+    compare,
+    elem_size,
+    pointer_arith,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -173,129 +178,6 @@ def _as_pointer(value: RuntimeValue) -> Pointer:
     if isinstance(value, int) and value == 0:
         raise MemoryError_("null pointer dereference")
     raise MemoryError_(f"dereference of non-pointer value {value!r}")
-
-
-def _compare_rt(op: str, left: RuntimeValue, right: RuntimeValue) -> int:
-    """Comparison slow path; mirrors the tree-walker's ``_compare``."""
-    if isinstance(left, Pointer) or isinstance(right, Pointer):
-        if isinstance(left, Pointer) and isinstance(right, Pointer):
-            equal = left.obj is right.obj and left.offset == right.offset
-        else:
-            equal = False
-        if op == "==":
-            return 1 if equal else 0
-        if op == "!=":
-            return 0 if equal else 1
-        if isinstance(left, Pointer) and isinstance(right, Pointer) and \
-                left.obj is right.obj:
-            left, right = left.offset, right.offset
-        else:
-            return 0
-    left_int, right_int = int(left), int(right)
-    results = {
-        "==": left_int == right_int,
-        "!=": left_int != right_int,
-        "<": left_int < right_int,
-        "<=": left_int <= right_int,
-        ">": left_int > right_int,
-        ">=": left_int >= right_int,
-    }
-    return 1 if results[op] else 0
-
-
-def _div_rt(left: int, right: int) -> int:
-    if right == 0:
-        return 0
-    return int(left / right)
-
-
-def _mod_rt(left: int, right: int) -> int:
-    if right == 0:
-        return 0
-    return int(left - int(left / right) * right)
-
-
-def _shl_rt(left: int, right: int) -> int:
-    return left << (right & 31)
-
-
-def _shr_rt(left: int, right: int) -> int:
-    return left >> (right & 31)
-
-
-#: Integer arithmetic implementations, mirroring ``_int_arithmetic``.
-_INT_OPS: dict[str, Callable[[int, int], int]] = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": _div_rt,
-    "%": _mod_rt,
-    "&": operator.and_,
-    "|": operator.or_,
-    "^": operator.xor,
-    "<<": _shl_rt,
-    ">>": _shr_rt,
-}
-
-_COMPARISON_OPS = ("==", "!=", "<", "<=", ">", ">=")
-
-
-def _make_wrap(ctype: ty.CType) -> Callable[[int], int]:
-    """A closure implementing ``ty.wrap_to(ctype, value)``."""
-    if isinstance(ctype, ty.IntType):
-        bits = ctype.bits
-        mask = (1 << bits) - 1
-        if not ctype.signed:
-            return lambda v, _m=mask: v & _m
-
-        maxv = (1 << (bits - 1)) - 1
-        span = 1 << bits
-
-        def wrap_signed(v: int, _m: int = mask, _x: int = maxv,
-                        _s: int = span) -> int:
-            v &= _m
-            return v - _s if v > _x else v
-
-        return wrap_signed
-    if isinstance(ctype, ty.BoolType):
-        return lambda v: 1 if v else 0
-    if isinstance(ctype, ty.CharType):
-        def wrap_char(v: int) -> int:
-            v &= 0xFF
-            return v - 0x100 if v > 0x7F else v
-
-        return wrap_char
-    if isinstance(ctype, ty.PointerType):
-        return lambda v: v & 0xFFFF
-    return lambda v, _c=ctype: ty.wrap_to(_c, v)
-
-
-def _elem_size(ctype: Optional[ty.CType], pointer_size: int) -> int:
-    """Pointed-to element size used for pointer arithmetic scaling."""
-    if ctype is None:
-        return 1
-    decayed = ctype.decay()
-    if isinstance(decayed, ty.PointerType):
-        return decayed.target.sizeof(pointer_size) or 1
-    return 1
-
-
-def _pointer_arith(op: str, left: RuntimeValue, right: RuntimeValue,
-                   left_elem: int, right_elem: int, diff_elem: int
-                   ) -> RuntimeValue:
-    """Pointer arithmetic slow path; mirrors ``_pointer_arithmetic``."""
-    if isinstance(left, Pointer) and isinstance(right, Pointer):
-        if op == "-" and left.obj is right.obj:
-            return (left.offset - right.offset) // diff_elem
-        return 0
-    if isinstance(left, Pointer):
-        pointer, integer, elem = left, right, left_elem
-    else:
-        pointer, integer, elem = right, left, right_elem
-    delta = int(integer) * elem
-    if op == "-":
-        delta = -delta
-    return Pointer(pointer.obj, pointer.offset + delta)
 
 
 # ---------------------------------------------------------------------------
@@ -1197,7 +1079,7 @@ class _FunctionCompiler:
             return work
 
         init = self._compile_expr(stmt.init) if stmt.init is not None else None
-        wrap = _make_wrap(stmt.ctype) if stmt.ctype.is_integer() else None
+        wrap = cint.make_wrap(stmt.ctype) if stmt.ctype.is_integer() else None
 
         def work(frame: list, _slot=slot, _init=init, _wrap=wrap) -> None:
             if _init is None:
@@ -1579,7 +1461,7 @@ class _FunctionCompiler:
             return
 
         init = self._compile_expr(stmt.init) if stmt.init is not None else None
-        wrap = _make_wrap(stmt.ctype) if stmt.ctype.is_integer() else None
+        wrap = cint.make_wrap(stmt.ctype) if stmt.ctype.is_integer() else None
 
         def op(frame: list, _n=self.node, _cost=cost, _cell=self._cell,
                _sf=self._sf, _slot=slot, _init=init, _wrap=wrap,
@@ -1798,7 +1680,7 @@ class _FunctionCompiler:
             if name in self.taken:
                 return False
             ctype = lvalue.ctype
-            wrap = _make_wrap(ctype) if ctype is not None and \
+            wrap = cint.make_wrap(ctype) if ctype is not None and \
                 ctype.is_integer() else None
 
             def op(frame: list, _n=self.node, _cost=cost, _rv=rvalue,
@@ -1864,7 +1746,7 @@ class _FunctionCompiler:
             elif lvalue.name not in self.taken:
                 # Scalar local: slot store with the tree-walker's wrap rule.
                 ctype = lvalue.ctype
-                wrap = _make_wrap(ctype) if ctype is not None and \
+                wrap = cint.make_wrap(ctype) if ctype is not None and \
                     ctype.is_integer() else None
 
                 def store(frame: list, value: RuntimeValue, _slot=slot,
@@ -1898,9 +1780,12 @@ class _FunctionCompiler:
         return obj
 
     def _global_int_size(self, lvalue: ast.Identifier) -> Optional[int]:
-        """Bytes of an integer store to a global that fit its object."""
+        """Bytes of an integer store to a global that fit its object.
+
+        A ``bool`` store takes the memory path, which makes it 0 or 1.
+        """
         ctype = lvalue.ctype or ty.UINT8
-        if not isinstance(ctype, (ty.IntType, ty.BoolType, ty.CharType)):
+        if not isinstance(ctype, (ty.IntType, ty.CharType)):
             return None
         size = ctype.sizeof(self.pointer_size)
         declared = self.program.globals[lvalue.name].ctype
@@ -2161,24 +2046,19 @@ class _FunctionCompiler:
                 return 1 if _r(frame) != 0 else 0
 
             return or_
-        if op in _COMPARISON_OPS:
+        if op in cint.COMPARISONS:
             return self._compile_comparison(op, expr, left, right)
-        intf = _INT_OPS.get(op)
-        if intf is None:
-            def bad(frame: list, _op=op) -> RuntimeValue:
-                raise RuntimeError(f"unknown operator {_op!r}")
-
-            return bad
+        intf = cint.BINARY_OPS[op]
         ctype = expr.ctype
-        wrap = _make_wrap(ctype) if ctype is not None and \
+        wrap = cint.make_wrap(ctype) if ctype is not None and \
             ctype.is_integer() else None
-        left_elem = _elem_size(expr.left.ctype, self.pointer_size)
-        right_elem = _elem_size(expr.right.ctype, self.pointer_size)
+        left_elem = elem_size(expr.left.ctype, self.pointer_size)
+        right_elem = elem_size(expr.right.ctype, self.pointer_size)
 
         def slow(a: RuntimeValue, b: RuntimeValue, _op=op, _f=intf,
                  _wrap=wrap, _le=left_elem, _re=right_elem) -> RuntimeValue:
             if isinstance(a, Pointer) or isinstance(b, Pointer):
-                return _pointer_arith(_op, a, b, _le, _re, _le)
+                return pointer_arith(_op, a, b, _le, _re)
             result = _f(int(a), int(b))
             return _wrap(result) if _wrap is not None else result
 
@@ -2350,37 +2230,37 @@ class _FunctionCompiler:
                     a = _l(frame)
                     if type(a) is int:
                         return 1 if a == _c else 0
-                    return _compare_rt("==", a, _c)
+                    return compare("==", a, _c)
             elif op == "!=":
                 def cmp_c(frame: list, _l=left, _c=c) -> int:
                     a = _l(frame)
                     if type(a) is int:
                         return 1 if a != _c else 0
-                    return _compare_rt("!=", a, _c)
+                    return compare("!=", a, _c)
             elif op == "<":
                 def cmp_c(frame: list, _l=left, _c=c) -> int:
                     a = _l(frame)
                     if type(a) is int:
                         return 1 if a < _c else 0
-                    return _compare_rt("<", a, _c)
+                    return compare("<", a, _c)
             elif op == "<=":
                 def cmp_c(frame: list, _l=left, _c=c) -> int:
                     a = _l(frame)
                     if type(a) is int:
                         return 1 if a <= _c else 0
-                    return _compare_rt("<=", a, _c)
+                    return compare("<=", a, _c)
             elif op == ">":
                 def cmp_c(frame: list, _l=left, _c=c) -> int:
                     a = _l(frame)
                     if type(a) is int:
                         return 1 if a > _c else 0
-                    return _compare_rt(">", a, _c)
+                    return compare(">", a, _c)
             else:
                 def cmp_c(frame: list, _l=left, _c=c) -> int:
                     a = _l(frame)
                     if type(a) is int:
                         return 1 if a >= _c else 0
-                    return _compare_rt(">=", a, _c)
+                    return compare(">=", a, _c)
             return cmp_c
         if op == "==":
             def cmp_(frame: list, _l=left, _r=right) -> int:
@@ -2388,42 +2268,42 @@ class _FunctionCompiler:
                 b = _r(frame)
                 if type(a) is int and type(b) is int:
                     return 1 if a == b else 0
-                return _compare_rt("==", a, b)
+                return compare("==", a, b)
         elif op == "!=":
             def cmp_(frame: list, _l=left, _r=right) -> int:
                 a = _l(frame)
                 b = _r(frame)
                 if type(a) is int and type(b) is int:
                     return 1 if a != b else 0
-                return _compare_rt("!=", a, b)
+                return compare("!=", a, b)
         elif op == "<":
             def cmp_(frame: list, _l=left, _r=right) -> int:
                 a = _l(frame)
                 b = _r(frame)
                 if type(a) is int and type(b) is int:
                     return 1 if a < b else 0
-                return _compare_rt("<", a, b)
+                return compare("<", a, b)
         elif op == "<=":
             def cmp_(frame: list, _l=left, _r=right) -> int:
                 a = _l(frame)
                 b = _r(frame)
                 if type(a) is int and type(b) is int:
                     return 1 if a <= b else 0
-                return _compare_rt("<=", a, b)
+                return compare("<=", a, b)
         elif op == ">":
             def cmp_(frame: list, _l=left, _r=right) -> int:
                 a = _l(frame)
                 b = _r(frame)
                 if type(a) is int and type(b) is int:
                     return 1 if a > b else 0
-                return _compare_rt(">", a, b)
+                return compare(">", a, b)
         else:
             def cmp_(frame: list, _l=left, _r=right) -> int:
                 a = _l(frame)
                 b = _r(frame)
                 if type(a) is int and type(b) is int:
                     return 1 if a >= b else 0
-                return _compare_rt(">=", a, b)
+                return compare(">=", a, b)
         return cmp_
 
     def _compile_unary(self, expr: ast.UnaryOp) -> ExprFn:
@@ -2435,55 +2315,33 @@ class _FunctionCompiler:
 
             return not_
         ctype = expr.ctype
-        wrap = _make_wrap(ctype) if ctype is not None and \
+        wrap = cint.make_wrap(ctype) if ctype is not None and \
             ctype.is_integer() else None
-        if op == "-":
-            def neg(frame: list, _o=operand, _w=wrap) -> RuntimeValue:
-                value = _o(frame)
-                if isinstance(value, Pointer):
-                    return value
-                result = -int(value)
-                return _w(result) if _w is not None else result
 
-            return neg
-        if op == "~":
-            def inv(frame: list, _o=operand, _w=wrap) -> RuntimeValue:
-                value = _o(frame)
-                if isinstance(value, Pointer):
-                    return value
-                result = ~int(value)
-                return _w(result) if _w is not None else result
+        def unary(frame: list, _o=operand, _f=cint.UNARY_OPS[op],
+                  _w=wrap) -> RuntimeValue:
+            value = _o(frame)
+            if isinstance(value, Pointer):
+                return value
+            result = _f(int(value))
+            return _w(result) if _w is not None else result
 
-            return inv
-
-        def bad(frame: list, _o=operand, _op=op) -> RuntimeValue:
-            _o(frame)
-            raise RuntimeError(f"unknown unary operator {_op!r}")
-
-        return bad
+        return unary
 
     def _compile_cast(self, expr: ast.Cast) -> ExprFn:
         operand = self._compile_expr(expr.operand)
         target = expr.target_type
-        if target.is_integer():
-            wrap = _make_wrap(target)
+        if not target.is_integer():
+            return operand
 
-            def cast_int(frame: list, _o=operand, _w=wrap) -> RuntimeValue:
-                value = _o(frame)
-                if isinstance(value, int):
-                    return _w(value)
-                return value
+        def cast_int(frame: list, _o=operand,
+                     _w=cint.make_wrap(target)) -> RuntimeValue:
+            value = _o(frame)
+            if isinstance(value, int):
+                return _w(value)
+            return value
 
-            return cast_int
-        if target.is_pointer():
-            def cast_ptr(frame: list, _o=operand) -> RuntimeValue:
-                value = _o(frame)
-                if isinstance(value, int) and value == 0:
-                    return 0
-                return value
-
-            return cast_ptr
-        return operand
+        return cast_int
 
     def _compile_call(self, expr: ast.Call) -> ExprFn:
         name = expr.callee

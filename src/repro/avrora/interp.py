@@ -30,6 +30,7 @@ import os
 from typing import Optional, TYPE_CHECKING
 
 from repro.cminor import ast_nodes as ast
+from repro.cminor import cint
 from repro.cminor import typesys as ty
 from repro.cminor.program import Program
 from repro.cminor.visitor import walk_expression
@@ -39,7 +40,10 @@ from repro.avrora.memory import (
     MemorySystem,
     Pointer,
     RuntimeValue,
+    compare,
+    elem_size,
     is_null,
+    pointer_arith,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -262,7 +266,7 @@ class TreeWalkInterpreter:
         if stmt.init is not None:
             value = self._eval(stmt.init, frame)
             if stmt.ctype.is_integer() and isinstance(value, int):
-                value = ty.wrap_to(stmt.ctype, value)
+                value = cint.wrap_to(stmt.ctype, value)
         frame[stmt.name] = value
 
     def _current_taken(self, frame: dict[str, object]) -> frozenset[str]:
@@ -359,7 +363,7 @@ class TreeWalkInterpreter:
             if slot is not None and not isinstance(slot, MemoryObject):
                 ctype = lvalue.ctype
                 if ctype is not None and ctype.is_integer() and isinstance(value, int):
-                    value = ty.wrap_to(ctype, value)
+                    value = cint.wrap_to(ctype, value)
                 frame[lvalue.name] = value
                 return
         location = self._locate(lvalue, frame)
@@ -444,94 +448,17 @@ class TreeWalkInterpreter:
             return 1 if self._truthy(self._eval(expr.right, frame)) else 0
         left = self._eval(expr.left, frame)
         right = self._eval(expr.right, frame)
-        if op in ("==", "!=", "<", "<=", ">", ">="):
-            return self._compare(op, left, right)
+        if op in cint.COMPARISONS:
+            return compare(op, left, right)
         if isinstance(left, Pointer) or isinstance(right, Pointer):
-            return self._pointer_arithmetic(expr, left, right)
-        result = self._int_arithmetic(op, int(left), int(right))
+            return pointer_arith(
+                op, left, right,
+                elem_size(expr.left.ctype, self.pointer_size),
+                elem_size(expr.right.ctype, self.pointer_size))
+        result = cint.BINARY_OPS[op](int(left), int(right))
         if expr.ctype is not None and expr.ctype.is_integer():
-            return ty.wrap_to(expr.ctype, result)
+            return cint.wrap_to(expr.ctype, result)
         return result
-
-    def _int_arithmetic(self, op: str, left: int, right: int) -> int:
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0:
-                return 0
-            return int(left / right)
-        if op == "%":
-            if right == 0:
-                return 0
-            return int(left - int(left / right) * right)
-        if op == "&":
-            return left & right
-        if op == "|":
-            return left | right
-        if op == "^":
-            return left ^ right
-        if op == "<<":
-            return left << (right & 31)
-        if op == ">>":
-            return left >> (right & 31)
-        raise RuntimeError(f"unknown operator {op!r}")
-
-    def _compare(self, op: str, left: RuntimeValue, right: RuntimeValue) -> int:
-        if isinstance(left, Pointer) or isinstance(right, Pointer):
-            if isinstance(left, Pointer) and isinstance(right, Pointer):
-                equal = left.obj is right.obj and left.offset == right.offset
-            elif isinstance(left, Pointer):
-                equal = False if right != 0 else False
-                equal = False
-            else:
-                equal = False
-            if op == "==":
-                return 1 if equal else 0
-            if op == "!=":
-                return 0 if equal else 1
-            # Relational pointer comparison: only meaningful within an object.
-            if isinstance(left, Pointer) and isinstance(right, Pointer) and \
-                    left.obj is right.obj:
-                left, right = left.offset, right.offset
-            else:
-                return 0
-        left_int, right_int = int(left), int(right)
-        results = {
-            "==": left_int == right_int,
-            "!=": left_int != right_int,
-            "<": left_int < right_int,
-            "<=": left_int <= right_int,
-            ">": left_int > right_int,
-            ">=": left_int >= right_int,
-        }
-        return 1 if results[op] else 0
-
-    def _pointer_arithmetic(self, expr: ast.BinaryOp, left: RuntimeValue,
-                            right: RuntimeValue) -> RuntimeValue:
-        op = expr.op
-        if isinstance(left, Pointer) and isinstance(right, Pointer):
-            if op == "-" and left.obj is right.obj:
-                elem = 1
-                left_type = expr.left.ctype.decay() if expr.left.ctype else None
-                if isinstance(left_type, ty.PointerType):
-                    elem = left_type.target.sizeof(self.pointer_size) or 1
-                return (left.offset - right.offset) // elem
-            return 0
-        pointer, integer = (left, right) if isinstance(left, Pointer) else (right, left)
-        pointer_type = expr.left.ctype if isinstance(left, Pointer) else expr.right.ctype
-        elem = 1
-        if pointer_type is not None:
-            decayed = pointer_type.decay()
-            if isinstance(decayed, ty.PointerType):
-                elem = decayed.target.sizeof(self.pointer_size) or 1
-        delta = int(integer) * elem
-        if op == "-":
-            delta = -delta
-        return pointer.advanced(delta)
 
     def _eval_unary(self, expr: ast.UnaryOp, frame: dict[str, object]) -> RuntimeValue:
         operand = self._eval(expr.operand, frame)
@@ -539,23 +466,16 @@ class TreeWalkInterpreter:
             return 0 if self._truthy(operand) else 1
         if isinstance(operand, Pointer):
             return operand
-        if expr.op == "-":
-            result = -int(operand)
-        elif expr.op == "~":
-            result = ~int(operand)
-        else:
-            raise RuntimeError(f"unknown unary operator {expr.op!r}")
+        result = cint.UNARY_OPS[expr.op](int(operand))
         if expr.ctype is not None and expr.ctype.is_integer():
-            return ty.wrap_to(expr.ctype, result)
+            return cint.wrap_to(expr.ctype, result)
         return result
 
     def _eval_cast(self, expr: ast.Cast, frame: dict[str, object]) -> RuntimeValue:
         value = self._eval(expr.operand, frame)
         target = expr.target_type
         if target.is_integer() and isinstance(value, int):
-            return ty.wrap_to(target, value)
-        if target.is_pointer() and isinstance(value, int) and value == 0:
-            return 0
+            return cint.wrap_to(target, value)
         return value
 
     # -- calls --------------------------------------------------------------------------

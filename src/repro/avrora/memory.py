@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from repro.cminor import ast_nodes as ast
+from repro.cminor import cint
 from repro.cminor import typesys as ty
 
 _object_ids = itertools.count(1)
@@ -117,6 +118,53 @@ def is_null(value: RuntimeValue) -> bool:
     return isinstance(value, int) and value == 0
 
 
+def compare(op: str, left: RuntimeValue, right: RuntimeValue) -> int:
+    """C's comparison ``left op right`` of two run-time values, as 0 or 1.
+
+    A pointer equals only a pointer to the same object and offset, never an
+    integer (null included).  Pointers into one object order by offset;
+    any other ordering that involves a pointer is false.
+    """
+    if not (isinstance(left, Pointer) or isinstance(right, Pointer)):
+        return cint.COMPARISONS[op](int(left), int(right))
+    same_object = isinstance(left, Pointer) and isinstance(right, Pointer) \
+        and left.obj is right.obj
+    if op in ("==", "!="):
+        equal = same_object and left.offset == right.offset
+        return 1 if equal == (op == "==") else 0
+    if not same_object:
+        return 0
+    return cint.COMPARISONS[op](left.offset, right.offset)
+
+
+def elem_size(ctype: Optional[ty.CType], pointer_size: int) -> int:
+    """Size of what ``ctype`` points to, for scaling pointer arithmetic."""
+    decayed = ctype.decay() if ctype is not None else None
+    if isinstance(decayed, ty.PointerType):
+        return decayed.target.sizeof(pointer_size) or 1
+    return 1
+
+
+def pointer_arith(op: str, left: RuntimeValue, right: RuntimeValue,
+                  left_elem: int, right_elem: int) -> RuntimeValue:
+    """C's ``left op right`` (``+`` or ``-``) when either side is a pointer.
+
+    The integer side counts elements of its pointer's ``*_elem`` size; the
+    difference of two pointers into one object counts ``left_elem``-sized
+    elements, and is 0 across objects.
+    """
+    if isinstance(left, Pointer) and isinstance(right, Pointer):
+        if op == "-" and left.obj is right.obj:
+            return (left.offset - right.offset) // left_elem
+        return 0
+    if isinstance(left, Pointer):
+        pointer, integer, elem = left, right, left_elem
+    else:
+        pointer, integer, elem = right, left, right_elem
+    delta = int(integer) * elem
+    return pointer.advanced(-delta if op == "-" else delta)
+
+
 class MemorySystem:
     """Allocates and accesses the memory objects of one node."""
 
@@ -167,10 +215,8 @@ class MemorySystem:
             return raw
         raw = int.from_bytes(
             pointer.obj.data[pointer.offset:pointer.offset + size], "little")
-        if isinstance(ctype, ty.IntType) and ctype.signed:
-            return ctype.wrap(raw)
-        if isinstance(ctype, ty.CharType):
-            return ty.IntType(8, True).wrap(raw)
+        if isinstance(ctype, (ty.IntType, ty.CharType)):
+            return cint.wrap_to(ctype, raw)
         return raw
 
     def write(self, pointer: Pointer, ctype: ty.CType, value: RuntimeValue) -> None:
@@ -189,6 +235,9 @@ class MemorySystem:
         else:
             pointer.obj.pointer_slots.pop(pointer.offset, None)
             raw = int(value)
+            if isinstance(ctype, ty.BoolType):
+                # The low bytes below are every other integer type's wrap.
+                raw = cint.wrap_to(ctype, raw)
         raw &= (1 << (8 * size)) - 1
         pointer.obj.data[pointer.offset:pointer.offset + size] = \
             raw.to_bytes(size, "little")
@@ -350,13 +399,11 @@ class MemorySystem:
 
     def _apply_initializer(self, obj: MemoryObject, offset: int, ctype: ty.CType,
                            init: ast.Expr) -> None:
+        """Store one initializer in the form the type checker folds it to."""
         pointer = Pointer(obj, offset)
         if isinstance(init, ast.IntLiteral):
-            if ctype.is_scalar() or ctype.is_integer():
-                self.write(pointer, ctype if ctype.is_scalar() else ty.UINT8,
-                           init.value)
-            return
-        if isinstance(init, ast.StringLiteral):
+            self.write(pointer, ctype, init.value)
+        elif isinstance(init, ast.StringLiteral):
             if isinstance(ctype, ty.ArrayType):
                 encoded = init.value.encode("latin-1", errors="replace")
                 for index, byte in enumerate(encoded[:ctype.length]):
@@ -364,12 +411,11 @@ class MemorySystem:
             elif ctype.is_pointer():
                 literal_obj = self.string_literal(init.value)
                 self.write(pointer, ctype, Pointer(literal_obj, 0))
-            return
-        if isinstance(init, ast.InitList):
+        elif isinstance(init, ast.InitList):
             if isinstance(ctype, ty.ArrayType):
-                elem_size = ctype.element.sizeof(self.pointer_size)
+                stride = ctype.element.sizeof(self.pointer_size)
                 for index, item in enumerate(init.items):
-                    self._apply_initializer(obj, offset + index * elem_size,
+                    self._apply_initializer(obj, offset + index * stride,
                                             ctype.element, item)
             elif isinstance(ctype, ty.StructType):
                 for item, struct_field in zip(init.items, ctype.fields):
@@ -377,11 +423,13 @@ class MemorySystem:
                                                       self.pointer_size)
                     self._apply_initializer(obj, offset + field_offset,
                                             struct_field.ctype, item)
-            return
-        if isinstance(init, ast.AddressOf) and isinstance(init.lvalue, ast.Identifier):
-            target = self.global_object(init.lvalue.name)
-            if target is not None and ctype.is_pointer():
+        elif isinstance(init, ast.AddressOf) and \
+                isinstance(init.lvalue, ast.Identifier):
+            target = self.objects[init.lvalue.name]
+            if ctype.is_pointer():
                 self.write(pointer, ctype, Pointer(target, 0))
-            return
-        # Other initializer forms (cast constants, unary minus) are evaluated
-        # by the interpreter before main() runs.
+        else:
+            raise TypeError(
+                f"initializer of {obj.name!r} is a {type(init).__name__}, "
+                "not a literal, string, &global or list of these "
+                "(type-check the program before boot)")

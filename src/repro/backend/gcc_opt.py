@@ -5,7 +5,9 @@ number of CCured's checks — "primarily the easy checks such as redundant
 null-pointer checks" — while its dead-code elimination is noticeably weaker
 than cXprop's.  This module models exactly that amount of power:
 
-* local constant folding of literal arithmetic,
+* local constant folding of one operator or integer cast over literals,
+  through :func:`repro.cminor.cint.evaluate`, so a folded value is wrapped
+  to its expression's type exactly as the simulator computes it,
 * removal of *easy* safety checks: a check whose pointer argument is
   syntactically the address of a named object, the decay of a named array,
   or a string literal; plus exact duplicates in straight-line code,
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cminor import ast_nodes as ast
-from repro.cminor import typesys as ty
+from repro.cminor import cint
 from repro.cminor.callgraph import build_call_graph
 from repro.cminor.program import Program
 from repro.cminor.typecheck import check_program, local_types
@@ -55,60 +57,26 @@ class GccOptReport:
         return self.easy_checks_removed + self.duplicate_checks_removed
 
 
-_FOLDABLE_OPS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "&": lambda a, b: a & b,
-    "|": lambda a, b: a | b,
-    "^": lambda a, b: a ^ b,
-    "<<": lambda a, b: a << b if 0 <= b <= 31 else None,
-    ">>": lambda a, b: a >> b if 0 <= b <= 31 else None,
-    "/": lambda a, b: a // b if b != 0 else None,
-    "%": lambda a, b: a % b if b != 0 else None,
-    "==": lambda a, b: int(a == b),
-    "!=": lambda a, b: int(a != b),
-    "<": lambda a, b: int(a < b),
-    "<=": lambda a, b: int(a <= b),
-    ">": lambda a, b: int(a > b),
-    ">=": lambda a, b: int(a >= b),
-}
+def _foldable(expr: ast.Expr) -> bool:
+    """Whether ``expr`` is one operator or cast applied to literals."""
+    if isinstance(expr, ast.BinaryOp):
+        return expr.op not in ("&&", "||") and \
+            isinstance(expr.left, ast.IntLiteral) and \
+            isinstance(expr.right, ast.IntLiteral)
+    if isinstance(expr, ast.UnaryOp):
+        return expr.op in ("-", "!") and isinstance(expr.operand, ast.IntLiteral)
+    return isinstance(expr, ast.Cast) and expr.target_type.is_integer() and \
+        isinstance(expr.operand, ast.IntLiteral)
 
 
 def _fold_expression(expr: ast.Expr, report: GccOptReport) -> ast.Expr:
-    if isinstance(expr, ast.BinaryOp) and \
-            isinstance(expr.left, ast.IntLiteral) and \
-            isinstance(expr.right, ast.IntLiteral):
-        folder = _FOLDABLE_OPS.get(expr.op)
-        if folder is not None:
-            value = folder(expr.left.value, expr.right.value)
-            if value is not None:
-                report.constants_folded += 1
-                literal = ast.IntLiteral(int(value))
-                literal.loc = expr.loc
-                literal.ctype = expr.ctype
-                return literal
-    if isinstance(expr, ast.UnaryOp) and isinstance(expr.operand, ast.IntLiteral):
-        if expr.op == "-":
-            report.constants_folded += 1
-            literal = ast.IntLiteral(-expr.operand.value)
-            literal.loc = expr.loc
-            literal.ctype = expr.ctype
-            return literal
-        if expr.op == "!":
-            report.constants_folded += 1
-            literal = ast.IntLiteral(0 if expr.operand.value else 1)
-            literal.loc = expr.loc
-            literal.ctype = expr.ctype
-            return literal
-    if isinstance(expr, ast.Cast) and isinstance(expr.operand, ast.IntLiteral) and \
-            expr.target_type.is_integer():
-        report.constants_folded += 1
-        literal = ast.IntLiteral(ty.wrap_to(expr.target_type, expr.operand.value))
-        literal.loc = expr.loc
-        literal.ctype = expr.target_type
-        return literal
-    return expr
+    if not _foldable(expr):
+        return expr
+    report.constants_folded += 1
+    literal = ast.IntLiteral(cint.evaluate(expr))
+    literal.loc = expr.loc
+    literal.ctype = expr.ctype
+    return literal
 
 
 def _fold_constants(program: Program, report: GccOptReport) -> None:

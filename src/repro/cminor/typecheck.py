@@ -12,7 +12,8 @@ flat table (:func:`local_types`).  The parser makes that exact by giving
 every local one name, as CIL does; the checker enforces it for any program,
 parsed or built by a pass: a function may declare each name once, and may
 not use a global that shares a name with one of its locals.  ``break`` and
-``continue`` must sit inside a loop.
+``continue`` must sit inside a loop.  Each global's initializer is folded
+to what boot stores (:func:`repro.cminor.cint.evaluate`).
 """
 
 from __future__ import annotations
@@ -20,13 +21,12 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.cminor import ast_nodes as ast
+from repro.cminor import cint
 from repro.cminor import typesys as ty
 from repro.cminor.errors import SourceLocation, TypeCheckError
 from repro.cminor.program import Program
 
-_COMPARISON_OPS = {"==", "!=", "<", "<=", ">", ">="}
 _LOGICAL_OPS = {"&&", "||"}
-_ARITH_OPS = {"+", "-", "*", "/", "%", "<<", ">>", "&", "|", "^"}
 
 
 def local_types(func: ast.FunctionDef) -> dict[str, ty.CType]:
@@ -88,34 +88,59 @@ class TypeChecker:
         if var.ctype.is_void():
             raise TypeCheckError(f"global {var.name!r} has void type", var.loc)
         if var.init is not None:
-            self._check_initializer(var.init, var.ctype, var.loc, _Scope())
+            var.init = self._check_initializer(var.init, var.ctype, var.loc,
+                                               _Scope(), var)
 
     def _check_initializer(self, init: ast.Expr, target: ty.CType,
-                           loc: Optional[SourceLocation],
-                           scope: Optional["_Scope"] = None) -> None:
-        scope = scope if scope is not None else _Scope()
+                           loc: Optional[SourceLocation], scope: "_Scope",
+                           global_var: Optional[ast.GlobalVar] = None
+                           ) -> ast.Expr:
+        """Check ``init`` against ``target``; fold it if it is a global's.
+
+        A global's initializer is folded once, as CIL's front end does, to
+        what boot stores: a constant expression becomes a literal wrapped
+        to ``target``, and strings, ``&global`` and lists of these stay.
+        """
         if isinstance(init, ast.InitList):
             if isinstance(target, ty.ArrayType):
                 if len(init.items) > target.length:
                     raise TypeCheckError("too many initializers for array", loc)
-                for item in init.items:
-                    self._check_initializer(item, target.element, loc, scope)
+                targets = [target.element] * len(init.items)
             elif isinstance(target, ty.StructType):
                 if len(init.items) > len(target.fields):
                     raise TypeCheckError(
                         f"too many initializers for struct {target.name}", loc)
-                for item, field in zip(init.items, target.fields):
-                    self._check_initializer(item, field.ctype, loc, scope)
+                targets = [field.ctype for field in target.fields]
             else:
                 raise TypeCheckError("initializer list for scalar value", loc)
+            init.items = [
+                self._check_initializer(item, item_type, loc, scope,
+                                        global_var)
+                for item, item_type in zip(init.items, targets)]
             init.ctype = target
-            return
+            return init
         actual = self._check_expr(init, scope)
         if isinstance(target, ty.ArrayType) and isinstance(init, ast.StringLiteral):
-            return
+            return init
         if not ty.is_assignable(target, actual):
             raise TypeCheckError(
                 f"cannot initialize {target} from {actual}", loc)
+        if global_var is None or isinstance(init, ast.StringLiteral) or (
+                isinstance(init, ast.AddressOf)
+                and isinstance(init.lvalue, ast.Identifier)):
+            return init
+        value = cint.evaluate(init, self.pointer_size)
+        if value is None:
+            raise TypeCheckError(
+                f"initializer of global {global_var.name!r} is not a constant "
+                "expression", loc)
+        value = cint.wrap_to(target, value)
+        if isinstance(init, ast.IntLiteral) and init.value == value:
+            return init
+        literal = ast.IntLiteral(value)
+        literal.loc = init.loc
+        literal.ctype = self._literal_type(value)
+        return literal
 
     def check_function(self, func: ast.FunctionDef) -> None:
         """Type-check one function definition."""
@@ -313,13 +338,13 @@ class TypeChecker:
         op = expr.op
         if op in _LOGICAL_OPS:
             return ty.BOOL
-        if op in _COMPARISON_OPS:
+        if op in cint.COMPARISONS:
             if left.is_pointer() != right.is_pointer():
                 if not (left.is_integer() or right.is_integer()):
                     raise TypeCheckError(
                         f"cannot compare {left} with {right}", expr.loc)
             return ty.BOOL
-        if op in _ARITH_OPS:
+        if op in cint.BINARY_OPS:
             if left.is_pointer() and right.is_integer() and op in ("+", "-"):
                 return left
             if left.is_integer() and right.is_pointer() and op == "+":
@@ -338,7 +363,7 @@ class TypeChecker:
             if not operand.is_scalar():
                 raise TypeCheckError(f"cannot negate {operand}", expr.loc)
             return ty.BOOL
-        if expr.op in ("-", "~"):
+        if expr.op in cint.UNARY_OPS:
             if not operand.is_integer():
                 raise TypeCheckError(
                     f"invalid operand to unary {expr.op!r}: {operand}", expr.loc)

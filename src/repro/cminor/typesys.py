@@ -122,14 +122,6 @@ class IntType(CType):
             return (1 << (self.bits - 1)) - 1
         return (1 << self.bits) - 1
 
-    def wrap(self, value: int) -> int:
-        """Wrap ``value`` to this type's range using two's-complement rules."""
-        mask = (1 << self.bits) - 1
-        value &= mask
-        if self.signed and value > self.max_value:
-            value -= 1 << self.bits
-        return value
-
     def __str__(self) -> str:
         prefix = "int" if self.signed else "uint"
         return f"{prefix}{self.bits}_t"
@@ -299,19 +291,6 @@ def integer_limits(ctype: CType) -> tuple[int, int]:
     if isinstance(ctype, CharType):
         return -128, 127
     raise TypeError(f"not an integer type: {ctype}")
-
-
-def wrap_to(ctype: CType, value: int) -> int:
-    """Wrap an integer value to the representable range of ``ctype``."""
-    if isinstance(ctype, IntType):
-        return ctype.wrap(value)
-    if isinstance(ctype, BoolType):
-        return 1 if value else 0
-    if isinstance(ctype, CharType):
-        return IntType(8, True).wrap(value)
-    if isinstance(ctype, PointerType):
-        return value & 0xFFFF
-    raise TypeError(f"cannot wrap value of type {ctype}")
 
 
 def is_assignable(dest: CType, src: CType) -> bool:

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.cminor import ast_nodes as ast
+from repro.cminor import cint
+from repro.cminor import typesys as ty
 from repro.cminor.program import Program
 from repro.cminor.typecheck import check_program, local_types
 from repro.cminor.visitor import map_expression, statement_expressions, walk_expression
@@ -167,12 +169,17 @@ class _BlockPropagator:
             return
         if target not in self.locals_ or target in self.address_taken:
             return
+        declared = self.locals_[target]
         if isinstance(source, ast.IntLiteral):
+            # The store wraps the literal to the local's type; so must a use.
+            if declared.is_integer():
+                source = ast.IntLiteral(cint.wrap_to(declared, source.value))
             copies[target] = source
         elif isinstance(source, ast.Identifier):
             name = source.name
-            if (name in self.locals_ and name not in self.address_taken) or \
-                    name in {p.name for p in self.func.params}:
+            if ((name in self.locals_ and name not in self.address_taken) or
+                    name in {p.name for p in self.func.params}) and \
+                    _holds_every_value(declared, self.locals_[name]):
                 copies[target] = source
 
     def _invalidate_globals(self, copies: dict[str, _Copy]) -> None:
@@ -186,6 +193,15 @@ class _BlockPropagator:
             if any(isinstance(node, ast.Call) for node in walk_expression(expr)):
                 return True
         return False
+
+
+def _holds_every_value(dest: ty.CType, src: ty.CType) -> bool:
+    """Whether storing any ``src`` value in a ``dest`` local leaves it as is."""
+    if not (dest.is_integer() and src.is_integer()):
+        return True
+    dest_lo, dest_hi = ty.integer_limits(dest)
+    src_lo, src_hi = ty.integer_limits(src)
+    return dest_lo <= src_lo and src_hi <= dest_hi
 
 
 def propagate_copies(program: Program,

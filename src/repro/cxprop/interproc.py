@@ -181,10 +181,10 @@ def _initial_invariant(var: ast.GlobalVar, evaluator: Evaluator,
     if var.init is None:
         if var.ctype.is_pointer():
             return Value.null_pointer()
-        return Value.of_int(0).clamp_to_type(var.ctype)
+        return Value.of_int(0)
     if isinstance(var.init, ast.IntLiteral):
-        value = Value.of_int(var.init.value)
-        return value.clamp_to_type(var.ctype) if var.ctype.is_integer() else value
+        # The type checker has wrapped the literal to the global's type.
+        return Value.of_int(var.init.value)
     if isinstance(var.init, ast.StringLiteral) and var.ctype.is_pointer():
         from repro.cxprop.evaluate import string_target
 

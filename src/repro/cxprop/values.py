@@ -13,6 +13,9 @@ The integer component is deliberately range-shaped so that both the
 constant-propagation and the interval abstract domains (the "pluggable
 domains" of cXprop) can share it: the domain object decides how ranges are
 joined and widened, the :class:`Value` operations do the arithmetic.
+That arithmetic is C's as :mod:`repro.cminor.cint` defines it for the
+engines: division truncates, a remainder takes the dividend's sign, and a
+constant converted to a type wraps exactly.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from repro.cminor import cint
 from repro.cminor import typesys as ty
 
 #: Sentinel range meaning "any 32-bit-or-smaller integer".
@@ -95,11 +99,7 @@ class Value:
         if cached is not None:
             return cached
         if ctype.is_integer():
-            lo, hi = ty.integer_limits(ctype if not isinstance(ctype, ty.BoolType)
-                                       else ty.UINT8)
-            if isinstance(ctype, ty.BoolType):
-                lo, hi = 0, 1
-            value = Value.of_range(lo, hi)
+            value = Value.of_range(*ty.integer_limits(ctype))
         elif ctype.is_pointer():
             value = Value.any_pointer()
         else:
@@ -210,20 +210,20 @@ class Value:
         return Value.top()
 
     def clamp_to_type(self, ctype: Optional[ty.CType]) -> "Value":
-        """Intersect an integer value with the representable range of ``ctype``.
+        """Convert an integer value to ``ctype``, as a store or cast does.
 
-        If the value may overflow the type, the result is the full type range
-        (two's-complement wrap-around is not tracked precisely).
+        A constant wraps exactly (:func:`repro.cminor.cint.wrap_to`).  A
+        range that may overflow the type becomes the whole type range.
         """
         if ctype is None or not self.is_int or not ctype.is_integer():
             return self
-        lo, hi = ty.integer_limits(ctype if not isinstance(ctype, ty.BoolType)
-                                   else ty.UINT8)
-        if isinstance(ctype, ty.BoolType):
-            lo, hi = 0, 1
-        if self.lo >= lo and self.hi <= hi:
+        if self.lo == self.hi:
+            wrapped = cint.wrap_to(ctype, self.lo)
+            return self if wrapped == self.lo else Value.of_int(wrapped)
+        whole = Value.of_type(ctype)
+        if whole.lo <= self.lo and self.hi <= whole.hi:
             return self
-        return Value.of_range(lo, hi)
+        return whole
 
     def __str__(self) -> str:
         if self.is_bottom:
@@ -302,18 +302,24 @@ def mul_values(left: Value, right: Value) -> Value:
 
 
 def div_values(left: Value, right: Value) -> Value:
-    if left.is_int and right.is_int and right.lo == right.hi and right.lo != 0:
-        quotients = sorted((left.lo // right.lo, left.hi // right.lo))
-        return Value.of_range(quotients[0], quotients[1])
+    """C's ``/`` by a nonzero constant, monotone in the dividend."""
+    divisor = right.as_constant()
+    if left.is_int and divisor:
+        return Value.of_range(cint.div(left.lo, divisor),
+                              cint.div(left.hi, divisor))
     return Value.top()
 
 
 def mod_values(left: Value, right: Value) -> Value:
-    if left.is_int and right.is_int and right.lo == right.hi and right.lo > 0:
-        if 0 <= left.lo and left.hi < right.lo:
-            return Value.of_range(left.lo, left.hi)
-        return Value.of_range(0, right.lo - 1)
-    return Value.top()
+    """C's ``%`` by a nonzero constant: the dividend's sign, a smaller size."""
+    divisor = right.as_constant()
+    if not (left.is_int and divisor):
+        return Value.top()
+    bound = abs(divisor) - 1
+    if -bound <= left.lo and left.hi <= bound:
+        return left
+    return Value.of_range(max(left.lo, -bound) if left.lo < 0 else 0,
+                          min(left.hi, bound) if left.hi > 0 else 0)
 
 
 def shift_left_values(left: Value, right: Value) -> Value:

@@ -90,6 +90,16 @@ __spontaneous void main(void) {
 }
 """)
 
+    def test_global_initializers_fold_to_wrapped_literals(self):
+        program = make_program("""
+int16_t g = -5;
+uint8_t table[3] = {1 + 1, (uint8_t) 300, sizeof(uint16_t)};
+__spontaneous void main(void) { }
+""")
+        assert program.globals["g"].init == ast.IntLiteral(-5)
+        assert program.globals["table"].init.items == [
+            ast.IntLiteral(2), ast.IntLiteral(44), ast.IntLiteral(2)]
+
     def test_local_initializer_may_reference_parameters(self):
         make_program("""
 uint8_t twice(uint8_t x) {
@@ -214,3 +224,11 @@ __spontaneous void main(void) { if (p) { } }
 
     def test_too_many_array_initializers(self):
         self.rejects("uint8_t t[2] = {1, 2, 3};\n__spontaneous void main(void) { }")
+
+    def test_global_initialized_from_a_global(self):
+        self.rejects("uint8_t a = 1;\nuint8_t b = a;\n"
+                     "__spontaneous void main(void) { }")
+
+    def test_global_initialized_from_a_call(self):
+        self.rejects("uint8_t f(void) { return 1; }\nuint8_t b = f();\n"
+                     "__spontaneous void main(void) { }")

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.cminor import cint
 from repro.cminor import typesys as ty
 
 
@@ -83,16 +84,16 @@ class TestArithmeticConversions:
         assert not result.signed
 
     def test_wrap_unsigned(self):
-        assert ty.UINT8.wrap(256) == 0
-        assert ty.UINT8.wrap(257) == 1
+        assert cint.wrap_to(ty.UINT8, 256) == 0
+        assert cint.wrap_to(ty.UINT8, 257) == 1
 
     def test_wrap_signed(self):
-        assert ty.INT8.wrap(128) == -128
-        assert ty.INT8.wrap(-129) == 127
+        assert cint.wrap_to(ty.INT8, 128) == -128
+        assert cint.wrap_to(ty.INT8, -129) == 127
 
     def test_wrap_to_bool_and_pointer(self):
-        assert ty.wrap_to(ty.BOOL, 7) == 1
-        assert ty.wrap_to(ty.PointerType(ty.UINT8), 0x1FFFF) == 0xFFFF
+        assert cint.wrap_to(ty.BOOL, 7) == 1
+        assert cint.wrap_to(ty.PointerType(ty.UINT8), 0x1FFFF) == 0xFFFF
 
     def test_integer_limits(self):
         assert ty.integer_limits(ty.UINT8) == (0, 255)
@@ -141,17 +142,23 @@ class TestAssignability:
 class TestWrapProperties:
     @given(st.sampled_from(INT_TYPES), st.integers(-(1 << 40), 1 << 40))
     def test_wrap_is_always_in_range(self, ctype, value):
-        wrapped = ctype.wrap(value)
+        wrapped = cint.wrap_to(ctype, value)
         assert ctype.min_value <= wrapped <= ctype.max_value
 
     @given(st.sampled_from(INT_TYPES), st.integers(-(1 << 40), 1 << 40))
     def test_wrap_is_idempotent(self, ctype, value):
-        assert ctype.wrap(ctype.wrap(value)) == ctype.wrap(value)
+        wrapped = cint.wrap_to(ctype, value)
+        assert cint.wrap_to(ctype, wrapped) == wrapped
 
     @given(st.sampled_from(INT_TYPES), st.integers(-(1 << 40), 1 << 40))
     def test_wrap_preserves_congruence(self, ctype, value):
         modulus = 1 << ctype.bits
-        assert (ctype.wrap(value) - value) % modulus == 0
+        assert (cint.wrap_to(ctype, value) - value) % modulus == 0
+
+    @given(st.sampled_from(SCALAR_TYPES + [ty.PointerType(ty.UINT8)]),
+           st.integers(-(1 << 40), 1 << 40))
+    def test_closure_form_agrees(self, ctype, value):
+        assert cint.make_wrap(ctype)(value) == cint.wrap_to(ctype, value)
 
     @given(st.sampled_from(INT_TYPES), st.sampled_from(INT_TYPES))
     def test_common_type_is_at_least_as_wide(self, left, right):

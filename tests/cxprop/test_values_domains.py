@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.cminor import cint
 from repro.cminor import typesys as ty
 from repro.cxprop import values as av
 from repro.cxprop.domains import ConstantDomain, IntervalDomain, ValueSetDomain, \
@@ -45,6 +46,9 @@ class TestValueConstruction:
         assert Value.of_range(0, 1000).clamp_to_type(ty.UINT8).hi == 255
         inside = Value.of_range(3, 7).clamp_to_type(ty.UINT8)
         assert (inside.lo, inside.hi) == (3, 7)
+        assert Value.of_int(300).clamp_to_type(ty.UINT8) == Value.of_int(44)
+        assert Value.of_int(40000).clamp_to_type(ty.INT16) == \
+            Value.of_int(-25536)
 
 
 class TestJoin:
@@ -107,6 +111,54 @@ class TestArithmetic:
 
     def test_division_by_zero_is_top(self):
         assert av.div_values(Value.of_int(4), Value.of_int(0)).is_top
+
+
+#: cXprop's transfer function for each of ``cint``'s binary operators.
+TRANSFER = {
+    "+": av.add_values,
+    "-": av.sub_values,
+    "*": av.mul_values,
+    "/": av.div_values,
+    "%": av.mod_values,
+    "&": av.bitand_values,
+    "|": av.bitor_values,
+    "^": av.bitxor_values,
+    "<<": av.shift_left_values,
+    ">>": av.shift_right_values,
+}
+
+INT16_VALUES = st.integers(ty.INT16.min_value, ty.INT16.max_value)
+
+
+def contains(value, concrete):
+    return value.is_top or value.lo <= concrete <= value.hi
+
+
+class TestTransferSoundness:
+    """An abstract result holds C's concrete result at every point it covers."""
+
+    @pytest.mark.parametrize("op", sorted(cint.BINARY_OPS))
+    @given(a=INT16_VALUES, b=INT16_VALUES, data=st.data())
+    def test_operator_with_a_constant(self, op, a, b, data):
+        if op in ("<<", ">>"):
+            constant = data.draw(st.integers(0, 15))
+        elif op in ("/", "%"):
+            constant = data.draw(INT16_VALUES.filter(bool))
+        else:
+            constant = data.draw(INT16_VALUES)
+        lo, hi = min(a, b), max(a, b)
+        result = TRANSFER[op](Value.of_range(lo, hi), Value.of_int(constant))
+        for point in (lo, (lo + hi) // 2, hi):
+            assert contains(result, cint.BINARY_OPS[op](point, constant))
+
+    @pytest.mark.parametrize("op", sorted(cint.COMPARISONS))
+    @given(a=INT16_VALUES, b=INT16_VALUES, constant=INT16_VALUES)
+    def test_comparison_with_a_constant(self, op, a, b, constant):
+        lo, hi = min(a, b), max(a, b)
+        result = av.compare_values(op, Value.of_range(lo, hi),
+                                   Value.of_int(constant))
+        for point in (lo, (lo + hi) // 2, hi):
+            assert contains(result, cint.COMPARISONS[op](point, constant))
 
 
 class TestComparisons:
