@@ -28,10 +28,11 @@ from repro.cminor.callgraph import build_call_graph
 from repro.cminor.program import Program
 from repro.cminor.typecheck import check_program, local_types
 from repro.cminor.visitor import (
-    expressions_equal,
-    map_expression,
+    child_blocks,
     replace_statement_expressions,
+    statement_expressions,
     transform_block,
+    walk_expression,
 )
 from repro.ccured.optimizer import (
     _assigned_variables,
@@ -80,14 +81,13 @@ def _fold_expression(expr: ast.Expr, report: GccOptReport) -> ast.Expr:
 
 
 def _fold_constants(program: Program, report: GccOptReport) -> None:
-    for func in program.iter_functions():
-        for stmt_block in [func.body]:
-            def rewrite(stmt: ast.Stmt):
-                replace_statement_expressions(
-                    stmt, lambda e: _fold_expression(e, report))
-                return stmt
+    def rewrite(stmt: ast.Stmt):
+        replace_statement_expressions(
+            stmt, lambda e: _fold_expression(e, report))
+        return stmt
 
-            transform_block(stmt_block, rewrite)
+    for func in program.iter_functions():
+        transform_block(func.body, rewrite)
 
 
 def _remove_easy_checks(program: Program, report: GccOptReport) -> None:
@@ -102,7 +102,8 @@ def _remove_easy_checks(program: Program, report: GccOptReport) -> None:
             previous_check: ast.Stmt | None = None
             new_stmts: list[ast.Stmt] = []
             for stmt in block.stmts:
-                for inner in _nested_blocks(stmt):
+                nested = child_blocks(stmt)
+                for inner in nested:
                     optimize_block(inner)
                 if is_check_statement(stmt):
                     pointer = check_pointer_argument(stmt)
@@ -125,7 +126,7 @@ def _remove_easy_checks(program: Program, report: GccOptReport) -> None:
                                               and name in program.globals
                                               for name in mentioned)
                         has_call = _statement_calls(stmt)
-                        if (mentioned & assigned) or _nested_blocks(stmt) or \
+                        if (mentioned & assigned) or nested or \
                                 ("*" in assigned and (mentions_global or has_call)):
                             previous_check = None
                 new_stmts.append(stmt)
@@ -134,15 +135,7 @@ def _remove_easy_checks(program: Program, report: GccOptReport) -> None:
         optimize_block(func.body)
 
 
-def _nested_blocks(stmt: ast.Stmt) -> list[ast.Block]:
-    from repro.cminor.visitor import child_blocks
-
-    return [b for b in child_blocks(stmt) if b is not stmt]
-
-
 def _statement_calls(stmt: ast.Stmt) -> bool:
-    from repro.cminor.visitor import statement_expressions, walk_expression
-
     for expr in statement_expressions(stmt):
         for node in walk_expression(expr):
             if isinstance(node, ast.Call):
@@ -153,15 +146,10 @@ def _statement_calls(stmt: ast.Stmt) -> bool:
 def _same_check(left: ast.Stmt, right: ast.Stmt) -> bool:
     call_left = left.expr  # type: ignore[union-attr]
     call_right = right.expr  # type: ignore[union-attr]
-    if call_left.callee != call_right.callee:
-        return False
-    if len(call_left.args) != len(call_right.args):
-        return False
     # Compare all but the unique identifier argument.
-    for a, b in zip(call_left.args[:-1], call_right.args[:-1]):
-        if not expressions_equal(a, b):
-            return False
-    return True
+    return (call_left.callee == call_right.callee
+            and len(call_left.args) == len(call_right.args)
+            and call_left.args[:-1] == call_right.args[:-1])
 
 
 def _fold_literal_branches(program: Program, report: GccOptReport) -> None:

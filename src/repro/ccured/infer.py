@@ -25,7 +25,11 @@ from repro.cminor import ast_nodes as ast
 from repro.cminor import typesys as ty
 from repro.cminor.program import Program
 from repro.cminor.typecheck import local_types
-from repro.cminor.visitor import statement_expressions, walk_statements
+from repro.cminor.visitor import (
+    child_expressions,
+    statement_expressions,
+    walk_statements,
+)
 from repro.ccured.kinds import (
     KindMap,
     PointerKind,
@@ -87,47 +91,16 @@ class KindInference:
 
     def _scan_function(self, func: ast.FunctionDef) -> None:
         locals_ = local_types(func)
-        param_names = {p.name for p in func.params}
 
-        def name_slot(name: str) -> Optional[Slot]:
-            if name in param_names:
-                return param_slot(func.name, name)
-            if name in locals_:
-                return local_slot(func.name, name)
-            if name in self.program.globals:
-                return global_slot(name)
-            return None
-
-        def expr_slots(expr: ast.Expr) -> list[Slot]:
-            """Slots whose value may flow out of a pointer-valued expression."""
-            if isinstance(expr, ast.Identifier):
-                slot = name_slot(expr.name)
-                return [slot] if slot is not None else []
-            if isinstance(expr, ast.Member):
-                base_type = expr.base.ctype
-                if expr.arrow and isinstance(base_type, ty.PointerType):
-                    base_type = base_type.target
-                if isinstance(base_type, ty.StructType):
-                    return [field_slot(base_type.name, expr.fieldname)]
-                return []
-            if isinstance(expr, ast.Call):
-                if expr.callee in self.program.functions:
-                    return [return_slot(expr.callee)]
-                return []
-            if isinstance(expr, ast.Cast):
-                return expr_slots(expr.operand)
-            if isinstance(expr, ast.BinaryOp):
-                return expr_slots(expr.left) + expr_slots(expr.right)
-            if isinstance(expr, ast.Ternary):
-                return expr_slots(expr.then) + expr_slots(expr.otherwise)
-            return []
+        def slots(expr: ast.Expr) -> list[Slot]:
+            return expr_slots(expr, self.program, func, locals_)
 
         def visit_expr(expr: ast.Expr) -> None:
             """Generate base constraints for one expression tree."""
             if isinstance(expr, ast.Index):
                 base_type = expr.base.ctype
                 if base_type is not None and base_type.is_pointer():
-                    for slot in expr_slots(expr.base):
+                    for slot in slots(expr.base):
                         self.kinds.raise_to(slot, PointerKind.SEQ)
                 visit_expr(expr.base)
                 visit_expr(expr.index)
@@ -137,48 +110,48 @@ class KindInference:
                     left_t = expr.left.ctype
                     right_t = expr.right.ctype
                     if left_t is not None and left_t.decay().is_pointer():
-                        for slot in expr_slots(expr.left):
+                        for slot in slots(expr.left):
                             self.kinds.raise_to(slot, PointerKind.SEQ)
                     if right_t is not None and right_t.decay().is_pointer():
-                        for slot in expr_slots(expr.right):
+                        for slot in slots(expr.right):
                             self.kinds.raise_to(slot, PointerKind.SEQ)
                 visit_expr(expr.left)
                 visit_expr(expr.right)
                 return
             if isinstance(expr, ast.Cast):
-                self._cast_constraints(expr, expr_slots)
+                self._cast_constraints(expr, slots)
                 visit_expr(expr.operand)
                 return
             if isinstance(expr, ast.Call):
-                self._call_flow(expr, expr_slots)
+                self._call_flow(expr, slots)
                 for arg in expr.args:
                     visit_expr(arg)
                 return
-            for child in _children(expr):
+            for child in child_expressions(expr):
                 visit_expr(child)
 
         for stmt in walk_statements(func.body):
             for expr in statement_expressions(stmt):
                 visit_expr(expr)
             if isinstance(stmt, ast.Assign):
-                self._flow(expr_slots(stmt.lvalue), expr_slots(stmt.rvalue),
+                self._flow(slots(stmt.lvalue), slots(stmt.rvalue),
                            stmt.rvalue)
             elif isinstance(stmt, ast.VarDecl) and stmt.init is not None:
-                slot = name_slot(stmt.name)
-                if slot is not None and self._is_pointerish(stmt.ctype):
-                    self._flow([slot], expr_slots(stmt.init), stmt.init)
+                if self._is_pointerish(stmt.ctype):
+                    self._flow([local_slot(func.name, stmt.name)],
+                               slots(stmt.init), stmt.init)
             elif isinstance(stmt, ast.Return) and stmt.value is not None:
                 if self._is_pointerish(func.return_type):
                     self._flow([return_slot(func.name)],
-                               expr_slots(stmt.value), stmt.value)
+                               slots(stmt.value), stmt.value)
 
-    def _cast_constraints(self, expr: ast.Cast, expr_slots) -> None:
+    def _cast_constraints(self, expr: ast.Cast, slots_of) -> None:
         """Casts: integer-to-pointer is WILD; pointer reinterpretation is SEQ."""
         target = expr.target_type
         source = expr.operand.ctype
         if not isinstance(target, ty.PointerType) or source is None:
             return
-        slots = expr_slots(expr.operand)
+        slots = slots_of(expr.operand)
         if source.is_integer():
             # An integer-to-pointer cast that survived the hardware register
             # refactoring: CCured has no choice but WILD.  The kind lands on
@@ -199,14 +172,14 @@ class KindInference:
 
     _pending_cast_kind: Optional[PointerKind] = None
 
-    def _call_flow(self, expr: ast.Call, expr_slots) -> None:
+    def _call_flow(self, expr: ast.Call, slots_of) -> None:
         func = self.program.lookup_function(expr.callee)
         if func is None:
             return
         for param, arg in zip(func.params, expr.args):
             if self._is_pointerish(param.ctype):
                 self._flow([param_slot(func.name, param.name)],
-                           expr_slots(arg), arg)
+                           slots_of(arg), arg)
 
     def _flow(self, dest_slots: list[Slot], src_slots: list[Slot],
               rvalue: ast.Expr) -> None:
@@ -249,10 +222,41 @@ class KindInference:
                         changed = True
 
 
-def _children(expr: ast.Expr) -> list[ast.Expr]:
-    from repro.cminor.visitor import child_expressions
+def expr_slots(expr: ast.Expr, program: Program, func: ast.FunctionDef,
+               locals_: dict[str, ty.CType]) -> list[Slot]:
+    """Slots whose value may flow out of a pointer-valued expression.
 
-    return child_expressions(expr)
+    ``locals_`` is ``local_types(func)``, the function the expression is in.
+    """
+    if isinstance(expr, ast.Identifier):
+        name = expr.name
+        if name in locals_:
+            if any(p.name == name for p in func.params):
+                return [param_slot(func.name, name)]
+            return [local_slot(func.name, name)]
+        if name in program.globals:
+            return [global_slot(name)]
+        return []
+    if isinstance(expr, ast.Member):
+        base_type = expr.base.ctype
+        if expr.arrow and isinstance(base_type, ty.PointerType):
+            base_type = base_type.target
+        if isinstance(base_type, ty.StructType):
+            return [field_slot(base_type.name, expr.fieldname)]
+        return []
+    if isinstance(expr, ast.Call):
+        if expr.callee in program.functions:
+            return [return_slot(expr.callee)]
+        return []
+    if isinstance(expr, ast.Cast):
+        return expr_slots(expr.operand, program, func, locals_)
+    if isinstance(expr, ast.BinaryOp):
+        return (expr_slots(expr.left, program, func, locals_)
+                + expr_slots(expr.right, program, func, locals_))
+    if isinstance(expr, ast.Ternary):
+        return (expr_slots(expr.then, program, func, locals_)
+                + expr_slots(expr.otherwise, program, func, locals_))
+    return []
 
 
 def infer_pointer_kinds(program: Program) -> KindMap:

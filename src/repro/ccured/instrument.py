@@ -16,19 +16,19 @@ methodology behind Figure 2.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.cminor import ast_nodes as ast
 from repro.cminor import typesys as ty
+from repro.cminor.clone import clone_expr
 from repro.cminor.program import Program
 from repro.cminor.typecheck import check_program, local_types
 from repro.cminor.pretty import PrettyPrinter
 from repro.cminor.visitor import (
-    clone_expression,
+    child_expressions,
     statement_expressions,
     transform_block,
-    walk_expression,
 )
 from repro.ccured.checks import (
     CheckInventory,
@@ -38,16 +38,8 @@ from repro.ccured.checks import (
 )
 from repro.ccured.config import CCuredConfig, MessageStrategy
 from repro.ccured.flid import FlidTable
-from repro.ccured.infer import infer_pointer_kinds
-from repro.ccured.kinds import (
-    KindMap,
-    PointerKind,
-    field_slot,
-    global_slot,
-    local_slot,
-    param_slot,
-    return_slot,
-)
+from repro.ccured.infer import expr_slots, infer_pointer_kinds
+from repro.ccured.kinds import KindMap, PointerKind, global_slot
 from repro.ccured.locks import protect_statement
 from repro.ccured.runtime import RUNTIME_UNIT, RuntimeLibrary, build_runtime
 
@@ -117,7 +109,7 @@ class Instrumenter:
         self.locked_checks = 0
         self._printer = PrettyPrinter()
         self._next_id = 1
-        self._current_function = ""
+        self._function: Optional[ast.FunctionDef] = None
         self._locals: dict[str, ty.CType] = {}
 
     # -- driving ---------------------------------------------------------------
@@ -129,7 +121,7 @@ class Instrumenter:
             self._instrument_function(func)
 
     def _instrument_function(self, func: ast.FunctionDef) -> None:
-        self._current_function = func.name
+        self._function = func
         self._locals = local_types(func)
 
         def rewrite(stmt: ast.Stmt):
@@ -192,7 +184,7 @@ class Instrumenter:
             # expressions inside the lvalue are evaluated.
             self._collect_address(expr.lvalue, accesses)
             return
-        for child in _child_expressions(expr):
+        for child in child_expressions(expr):
             self._collect(child, False, accesses)
 
     def _collect_address(self, lvalue: ast.Expr, accesses: list[_Access]) -> None:
@@ -218,7 +210,7 @@ class Instrumenter:
             check = CheckKind.WILD
         accesses.append(_Access(
             kind=check,
-            pointer=clone_expression(pointer),
+            pointer=clone_expr(pointer),
             size=max(size, 1),
             description=self._describe(describe),
             is_write=is_write,
@@ -244,8 +236,8 @@ class Instrumenter:
                 check = CheckKind.WILD
             else:
                 check = CheckKind.BOUNDS
-        address = ast.AddressOf(ast.Index(clone_expression(expr.base),
-                                          clone_expression(expr.index)))
+        address = ast.AddressOf(ast.Index(clone_expr(expr.base),
+                                          clone_expr(expr.index)))
         address.loc = expr.loc
         accesses.append(_Access(
             kind=check,
@@ -283,7 +275,8 @@ class Instrumenter:
             return PointerKind.join(inner, PointerKind.SEQ
                                     if self._is_reinterpret(pointer)
                                     else PointerKind.SAFE)
-        kinds = [self.kinds.get(slot) for slot in self._expr_slots(pointer)]
+        kinds = [self.kinds.get(slot) for slot in expr_slots(
+            pointer, self.program, self._function, self._locals)]
         if not kinds:
             return PointerKind.SAFE
         result = PointerKind.SAFE
@@ -300,44 +293,13 @@ class Instrumenter:
         source = source.decay()
         return isinstance(source, ty.PointerType) and source.target != target.target
 
-    def _expr_slots(self, expr: ast.Expr):
-        if isinstance(expr, ast.Identifier):
-            if expr.name in self._locals:
-                func = self._current_function
-                if any(p == expr.name for p in self._param_names()):
-                    return [param_slot(func, expr.name)]
-                return [local_slot(func, expr.name)]
-            if expr.name in self.program.globals:
-                return [global_slot(expr.name)]
-            return []
-        if isinstance(expr, ast.Member):
-            base_type = expr.base.ctype
-            if expr.arrow and isinstance(base_type, ty.PointerType):
-                base_type = base_type.target
-            if isinstance(base_type, ty.StructType):
-                return [field_slot(base_type.name, expr.fieldname)]
-            return []
-        if isinstance(expr, ast.Call) and expr.callee in self.program.functions:
-            return [return_slot(expr.callee)]
-        if isinstance(expr, ast.Cast):
-            return self._expr_slots(expr.operand)
-        if isinstance(expr, ast.BinaryOp):
-            return self._expr_slots(expr.left) + self._expr_slots(expr.right)
-        if isinstance(expr, ast.Ternary):
-            return self._expr_slots(expr.then) + self._expr_slots(expr.otherwise)
-        return []
-
-    def _param_names(self) -> list[str]:
-        func = self.program.lookup_function(self._current_function)
-        return func.param_names() if func is not None else []
-
     # -- check construction ----------------------------------------------------------
 
     def _build_check(self, access: _Access) -> tuple[CheckSite, ast.Stmt]:
         site = CheckSite(
             check_id=self._next_id,
             kind=access.kind,
-            function=self._current_function,
+            function=self._function.name,
             description=access.description,
             loc=access.loc,
             guards_write=access.is_write,
@@ -388,12 +350,6 @@ class Instrumenter:
         if isinstance(ctype, ty.PointerType):
             return ctype.target
         return ctype
-
-
-def _child_expressions(expr: ast.Expr):
-    from repro.cminor.visitor import child_expressions
-
-    return child_expressions(expr)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from repro.cminor import ast_nodes as ast
 from repro.cminor import typesys as ty
 from repro.cminor.program import Program
 from repro.cminor.visitor import (
-    expressions_equal,
+    child_blocks,
     statement_expressions,
     walk_expression,
 )
@@ -164,8 +164,8 @@ class CheckOptimizer:
 
     def _optimize_block(self, block: ast.Block,
                         locals_: dict[str, ty.CType]) -> None:
-        # (check kind, rendered pointer) pairs already established in this
-        # straight-line region.
+        # (check helper, pointer) pairs already established in this
+        # straight-line region; pointers match by structural ``==``.
         established: list[tuple[str, ast.Expr]] = []
         new_stmts: list[ast.Stmt] = []
         for stmt in block.stmts:
@@ -176,8 +176,7 @@ class CheckOptimizer:
                         pointer, self.program, locals_):
                     self.removed += 1
                     continue
-                if pointer is not None and self._is_redundant(call.callee, pointer,
-                                                              established):
+                if pointer is not None and (call.callee, pointer) in established:
                     self.removed += 1
                     continue
                 if pointer is not None:
@@ -186,7 +185,8 @@ class CheckOptimizer:
                 continue
             # Non-check statement: recurse into nested blocks and invalidate
             # established checks whose pointers may have changed.
-            self._recurse(stmt, locals_)
+            for inner in child_blocks(stmt):
+                self._optimize_block(inner, locals_)
             assigned = _assigned_variables(stmt)
             if assigned:
                 established = [
@@ -198,29 +198,11 @@ class CheckOptimizer:
             new_stmts.append(stmt)
         block.stmts = new_stmts
 
-    def _recurse(self, stmt: ast.Stmt, locals_: dict[str, ty.CType]) -> None:
-        from repro.cminor.visitor import child_blocks
-
-        for inner in child_blocks(stmt):
-            if inner is stmt:
-                continue
-            self._optimize_block(inner, locals_)
-        if isinstance(stmt, ast.Block):
-            self._optimize_block(stmt, locals_)
-
     def _mentions_global(self, pointer: ast.Expr,
                          locals_: dict[str, ty.CType]) -> bool:
         """Whether the checked pointer expression reads any global variable."""
         for name in _pointer_variables(pointer):
             if name not in locals_ and name in self.program.globals:
-                return True
-        return False
-
-    @staticmethod
-    def _is_redundant(helper: str, pointer: ast.Expr,
-                      established: list[tuple[str, ast.Expr]]) -> bool:
-        for known_helper, known_pointer in established:
-            if known_helper == helper and expressions_equal(known_pointer, pointer):
                 return True
         return False
 

@@ -7,8 +7,11 @@ loop is a :class:`While`; and expressions carry their computed type after
 type checking.
 
 Nodes are plain mutable dataclasses.  Transformation passes either rewrite
-nodes in place or build new subtrees; :mod:`repro.cminor.visitor` provides
-the traversal helpers shared by all passes.
+nodes in place or build new subtrees.  The field annotations are the one
+description of the tree's shape: :mod:`repro.cminor.visitor` derives every
+traversal helper from them and :mod:`repro.cminor.clone` every cloner, and
+the generated ``==`` is structural equality (it ignores ``ctype``, ``loc``,
+``label`` and ``node_id``, which are declared ``compare=False``).
 """
 
 from __future__ import annotations
@@ -154,9 +157,14 @@ class Cast(Expr):
 
 @dataclass
 class SizeOf(Expr):
-    """``sizeof(type)`` — always resolved to a constant by the type checker."""
+    """``sizeof(type)`` or ``sizeof(operand)``, a constant of type ``uint16_t``.
+
+    The type checker resolves an ``operand`` into ``of_type`` and then drops
+    it: C never evaluates the operand of ``sizeof``.
+    """
 
     of_type: CType
+    operand: Optional[Expr] = None
 
 
 @dataclass

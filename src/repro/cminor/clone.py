@@ -3,17 +3,21 @@
 ``Program.clone()`` is on the hot path of the batched sweep runner: one
 front-end program per application is cloned once per build variant, so the
 clone has to be much cheaper than re-running the nesC front end.  A generic
-``copy.deepcopy`` spends most of its time memoizing and re-creating objects
+deep copy spends most of its time memoizing and re-creating objects
 that are immutable by construction — ``CType`` instances, ``SourceLocation``
 records, qualifier frozensets — so this module clones the AST structurally
 instead, sharing everything immutable:
 
-* types (``repro.cminor.typesys`` dataclasses are frozen) and source
-  locations are shared by reference;
-* expression and statement nodes are rebuilt per kind, giving every cloned
-  statement a fresh ``node_id`` (the clone gets its own, empty
-  analysis cache, so shared node ids would not be wrong — fresh ids simply
-  keep the invariant that no two live statements alias an id);
+* types (``repro.cminor.typesys`` dataclasses are frozen), source locations
+  and every other field that holds no node are shared by reference;
+* expression and statement nodes are rebuilt from the shape the visitor
+  derives from their dataclasses (:data:`repro.cminor.visitor.SHAPES`), so
+  every kind is covered.  Each node is built through its constructor, which
+  gives every cloned statement a fresh ``node_id`` (the clone gets its own,
+  empty analysis cache, so shared node ids would not be wrong — fresh ids
+  simply keep the invariant that no two live statements alias an id) and
+  keeps CPython's key-sharing instance dicts: a clone that copied
+  ``__dict__`` instead would cost each node a dict of its own;
 * containers (struct table, globals/functions dicts, task lists, vector and
   racy-variable sets) are shallow-copied per program.
 
@@ -25,109 +29,78 @@ through the same pass list must produce byte-identical images
 from __future__ import annotations
 
 import copy
+import dataclasses
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.cminor import ast_nodes as ast
+from repro.cminor.visitor import BLOCK, EXPR, EXPRS, SHAPES, STMTS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cminor.program import Program
 
 
 # ---------------------------------------------------------------------------
-# Expressions
+# Expressions and statements
 # ---------------------------------------------------------------------------
 
 
-def clone_expr(expr: Optional[ast.Expr]) -> Optional[ast.Expr]:
-    """Structurally clone an expression subtree (types/locations shared)."""
-    if expr is None:
+def clone_node(node: Optional[ast.Node]) -> Optional[ast.Node]:
+    """Structurally clone an expression or statement subtree."""
+    if node is None:
         return None
-    cloner = _EXPR_CLONERS.get(type(expr))
-    if cloner is None:
-        # Unknown expression kind (e.g. added by a future pass): fall back
-        # to deepcopy rather than producing a silently shallow clone.
-        return copy.deepcopy(expr)
-    cloned = cloner(expr)
-    cloned.ctype = expr.ctype
-    cloned.loc = expr.loc
-    return cloned
+    return _CLONERS[type(node)](node)
 
 
-def _clone_exprs(exprs: list[ast.Expr]) -> list[ast.Expr]:
-    return [clone_expr(e) for e in exprs]
+#: The same clone, named for what the caller holds.
+clone_expr = clone_stmt = clone_block = clone_node
 
 
-_EXPR_CLONERS: dict[type, Callable[[ast.Expr], ast.Expr]] = {
-    ast.IntLiteral: lambda e: ast.IntLiteral(e.value),
-    ast.StringLiteral: lambda e: ast.StringLiteral(e.value, e.in_rom, e.label),
-    ast.Identifier: lambda e: ast.Identifier(e.name),
-    ast.BinaryOp: lambda e: ast.BinaryOp(e.op, clone_expr(e.left),
-                                         clone_expr(e.right)),
-    ast.UnaryOp: lambda e: ast.UnaryOp(e.op, clone_expr(e.operand)),
-    ast.Deref: lambda e: ast.Deref(clone_expr(e.pointer)),
-    ast.AddressOf: lambda e: ast.AddressOf(clone_expr(e.lvalue)),
-    ast.Index: lambda e: ast.Index(clone_expr(e.base), clone_expr(e.index)),
-    ast.Member: lambda e: ast.Member(clone_expr(e.base), e.fieldname, e.arrow),
-    ast.Call: lambda e: ast.Call(e.callee, _clone_exprs(e.args)),
-    ast.Cast: lambda e: ast.Cast(e.target_type, clone_expr(e.operand)),
-    ast.SizeOf: lambda e: ast.SizeOf(e.of_type),
-    ast.Ternary: lambda e: ast.Ternary(clone_expr(e.cond), clone_expr(e.then),
-                                       clone_expr(e.otherwise)),
-    ast.InitList: lambda e: ast.InitList(_clone_exprs(e.items)),
-}
+def _clone_list(nodes: list[ast.Node]) -> list[ast.Node]:
+    return [_CLONERS[type(node)](node) for node in nodes]
 
 
-# ---------------------------------------------------------------------------
-# Statements
-# ---------------------------------------------------------------------------
+#: How a field of each child form is cloned.
+_CLONE_BY_FORM = {EXPR: "clone_node", EXPRS: "clone_list",
+                  BLOCK: "clone_node", STMTS: "clone_list"}
 
 
-def clone_stmt(stmt: Optional[ast.Stmt]) -> Optional[ast.Stmt]:
-    """Structurally clone a statement subtree with fresh node ids."""
-    if stmt is None:
-        return None
-    cloner = _STMT_CLONERS.get(type(stmt))
-    if cloner is None:
-        # Unknown statement kind: deepcopy, then restore the fresh-node-id
-        # guarantee (deepcopy duplicates node_id, which would alias the
-        # original in node_id-keyed caches and dataflow state).
-        from repro.cminor.visitor import walk_statements_single
+def _cloner(cls: type) -> Callable[[ast.Node], ast.Node]:
+    """Compile the clone of one node kind from its shape.
 
-        cloned = copy.deepcopy(stmt)
-        for inner in walk_statements_single(cloned):
-            inner.node_id = ast._next_node_id()
-        return cloned
-    cloned = cloner(stmt)
-    cloned.loc = stmt.loc
-    return cloned
+    Constructor fields are passed in declaration order, children cloned and
+    other fields shared.  Fields outside the constructor (``ctype``,
+    ``loc``) are copied, except those it fills from a factory
+    (``node_id``), which stay fresh.  The function is compiled, as
+    :mod:`dataclasses` compiles ``__init__``, so it costs what a
+    hand-written ``BinaryOp(e.op, clone_node(e.left), ...)`` would; for
+    ``BinaryOp``::
+
+        def clone(node):
+            cloned = BinaryOp(node.op, clone_node(node.left),
+                              clone_node(node.right))
+            cloned.ctype = node.ctype
+            cloned.loc = node.loc
+            return cloned
+    """
+    arguments = []
+    lines = []
+    for f, (name, form) in zip(dataclasses.fields(cls), SHAPES[cls]):
+        if f.init:
+            value = f"node.{name}"
+            arguments.append(value if form is None
+                             else f"{_CLONE_BY_FORM[form]}({value})")
+        elif f.default_factory is dataclasses.MISSING:
+            lines.append(f"    cloned.{name} = node.{name}\n")
+    source = (f"def clone(node):\n"
+              f"    cloned = {cls.__name__}({', '.join(arguments)})\n"
+              f"{''.join(lines)}    return cloned\n")
+    namespace = {cls.__name__: cls, "clone_node": clone_node,
+                 "clone_list": _clone_list}
+    exec(source, namespace)
+    return namespace["clone"]
 
 
-def clone_block(block: ast.Block) -> ast.Block:
-    cloned = ast.Block([clone_stmt(s) for s in block.stmts])
-    cloned.loc = block.loc
-    return cloned
-
-
-def _clone_atomic(stmt: ast.Atomic) -> ast.Atomic:
-    return ast.Atomic(clone_block(stmt.body), stmt.save_irq, stmt.synthetic)
-
-
-_STMT_CLONERS: dict[type, Callable[[ast.Stmt], ast.Stmt]] = {
-    ast.VarDecl: lambda s: ast.VarDecl(s.name, s.ctype, clone_expr(s.init),
-                                       s.qualifiers),
-    ast.Assign: lambda s: ast.Assign(clone_expr(s.lvalue), clone_expr(s.rvalue)),
-    ast.ExprStmt: lambda s: ast.ExprStmt(clone_expr(s.expr)),
-    ast.Block: clone_block,
-    ast.If: lambda s: ast.If(clone_expr(s.cond), clone_block(s.then_body),
-                             clone_block(s.else_body)
-                             if s.else_body is not None else None),
-    ast.While: lambda s: ast.While(clone_expr(s.cond), clone_block(s.body)),
-    ast.Return: lambda s: ast.Return(clone_expr(s.value)),
-    ast.Break: lambda s: ast.Break(),
-    ast.Continue: lambda s: ast.Continue(),
-    ast.Atomic: _clone_atomic,
-    ast.Post: lambda s: ast.Post(s.task),
-}
+_CLONERS = {cls: _cloner(cls) for cls in SHAPES}
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,11 @@ from typing import Optional
 
 from repro.cminor import ast_nodes as ast
 from repro.cminor import typesys as ty
+from repro.cminor.clone import clone_expr, clone_stmt
 from repro.cminor.errors import ParseError, SourceLocation
 from repro.cminor.lexer import Token, tokenize
 from repro.cminor.program import StructTable, TranslationUnit
+from repro.cminor.visitor import child_blocks
 
 _TYPE_KEYWORDS = set(ty.NAMED_TYPES) | {"struct"}
 _QUALIFIER_KEYWORDS = {"const", "volatile", "norace", "__progmem"}
@@ -501,14 +503,14 @@ class Parser:
             rvalue = self.parse_expression()
             binop = ast.BinaryOp(_COMPOUND_ASSIGN_OPS[tok.text], expr, rvalue)
             binop.loc = loc
-            stmt = ast.Assign(_clone_expr(expr), binop)
+            stmt = ast.Assign(clone_expr(expr), binop)
         elif tok.is_op("++") or tok.is_op("--"):
             self._advance()
             one = ast.IntLiteral(1)
             one.loc = loc
             binop = ast.BinaryOp("+" if tok.text == "++" else "-", expr, one)
             binop.loc = loc
-            stmt = ast.Assign(_clone_expr(expr), binop)
+            stmt = ast.Assign(clone_expr(expr), binop)
         else:
             stmt = ast.ExprStmt(expr)
         stmt.loc = loc
@@ -646,9 +648,7 @@ class Parser:
                 node = ast.SizeOf(ctype)
             else:
                 # ``sizeof(expr)`` is resolved by the type checker.
-                inner = self.parse_expression()
-                node = ast.SizeOf(ty.VOID)
-                node._sizeof_expr = inner  # type: ignore[attr-defined]
+                node = ast.SizeOf(ty.VOID, self.parse_expression())
             self._expect_op(")")
         elif tok.kind == "ident":
             self._advance()
@@ -665,13 +665,6 @@ class Parser:
             raise ParseError(f"unexpected token {tok.text!r}", tok.loc)
         node.loc = tok.loc
         return node
-
-
-def _clone_expr(expr: ast.Expr) -> ast.Expr:
-    """Deep-copy an expression (used when desugaring compound assignments)."""
-    from repro.cminor.visitor import clone_expression
-
-    return clone_expression(expr)
 
 
 def _is_constant_true(cond: ast.Expr) -> bool:
@@ -707,22 +700,13 @@ def _prepend_to_continues(stmts: list[ast.Stmt],
     walk does not descend into nested loops, whose ``continue`` statements
     belong to them.
     """
-    from repro.cminor.visitor import clone_statement
-
     out: list[ast.Stmt] = []
     for inner in stmts:
         if isinstance(inner, ast.Continue):
-            out.append(clone_statement(stmt))
-        elif isinstance(inner, ast.If):
-            inner.then_body.stmts = _prepend_to_continues(
-                inner.then_body.stmts, stmt)
-            if inner.else_body is not None:
-                inner.else_body.stmts = _prepend_to_continues(
-                    inner.else_body.stmts, stmt)
-        elif isinstance(inner, ast.Block):
-            inner.stmts = _prepend_to_continues(inner.stmts, stmt)
-        elif isinstance(inner, ast.Atomic):
-            inner.body.stmts = _prepend_to_continues(inner.body.stmts, stmt)
+            out.append(clone_stmt(stmt))
+        elif not isinstance(inner, ast.While):
+            for block in child_blocks(inner):
+                block.stmts = _prepend_to_continues(block.stmts, stmt)
         out.append(inner)
     return out
 

@@ -100,7 +100,9 @@ class PrettyPrinter:
             operand = self.format_expr(expr.operand, _UNARY_PRECEDENCE)
             return f"({expr.target_type}){operand}", _UNARY_PRECEDENCE
         if isinstance(expr, ast.SizeOf):
-            return f"sizeof({expr.of_type})", _POSTFIX_PRECEDENCE
+            inner = expr.of_type if expr.operand is None else \
+                self.format_expr(expr.operand)
+            return f"sizeof({inner})", _POSTFIX_PRECEDENCE
         if isinstance(expr, ast.Ternary):
             cond = self.format_expr(expr.cond, 1)
             then = self.format_expr(expr.then)

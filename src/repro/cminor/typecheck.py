@@ -292,10 +292,10 @@ class TypeChecker:
             self._check_expr(expr.operand, scope)
             return expr.target_type
         if isinstance(expr, ast.SizeOf):
-            inner = getattr(expr, "_sizeof_expr", None)
-            if inner is not None:
-                inner_type = self._check_expr(inner, scope)
-                expr.of_type = inner_type
+            if expr.operand is not None:
+                # C never evaluates the operand, so no later pass sees it.
+                expr.of_type = self._check_expr(expr.operand, scope)
+                expr.operand = None
             return ty.UINT16
         if isinstance(expr, ast.Ternary):
             self._check_condition(expr.cond, scope, expr.loc)

@@ -4,11 +4,22 @@ Passes in CCured and cXprop are all structured the same way: walk statements,
 inspect or rewrite the expressions they contain, and occasionally replace a
 statement with zero or more new statements.  The helpers here keep that logic
 in one place so that individual passes stay small and declarative.
+
+The tree's shape is read once, at import, from the node dataclasses of
+:mod:`repro.cminor.ast_nodes`, as CIL derives its one visitor from its one
+type definition.  A field annotated ``Expr``, ``Optional[Expr]`` or
+``list[Expr]`` holds expression children, one annotated ``Block`` or
+``Optional[Block]`` holds a nested block, and a ``Block`` holds its
+statements in a ``list[Stmt]``.  Children keep their declaration order.  Any
+other annotation that names a node type is an error at import, so a new node
+kind needs nothing beyond its dataclass.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Union
+import dataclasses
+import typing
+from typing import Callable, Iterator, Optional, Union
 
 from repro.cminor import ast_nodes as ast
 
@@ -16,40 +27,107 @@ StmtRewrite = Union[ast.Stmt, list[ast.Stmt], None]
 
 
 # ---------------------------------------------------------------------------
+# The shape of the tree
+# ---------------------------------------------------------------------------
+
+#: How a field holds children: one expression (or ``None``), a list of
+#: expressions, one block (or ``None``), or a block's statements.
+EXPR, EXPRS, BLOCK, STMTS = "expr", "exprs", "block", "stmts"
+
+_FORMS = {
+    ast.Expr: EXPR,
+    Optional[ast.Expr]: EXPR,
+    list[ast.Expr]: EXPRS,
+    ast.Block: BLOCK,
+    Optional[ast.Block]: BLOCK,
+    list[ast.Stmt]: STMTS,
+}
+
+
+def _names_node(hint) -> bool:
+    if isinstance(hint, type) and issubclass(hint, ast.Node):
+        return True
+    return any(_names_node(arg) for arg in typing.get_args(hint))
+
+
+def node_shape(cls: type) -> tuple[tuple[str, Optional[str]], ...]:
+    """Every dataclass field of ``cls`` with its child form (``None``: data).
+
+    Raises:
+        TypeError: a field's annotation names a node type in none of the
+            child forms (``tuple[Expr, ...]``, say), so no walker could
+            reach what it holds.
+    """
+    hints = typing.get_type_hints(cls)
+    shape = []
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        form = _FORMS.get(hint)
+        if form is None and _names_node(hint):
+            raise TypeError(f"{cls.__name__}.{f.name}: {hint} is not a child "
+                            "form the visitor can walk")
+        shape.append((f.name, form))
+    return tuple(shape)
+
+
+#: Per expression and statement kind, every field and its child form, in
+#: declaration order.
+SHAPES: dict[type, tuple[tuple[str, Optional[str]], ...]] = {
+    cls: node_shape(cls) for cls in vars(ast).values()
+    if isinstance(cls, type) and issubclass(cls, (ast.Expr, ast.Stmt))
+    and cls not in (ast.Expr, ast.Stmt)}
+
+#: Per kind, its expression children: (field, holds a list).
+_EXPR_FIELDS = {cls: tuple((name, form == EXPRS) for name, form in shape
+                           if form in (EXPR, EXPRS))
+                for cls, shape in SHAPES.items()}
+_EXPR_FIELDS_REVERSED = {cls: fields[::-1]
+                         for cls, fields in _EXPR_FIELDS.items()}
+
+#: Per kind, the fields holding a nested block.
+_BLOCK_FIELDS = {cls: tuple(name for name, form in shape if form == BLOCK)
+                 for cls, shape in SHAPES.items()}
+
+
+# ---------------------------------------------------------------------------
 # Expression traversal
 # ---------------------------------------------------------------------------
 
 
-def child_expressions(expr: ast.Expr) -> list[ast.Expr]:
-    """Immediate sub-expressions of ``expr`` (non-recursive)."""
-    if isinstance(expr, ast.BinaryOp):
-        return [expr.left, expr.right]
-    if isinstance(expr, ast.UnaryOp):
-        return [expr.operand]
-    if isinstance(expr, ast.Deref):
-        return [expr.pointer]
-    if isinstance(expr, ast.AddressOf):
-        return [expr.lvalue]
-    if isinstance(expr, ast.Index):
-        return [expr.base, expr.index]
-    if isinstance(expr, ast.Member):
-        return [expr.base]
-    if isinstance(expr, ast.Call):
-        return list(expr.args)
-    if isinstance(expr, ast.Cast):
-        return [expr.operand]
-    if isinstance(expr, ast.Ternary):
-        return [expr.cond, expr.then, expr.otherwise]
-    if isinstance(expr, ast.InitList):
-        return list(expr.items)
-    return []
+def child_expressions(node: ast.Node) -> list[ast.Expr]:
+    """The expressions held directly by an expression or a statement.
+
+    For an expression these are its operands; for a statement, its
+    top-level expressions, without descending into nested statements.
+    """
+    children = []
+    for name, many in _EXPR_FIELDS[type(node)]:
+        value = getattr(node, name)
+        if many:
+            children.extend(value)
+        elif value is not None:
+            children.append(value)
+    return children
+
+
+#: The top-level expressions of a statement; combine with
+#: :func:`walk_statements` to see every expression in a function.
+statement_expressions = child_expressions
 
 
 def walk_expression(expr: ast.Expr) -> Iterator[ast.Expr]:
     """Yield ``expr`` and every sub-expression, pre-order."""
-    yield expr
-    for child in child_expressions(expr):
-        yield from walk_expression(child)
+    stack = [expr]
+    pop, push, extend = stack.pop, stack.append, stack.extend
+    while stack:
+        node = pop()
+        yield node
+        for name, many in _EXPR_FIELDS_REVERSED[type(node)]:
+            value = getattr(node, name)
+            if many:
+                extend(reversed(value))
+            elif value is not None:
+                push(value)
 
 
 def map_expression(expr: ast.Expr, fn: Callable[[ast.Expr], ast.Expr]) -> ast.Expr:
@@ -58,52 +136,53 @@ def map_expression(expr: ast.Expr, fn: Callable[[ast.Expr], ast.Expr]) -> ast.Ex
     ``fn`` is applied to every node after its children have been rewritten;
     it must return the (possibly replaced) node.
     """
-    if isinstance(expr, ast.BinaryOp):
-        expr.left = map_expression(expr.left, fn)
-        expr.right = map_expression(expr.right, fn)
-    elif isinstance(expr, ast.UnaryOp):
-        expr.operand = map_expression(expr.operand, fn)
-    elif isinstance(expr, ast.Deref):
-        expr.pointer = map_expression(expr.pointer, fn)
-    elif isinstance(expr, ast.AddressOf):
-        expr.lvalue = map_expression(expr.lvalue, fn)
-    elif isinstance(expr, ast.Index):
-        expr.base = map_expression(expr.base, fn)
-        expr.index = map_expression(expr.index, fn)
-    elif isinstance(expr, ast.Member):
-        expr.base = map_expression(expr.base, fn)
-    elif isinstance(expr, ast.Call):
-        expr.args = [map_expression(a, fn) for a in expr.args]
-    elif isinstance(expr, ast.Cast):
-        expr.operand = map_expression(expr.operand, fn)
-    elif isinstance(expr, ast.Ternary):
-        expr.cond = map_expression(expr.cond, fn)
-        expr.then = map_expression(expr.then, fn)
-        expr.otherwise = map_expression(expr.otherwise, fn)
-    elif isinstance(expr, ast.InitList):
-        expr.items = [map_expression(i, fn) for i in expr.items]
+    replace_statement_expressions(expr, fn)
     return fn(expr)
 
 
-def clone_expression(expr: ast.Expr) -> ast.Expr:
-    """Deep-copy an expression subtree (types/locations shared by reference)."""
-    from repro.cminor.clone import clone_expr
+def replace_statement_expressions(node: ast.Node,
+                                  fn: Callable[[ast.Expr], ast.Expr]) -> None:
+    """Apply ``fn`` (bottom-up) to each expression ``node`` holds directly.
 
-    return clone_expr(expr)
+    For a statement these are its top-level expressions; nested statements
+    are left alone.
+    """
+    for name, many in _EXPR_FIELDS[type(node)]:
+        value = getattr(node, name)
+        if many:
+            setattr(node, name, [map_expression(item, fn) for item in value])
+        elif value is not None:
+            setattr(node, name, map_expression(value, fn))
 
 
-def clone_statement(stmt: ast.Stmt) -> ast.Stmt:
-    """Deep-copy a statement subtree (fresh node identities)."""
-    from repro.cminor.clone import clone_stmt
+def replace_read_expressions(stmt: ast.Stmt,
+                             fn: Callable[[ast.Expr], ast.Expr]) -> None:
+    """Apply ``fn`` (bottom-up) to what ``stmt`` reads before it runs.
 
-    return clone_stmt(stmt)
-
-
-def clone_block(block: ast.Block) -> ast.Block:
-    """Deep-copy a block."""
-    from repro.cminor.clone import clone_block as _clone_block
-
-    return _clone_block(block)
+    These are its top-level expressions, with two exceptions.  Of a store
+    target only the array indices and a ``*``'s pointer are rewritten,
+    never the variable or the ``->`` base the store goes to.  A loop's
+    condition is left out: it is read again after the body has run.
+    """
+    kind = type(stmt)
+    if kind is ast.While:
+        return
+    if kind is not ast.Assign:
+        replace_statement_expressions(stmt, fn)
+        return
+    stmt.rvalue = map_expression(stmt.rvalue, fn)
+    target = stmt.lvalue
+    while True:
+        kind = type(target)
+        if kind is ast.Index:
+            target.index = map_expression(target.index, fn)
+            target = target.base
+        elif kind is ast.Member:
+            target = target.base
+        else:
+            if kind is ast.Deref:
+                target.pointer = map_expression(target.pointer, fn)
+            return
 
 
 # ---------------------------------------------------------------------------
@@ -112,69 +191,39 @@ def clone_block(block: ast.Block) -> ast.Block:
 
 
 def child_blocks(stmt: ast.Stmt) -> list[ast.Block]:
-    """The blocks nested directly inside a statement."""
-    if isinstance(stmt, ast.Block):
-        return [stmt]
-    if isinstance(stmt, ast.If):
-        blocks = [stmt.then_body]
-        if stmt.else_body is not None:
-            blocks.append(stmt.else_body)
-        return blocks
-    if isinstance(stmt, (ast.While, ast.Atomic)):
-        return [stmt.body]
-    return []
+    """The blocks whose statements are nested directly inside ``stmt``.
 
-
-def statement_expressions(stmt: ast.Stmt) -> list[ast.Expr]:
-    """The top-level expressions contained directly in a statement.
-
-    Does not descend into nested statements; combine with
-    :func:`walk_statements` to see every expression in a function.
+    A :class:`~ast_nodes.Block` holds its statements itself, so it is its
+    own only child block.
     """
-    if isinstance(stmt, ast.VarDecl):
-        return [stmt.init] if stmt.init is not None else []
-    if isinstance(stmt, ast.Assign):
-        return [stmt.lvalue, stmt.rvalue]
-    if isinstance(stmt, ast.ExprStmt):
-        return [stmt.expr]
-    if isinstance(stmt, (ast.If, ast.While)):
-        return [stmt.cond]
-    if isinstance(stmt, ast.Return):
-        return [stmt.value] if stmt.value is not None else []
-    return []
+    if type(stmt) is ast.Block:
+        return [stmt]
+    blocks = []
+    for name in _BLOCK_FIELDS[type(stmt)]:
+        block = getattr(stmt, name)
+        if block is not None:
+            blocks.append(block)
+    return blocks
 
 
-def replace_statement_expressions(stmt: ast.Stmt,
-                                  fn: Callable[[ast.Expr], ast.Expr]) -> None:
-    """Apply ``fn`` (bottom-up) to each top-level expression of ``stmt``."""
-    if isinstance(stmt, ast.VarDecl) and stmt.init is not None:
-        stmt.init = map_expression(stmt.init, fn)
-    elif isinstance(stmt, ast.Assign):
-        stmt.lvalue = map_expression(stmt.lvalue, fn)
-        stmt.rvalue = map_expression(stmt.rvalue, fn)
-    elif isinstance(stmt, ast.ExprStmt):
-        stmt.expr = map_expression(stmt.expr, fn)
-    elif isinstance(stmt, (ast.If, ast.While)):
-        stmt.cond = map_expression(stmt.cond, fn)
-    elif isinstance(stmt, ast.Return) and stmt.value is not None:
-        stmt.value = map_expression(stmt.value, fn)
+def _walk(stack: list[ast.Stmt]) -> Iterator[ast.Stmt]:
+    """Pre-order statements from ``stack``, whose next statement is last."""
+    pop, extend = stack.pop, stack.extend
+    while stack:
+        stmt = pop()
+        yield stmt
+        for block in reversed(child_blocks(stmt)):
+            extend(reversed(block.stmts))
 
 
 def walk_statements(block: ast.Block) -> Iterator[ast.Stmt]:
     """Yield every statement nested anywhere inside ``block``, pre-order."""
-    for stmt in block.stmts:
-        yield from walk_statements_single(stmt)
+    return _walk(block.stmts[::-1])
 
 
 def walk_statements_single(stmt: ast.Stmt) -> Iterator[ast.Stmt]:
     """Yield ``stmt`` and every statement nested inside it."""
-    yield stmt
-    for block in child_blocks(stmt):
-        if block is stmt:
-            for inner in block.stmts:  # type: ignore[attr-defined]
-                yield from walk_statements_single(inner)
-        else:
-            yield from walk_statements(block)
+    return _walk([stmt])
 
 
 def walk_function_expressions(block: ast.Block) -> Iterator[ast.Expr]:
@@ -209,44 +258,6 @@ def transform_block(block: ast.Block,
 def count_statements(block: ast.Block) -> int:
     """Number of statements in a block, recursively (excluding blocks)."""
     return sum(1 for s in walk_statements(block) if not isinstance(s, ast.Block))
-
-
-def expressions_equal(left: ast.Expr, right: ast.Expr) -> bool:
-    """Structural equality of two expressions, ignoring locations and types."""
-    if type(left) is not type(right):
-        return False
-    if isinstance(left, ast.IntLiteral):
-        return left.value == right.value  # type: ignore[attr-defined]
-    if isinstance(left, ast.StringLiteral):
-        return left.value == right.value  # type: ignore[attr-defined]
-    if isinstance(left, ast.Identifier):
-        return left.name == right.name  # type: ignore[attr-defined]
-    if isinstance(left, ast.BinaryOp):
-        return (left.op == right.op  # type: ignore[attr-defined]
-                and expressions_equal(left.left, right.left)  # type: ignore[attr-defined]
-                and expressions_equal(left.right, right.right))  # type: ignore[attr-defined]
-    if isinstance(left, ast.UnaryOp):
-        return (left.op == right.op  # type: ignore[attr-defined]
-                and expressions_equal(left.operand, right.operand))  # type: ignore[attr-defined]
-    if isinstance(left, ast.Member):
-        return (left.fieldname == right.fieldname  # type: ignore[attr-defined]
-                and left.arrow == right.arrow  # type: ignore[attr-defined]
-                and expressions_equal(left.base, right.base))  # type: ignore[attr-defined]
-    if isinstance(left, ast.Cast):
-        return (left.target_type == right.target_type  # type: ignore[attr-defined]
-                and expressions_equal(left.operand, right.operand))  # type: ignore[attr-defined]
-    if isinstance(left, ast.Call):
-        if left.callee != right.callee:  # type: ignore[attr-defined]
-            return False
-        if len(left.args) != len(right.args):  # type: ignore[attr-defined]
-            return False
-        return all(expressions_equal(a, b)
-                   for a, b in zip(left.args, right.args))  # type: ignore[attr-defined]
-    left_children = child_expressions(left)
-    right_children = child_expressions(right)
-    if len(left_children) != len(right_children):
-        return False
-    return all(expressions_equal(a, b) for a, b in zip(left_children, right_children))
 
 
 def collect_called_functions(block: ast.Block) -> set[str]:

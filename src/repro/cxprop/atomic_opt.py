@@ -23,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cminor import ast_nodes as ast
-from repro.cminor.callgraph import build_call_graph
 from repro.cminor.program import Program
 from repro.cminor.visitor import (
+    child_blocks,
     statement_expressions,
     walk_expression,
     walk_statements,
@@ -47,22 +47,13 @@ def _call_sites_by_context(program: Program) -> dict[str, list[tuple[str, bool]]
 
     def visit_block(block: ast.Block, caller: str, in_atomic: bool) -> None:
         for stmt in block.stmts:
-            nested = in_atomic or isinstance(stmt, ast.Atomic)
             for expr in statement_expressions(stmt):
                 for node in walk_expression(expr):
                     if isinstance(node, ast.Call) and node.callee in program.functions:
                         sites.setdefault(node.callee, []).append((caller, in_atomic))
-            if isinstance(stmt, ast.Atomic):
-                visit_block(stmt.body, caller, True)
-            elif isinstance(stmt, ast.If):
-                visit_block(stmt.then_body, caller, in_atomic)
-                if stmt.else_body is not None:
-                    visit_block(stmt.else_body, caller, in_atomic)
-            elif isinstance(stmt, ast.While):
-                visit_block(stmt.body, caller, in_atomic)
-            elif isinstance(stmt, ast.Block):
-                visit_block(stmt, caller, in_atomic)
-            del nested
+            nested = in_atomic or isinstance(stmt, ast.Atomic)
+            for inner in child_blocks(stmt):
+                visit_block(inner, caller, nested)
 
     for func in program.iter_functions():
         visit_block(func.body, func.name, func.is_interrupt_handler)
@@ -136,21 +127,12 @@ def _flatten_block(block: ast.Block, interrupts_off: bool,
                    report: AtomicOptReport) -> None:
     new_stmts: list[ast.Stmt] = []
     for stmt in block.stmts:
-        if isinstance(stmt, ast.Atomic):
-            _flatten_block(stmt.body, True, report)
-            if interrupts_off:
-                report.nested_removed += 1
-                new_stmts.extend(stmt.body.stmts)
-                continue
+        atomic = isinstance(stmt, ast.Atomic)
+        for inner in child_blocks(stmt):
+            _flatten_block(inner, interrupts_off or atomic, report)
+        if atomic and interrupts_off:
+            report.nested_removed += 1
+            new_stmts.extend(stmt.body.stmts)
+        else:
             new_stmts.append(stmt)
-            continue
-        if isinstance(stmt, ast.If):
-            _flatten_block(stmt.then_body, interrupts_off, report)
-            if stmt.else_body is not None:
-                _flatten_block(stmt.else_body, interrupts_off, report)
-        elif isinstance(stmt, ast.While):
-            _flatten_block(stmt.body, interrupts_off, report)
-        elif isinstance(stmt, ast.Block):
-            _flatten_block(stmt, interrupts_off, report)
-        new_stmts.append(stmt)
     block.stmts = new_stmts

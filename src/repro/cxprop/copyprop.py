@@ -19,7 +19,13 @@ from repro.cminor import cint
 from repro.cminor import typesys as ty
 from repro.cminor.program import Program
 from repro.cminor.typecheck import check_program, local_types
-from repro.cminor.visitor import map_expression, statement_expressions, walk_expression
+from repro.cminor.visitor import (
+    child_blocks,
+    replace_read_expressions,
+    statement_expressions,
+    walk_expression,
+    walk_statements_single,
+)
 
 
 @dataclass
@@ -59,8 +65,6 @@ class _BlockPropagator:
     def _recurse(self, stmt: ast.Stmt, copies: dict[str, _Copy]) -> None:
         # Nested control flow gets a copy of the map; changes inside do not
         # leak back out (conservative but simple).
-        from repro.cminor.visitor import child_blocks
-
         inner_copies = dict(copies)
         if isinstance(stmt, ast.While):
             # A loop body may run many times: a copy established before the
@@ -75,13 +79,10 @@ class _BlockPropagator:
                          and source.name in assigned_inside):
                     inner_copies.pop(name, None)
 
-        for block in child_blocks(stmt):
-            if block is stmt:
-                continue
+        blocks = child_blocks(stmt)
+        for block in blocks:
             self._process_block(block, dict(inner_copies))
-        if isinstance(stmt, ast.Block):
-            self._process_block(stmt, dict(inner_copies))
-        if isinstance(stmt, (ast.If, ast.While, ast.Atomic, ast.Block)):
+        if blocks:
             # After a branch or loop, assignments inside may have changed
             # anything they mention; drop affected copies.
             assigned = self._assigned_in(stmt)
@@ -93,8 +94,6 @@ class _BlockPropagator:
                     copies.pop(name, None)
 
     def _assigned_in(self, stmt: ast.Stmt) -> set[str]:
-        from repro.cminor.visitor import walk_statements_single
-
         assigned: set[str] = set()
         for inner in walk_statements_single(stmt):
             if isinstance(inner, ast.Assign) and isinstance(inner.lvalue, ast.Identifier):
@@ -124,27 +123,7 @@ class _BlockPropagator:
                 return clone
             return expr
 
-        if isinstance(stmt, ast.Assign):
-            stmt.rvalue = map_expression(stmt.rvalue, replace)
-            if isinstance(stmt.lvalue, (ast.Index, ast.Member, ast.Deref)):
-                self._substitute_indices(stmt.lvalue, replace)
-        elif isinstance(stmt, ast.VarDecl) and stmt.init is not None:
-            stmt.init = map_expression(stmt.init, replace)
-        elif isinstance(stmt, ast.ExprStmt):
-            stmt.expr = map_expression(stmt.expr, replace)
-        elif isinstance(stmt, ast.If):
-            stmt.cond = map_expression(stmt.cond, replace)
-        elif isinstance(stmt, ast.Return) and stmt.value is not None:
-            stmt.value = map_expression(stmt.value, replace)
-
-    def _substitute_indices(self, lvalue: ast.Expr, replace) -> None:
-        if isinstance(lvalue, ast.Index):
-            lvalue.index = map_expression(lvalue.index, replace)
-            self._substitute_indices(lvalue.base, replace)
-        elif isinstance(lvalue, ast.Member):
-            self._substitute_indices(lvalue.base, replace)
-        elif isinstance(lvalue, ast.Deref):
-            lvalue.pointer = map_expression(lvalue.pointer, replace)
+        replace_read_expressions(stmt, replace)
 
     def _update(self, stmt: ast.Stmt, copies: dict[str, _Copy]) -> None:
         target: Optional[str] = None

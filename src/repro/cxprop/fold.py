@@ -18,11 +18,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.cminor import ast_nodes as ast
-from repro.cminor import typesys as ty
 from repro.cminor.program import Program
 from repro.cminor.typecheck import check_program
 from repro.cminor.visitor import (
-    map_expression,
+    replace_read_expressions,
     statement_expressions,
     transform_block,
     walk_expression,
@@ -145,7 +144,6 @@ class _Folder:
     # -- constant substitution -----------------------------------------------------
 
     def _substitute_constants(self, stmt: ast.Stmt, state, in_atomic: bool) -> None:
-        ctx = _FlowContext(self.analysis, state, in_atomic)
         protected = _protected_identifier_ids(stmt)
 
         def replace(expr: ast.Expr) -> ast.Expr:
@@ -168,30 +166,7 @@ class _Folder:
             self.report.constants_substituted += 1
             return literal
 
-        replace_guarded = replace
-
-        if isinstance(stmt, ast.Assign):
-            stmt.rvalue = map_expression(stmt.rvalue, replace_guarded)
-            self._substitute_lvalue_indices(stmt.lvalue, replace_guarded)
-        elif isinstance(stmt, ast.VarDecl) and stmt.init is not None:
-            stmt.init = map_expression(stmt.init, replace_guarded)
-        elif isinstance(stmt, ast.ExprStmt):
-            stmt.expr = map_expression(stmt.expr, replace_guarded)
-        elif isinstance(stmt, ast.Return) and stmt.value is not None:
-            stmt.value = map_expression(stmt.value, replace_guarded)
-        elif isinstance(stmt, ast.If):
-            stmt.cond = map_expression(stmt.cond, replace_guarded)
-        del ctx
-
-    def _substitute_lvalue_indices(self, lvalue: ast.Expr, replace) -> None:
-        """Substitute constants only in the index parts of a store target."""
-        if isinstance(lvalue, ast.Index):
-            lvalue.index = map_expression(lvalue.index, replace)
-            self._substitute_lvalue_indices(lvalue.base, replace)
-        elif isinstance(lvalue, ast.Member):
-            self._substitute_lvalue_indices(lvalue.base, replace)
-        elif isinstance(lvalue, ast.Deref):
-            lvalue.pointer = map_expression(lvalue.pointer, replace)
+        replace_read_expressions(stmt, replace)
 
     def _substitutable(self, name: str, in_atomic: bool) -> bool:
         if name in self.analysis.locals_:

@@ -20,18 +20,17 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.cminor import ast_nodes as ast
-from repro.cminor import typesys as ty
 from repro.cminor.callgraph import build_call_graph
+from repro.cminor.clone import clone_block, clone_expr
 from repro.cminor.program import Program
 from repro.cminor.typecheck import check_program, local_types
 from repro.cminor.visitor import (
-    clone_block,
     count_statements,
     map_expression,
-    statement_expressions,
+    replace_statement_expressions,
     transform_block,
+    walk_expression,
     walk_statements,
-    walk_statements_single,
 )
 
 #: Callees larger than this many statements are not inlined unless they have
@@ -92,8 +91,6 @@ class InlineReport:
 
 
 def _contains_call(expr: ast.Expr) -> bool:
-    from repro.cminor.visitor import walk_expression
-
     return any(isinstance(node, ast.Call) for node in walk_expression(expr))
 
 
@@ -329,7 +326,7 @@ class Inliner:
         def convert_return(ret: ast.Return) -> list[ast.Stmt]:
             converted: list[ast.Stmt] = []
             if target is not None and ret.value is not None:
-                assign = ast.Assign(_clone(target), ret.value)
+                assign = ast.Assign(clone_expr(target), ret.value)
                 assign.loc = ret.loc
                 converted.append(assign)
             elif ret.value is not None and _contains_call(ret.value):
@@ -368,8 +365,6 @@ class Inliner:
         for inner in walk_statements(block):
             if isinstance(inner, ast.VarDecl) and inner.name in rename:
                 inner.name = rename[inner.name]
-            from repro.cminor.visitor import replace_statement_expressions
-
             replace_statement_expressions(inner, fix_expr)
 
     def _drop_fully_inlined(self) -> None:
@@ -384,12 +379,6 @@ class Inliner:
             if func.name not in called:
                 self.program.remove_function(func.name)
                 self.report.functions_removed += 1
-
-
-def _clone(expr: ast.Expr) -> ast.Expr:
-    from repro.cminor.visitor import clone_expression
-
-    return clone_expression(expr)
 
 
 def inline_program(program: Program,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from repro.cminor import ast_nodes as ast
 from repro.cminor.callgraph import build_call_graph
 from repro.cminor.program import Program
-from repro.cminor.visitor import statement_expressions, walk_expression, walk_statements
+from repro.cminor.visitor import child_blocks, statement_expressions, walk_expression
 
 
 @dataclass
@@ -62,26 +62,18 @@ def _collect_accesses(program: Program, func: ast.FunctionDef,
 
     def record(block: ast.Block, in_atomic: bool) -> None:
         for stmt in block.stmts:
-            nested_atomic = in_atomic or isinstance(stmt, ast.Atomic)
             if isinstance(stmt, ast.Assign):
                 base = _lvalue_base(stmt.lvalue)
                 if base is not None and base not in locals_ and base in global_names:
-                    accesses.append(VariableAccess(base, func.name, True, nested_atomic))
-                _record_reads(stmt.rvalue, nested_atomic)
-                _record_reads_lvalue_indices(stmt.lvalue, nested_atomic)
+                    accesses.append(VariableAccess(base, func.name, True, in_atomic))
+                _record_reads(stmt.rvalue, in_atomic)
+                _record_reads_lvalue_indices(stmt.lvalue, in_atomic)
             else:
                 for expr in statement_expressions(stmt):
-                    _record_reads(expr, nested_atomic)
-            if isinstance(stmt, ast.Atomic):
-                record(stmt.body, True)
-            elif isinstance(stmt, ast.If):
-                record(stmt.then_body, nested_atomic if isinstance(stmt, ast.Atomic) else in_atomic)
-                if stmt.else_body is not None:
-                    record(stmt.else_body, in_atomic)
-            elif isinstance(stmt, ast.While):
-                record(stmt.body, in_atomic)
-            elif isinstance(stmt, ast.Block):
-                record(stmt, in_atomic)
+                    _record_reads(expr, in_atomic)
+            nested = in_atomic or isinstance(stmt, ast.Atomic)
+            for inner in child_blocks(stmt):
+                record(inner, nested)
 
     def _record_reads(expr: ast.Expr, in_atomic: bool) -> None:
         for node in walk_expression(expr):

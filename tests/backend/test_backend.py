@@ -111,6 +111,25 @@ __spontaneous void main(void) {
         assert after >= 1, "the data-dependent index check must survive gcc"
         assert after == before - report.checks_removed
 
+    def test_a_check_after_a_nested_block_that_moves_the_pointer_stays(self):
+        program = make_program("""
+struct rec { uint16_t value; uint16_t other; };
+struct rec first;
+struct rec second;
+void fill(struct rec* p, struct rec* q) {
+  p->value = 3;
+  { p = q; }
+  p->value = 4;
+}
+__spontaneous void main(void) { fill(&first, &second); }
+""")
+        cure(program, CCuredConfig(message_strategy=MessageStrategy.FLID,
+                                   run_optimizer=False))
+        assert count_calls(program, "__ccured_check_null") == 2
+        report = gcc_optimize(program)
+        assert report.duplicate_checks_removed == 0
+        assert count_calls(program, "__ccured_check_null") == 2
+
     def test_literal_branches_are_folded(self):
         program = make_program("""
 uint8_t sink;

@@ -59,6 +59,20 @@ __spontaneous void main(void) {
         # so at most the provably safe ones disappear.
         assert len(surviving_check_ids(program)) <= before
 
+    def test_checks_on_pointers_differing_in_a_sizeof_type_both_survive(self):
+        program = make_program("""
+uint8_t buffer[8];
+void store(uint8_t* p) {
+  *(p + sizeof(int8_t)) = 1;
+  *(p + sizeof(int32_t)) = 2;
+}
+__spontaneous void main(void) { store(buffer); }
+""")
+        cure(program, CCuredConfig(run_optimizer=False))
+        assert count_calls(program, "__ccured_check_ptr") == 2
+        assert optimize_checks(program) == 0
+        assert count_calls(program, "__ccured_check_ptr") == 2
+
     def test_statically_safe_pointer_classification(self):
         program = make_program("uint8_t arr[4];\n__spontaneous void main(void) { }")
         assert pointer_is_statically_safe(parse_expression("&arr[1]"), program)

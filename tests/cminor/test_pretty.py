@@ -34,9 +34,7 @@ class TestExpressions:
         first = parse_expression(source)
         printed = to_source(first)
         second = parse_expression(printed)
-        from repro.cminor.visitor import expressions_equal
-
-        assert expressions_equal(first, second), f"{source!r} -> {printed!r}"
+        assert first == second, f"{source!r} -> {printed!r}"
 
     def test_string_escaping(self):
         literal = ast.StringLiteral('he said "hi"\n')
@@ -120,8 +118,6 @@ def literal_expressions(draw):
 class TestRoundTripProperty:
     @given(literal_expressions())
     def test_literal_expression_roundtrip(self, expr):
-        from repro.cminor.visitor import expressions_equal
-
         printed = to_source(expr)
         reparsed = parse_expression(printed)
-        assert expressions_equal(expr, reparsed)
+        assert expr == reparsed

@@ -112,6 +112,15 @@ CASES = {
                   "volatile uint8_t h = (uint8_t) 300; "
                   "volatile uint16_t k = 2 + 3;"),
         ["g", "h", "k"], [-5, 44, 5]),
+    "sizeof-an-expression-in-a-compound-assignment": (
+        _main("  arr[sizeof(gx)] += 3;\n  g0 = arr[4];",
+              "volatile int32_t gx; int16_t arr[8] = {1, 1, 1, 1, 1, 1, 1, 1}; "
+              "volatile int16_t g0;"),
+        ["g0"], [4]),
+    "sizeof-reads-no-variable": (
+        _main("  int32_t lx;\n  g0 = sizeof(gx) + sizeof(lx);",
+              "int32_t gx; volatile int16_t g0;"),
+        ["g0"], [8]),
 }
 
 
