@@ -8,12 +8,11 @@ byte-identical by construction, so the comparison is pure kernel overhead:
 one execution thread and one horizon grant).
 
 Also measures the shared code cache (:class:`repro.avrora.engine.\
-CodeCache`): the first node of a program pays the full lowering front end
-(frame layout, cost and fusability analysis), every further node binds
-closures against the cached plans — the benchmark times both, records the
-amortization ratio, and asserts via the cache's ``lowerings`` counter that
-the front end really ran once per function across every node of every
-network size.
+CodeCache`): compiled ops bind no node, so the first node of a program
+pays the whole lowering and every further node on the same cache lowers
+nothing.  The benchmark times the first node's lowering and asserts, via
+the cache's ``lowerings`` counter, that an extra node and every node of
+every network size lowered nothing more.
 
 Results are recorded in ``BENCH_network.json`` at the repository root (CI
 uploads it as an artifact); run this module directly for a standalone
@@ -32,6 +31,7 @@ import time
 from pathlib import Path
 
 from repro.api.workbench import Workbench
+from repro.avrora.engine import CodeCache
 from repro.avrora.network import Channel, Network
 from repro.avrora.node import Node
 from repro.toolchain.variants import BASELINE
@@ -51,10 +51,11 @@ MAX_KERNEL_OVERHEAD = float(
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_network.json"
 
 
-def _build_network(program, node_count: int) -> Network:
+def _build_network(program, node_count: int,
+                   code_cache: CodeCache) -> Network:
     network = Network(channel=Channel(topology="chain"))
     for node_id in range(node_count):
-        node = Node(program, node_id=node_id)
+        node = Node(program, node_id=node_id, code_cache=code_cache)
         node.boot()
         network.add_node(node)
     return network
@@ -101,49 +102,38 @@ def measure() -> dict:
         "scaling": [],
     }
 
-    # -- shared code cache: the lowering front end runs once per program ----
-    cache = program.analysis().code_cache()
-    assert cache.lowerings == 0, "expected a cold code cache"
-    first = Node(program)
-    first.boot()
+    # -- shared code cache: one lowering serves every node ------------------
+    cache = CodeCache(program)
+    first = Node(program, code_cache=cache)
     start = time.perf_counter()
     functions = first.interpreter.warm()
-    first_compile = time.perf_counter() - start
+    first_lowering = time.perf_counter() - start
     functions_lowered = cache.lowerings
     assert functions_lowered == functions, \
         "every function should have been lowered exactly once"
 
-    extra_compile = None
-    for _ in range(3):  # best-of-3: closure binding is a sub-10ms measure
-        extra = Node(program)
-        extra.boot()
-        start = time.perf_counter()
-        extra.interpreter.warm()
-        elapsed = time.perf_counter() - start
-        if extra_compile is None or elapsed < extra_compile:
-            extra_compile = elapsed
-    assert cache.lowerings == functions_lowered, \
-        "an extra node re-ran the lowering front end"
+    extra = Node(program, code_cache=cache)
+    extra.interpreter.warm()
+    extra_lowerings = cache.lowerings - functions_lowered
+    assert extra_lowerings == 0, "an extra node lowered a function again"
     results["code_cache"] = {
         "functions": functions,
-        "first_node_compile_s": round(first_compile, 4),
-        "extra_node_compile_s": round(extra_compile, 4),
-        "compile_amortization": round(
-            first_compile / max(extra_compile, 1e-9), 2),
+        "first_node_lowering_s": round(first_lowering, 4),
+        "extra_node_lowerings": extra_lowerings,
     }
 
     # -- lockstep vs the thread-free Node.run on one node (identical) -------
     # Untimed warm-up: the process's first execution-thread spin-up costs
     # ~tens of ms and would otherwise land inside the lockstep window.
-    _build_network(program, 1).run(0.2)
+    _build_network(program, 1, cache).run(0.2)
 
-    thread_free = _build_network(program, 1)
+    thread_free = _build_network(program, 1, cache)
     gc.collect()  # keep collection pauses out of the ~25ms windows
     start = time.perf_counter()
     thread_free.nodes[0].run(SIM_SECONDS)
     thread_free_wall = time.perf_counter() - start
 
-    lockstep = _build_network(program, 1)
+    lockstep = _build_network(program, 1, cache)
     gc.collect()
     start = time.perf_counter()
     lockstep.run(SIM_SECONDS)
@@ -163,7 +153,7 @@ def measure() -> dict:
 
     # -- node-count scaling under the lockstep kernel -----------------------
     for count in NODE_COUNTS:
-        network = _build_network(program, count)
+        network = _build_network(program, count, cache)
         gc.collect()
         start = time.perf_counter()
         grants = _run_counting_grants(network, SIM_SECONDS)
@@ -182,10 +172,9 @@ def measure() -> dict:
                 round(count * SIM_SECONDS / max(wall, 1e-9), 1),
             "superblock_fused_fraction": superblocks["fused_fraction"],
         })
-    # Every node of every network above shared the same plans: the front
-    # end never ran again after the first warm-up node.
+    # Every node of every network above ran the first node's lowerings.
     assert cache.lowerings == functions_lowered, \
-        "scaling runs re-ran the lowering front end"
+        "scaling runs lowered a function again"
 
     results["code_cache"]["plan_hits"] = cache.plan_hits
     return results
@@ -204,10 +193,9 @@ def format_table(results: dict) -> str:
         f"  1-node kernel overhead: {single['kernel_overhead']}x "
         f"(Node.run {single['thread_free_wall_s']}s, "
         f"lockstep {single['lockstep_wall_s']}s)",
-        f"  code cache: {cache['functions']} functions lowered once; "
-        f"per-extra-node compile {cache['extra_node_compile_s']}s vs "
-        f"{cache['first_node_compile_s']}s cold "
-        f"({cache['compile_amortization']}x amortized)",
+        f"  code cache: {cache['functions']} functions lowered once in "
+        f"{cache['first_node_lowering_s']}s; an extra node lowered "
+        f"{cache['extra_node_lowerings']}",
         f"{'nodes':>6} {'wall (s)':>9} {'stmts/s':>12} {'grants':>8} "
         f"{'delivered':>10}",
     ]

@@ -143,8 +143,8 @@ class SimRecord:
         halted: Whether any node halted.
         led_changes: Total LED state changes across all nodes (the cheap
             behavioural fingerprint the examples compare).
-        superblocks: Engine superblock/fast-path statistics summed over
-            every node (``Network.superblock_stats``): fused statement
+        superblocks: Engine superblock/fast-path statistics of the
+            network (``Network.superblock_stats``): fused statement
             counts, fast/slow entry counts, burst iterations and the
             fused fraction.  Execution telemetry: the fast/slow split
             depends on the engine and on where grants paused the nodes,

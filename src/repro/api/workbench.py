@@ -34,7 +34,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from repro.api.records import BuildRecord, ScenarioRecord, SimRecord
 from repro.api.specs import (
@@ -58,12 +58,16 @@ from repro.toolchain.pipeline import BuildResult
 from repro.toolchain.sweep import SweepRunner, persistent_prefixes
 from repro.toolchain.variants import all_variant_names, variant_by_name
 
+if TYPE_CHECKING:
+    from repro.avrora.engine import CodeCache
+
 
 def run_network(program, *, seconds: float, node_count: int = 1,
                 traffic: Optional[TrafficGenerator] = None,
                 channel: Optional[Channel] = None,
                 traffic_first_node_only: bool = False,
                 prepare: Optional[Callable[[Network], None]] = None,
+                code_cache: Optional[CodeCache] = None,
                 ) -> Network:
     """Boot ``node_count`` motes running ``program`` and co-simulate them.
 
@@ -76,14 +80,26 @@ def run_network(program, *, seconds: float, node_count: int = 1,
     on the first node only.  ``prepare`` runs against the fully assembled
     network after the nodes boot and before the clock starts — the
     scenario layer's hook for arming fault injections.
+
+    ``code_cache`` is the scope of the simulator's lowerings: every node
+    runs its ops, so each function is lowered once for the whole network.
+    By default the network gets a cache of its own, dropped with it; pass
+    one to share lowering across several runs of ``program`` (a scenario
+    variant's golden and faulted runs do).
     """
+    # The engine module loads with the first simulation, not with the API.
+    from repro.avrora.engine import CodeCache
+
     if node_count < 1:
         raise ValueError(f"node_count must be >= 1, got {node_count}")
     channel = channel or Channel()
     network = Network(traffic=traffic, channel=channel)
+    if code_cache is None:
+        code_cache = CodeCache(program)
     first_id = 1 if channel.topology == "broadcast" else 0
     for index in range(node_count):
-        node = Node(program, node_id=first_id + index)
+        node = Node(program, node_id=first_id + index,
+                    code_cache=code_cache)
         node.boot()
         network.add_node(
             node, traffic=(index == 0 or not traffic_first_node_only))
@@ -148,6 +164,7 @@ class Workbench:
         self._builds_executed = 0
         self._simulations_executed = 0
         self._scenarios_executed = 0
+        self._lowerings = 0
         self._passes_at_init = executed_pass_count()
 
     # -- introspection ---------------------------------------------------------
@@ -334,10 +351,14 @@ class Workbench:
                 if spec.traffic in (TRAFFIC_DEFAULT, TRAFFIC_BASE) else None
             channel = Channel(topology=spec.topology, loss=spec.loss,
                               seed=spec.seed)
+            from repro.avrora.engine import CodeCache
+
+            code_cache = CodeCache(result.program)
             network = run_network(
                 result.program, seconds=spec.seconds,
                 node_count=spec.node_count, traffic=traffic, channel=channel,
-                traffic_first_node_only=(spec.traffic == TRAFFIC_BASE))
+                traffic_first_node_only=(spec.traffic == TRAFFIC_BASE),
+                code_cache=code_cache)
         stats = network.node_stats()
         record = SimRecord(
             app=spec.app,
@@ -360,6 +381,7 @@ class Workbench:
         )
         with self._lock:
             self._simulations_executed += 1
+            self._lowerings += code_cache.lowerings
             record = self._sim_records.setdefault(key, record)
         if self.store is not None:
             self.store.store_record(key, record.to_dict())
@@ -393,7 +415,9 @@ class Workbench:
                 self._scenario_runner = ScenarioRunner(self)
             runner = self._scenario_runner
         with self._execute_lock:
+            lowered = runner.lowerings
             outcome = runner.run(spec)
+            lowered = runner.lowerings - lowered
         record = ScenarioRecord(
             app=spec.app,
             content_key=key,
@@ -409,6 +433,7 @@ class Workbench:
         )
         with self._lock:
             self._scenarios_executed += 1
+            self._lowerings += lowered
             record = self._scenario_records.setdefault(key, record)
         if self.store is not None:
             self.store.store_record(key, record.to_dict())
@@ -569,28 +594,24 @@ class Workbench:
 
         ``passes_executed`` counts passes run by this process since the
         workbench was constructed (prefix-snapshot resumes and store hits
-        never run a pass), ``lowerings`` counts simulator front-end
-        lowerings across the session's live programs, and ``store`` is
+        never run a pass), ``lowerings`` counts the functions the
+        session's simulations and scenarios lowered, and ``store`` is
         the artifact store's hit/miss/store/eviction counters.  A warm
         store serving a previously recorded spec shows zeros across the
         board — that is the claim the CI smoke legs assert.
         """
         with self._lock:
-            results = list(self._results.values())
             counters = {
                 "builds_executed": self._builds_executed,
                 "simulations_executed": self._simulations_executed,
                 "scenarios_executed": self._scenarios_executed,
+                "lowerings": self._lowerings,
             }
             store_stats = dict(self.store.stats()) \
                 if self.store is not None else {}
-        lowerings = 0
-        for result in results:
-            lowerings += result.program.analysis().code_cache().lowerings
         return {
             "passes_executed": executed_pass_count() - self._passes_at_init,
             **counters,
-            "lowerings": lowerings,
             "store": store_stats,
         }
 

@@ -13,12 +13,11 @@ resolves per statement:
 
 * **slot-indexed frames** — every parameter and local gets an integer slot
   in a plain list; no per-call dict, no hashing;
-* **names bound once** — each identifier is bound to its slot or to the
-  booted node's global object, with no runtime fallback: the parser gives
-  every local one name and the type checker rejects a function that
-  declares a name twice or uses a global under a local's name, so the
-  flat slot table is C's scoping (lowering therefore follows
-  ``Node.boot``);
+* **names bound once** — each identifier is bound to its slot or to its
+  global's index in the running node's global table, with no runtime
+  fallback: the parser gives every local one name and the type checker
+  rejects a function that declares a name twice or uses a global under a
+  local's name, so the flat slot table is C's scoping;
 * **precomputed costs** — each statement's cycle cost (statement +
   expression nodes) is folded into its op;
 * **structured jumps** — ``if``/loops/``break``/``continue``/``return``
@@ -64,14 +63,13 @@ Two mechanisms push past per-statement dispatch:
   executed cost, and a mid-trace fault repairs the accounting to
   exactly what the per-statement path would have charged.  A plain
   fused region is the same op with an accumulator that stays zero.
-* **a shared code cache** — the node-independent front end of lowering
-  (frame layout, per-statement cycle costs, fusability, parameter plans)
-  is computed once per program in a :class:`CodeCache` hanging off the
-  program's analysis cache (and invalidated with it), so every node of an
-  N-node :class:`~repro.avrora.network.Network` shares one front-end
-  lowering per function.  Only the final closure binding — which bakes
-  node-local state (memory objects, event queue, clock) into the ops for
-  speed — remains per node.
+* **a shared code cache** — no op binds a node: every frame carries the
+  running node's :class:`CompiledEngine` in slot :data:`_CTX`, and ops
+  reach the clock, the event queue, the counters, memory and the global
+  table through it.  One :class:`CodeCache` therefore holds each
+  function's whole lowering for one scope — every node of a
+  :class:`~repro.avrora.network.Network`, or a scenario variant's golden
+  and faulted runs — and a node joining a warm cache lowers nothing.
 
 Semantics are kept **byte-identical** to the tree-walker (cycle counts,
 interrupt delivery points, check failures, radio traffic): ops charge the
@@ -84,16 +82,17 @@ application in the paper's figure suite, with fusion on and off.
 from __future__ import annotations
 
 import os
+import threading
 from typing import Callable, Optional, TYPE_CHECKING
 
+from repro.backend.target import cost_model_for
 from repro.cminor import ast_nodes as ast
 from repro.cminor import cint
 from repro.cminor import typesys as ty
 from repro.cminor.program import Program
-from repro.cminor.visitor import walk_expression
+from repro.cminor.visitor import walk_expression, walk_statements
 from repro.avrora.memory import (
     MemoryError_,
-    MemoryObject,
     MemorySystem,
     Pointer,
     RuntimeValue,
@@ -115,6 +114,11 @@ def _simulation_finished():
 
 #: Slot 0 of every frame holds the (eventual) return value.
 _RET = 0
+#: Slot 1 holds the running node's :class:`CompiledEngine`: the one way an
+#: op reaches node state, so one op stream serves every node.
+_CTX = 1
+#: Slot of a function's first parameter or local.
+_FIRST = 2
 
 #: Sentinel "next op index" returned by CALL ops after pushing a callee
 #: frame onto the engine's explicit stack.  It compares greater than any
@@ -181,18 +185,17 @@ def _as_pointer(value: RuntimeValue) -> Pointer:
 
 
 # ---------------------------------------------------------------------------
-# The shared code cache (node-independent lowering front end)
+# The code cache: each function's lowering, shared by one scope's nodes
 # ---------------------------------------------------------------------------
 
 
 class FunctionPlan:
-    """The node-independent half of one function's lowering.
+    """The front end of one function's lowering: what its AST decides.
 
-    Everything here is derived purely from the AST, the program's analysis
-    cache and the (platform-determined) cost model — no node state — so one
-    plan serves every engine simulating the program: frame layout, parameter
-    plans, per-statement cycle costs, and the superblock fusability facts.
-    Plans are shared read-only; see :class:`CodeCache`.
+    Frame layout, parameter plans, per-statement cycle costs, and the
+    superblock fusability facts, derived from the AST, the program's
+    analysis cache and the platform's cost model.  The back end reads a
+    function's own plan and, to splice a callee inline, the callee's.
     """
 
     __slots__ = ("name", "slots", "params", "default_return", "stmt_costs",
@@ -203,7 +206,7 @@ class FunctionPlan:
                  fusable: frozenset[int], loop_conds: frozenset[int],
                  call_sites: dict[int, tuple], leaf_cost: Optional[int]):
         self.name = name
-        #: Frame slot of every parameter and local (slot 0 = return).
+        #: Frame slot of every parameter and local (from :data:`_FIRST`).
         self.slots = slots
         #: Per-parameter plan: (slot, taken, ctype, size, storage_name).
         self.params = params
@@ -237,13 +240,12 @@ def _build_plan(func: ast.FunctionDef, program: Program,
     pointer_size = costs.platform.pointer_bytes
     taken = cache.address_taken_locals(func)
 
-    # Frame layout: slot 0 is the return value; every parameter and local
-    # gets a slot (the checker has made each name one variable).
+    # Frame layout: slots 0 and 1 are the return value and the node
+    # context; every parameter and local gets a slot (the checker has
+    # made each name one variable).
     slots: dict[str, int] = {}
     for name in cache.local_types(func):
-        slots[name] = 1 + len(slots)
-
-    from repro.cminor.visitor import walk_statements
+        slots[name] = _FIRST + len(slots)
 
     stmt_costs: dict[int, int] = {}
     fusable: set[int] = set()
@@ -355,49 +357,89 @@ def _leaf_cost(func: ast.FunctionDef, stmt_costs: dict[int, int],
 
 
 class CodeCache:
-    """Per-program cache of :class:`FunctionPlan` shared by every node.
+    """Each function's whole lowering for one program and one scope.
 
-    Lives on the program's :class:`~repro.cminor.analysis_cache.\
-ProgramAnalysisCache` (see :meth:`code_cache
-    <repro.cminor.analysis_cache.ProgramAnalysisCache.code_cache>`) and is
-    invalidated with it, so passes that mutate function bodies drop the
-    stale plans automatically.  ``lowerings`` counts front-end lowerings
-    actually performed — in an N-node network it stays at one per function,
-    while ``plan_hits`` counts the per-node compilations served by an
-    existing plan (the compile-once evidence the network benchmark
-    records).
+    No op binds a node (see :data:`_CTX`), so every node simulating the
+    program can run the same :class:`CompiledFunction`.  A cache is scoped
+    rather than kept for the program's lifetime: every node of a network
+    shares one (:func:`~repro.api.workbench.run_network` makes it), and a
+    scenario variant's golden and faulted runs share one
+    (:class:`~repro.scenarios.runner.ScenarioRunner`).  Dropped with its
+    scope, the ops of a finished simulation never pile up across a
+    session's many programs.
+
+    :meth:`plan_for` is the one lowering entry point; ``lowerings`` counts
+    the functions it lowered and ``plan_hits`` the requests an existing
+    lowering served.  The cache registers with the program's analysis
+    cache, so a pass that mutates the program after lowering drops every
+    lowering (:meth:`invalidate`).  Lowering takes a lock: two networks
+    on two threads may share one cache.
     """
 
-    __slots__ = ("plans", "lowerings", "plan_hits")
-
-    def __init__(self) -> None:
+    def __init__(self, program: Program):
+        self.program = program
+        self.costs = cost_model_for(program.platform)
+        self.pointer_size = self.costs.platform.pointer_bytes
+        #: Superblock fusion switch (``REPRO_AVRORA_SUPERBLOCKS``), read
+        #: once per cache, so tests can toggle it per node or network.
+        self.superblocks_enabled = _superblocks_enabled()
         self.plans: dict[str, FunctionPlan] = {}
+        self.functions: dict[str, CompiledFunction] = {}
         self.lowerings = 0
         self.plan_hits = 0
+        #: Superblocks formed (straight-line / loop), trace superblocks
+        #: (fused regions with >= 1 inlined call) and call sites spliced
+        #: inline: compile-time counts, once per lowering.
+        self.superblocks = 0
+        self.loop_superblocks = 0
+        self.traces = 0
+        self.inlined_sites = 0
+        self._lock = threading.Lock()
+        self._index_globals()
+        program.analysis().attach_code_cache(self)
 
-    def plan_for(self, func: ast.FunctionDef, program: Program,
-                 costs) -> FunctionPlan:
-        """The shared plan for ``func``, lowered with ``costs`` on a miss.
+    def _index_globals(self) -> None:
+        #: Every global's index in a node's global table (see
+        #: :meth:`CompiledEngine._bind_globals`); a new tuple whenever the
+        #: program's globals may have changed, so nodes rebind.
+        self.global_names = tuple(self.program.globals)
+        self.global_index = {name: index
+                             for index, name in enumerate(self.global_names)}
 
-        A cache belongs to one program, and every node simulating it costs
-        statements with ``cost_model_for(program.platform)``, so one plan
-        per function serves them all.
-        """
+    def plan_for(self, name: str) -> CompiledFunction:
+        """Function ``name``'s lowering; front and back end run on a miss."""
+        with self._lock:
+            cf = self.functions.get(name)
+            if cf is not None:
+                self.plan_hits += 1
+                return cf
+            func = self.program.lookup_function(name)
+            if func is None:
+                raise KeyError(f"call to unknown function {name!r}")
+            cf = _FunctionCompiler(self, func).compile()
+            self.functions[name] = cf
+            self.lowerings += 1
+            return cf
+
+    def _plan(self, func: ast.FunctionDef) -> FunctionPlan:
+        """``func``'s front end, for its own lowering or a caller's splice."""
         plan = self.plans.get(func.name)
         if plan is None:
-            plan = _build_plan(func, program, costs)
+            plan = _build_plan(func, self.program, self.costs)
             self.plans[func.name] = plan
-            self.lowerings += 1
-        else:
-            self.plan_hits += 1
         return plan
 
-    def invalidate(self, func_name: Optional[str] = None) -> None:
-        """Drop plans after an AST mutation (mirrors the analysis cache)."""
-        if func_name is None:
+    def invalidate(self) -> None:
+        """Drop every lowering after an AST mutation.
+
+        All of them, not just the mutated function's: a caller's ops may
+        splice a trace leaf's body inline, and its fusion choices bake in
+        its callees' leaf costs.
+        """
+        with self._lock:
             self.plans.clear()
-        else:
-            self.plans.pop(func_name, None)
+            self.functions.clear()
+            self._index_globals()
 
 
 # ---------------------------------------------------------------------------
@@ -418,13 +460,14 @@ class CompiledFunction:
         self.ops = ops
         self.end = len(ops)
         self.nslots = nslots
-        #: Per-parameter plan: (slot, taken, ctype, size, storage_name).
+        #: Per-parameter plan, as :attr:`FunctionPlan.params`.
         self.params = params
         self.nparams = len(params)
         #: True when arguments can be sliced straight into the frame: no
-        #: address-taken parameters, and parameter slots are 1..nparams.
+        #: address-taken parameters, and parameter slots follow
+        #: :data:`_FIRST` in order.
         self.flat_params = all(
-            plan[0] == index + 1 and not plan[1]
+            plan[0] == _FIRST + index and not plan[1]
             for index, plan in enumerate(params))
         self.default_return = default_return
         self.has_atomic = has_atomic
@@ -456,125 +499,124 @@ class CompiledFrame:
 
 
 class CompiledEngine:
-    """Executes one program for one node as an explicit frame-stack machine.
+    """Executes a :class:`CodeCache`'s ops for one node.
 
     Public API mirrors the tree-walking interpreter: :meth:`call` invokes a
-    program function by name with already-evaluated arguments.  Functions
-    are lowered on first call and cached for the node's lifetime.
+    program function by name with already-evaluated arguments.  The engine
+    is also the node's execution context: every frame holds it in slot
+    :data:`_CTX`, and the ops read the node's clock, event queue and
+    memory, the statement and superblock counters, the trace accumulator,
+    the frame stack and the global table from it.
 
     Statement-level calls (``f(x);`` and ``y = f(x);`` — the dominant
     shapes in flattened TinyOS code) execute as CALL ops that push a
     :class:`CompiledFrame` onto the machine stack; returns pop it.  Calls
-    nested inside larger expressions fall back to a recursive
-    :meth:`_invoke`, which enters a nested machine run.
+    nested inside larger expressions enter a nested machine run.
     """
 
-    def __init__(self, node: "Node"):
+    __slots__ = ("node", "memory", "cache", "eq", "pi", "poll", "overhead",
+                 "stack", "acc", "statements_executed", "fast", "slow",
+                 "fused", "bursts", "iterations", "inlined", "gobj", "gdata",
+                 "gptr", "_layout")
+
+    def __init__(self, node: "Node", cache: CodeCache):
+        if cache.program is not node.program:
+            raise ValueError("a code cache serves the nodes of one program")
         self.node = node
-        self.program: Program = node.program
         self.memory: MemorySystem = node.memory
-        self.costs = node.costs
-        self.pointer_size = node.costs.platform.pointer_bytes
-        self._compiled: dict[str, CompiledFunction] = {}
-        self._overhead = self.costs.function_overhead_cycles()
-        self._sf = _simulation_finished()
-        #: Mutable cell counting executed statements (cheap to close over).
-        self._stmt_cell = [0]
+        self.cache = cache
+        # The event queue and pending-interrupt containers are mutated in
+        # place by the node and never reassigned, so the engine holds the
+        # objects; the ops' poll guard replicates the no-op test at the top
+        # of ``Node.poll`` and their accounting ``Node.consume`` exactly.
+        self.eq = node._event_queue
+        self.pi = node.pending_interrupts
+        self.poll = node.poll
+        self.overhead = cache.costs.function_overhead_cycles()
         #: Frame stack of the innermost machine run currently executing.
         #: CALL ops push onto it directly; nested runs (interrupt handlers,
         #: expression-position calls) save and restore it.
-        self._stack: list[CompiledFrame] = []
-        #: Superblock fusion switch (``REPRO_AVRORA_SUPERBLOCKS``), read at
-        #: engine construction so tests can toggle it per node.
-        self.superblocks_enabled = _superblocks_enabled()
-        #: Node-independent lowering plans shared with every other engine
-        #: simulating this program (compile-once across a network).
-        self.code_cache: CodeCache = self.program.analysis().code_cache()
-        #: Superblocks formed at compile time (straight-line / loop).
-        self.superblocks = 0
-        self.loop_superblocks = 0
-        #: Trace superblocks formed (fused regions with >= 1 inlined
-        #: call) and call sites spliced inline, both compile-time counts.
-        self.traces = 0
-        self.inlined_sites = 0
-        #: Runtime fast-path counters, mutated in place by the fused ops:
-        #: [fast entries, slow entries, fused statements, bursts,
-        #:  burst iterations, inlined calls executed].
-        self._sb_cell = [0, 0, 0, 0, 0, 0]
+        self.stack: list[CompiledFrame] = []
         #: Per-region dynamic accumulator: [extra cycles, extra statements,
         #: inlined calls], reset by each fused op on entry and charged by
-        #: inlined callees only.  Safe to share engine-wide: fused runs
-        #: are straight-line (no polls, no nested machine runs), so they
-        #: never nest.
-        self._acc = [0, 0, 0]
-
-    @property
-    def statements_executed(self) -> int:
-        return self._stmt_cell[0]
+        #: inlined callees only.  Fused runs are straight-line (no polls,
+        #: no nested machine runs), so they never nest.
+        self.acc = [0, 0, 0]
+        #: Executed statements, then the runtime fast-path counters: fast
+        #: and slow guard entries, fused statements, bursts, burst
+        #: iterations, inlined calls executed.
+        self.statements_executed = 0
+        self.fast = self.slow = self.fused = 0
+        self.bursts = self.iterations = self.inlined = 0
+        #: The node's global table, by :attr:`CodeCache.global_index`:
+        #: each global's memory object, its byte buffer, and a pointer to
+        #: it.  Bound on the first call (boot has allocated the objects by
+        #: then, and never replaces them; restores mutate them in place).
+        self.gobj: list = []
+        self.gdata: list = []
+        self.gptr: list = []
+        self._layout: Optional[tuple] = None
 
     def superblock_stats(self) -> dict:
-        """Superblock formation and fast-path hit-rate statistics."""
-        fast, slow, fused, bursts, iterations, inlined = self._sb_cell
-        total = self._stmt_cell[0]
+        """Superblock formation (the cache's) and hit rates (this node's)."""
+        cache = self.cache
+        total = self.statements_executed
         return {
             "engine": "compiled",
-            "enabled": self.superblocks_enabled,
-            "superblocks": self.superblocks,
-            "loop_superblocks": self.loop_superblocks,
-            "traces": self.traces,
-            "inlined_call_sites": self.inlined_sites,
-            "entries_fast": fast,
-            "entries_slow": slow,
-            "bursts": bursts,
-            "burst_iterations": iterations,
-            "inlined_calls": inlined,
-            "fused_statements": fused,
+            "enabled": cache.superblocks_enabled,
+            "superblocks": cache.superblocks,
+            "loop_superblocks": cache.loop_superblocks,
+            "traces": cache.traces,
+            "inlined_call_sites": cache.inlined_sites,
+            "entries_fast": self.fast,
+            "entries_slow": self.slow,
+            "bursts": self.bursts,
+            "burst_iterations": self.iterations,
+            "inlined_calls": self.inlined,
+            "fused_statements": self.fused,
             "statements_total": total,
-            "fused_fraction": round(fused / total, 4) if total else 0.0,
+            "fused_fraction": round(self.fused / total, 4) if total else 0.0,
         }
 
-    def compile_program(self) -> int:
-        """Lower every program function now (normally lazy); returns count.
-
-        Lowering binds every global to the node's memory object, so the
-        node must have booted (:meth:`~repro.avrora.node.Node.boot`).  Used
-        by benchmarks to separate compile time from run time when measuring
-        how the shared code cache amortizes per-node lowering.
-        """
-        for name in self.program.functions:
-            if name not in self._compiled:
-                self._compile_name(name)
-        return len(self._compiled)
+    def _bind_globals(self) -> None:
+        """Point the global table at this node's memory objects."""
+        names = self.cache.global_names
+        objects = self.memory.objects
+        try:
+            gobj = [objects[name] for name in names]
+        except KeyError as missing:
+            raise RuntimeError(
+                f"no storage for global {missing.args[0]!r}: boot the node "
+                "before running it") from None
+        self.gobj = gobj
+        self.gdata = [obj.data for obj in gobj]
+        self.gptr = [Pointer(obj, 0) for obj in gobj]
+        self._layout = names
 
     # -- public API -------------------------------------------------------------
 
     def call(self, name: str, args: Optional[list[RuntimeValue]] = None
              ) -> Optional[RuntimeValue]:
-        """Call a program function by name with already-evaluated arguments."""
-        cf = self._compiled.get(name)
+        """Call a program function by name with already-evaluated arguments.
+
+        Each argument is converted to its parameter's type, as a call
+        site's compiled arguments are (see
+        :meth:`_FunctionCompiler._compile_args`).
+        """
+        cache = self.cache
+        cf = cache.functions.get(name)
         if cf is None:
-            cf = self._compile_name(name)
-        return self._run_machine(self._new_frame(cf, args or []))
-
-    # -- compilation ------------------------------------------------------------
-
-    def _compile_name(self, name: str) -> CompiledFunction:
-        func = self.program.lookup_function(name)
-        if func is None:
-            raise KeyError(f"call to unknown function {name!r}")
-        cf = _FunctionCompiler(self, func).compile()
-        self._compiled[name] = cf
-        return cf
+            cf = cache.plan_for(name)
+        if self._layout is not cache.global_names:
+            self._bind_globals()
+        args = args or []
+        if args and len(args) == cf.nparams:
+            args = [cint.wrap_to(plan[2], value)
+                    if plan[2].is_integer() and isinstance(value, int)
+                    else value for plan, value in zip(cf.params, args)]
+        return self._run_machine(self._new_frame(cf, args))
 
     # -- execution --------------------------------------------------------------
-
-    def _invoke(self, name: str, args: list[RuntimeValue]) -> RuntimeValue:
-        """Call-expression entry point (coerces a void result to 0)."""
-        cf = self._compiled.get(name)
-        if cf is None:
-            cf = self._compile_name(name)
-        result = self._run_machine(self._new_frame(cf, args))
-        return result if result is not None else 0
 
     def _new_frame(self, cf: CompiledFunction,
                    args: list[RuntimeValue]) -> CompiledFrame:
@@ -586,9 +628,10 @@ class CompiledEngine:
                 f"but {len(args)} were given")
         slots = [None] * cf.nslots
         slots[_RET] = cf.default_return
+        slots[_CTX] = self
         if cf.flat_params:
             if nparams:
-                slots[1:1 + nparams] = args
+                slots[_FIRST:_FIRST + nparams] = args
         else:
             memory = self.memory
             for plan, value in zip(cf.params, args):
@@ -600,10 +643,10 @@ class CompiledEngine:
                 else:
                     slots[slot] = value
         node = self.node
-        t = node.time_cycles + self._overhead
+        t = node.time_cycles + self.overhead
         node.time_cycles = t
         if node.end_cycles and t >= node.end_cycles:
-            raise self._sf()
+            raise _simulation_finished()()
         return CompiledFrame(cf, slots, node.atomic_depth)
 
     def _run_machine(self, frame: CompiledFrame) -> Optional[RuntimeValue]:
@@ -615,8 +658,8 @@ class CompiledEngine:
         handling costs the straight-line path nothing.
         """
         stack = [frame]
-        prev = self._stack
-        self._stack = stack
+        prev = self.stack
+        self.stack = stack
         node = self.node
         try:
             while True:
@@ -647,7 +690,7 @@ class CompiledEngine:
                 if store is not None:
                     store(stack[-1].slots, value if value is not None else 0)
         finally:
-            self._stack = prev
+            self.stack = prev
 
     # -- lenient memory access (identical to the tree-walker) --------------------
 
@@ -674,29 +717,22 @@ class CompiledEngine:
 class _FunctionCompiler:
     """Lowers one ``FunctionDef`` into a :class:`CompiledFunction`."""
 
-    def __init__(self, engine: CompiledEngine, func: ast.FunctionDef):
-        self.engine = engine
+    def __init__(self, cache: CodeCache, func: ast.FunctionDef):
+        self.cache = cache
         self.func = func
-        self.program = engine.program
-        self.costs = engine.costs
-        self.pointer_size = engine.pointer_size
-        cache = self.program.analysis()
-        self._cache = cache
-        self.taken = cache.address_taken_locals(func)
-
-        # The node-independent front end — frame layout, per-statement
-        # costs, fusability — comes from the shared per-program code cache:
-        # in an N-node network it is computed once, not N times.
-        plan = engine.code_cache.plan_for(func, self.program, engine.costs)
-        self.plan = plan
-        self.slots: dict[str, int] = plan.slots
+        self.program = cache.program
+        self.costs = cache.costs
+        self.pointer_size = cache.pointer_size
+        self.taken = self.program.analysis().address_taken_locals(func)
+        self.plan = cache._plan(func)
+        self.slots: dict[str, int] = self.plan.slots
 
         self.ops: list = []
         self.end_label = _Label()
         self.loop_stack: list[_LoopCtx] = []
         self.atomic_depth = 0
         self.has_atomic = False
-        self.sb_enabled = engine.superblocks_enabled
+        self.sb_enabled = cache.superblocks_enabled
         #: Extra frame slots appended past the plan's layout, holding the
         #: flattened frames of inlined trace callees (one block per call
         #: site, so re-entrancy within one statement cannot alias).
@@ -704,20 +740,7 @@ class _FunctionCompiler:
         #: True while compiling a trace work closure: program calls then
         #: lower to inline splices instead of CALL ops / machine runs.
         self._inline_calls = False
-        self._acc = engine._acc
-
-        # Hot-path bindings baked into the generated ops.  The event queue
-        # and pending-interrupt containers are mutated in place by the node
-        # and never reassigned, so closing over the objects is safe; the
-        # inlined accounting and the poll guard replicate ``Node.consume``
-        # and the no-op test at the top of ``Node.poll`` exactly.
-        self.node = engine.node
         self._sf = _simulation_finished()
-        self._eq = self.node._event_queue
-        self._pending = self.node.pending_interrupts
-        self._cell = engine._stmt_cell
-        self._sb = engine._sb_cell
-        self._poll = self.node.poll
 
     # -- emission helpers -------------------------------------------------------
 
@@ -752,7 +775,7 @@ class _FunctionCompiler:
         self._compile_block(self.func.body)
         self._finalize()
         return CompiledFunction(self.func.name, self.ops,
-                                1 + len(self.slots) + self.extra_slots,
+                                _FIRST + len(self.slots) + self.extra_slots,
                                 self.plan.params,
                                 self.plan.default_return, self.has_atomic)
 
@@ -789,14 +812,13 @@ class _FunctionCompiler:
         names = self.plan.call_sites.get(stmt.node_id)
         if not names:
             return None
-        overhead = self.engine._overhead
+        overhead = self.costs.function_overhead_cycles()
         extra = 0
         for name in names:
             func = self.program.lookup_function(name)
             if func is None:
                 return None
-            plan = self.engine.code_cache.plan_for(func, self.program,
-                                                   self.costs)
+            plan = self.cache._plan(func)
             if plan.leaf_cost is None:
                 return None
             extra += overhead + plan.leaf_cost
@@ -832,7 +854,7 @@ class _FunctionCompiler:
         entered (it charges before it executes); ``extra_max`` sums the
         run's ``extras``, the worst case of its inlined callees.  Guards
         check their window against that worst case, while the callees'
-        actual charge accumulates in the engine's trace accumulator.  A
+        actual charge accumulates in the node's trace accumulator.  A
         plain run is a trace run whose accumulator stays zero.
         """
         works = []
@@ -844,7 +866,7 @@ class _FunctionCompiler:
             works.append(self._compile_trace_work(stmt))
         extra_max = sum(extras)
         if extra_max:
-            self.engine.traces += 1
+            self.cache.traces += 1
         return tuple(works), tuple(prefix), extra_max
 
     def _compile_superblock(self, run: list, extras: list[int]) -> None:
@@ -866,25 +888,28 @@ class _FunctionCompiler:
         per-statement path would have charged up to and including the
         faulting statement before the exception propagates.
         """
-        self.engine.superblocks += 1
+        self.cache.superblocks += 1
         works, prefix, extra_max = self._fuse(run, extras)
         guard_index = len(self.ops)
         self.ops.append(None)  # patched below, after the slow path exists
         for stmt in run:
             self._compile_stmt(stmt)
 
-        def op(frame: list, _n=self.node, _eq=self._eq, _pi=self._pending,
-               _works=works, _prefix=prefix, _max=prefix[-1] + extra_max,
-               _cell=self._cell, _sb=self._sb, _acc=self._acc,
-               _slow=guard_index + 1, _done=len(self.ops)) -> int:
-            t = _n.time_cycles
+        def op(frame: list, _works=works, _prefix=prefix,
+               _max=prefix[-1] + extra_max, _slow=guard_index + 1,
+               _done=len(self.ops)) -> int:
+            c = frame[1]
+            n = c.node
+            t = n.time_cycles
             limit = t + _max
-            end = _n.end_cycles
-            if _pi or (_eq and _eq[0][0] <= limit) or (end and limit >= end):
-                _sb[1] += 1
+            end = n.end_cycles
+            eq = c.eq
+            if c.pi or (eq and eq[0][0] <= limit) or (end and limit >= end):
+                c.slow += 1
                 return _slow
-            _sb[0] += 1
-            _acc[0] = _acc[1] = _acc[2] = 0
+            c.fast += 1
+            acc = c.acc
+            acc[0] = acc[1] = acc[2] = 0
             j = -1
             try:
                 for work in _works:
@@ -893,11 +918,11 @@ class _FunctionCompiler:
             finally:
                 # Statements 0..j were entered: all of them after the
                 # run, or up to the faulting one.
-                _n.time_cycles = t + _prefix[j] + _acc[0]
-                done = j + 1 + _acc[1]
-                _cell[0] += done
-                _sb[2] += done
-                _sb[5] += _acc[2]
+                n.time_cycles = t + _prefix[j] + acc[0]
+                done = j + 1 + acc[1]
+                c.statements_executed += done
+                c.fused += done
+                c.inlined += acc[2]
             return _done
 
         self.ops[guard_index] = op
@@ -954,24 +979,25 @@ class _FunctionCompiler:
             exit_cost = head_cost + self._stmt_cost(guard.then_body.stmts[0])
         iter_cost = head_cost + (prefix[-1] if prefix else 0)
         worst = iter_cost + extra_max
-        self.engine.loop_superblocks += 1
+        self.cache.loop_superblocks += 1
         nxt = len(self.ops) + 1
 
-        def maker(exit_index: int, _n=self.node, _eq=self._eq,
-                  _pi=self._pending, _ec=exit_cond, _works=works,
+        def maker(exit_index: int, _ec=exit_cond, _works=works,
                   _prefix=prefix, _ic=iter_cost, _im=worst,
                   _is=head_stmts + len(works), _hc=head_cost,
                   _hs=head_stmts, _xc=exit_cost,
-                  _xs=max(0, exit_cost - worst), _cell=self._cell,
-                  _sb=self._sb, _acc=self._acc, _chunk=_BURST_CHUNK,
+                  _xs=max(0, exit_cost - worst), _chunk=_BURST_CHUNK,
                   _nxt=nxt) -> Op:
             def op(frame: list) -> int:
-                if _pi:
+                c = frame[1]
+                if c.pi:
                     return _nxt
-                t = _n.time_cycles
-                end = _n.end_cycles
-                if _eq:
-                    limit = _eq[0][0] - 1
+                n = c.node
+                t = n.time_cycles
+                end = n.end_cycles
+                eq = c.eq
+                if eq:
+                    limit = eq[0][0] - 1
                     if end and end - 1 < limit:
                         limit = end - 1
                 elif end:
@@ -984,7 +1010,8 @@ class _FunctionCompiler:
                 k_max = (limit - t - _xs) // _im
                 if k_max <= 0:
                     return _nxt
-                _acc[0] = _acc[1] = _acc[2] = 0
+                acc = c.acc
+                acc[0] = acc[1] = acc[2] = 0
                 k = 0
                 cycles = stmts = 0
                 out = _nxt
@@ -1008,13 +1035,13 @@ class _FunctionCompiler:
                     stmts = _hs + j + 1
                     raise
                 finally:
-                    _n.time_cycles = t + k * _ic + cycles + _acc[0]
-                    done = k * _is + stmts + _acc[1]
-                    _cell[0] += done
-                    _sb[2] += done
-                    _sb[3] += 1
-                    _sb[4] += k
-                    _sb[5] += _acc[2]
+                    n.time_cycles = t + k * _ic + cycles + acc[0]
+                    done = k * _is + stmts + acc[1]
+                    c.statements_executed += done
+                    c.fused += done
+                    c.bursts += 1
+                    c.iterations += k
+                    c.inlined += acc[2]
                 return out
 
             return op
@@ -1053,7 +1080,6 @@ class _FunctionCompiler:
         slot = self.slots[stmt.name]
         aggregate = isinstance(stmt.ctype, (ty.ArrayType, ty.StructType))
         if stmt.name in self.taken or aggregate:
-            memory = self.engine.memory
             size = stmt.ctype.sizeof(self.pointer_size)
             storage = f"local.{stmt.name}"
             init_value: Optional[ExprFn] = None
@@ -1066,13 +1092,13 @@ class _FunctionCompiler:
                 init_bytes = encoded[:stmt.ctype.length]
             ctype = stmt.ctype
 
-            def work(frame: list, _mem=memory, _storage=storage, _size=size,
-                     _slot=slot, _iv=init_value, _ib=init_bytes,
-                     _ct=ctype) -> None:
-                obj = _mem.allocate(_storage, _size, kind="local")
+            def work(frame: list, _storage=storage, _size=size, _slot=slot,
+                     _iv=init_value, _ib=init_bytes, _ct=ctype) -> None:
+                memory = frame[1].memory
+                obj = memory.allocate(_storage, _size, kind="local")
                 frame[_slot] = obj
                 if _iv is not None:
-                    _mem.write(Pointer(obj, 0), _ct, _iv(frame))
+                    memory.write(Pointer(obj, 0), _ct, _iv(frame))
                 elif _ib is not None:
                     obj.data[0:len(_ib)] = _ib
 
@@ -1121,24 +1147,29 @@ class _FunctionCompiler:
         charge the trace accumulator exactly as the per-statement path
         charges the node: cost-and-count first, then the effect.  The
         call itself adds the function-entry overhead, resets the slot
-        block (every invocation starts from a fresh frame's slots), stores the raw argument values into the parameter slots
-        and runs the units; the return slot then holds the result, with
-        the same void-to-0 coercion as ``_invoke``.
+        block (every invocation starts from a fresh frame's slots),
+        stores the argument values (see :meth:`_compile_args`) into the
+        parameter slots and runs the units; the return slot then holds
+        the result, with the same void-to-0 coercion as an
+        expression-position call.  The units run on the caller's frame,
+        so they reach the node through its :data:`_CTX` slot.
         """
-        engine = self.engine
         func = self.program.lookup_function(expr.callee)
-        sub = _FunctionCompiler(engine, func)
+        sub = _FunctionCompiler(self.cache, func)
         plan = sub.plan
         nslots = 1 + len(plan.slots)
-        base = 1 + len(self.slots) + self.extra_slots
+        base = _FIRST + len(self.slots) + self.extra_slots
         self.extra_slots += nslots
-        sub.slots = {name: base + index
+        # The block is [return value, parameters and locals...]: the
+        # callee's own frame minus its context slot.
+        shift = base + 1 - _FIRST
+        sub.slots = {name: shift + index
                      for name, index in plan.slots.items()}
         # Argument expressions belong to the *caller* (nested calls in
         # them inline into their own slot blocks, allocated after this
         # one, so the blocks never alias).
-        args = tuple(self._compile_expr(arg) for arg in expr.args)
-        param_slots = tuple(base + p[0] for p in plan.params)
+        args = self._compile_args(expr)
+        param_slots = tuple(shift + p[0] for p in plan.params)
         body = func.body.stmts
         units = []
         if body and isinstance(body[-1], ast.Return):
@@ -1148,23 +1179,23 @@ class _FunctionCompiler:
             units = self._leaf_units(sub, body)
         template = [None] * nslots
         template[0] = plan.default_return
-        engine.inlined_sites += 1
-        acc = self._acc
-        overhead = engine._overhead
+        self.cache.inlined_sites += 1
+        overhead = self.costs.function_overhead_cycles()
         units = tuple(units)
         template = tuple(template)
 
         if len(args) == 1:
             def call1(frame: list, _a0=args[0], _s0=param_slots[0],
                       _b=base, _e=base + nslots, _tmpl=template,
-                      _units=units, _acc=acc, _oh=overhead) -> RuntimeValue:
+                      _units=units, _oh=overhead) -> RuntimeValue:
                 v0 = _a0(frame)
-                _acc[0] += _oh
-                _acc[2] += 1
+                acc = frame[1].acc
+                acc[0] += _oh
+                acc[2] += 1
                 frame[_b:_e] = _tmpl
                 frame[_s0] = v0
                 for unit in _units:
-                    unit(frame, _acc)
+                    unit(frame, acc)
                 value = frame[_b]
                 return value if value is not None else 0
 
@@ -1173,32 +1204,34 @@ class _FunctionCompiler:
             def call2(frame: list, _a0=args[0], _a1=args[1],
                       _s0=param_slots[0], _s1=param_slots[1], _b=base,
                       _e=base + nslots, _tmpl=template, _units=units,
-                      _acc=acc, _oh=overhead) -> RuntimeValue:
+                      _oh=overhead) -> RuntimeValue:
                 v0 = _a0(frame)
                 v1 = _a1(frame)
-                _acc[0] += _oh
-                _acc[2] += 1
+                acc = frame[1].acc
+                acc[0] += _oh
+                acc[2] += 1
                 frame[_b:_e] = _tmpl
                 frame[_s0] = v0
                 frame[_s1] = v1
                 for unit in _units:
-                    unit(frame, _acc)
+                    unit(frame, acc)
                 value = frame[_b]
                 return value if value is not None else 0
 
             return call2
 
         def call(frame: list, _args=args, _ps=param_slots, _b=base,
-                 _e=base + nslots, _tmpl=template, _units=units, _acc=acc,
+                 _e=base + nslots, _tmpl=template, _units=units,
                  _oh=overhead) -> RuntimeValue:
             values = [a(frame) for a in _args]
-            _acc[0] += _oh
-            _acc[2] += 1
+            acc = frame[1].acc
+            acc[0] += _oh
+            acc[2] += 1
             frame[_b:_e] = _tmpl
             for slot, value in zip(_ps, values):
                 frame[slot] = value
             for unit in _units:
-                unit(frame, _acc)
+                unit(frame, acc)
             value = frame[_b]
             return value if value is not None else 0
 
@@ -1248,8 +1281,7 @@ class _FunctionCompiler:
                           ret_slot: int) -> Callable[[list, list], None]:
         """The trailing-return unit: charge, then set the return slot."""
         cost = sub._stmt_cost(stmt)
-        value = sub._compile_expr(stmt.value) if stmt.value is not None \
-            else None
+        value = sub._return_value(stmt)
 
         def unit(frame: list, acc: list, _c=cost, _v=value,
                  _rs=ret_slot) -> None:
@@ -1260,6 +1292,12 @@ class _FunctionCompiler:
         return unit
 
     # -- statements -------------------------------------------------------------
+    #
+    # Every statement op opens the same way: count the statement, charge
+    # its cost (``Node.consume`` inlined) and stop at the end of simulated
+    # time; a simple statement then closes with the poll guard (the no-op
+    # test at the top of ``Node.poll``).  Both reach the node through the
+    # frame's context slot.
 
     def _compile_stmt(self, stmt: ast.Stmt) -> None:
         """Emit the ops for one statement of a block.
@@ -1299,13 +1337,11 @@ class _FunctionCompiler:
                 message = "post statements must be lowered before simulation"
             else:
                 message = f"cannot execute {type(stmt).__name__}"
-            consume = self.engine.node.consume
-            cell = self.engine._stmt_cell
 
-            def op(frame: list, _consume=consume, _cost=cost, _cell=cell,
-                   _message=message) -> int:
-                _cell[0] += 1
-                _consume(_cost)
+            def op(frame: list, _cost=cost, _message=message) -> int:
+                c = frame[1]
+                c.statements_executed += 1
+                c.node.consume(_cost)
                 raise RuntimeError(_message)
 
             self._emit(op)
@@ -1314,12 +1350,13 @@ class _FunctionCompiler:
         """A bare statement-entry op: count, consume, fall through."""
         nxt = len(self.ops) + 1
 
-        def op(frame: list, _n=self.node, _cost=cost, _cell=self._cell,
-               _sf=self._sf, _nxt=nxt) -> int:
-            _cell[0] += 1
-            t = _n.time_cycles + _cost
-            _n.time_cycles = t
-            if _n.end_cycles and t >= _n.end_cycles:
+        def op(frame: list, _cost=cost, _sf=self._sf, _nxt=nxt) -> int:
+            c = frame[1]
+            c.statements_executed += 1
+            n = c.node
+            t = n.time_cycles + _cost
+            n.time_cycles = t
+            if n.end_cycles and t >= n.end_cycles:
                 raise _sf()
             return _nxt
 
@@ -1328,10 +1365,11 @@ class _FunctionCompiler:
     def _emit_poll(self) -> int:
         nxt = len(self.ops) + 1
 
-        def op(frame: list, _n=self.node, _eq=self._eq, _pi=self._pending,
-               _poll=self._poll, _nxt=nxt) -> int:
-            if (_eq and _eq[0][0] <= _n.time_cycles) or _pi:
-                _poll()
+        def op(frame: list, _nxt=nxt) -> int:
+            c = frame[1]
+            eq = c.eq
+            if (eq and eq[0][0] <= c.node.time_cycles) or c.pi:
+                c.poll()
             return _nxt
 
         return self._emit(op)
@@ -1363,30 +1401,29 @@ class _FunctionCompiler:
         ``_new_frame``) — but transfers control by pushing a
         :class:`CompiledFrame` instead of recursing into Python.  ``store``
         receives the return value in the caller's frame (``None``
-        discards it).
+        discards it).  The callee's lowering is looked up in the node's
+        code cache on the op's first run and kept in the op: it is the
+        same for every node sharing the cache.
         """
-        args = tuple(self._compile_expr(arg) for arg in call.args)
+        args = self._compile_args(call)
         resume = len(self.ops) + 1
-        engine = self.engine
 
-        def op(frame: list, _eng=engine, _n=self.node, _cost=cost,
-               _cell=self._cell, _sf=self._sf, _name=call.callee,
+        def op(frame: list, _cost=cost, _sf=self._sf, _name=call.callee,
                _args=args, _cf_cell=[None], _store=store,
                _resume=resume) -> int:
-            _cell[0] += 1
-            t = _n.time_cycles + _cost
-            _n.time_cycles = t
-            if _n.end_cycles and t >= _n.end_cycles:
+            c = frame[1]
+            c.statements_executed += 1
+            n = c.node
+            t = n.time_cycles + _cost
+            n.time_cycles = t
+            if n.end_cycles and t >= n.end_cycles:
                 raise _sf()
             cf = _cf_cell[0]
             if cf is None:
-                cf = _eng._compiled.get(_name)
-                if cf is None:
-                    cf = _eng._compile_name(_name)
-                _cf_cell[0] = cf
-            callee = _eng._new_frame(cf, [a(frame) for a in _args])
+                cf = _cf_cell[0] = c.cache.plan_for(_name)
+            callee = c._new_frame(cf, [a(frame) for a in _args])
             callee.ret_store = _store
-            stack = _eng._stack
+            stack = c.stack
             stack[-1].pc = _resume
             stack.append(callee)
             return _CALL
@@ -1400,87 +1437,29 @@ class _FunctionCompiler:
                 stmt.expr.callee not in self.program.builtins:
             self._compile_call_stmt(cost, stmt.expr, None)
             return
-        value = self._compile_expr(stmt.expr)
-        nxt = len(self.ops) + 1
-
-        def op(frame: list, _n=self.node, _cost=cost, _v=value,
-               _cell=self._cell, _sf=self._sf, _eq=self._eq,
-               _pi=self._pending, _poll=self._poll, _nxt=nxt) -> int:
-            _cell[0] += 1
-            t = _n.time_cycles + _cost
-            _n.time_cycles = t
-            if _n.end_cycles and t >= _n.end_cycles:
-                raise _sf()
-            _v(frame)
-            if (_eq and _eq[0][0] <= _n.time_cycles) or _pi:
-                _poll()
-            return _nxt
-
-        self._emit(op)
+        self._emit_effect(cost, self._compile_expr(stmt.expr))
 
     def _compile_vardecl(self, stmt: ast.VarDecl) -> None:
-        cost = self._stmt_cost(stmt)
-        slot = self.slots[stmt.name]
+        self._emit_effect(self._stmt_cost(stmt),
+                          self._compile_vardecl_work(stmt))
+
+    def _emit_effect(self, cost: int, work: Callable[[list], object]) -> None:
+        """A simple statement op: account, run ``work(frame)``, poll."""
         nxt = len(self.ops) + 1
-        aggregate = isinstance(stmt.ctype, (ty.ArrayType, ty.StructType))
-        if stmt.name in self.taken or aggregate:
-            memory = self.engine.memory
-            size = stmt.ctype.sizeof(self.pointer_size)
-            storage = f"local.{stmt.name}"
-            init_value: Optional[ExprFn] = None
-            init_bytes: Optional[bytes] = None
-            if stmt.init is not None and stmt.ctype.is_scalar():
-                init_value = self._compile_expr(stmt.init)
-            elif isinstance(stmt.init, ast.StringLiteral) and \
-                    isinstance(stmt.ctype, ty.ArrayType):
-                encoded = stmt.init.value.encode("latin-1", errors="replace")
-                init_bytes = encoded[:stmt.ctype.length]
-            ctype = stmt.ctype
 
-            def op(frame: list, _n=self.node, _cost=cost, _cell=self._cell,
-                   _sf=self._sf, _mem=memory, _storage=storage, _size=size,
-                   _slot=slot, _iv=init_value, _ib=init_bytes, _ct=ctype,
-                   _eq=self._eq, _pi=self._pending,
-                   _poll=self._poll, _nxt=nxt) -> int:
-                _cell[0] += 1
-                t = _n.time_cycles + _cost
-                _n.time_cycles = t
-                if _n.end_cycles and t >= _n.end_cycles:
-                    raise _sf()
-                obj = _mem.allocate(_storage, _size, kind="local")
-                frame[_slot] = obj
-                if _iv is not None:
-                    _mem.write(Pointer(obj, 0), _ct, _iv(frame))
-                elif _ib is not None:
-                    obj.data[0:len(_ib)] = _ib
-                if (_eq and _eq[0][0] <= _n.time_cycles) or _pi:
-                    _poll()
-                return _nxt
-
-            self._emit(op)
-            return
-
-        init = self._compile_expr(stmt.init) if stmt.init is not None else None
-        wrap = cint.make_wrap(stmt.ctype) if stmt.ctype.is_integer() else None
-
-        def op(frame: list, _n=self.node, _cost=cost, _cell=self._cell,
-               _sf=self._sf, _slot=slot, _init=init, _wrap=wrap,
-               _eq=self._eq, _pi=self._pending,
-               _poll=self._poll, _nxt=nxt) -> int:
-            _cell[0] += 1
-            t = _n.time_cycles + _cost
-            _n.time_cycles = t
-            if _n.end_cycles and t >= _n.end_cycles:
+        def op(frame: list, _cost=cost, _w=work, _sf=self._sf,
+               _nxt=nxt) -> int:
+            c = frame[1]
+            c.statements_executed += 1
+            n = c.node
+            t = n.time_cycles + _cost
+            n.time_cycles = t
+            if n.end_cycles and t >= n.end_cycles:
                 raise _sf()
-            if _init is None:
-                frame[_slot] = 0
-            else:
-                value = _init(frame)
-                if _wrap is not None and isinstance(value, int):
-                    value = _wrap(value)
-                frame[_slot] = value
-            if (_eq and _eq[0][0] <= _n.time_cycles) or _pi:
-                _poll()
+            _w(frame)
+            eq = c.eq
+            if (eq and eq[0][0] <= n.time_cycles) or c.pi:
+                c.poll()
             return _nxt
 
         self._emit(op)
@@ -1498,17 +1477,19 @@ class _FunctionCompiler:
         store = self._compile_store(stmt.lvalue)
         nxt = len(self.ops) + 1
 
-        def op(frame: list, _n=self.node, _cost=cost, _rv=rvalue,
-               _st=store, _cell=self._cell, _sf=self._sf, _eq=self._eq,
-               _pi=self._pending, _poll=self._poll, _nxt=nxt) -> int:
-            _cell[0] += 1
-            t = _n.time_cycles + _cost
-            _n.time_cycles = t
-            if _n.end_cycles and t >= _n.end_cycles:
+        def op(frame: list, _cost=cost, _rv=rvalue, _st=store, _sf=self._sf,
+               _nxt=nxt) -> int:
+            c = frame[1]
+            c.statements_executed += 1
+            n = c.node
+            t = n.time_cycles + _cost
+            n.time_cycles = t
+            if n.end_cycles and t >= n.end_cycles:
                 raise _sf()
             _st(frame, _rv(frame))
-            if (_eq and _eq[0][0] <= _n.time_cycles) or _pi:
-                _poll()
+            eq = c.eq
+            if (eq and eq[0][0] <= n.time_cycles) or c.pi:
+                c.poll()
             return _nxt
 
         self._emit(op)
@@ -1521,13 +1502,15 @@ class _FunctionCompiler:
         then_index = len(self.ops) + 1
         else_label = _Label()
 
-        def maker(else_index: int, _n=self.node, _cost=cost, _cond=cond,
-                  _cell=self._cell, _sf=self._sf, _then=then_index) -> Op:
+        def maker(else_index: int, _cost=cost, _cond=cond, _sf=self._sf,
+                  _then=then_index) -> Op:
             def op(frame: list) -> int:
-                _cell[0] += 1
-                t = _n.time_cycles + _cost
-                _n.time_cycles = t
-                if _n.end_cycles and t >= _n.end_cycles:
+                c = frame[1]
+                c.statements_executed += 1
+                n = c.node
+                t = n.time_cycles + _cost
+                n.time_cycles = t
+                if n.end_cycles and t >= n.end_cycles:
                     raise _sf()
                 return _then if _cond(frame) != 0 else else_index
 
@@ -1558,13 +1541,14 @@ class _FunctionCompiler:
         cond_index = len(self.ops)
         body_index = cond_index + 1
 
-        def maker(exit_index: int, _cond=cond, _n=self.node,
-                  _bc=branch_cycles, _sf=self._sf, _body=body_index) -> Op:
+        def maker(exit_index: int, _cond=cond, _bc=branch_cycles,
+                  _sf=self._sf, _body=body_index) -> Op:
             def op(frame: list) -> int:
                 if _cond(frame) != 0:
-                    t = _n.time_cycles + _bc
-                    _n.time_cycles = t
-                    if _n.end_cycles and t >= _n.end_cycles:
+                    n = frame[1].node
+                    t = n.time_cycles + _bc
+                    n.time_cycles = t
+                    if n.end_cycles and t >= n.end_cycles:
                         raise _sf()
                     return _body
                 return exit_index
@@ -1580,23 +1564,30 @@ class _FunctionCompiler:
         self._bind(exit_label)
         self._emit_poll()
 
+    def _return_value(self, stmt: ast.Return) -> Optional[ExprFn]:
+        """The returned value, converted to the declared return type."""
+        if stmt.value is None:
+            return None
+        return self._compile_converted(stmt.value, self.func.return_type)
+
     def _compile_return(self, stmt: ast.Return) -> None:
         cost = self._stmt_cost(stmt)
-        value = self._compile_expr(stmt.value) if stmt.value is not None \
-            else None
+        value = self._return_value(stmt)
         unwind = self.atomic_depth
 
-        def maker(end_index: int, _n=self.node, _cost=cost, _v=value,
-                  _cell=self._cell, _sf=self._sf, _unwind=unwind) -> Op:
+        def maker(end_index: int, _cost=cost, _v=value, _sf=self._sf,
+                  _unwind=unwind) -> Op:
             def op(frame: list) -> int:
-                _cell[0] += 1
-                t = _n.time_cycles + _cost
-                _n.time_cycles = t
-                if _n.end_cycles and t >= _n.end_cycles:
+                c = frame[1]
+                c.statements_executed += 1
+                n = c.node
+                t = n.time_cycles + _cost
+                n.time_cycles = t
+                if n.end_cycles and t >= n.end_cycles:
                     raise _sf()
                 frame[_RET] = _v(frame) if _v is not None else None
                 if _unwind:
-                    _n.atomic_depth -= _unwind
+                    n.atomic_depth -= _unwind
                 return end_index
 
             return op
@@ -1612,21 +1603,22 @@ class _FunctionCompiler:
     def _compile_loop_exit(self, stmt: ast.Stmt, continue_: bool) -> None:
         # The type checker puts every break and continue inside a loop.
         cost = self._stmt_cost(stmt)
-        cell = self._cell
         ctx = self.loop_stack[-1]
         label = ctx.continue_label if continue_ else ctx.break_label
         unwind = self.atomic_depth - ctx.atomic_depth
 
-        def maker(target: int, _n=self.node, _cost=cost, _cell=cell,
-                  _sf=self._sf, _unwind=unwind) -> Op:
+        def maker(target: int, _cost=cost, _sf=self._sf,
+                  _unwind=unwind) -> Op:
             def op(frame: list) -> int:
-                _cell[0] += 1
-                t = _n.time_cycles + _cost
-                _n.time_cycles = t
-                if _n.end_cycles and t >= _n.end_cycles:
+                c = frame[1]
+                c.statements_executed += 1
+                n = c.node
+                t = n.time_cycles + _cost
+                n.time_cycles = t
+                if n.end_cycles and t >= n.end_cycles:
                     raise _sf()
                 if _unwind:
-                    _n.atomic_depth -= _unwind
+                    n.atomic_depth -= _unwind
                 return target
 
             return op
@@ -1638,14 +1630,15 @@ class _FunctionCompiler:
         cost = self._stmt_cost(stmt)
         nxt = len(self.ops) + 1
 
-        def enter(frame: list, _n=self.node, _cost=cost, _cell=self._cell,
-                  _sf=self._sf, _nxt=nxt) -> int:
-            _cell[0] += 1
-            t = _n.time_cycles + _cost
-            _n.time_cycles = t
-            if _n.end_cycles and t >= _n.end_cycles:
+        def enter(frame: list, _cost=cost, _sf=self._sf, _nxt=nxt) -> int:
+            c = frame[1]
+            c.statements_executed += 1
+            n = c.node
+            t = n.time_cycles + _cost
+            n.time_cycles = t
+            if n.end_cycles and t >= n.end_cycles:
                 raise _sf()
-            _n.atomic_depth += 1
+            n.atomic_depth += 1
             return _nxt
 
         self._emit(enter)
@@ -1654,8 +1647,8 @@ class _FunctionCompiler:
         self.atomic_depth -= 1
         exit_nxt = len(self.ops) + 1
 
-        def leave(frame: list, _n=self.node, _nxt=exit_nxt) -> int:
-            _n.atomic_depth -= 1
+        def leave(frame: list, _nxt=exit_nxt) -> int:
+            frame[1].node.atomic_depth -= 1
             return _nxt
 
         self._emit(leave)
@@ -1683,52 +1676,53 @@ class _FunctionCompiler:
             wrap = cint.make_wrap(ctype) if ctype is not None and \
                 ctype.is_integer() else None
 
-            def op(frame: list, _n=self.node, _cost=cost, _rv=rvalue,
-                   _slot=slot, _w=wrap, _cell=self._cell, _sf=self._sf,
-                   _eq=self._eq, _pi=self._pending, _poll=self._poll,
-                   _nxt=nxt) -> int:
-                _cell[0] += 1
-                t = _n.time_cycles + _cost
-                _n.time_cycles = t
-                if _n.end_cycles and t >= _n.end_cycles:
+            def op(frame: list, _cost=cost, _rv=rvalue, _slot=slot, _w=wrap,
+                   _sf=self._sf, _nxt=nxt) -> int:
+                c = frame[1]
+                c.statements_executed += 1
+                n = c.node
+                t = n.time_cycles + _cost
+                n.time_cycles = t
+                if n.end_cycles and t >= n.end_cycles:
                     raise _sf()
                 value = _rv(frame)
                 if _w is not None and isinstance(value, int):
                     value = _w(value)
                 frame[_slot] = value
-                if (_eq and _eq[0][0] <= _n.time_cycles) or _pi:
-                    _poll()
+                eq = c.eq
+                if (eq and eq[0][0] <= n.time_cycles) or c.pi:
+                    c.poll()
                 return _nxt
 
             self._emit(op)
             return True
-        obj = self._global(name)
+        index = self._global_index(name)
         size = self._global_int_size(lvalue)
         if size is None:
             return False
         ctype = lvalue.ctype or ty.UINT8
         mask = (1 << (8 * size)) - 1
-        mwrite = self.engine._memory_write
 
-        def op(frame: list, _n=self.node, _cost=cost, _rv=rvalue,
-               _obj=obj, _size=size, _mask=mask, _ct=ctype, _mw=mwrite,
-               _cell=self._cell, _sf=self._sf, _eq=self._eq,
-               _pi=self._pending, _poll=self._poll, _nxt=nxt) -> int:
-            _cell[0] += 1
-            t = _n.time_cycles + _cost
-            _n.time_cycles = t
-            if _n.end_cycles and t >= _n.end_cycles:
+        def op(frame: list, _cost=cost, _rv=rvalue, _k=index, _size=size,
+               _mask=mask, _ct=ctype, _sf=self._sf, _nxt=nxt) -> int:
+            c = frame[1]
+            c.statements_executed += 1
+            n = c.node
+            t = n.time_cycles + _cost
+            n.time_cycles = t
+            if n.end_cycles and t >= n.end_cycles:
                 raise _sf()
             value = _rv(frame)
             if type(value) is int:
-                if _obj.pointer_slots:
-                    _obj.pointer_slots.pop(0, None)
-                _obj.data[0:_size] = \
-                    (value & _mask).to_bytes(_size, "little")
+                obj = c.gobj[_k]
+                if obj.pointer_slots:
+                    obj.pointer_slots.pop(0, None)
+                obj.data[0:_size] = (value & _mask).to_bytes(_size, "little")
             else:
-                _mw(Pointer(_obj, 0), _ct, value)
-            if (_eq and _eq[0][0] <= _n.time_cycles) or _pi:
-                _poll()
+                c._memory_write(c.gptr[_k], _ct, value)
+            eq = c.eq
+            if (eq and eq[0][0] <= n.time_cycles) or c.pi:
+                c.poll()
             return _nxt
 
         self._emit(op)
@@ -1759,25 +1753,24 @@ class _FunctionCompiler:
 
         locate = self._compile_locate(lvalue)
         ctype = lvalue.ctype or ty.UINT8
-        mwrite = self.engine._memory_write
 
-        def store(frame: list, value: RuntimeValue, _loc=locate, _ct=ctype,
-                  _mw=mwrite) -> None:
-            _mw(_loc(frame), _ct, value)
+        def store(frame: list, value: RuntimeValue, _loc=locate,
+                  _ct=ctype) -> None:
+            frame[1]._memory_write(_loc(frame), _ct, value)
 
         return store
 
-    def _global(self, name: str) -> MemoryObject:
-        """The booted node's memory object of global ``name``.
+    def _global_index(self, name: str) -> int:
+        """Global ``name``'s index in a node's global table.
 
         Lowering binds every identifier: a parameter or local to its slot,
-        anything else to a global, which boot has allocated.
+        anything else to a global.
         """
-        obj = self.engine.memory.objects.get(name)
-        if obj is None:
-            raise RuntimeError(f"{self.func.name}: no storage for {name!r} "
-                               "(functions lower after Node.boot())")
-        return obj
+        index = self.cache.global_index.get(name)
+        if index is None:
+            raise RuntimeError(f"{self.func.name}: {name!r} is neither a "
+                               "local nor a global")
+        return index
 
     def _global_int_size(self, lvalue: ast.Identifier) -> Optional[int]:
         """Bytes of an integer store to a global that fit its object.
@@ -1797,20 +1790,19 @@ class _FunctionCompiler:
                               ) -> Callable[[list, RuntimeValue], None]:
         """Store ``size`` integer bytes to a global, straight into them."""
         ctype = lvalue.ctype or ty.UINT8
-        obj = self._global(lvalue.name)
-        mwrite = self.engine._memory_write
+        index = self._global_index(lvalue.name)
         mask = (1 << (8 * size)) - 1
 
-        def store(frame: list, value: RuntimeValue, _obj=obj,
-                  _ct=ctype, _mw=mwrite, _size=size,
-                  _mask=mask) -> None:
+        def store(frame: list, value: RuntimeValue, _k=index, _ct=ctype,
+                  _size=size, _mask=mask) -> None:
+            c = frame[1]
             if type(value) is int:
-                if _obj.pointer_slots:
-                    _obj.pointer_slots.pop(0, None)
-                _obj.data[0:_size] = \
-                    (value & _mask).to_bytes(_size, "little")
+                obj = c.gobj[_k]
+                if obj.pointer_slots:
+                    obj.pointer_slots.pop(0, None)
+                obj.data[0:_size] = (value & _mask).to_bytes(_size, "little")
             else:
-                _mw(Pointer(_obj, 0), _ct, value)
+                c._memory_write(c.gptr[_k], _ct, value)
 
         return store
 
@@ -1821,8 +1813,8 @@ class _FunctionCompiler:
         if isinstance(lvalue, ast.Identifier):
             slot = self.slots.get(lvalue.name)
             if slot is None:
-                pointer = Pointer(self._global(lvalue.name), 0)
-                return lambda frame, _p=pointer: _p
+                index = self._global_index(lvalue.name)
+                return lambda frame, _k=index: frame[1].gptr[_k]
             # Only address-taken locals are located; their slot holds the
             # memory object from the declaration.
             return lambda frame, _slot=slot: Pointer(frame[_slot], 0)
@@ -1908,9 +1900,9 @@ class _FunctionCompiler:
             value = expr.value
             return lambda frame, _v=value: _v
         if isinstance(expr, ast.StringLiteral):
-            literal = self.engine.memory.string_literal
             text = expr.value
-            return lambda frame, _l=literal, _t=text: Pointer(_l(_t), 0)
+            return lambda frame, _t=text: \
+                Pointer(frame[1].memory.string_literal(_t), 0)
         if isinstance(expr, ast.Identifier):
             return self._compile_identifier(expr)
         if isinstance(expr, ast.BinaryOp):
@@ -1920,11 +1912,9 @@ class _FunctionCompiler:
         if isinstance(expr, ast.Deref):
             pointer = self._compile_expr(expr.pointer)
             ctype = expr.ctype or ty.UINT8
-            mread = self.engine._memory_read
 
-            def deref(frame: list, _p=pointer, _ct=ctype,
-                      _mr=mread) -> RuntimeValue:
-                return _mr(_as_pointer(_p(frame)), _ct)
+            def deref(frame: list, _p=pointer, _ct=ctype) -> RuntimeValue:
+                return frame[1]._memory_read(_as_pointer(_p(frame)), _ct)
 
             return deref
         if isinstance(expr, ast.AddressOf):
@@ -1934,11 +1924,9 @@ class _FunctionCompiler:
                 return self._compile_locate(expr)
             locate = self._compile_locate(expr)
             ctype = expr.ctype or ty.UINT8
-            mread = self.engine._memory_read
 
-            def load(frame: list, _loc=locate, _ct=ctype,
-                     _mr=mread) -> RuntimeValue:
-                return _mr(_loc(frame), _ct)
+            def load(frame: list, _loc=locate, _ct=ctype) -> RuntimeValue:
+                return frame[1]._memory_read(_loc(frame), _ct)
 
             return load
         if isinstance(expr, ast.Call):
@@ -1974,59 +1962,58 @@ class _FunctionCompiler:
             if isinstance(expr.ctype, ty.ArrayType):
                 return lambda frame, _slot=slot: Pointer(frame[_slot], 0)
             ctype = expr.ctype or ty.UINT8
-            read = self.engine.memory.read
 
-            def load(frame: list, _slot=slot, _ct=ctype,
-                     _rd=read) -> RuntimeValue:
-                return _rd(Pointer(frame[_slot], 0), _ct)
+            def load(frame: list, _slot=slot, _ct=ctype) -> RuntimeValue:
+                return frame[1].memory.read(Pointer(frame[_slot], 0), _ct)
 
             return load
 
-        # Global variable: the tree-walker reads with the *declared* type.
-        # Its object's byte buffer is mutated in place and never replaced
-        # after boot (restores included), so loads bake it in.
-        obj = self._global(name)
+        # Global variable: the tree-walker reads with the *declared* type,
+        # from the running node's global table.
+        index = self._global_index(name)
         ctype = self.program.globals[name].ctype
         if isinstance(ctype, (ty.ArrayType, ty.StructType)):
-            pointer = Pointer(obj, 0)
-            return lambda frame, _p=pointer: _p
-        data = obj.data
+            return lambda frame, _k=index: frame[1].gptr[_k]
         if isinstance(ctype, ty.IntType):
             size = ctype.sizeof(self.pointer_size)
             if not ctype.signed:
-                def load(frame: list, _data=data,
-                         _size=size) -> RuntimeValue:
-                    return int.from_bytes(_data[0:_size], "little")
+                def load(frame: list, _k=index, _size=size) -> RuntimeValue:
+                    return int.from_bytes(frame[1].gdata[_k][0:_size],
+                                          "little")
 
                 return load
             maxv = ctype.max_value
             span = 1 << ctype.bits
 
-            def load(frame: list, _data=data, _size=size, _maxv=maxv,
+            def load(frame: list, _k=index, _size=size, _maxv=maxv,
                      _span=span) -> RuntimeValue:
-                raw = int.from_bytes(_data[0:_size], "little")
+                raw = int.from_bytes(frame[1].gdata[_k][0:_size], "little")
                 return raw - _span if raw > _maxv else raw
 
             return load
         if isinstance(ctype, ty.CharType):
-            def load(frame: list, _data=data) -> RuntimeValue:
-                raw = _data[0]
+            def load(frame: list, _k=index) -> RuntimeValue:
+                raw = frame[1].gdata[_k][0]
                 return raw - 0x100 if raw > 0x7F else raw
 
             return load
         if isinstance(ctype, ty.PointerType):
             size = ctype.sizeof(self.pointer_size)
 
-            def load(frame: list, _obj=obj, _size=size) -> RuntimeValue:
-                stored = _obj.pointer_slots.get(0)
+            def load(frame: list, _k=index, _size=size) -> RuntimeValue:
+                obj = frame[1].gobj[_k]
+                stored = obj.pointer_slots.get(0)
                 if stored is not None:
                     return stored
-                return int.from_bytes(_obj.data[0:_size], "little")
+                return int.from_bytes(obj.data[0:_size], "little")
 
             return load
-        pointer = Pointer(obj, 0)
-        read = self.engine.memory.read
-        return lambda frame, _p=pointer, _ct=ctype, _rd=read: _rd(_p, _ct)
+
+        def load(frame: list, _k=index, _ct=ctype) -> RuntimeValue:
+            c = frame[1]
+            return c.memory.read(c.gptr[_k], _ct)
+
+        return load
 
     def _compile_binary(self, expr: ast.BinaryOp) -> ExprFn:
         op = expr.op
@@ -2349,30 +2336,64 @@ class _FunctionCompiler:
             # Compiling a trace work closure: the run former already
             # proved every callee of this statement leaf-inlinable.
             return self._compile_inline_call(expr)
-        args = tuple(self._compile_expr(arg) for arg in expr.args)
         if name in self.program.builtins:
-            call_builtin = self.engine.node.call_builtin
+            args = tuple(self._compile_expr(arg) for arg in expr.args)
 
-            def call(frame: list, _cb=call_builtin, _name=name,
-                     _args=args) -> RuntimeValue:
-                return _cb(_name, [a(frame) for a in _args])
+            def call(frame: list, _name=name, _args=args) -> RuntimeValue:
+                return frame[1].node.call_builtin(
+                    _name, [a(frame) for a in _args])
 
             return call
         # Expression-position call (nested inside a larger expression):
         # enters a nested machine run via Python recursion.  Statement-level
         # calls never reach this path — they lower to CALL ops.
-        engine = self.engine
+        args = self._compile_args(expr)
 
-        def call(frame: list, _cf_cell=[None], _eng=engine,
-                 _name=name, _args=args) -> RuntimeValue:
+        def call(frame: list, _cf_cell=[None], _name=name,
+                 _args=args) -> RuntimeValue:
+            c = frame[1]
             cf = _cf_cell[0]
             if cf is None:
-                cf = _eng._compiled.get(_name)
-                if cf is None:
-                    cf = _eng._compile_name(_name)
-                _cf_cell[0] = cf
-            result = _eng._run_machine(
-                _eng._new_frame(cf, [a(frame) for a in _args]))
+                cf = _cf_cell[0] = c.cache.plan_for(_name)
+            result = c._run_machine(
+                c._new_frame(cf, [a(frame) for a in _args]))
             return result if result is not None else 0
 
         return call
+
+    # -- conversions at calls and returns --------------------------------------
+
+    def _compile_args(self, call: ast.Call) -> tuple[ExprFn, ...]:
+        """A program call's arguments, each converted to its parameter's
+        type, as C converts an argument on entry to the callee.
+
+        A call with the wrong arity converts nothing: it raises when the
+        callee's frame is built.
+        """
+        callee = self.program.lookup_function(call.callee)
+        if callee is None or len(callee.params) != len(call.args):
+            return tuple(self._compile_expr(arg) for arg in call.args)
+        return tuple(self._compile_converted(arg, param.ctype)
+                     for arg, param in zip(call.args, callee.params))
+
+    def _compile_converted(self, expr: ast.Expr,
+                           ctype: ty.CType) -> ExprFn:
+        """``expr``'s value converted to ``ctype`` (a no-op unless integer).
+
+        Nothing is compiled where the conversion is a no-op
+        (:func:`~repro.cminor.cint.fits`); otherwise the closure converts
+        only a value out of range, which real programs rarely produce.
+        """
+        value = self._compile_expr(expr)
+        if not ctype.is_integer() or cint.fits(expr, ctype):
+            return value
+        lo, hi = cint.value_range(ctype)
+
+        def convert(frame: list, _v=value, _lo=lo, _hi=hi,
+                    _w=cint.make_wrap(ctype)) -> RuntimeValue:
+            result = _v(frame)
+            if type(result) is int and not _lo <= result <= _hi:
+                return _w(result)
+            return result
+
+        return convert

@@ -10,8 +10,9 @@ Two execution engines share one public facade:
   faster, with byte-identical results (see ``ARCHITECTURE.md``).
 
 :class:`Interpreter` is the thin facade the :class:`~repro.avrora.node.Node`
-talks to; it selects the engine (compiled by default) and compiles-on-first
--call, caching per-function compiled code for the node's lifetime.
+talks to; it selects the engine (compiled by default).  The compiled engine
+lowers each function on its first call into the node's
+:class:`~repro.avrora.engine.CodeCache`, which the nodes of one network share.
 
 Hardware access builtins are routed to the node's device bus; ``__sleep``
 hands control back to the node so it can advance time to the next event;
@@ -71,18 +72,24 @@ class Interpreter:
     """Facade selecting one of the execution engines for a node.
 
     ``engine`` is ``"compiled"`` (default) for the compile-to-closures
-    engine or ``"tree"`` for the reference tree-walking interpreter.
+    engine or ``"tree"`` for the reference tree-walking interpreter.  The
+    compiled engine runs the lowerings of ``code_cache``, or of a cache of
+    its own when none is given; ``code_cache`` is None for the tree-walker.
     """
 
-    def __init__(self, node: "Node", engine: Optional[str] = None):
+    def __init__(self, node: "Node", engine: Optional[str] = None,
+                 code_cache=None):
         self.node = node
         self.engine_name = engine or DEFAULT_ENGINE
+        self.code_cache = None
         if self.engine_name == "tree":
             self._impl = TreeWalkInterpreter(node)
         elif self.engine_name == "compiled":
-            from repro.avrora.engine import CompiledEngine
+            from repro.avrora.engine import CodeCache, CompiledEngine
 
-            self._impl = CompiledEngine(node)
+            self.code_cache = code_cache if code_cache is not None \
+                else CodeCache(node.program)
+            self._impl = CompiledEngine(node, self.code_cache)
         else:
             raise ValueError(f"unknown simulator engine {self.engine_name!r}"
                              " (expected 'compiled' or 'tree')")
@@ -103,8 +110,10 @@ class Interpreter:
     def superblock_stats(self) -> dict:
         """Superblock fast-path statistics (all-zero for the tree-walker).
 
-        The schema is engine-independent so callers (``SimRecord``, the
-        network aggregator, the benchmarks) can sum entries blindly.
+        The schema is engine-independent.  The formation counts
+        (``superblocks``, ``loop_superblocks``, ``traces``,
+        ``inlined_call_sites``) are the code cache's, shared with every
+        node on it; the rest are this node's.
         """
         impl = self._impl
         stats = getattr(impl, "superblock_stats", None)
@@ -128,12 +137,20 @@ class Interpreter:
         }
 
     def warm(self) -> int:
-        """Precompile every program function (no-op for the tree-walker).
+        """Lower every program function now; returns the function count.
 
-        The node must have booted: lowering binds globals to its memory.
+        Lowering is otherwise lazy (a function's first call).  It reads no
+        node state, so this works before :meth:`~repro.avrora.node.Node.\
+boot`, and a node whose code cache another node warmed lowers nothing:
+        each request is a ``plan_hits`` hit.  No-op (0) for the tree-walker.
         """
-        compile_all = getattr(self._impl, "compile_program", None)
-        return compile_all() if compile_all is not None else 0
+        cache = self.code_cache
+        if cache is None:
+            return 0
+        names = list(self.program.functions)
+        for name in names:
+            cache.plan_for(name)
+        return len(names)
 
 
 class TreeWalkInterpreter:
@@ -164,7 +181,11 @@ class TreeWalkInterpreter:
         try:
             self._exec_block(func.body, frame)
         except _ReturnSignal as signal:
-            return signal.value
+            # C converts a returned value to the declared return type.
+            value = signal.value
+            if func.return_type.is_integer() and isinstance(value, int):
+                return cint.wrap_to(func.return_type, value)
+            return value
         return 0 if not func.return_type.is_void() else None
 
     def _build_frame(self, func: ast.FunctionDef,
@@ -176,6 +197,9 @@ class TreeWalkInterpreter:
         frame: dict[str, object] = {}
         taken = self._address_taken_locals(func)
         for param, value in zip(func.params, args):
+            # C converts each argument to its parameter's declared type.
+            if param.ctype.is_integer() and isinstance(value, int):
+                value = cint.wrap_to(param.ctype, value)
             if param.name in taken:
                 obj = self.memory.allocate(f"{func.name}.{param.name}",
                                            param.ctype.sizeof(self.pointer_size),

@@ -348,8 +348,9 @@ class MemorySystem:
         """Apply a :meth:`snapshot` to this memory system, in place.
 
         Existing objects are *mutated* (``data[:] = ...``), never replaced:
-        the compiled engine bakes direct :class:`MemoryObject` references
-        into its closures, so object identity must survive a restore.
+        the compiled engine's per-node global table holds direct
+        :class:`MemoryObject` references and their byte buffers, so object
+        identity must survive a restore.
         Objects the snapshot knows and this system does not (lazily
         allocated strings, reachable locals) are created.
         """

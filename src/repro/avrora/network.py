@@ -445,27 +445,38 @@ class Network:
     def duty_cycles(self) -> list[float]:
         return [node.duty_cycle() for node in self.nodes]
 
-    #: Additive fields of ``Interpreter.superblock_stats`` (everything but
-    #: the engine tag, the enabled flag and the derived fraction).
-    _SB_SUM_KEYS = ("superblocks", "loop_superblocks", "traces",
-                    "inlined_call_sites", "inlined_calls", "entries_fast",
-                    "entries_slow", "bursts", "burst_iterations",
-                    "fused_statements", "statements_total")
+    #: Additive fields of ``Interpreter.superblock_stats``: formation
+    #: counts, kept by each code cache, and runtime counts, kept by each
+    #: node.
+    _SB_COMPILE_KEYS = ("superblocks", "loop_superblocks", "traces",
+                        "inlined_call_sites")
+    _SB_RUNTIME_KEYS = ("inlined_calls", "entries_fast", "entries_slow",
+                        "bursts", "burst_iterations", "fused_statements",
+                        "statements_total")
 
     def superblock_stats(self) -> dict:
-        """Engine fast-path statistics summed over every node.
+        """Engine fast-path statistics summed over the network.
 
-        With the shared code cache, ``superblocks``/``loop_superblocks``
-        count per-node closure bindings (they scale with the node count);
-        the runtime hit-rate fields are what the simulation records and
-        the CLI surface.
+        Compile-time counts (``superblocks``, ``loop_superblocks``,
+        ``traces``, ``inlined_call_sites``) come once per code cache, so
+        nodes sharing one count its lowerings once; the runtime hit-rate
+        counts, which the simulation records and the CLI surface, sum
+        over every node.
         """
-        totals: dict = {key: 0 for key in self._SB_SUM_KEYS}
+        totals: dict = {key: 0
+                        for key in self._SB_COMPILE_KEYS
+                        + self._SB_RUNTIME_KEYS}
         enabled = False
+        caches: set[int] = set()
         for node in self.nodes:
             stats = node.interpreter.superblock_stats()
             enabled = enabled or bool(stats.get("enabled"))
-            for key in self._SB_SUM_KEYS:
+            keys = self._SB_RUNTIME_KEYS
+            cache = node.interpreter.code_cache
+            if id(cache) not in caches:
+                caches.add(id(cache))
+                keys += self._SB_COMPILE_KEYS
+            for key in keys:
                 totals[key] += stats.get(key, 0)
         executed = totals["statements_total"]
         totals["enabled"] = enabled

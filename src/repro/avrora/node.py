@@ -82,7 +82,13 @@ class Node:
     """One mote running one program image."""
 
     def __init__(self, program: Program, node_id: int = 1,
-                 engine: Optional[str] = None):
+                 engine: Optional[str] = None, code_cache=None):
+        """``engine`` picks the simulator engine (see
+        :class:`~repro.avrora.interp.Interpreter`); ``code_cache`` is the
+        :class:`~repro.avrora.engine.CodeCache` whose lowerings the
+        compiled engine runs, shared with the other nodes of its scope
+        (a network, a scenario variant), or a cache of its own if None.
+        """
         self.program = program
         self.node_id = node_id
         self.costs = cost_model_for(program.platform)
@@ -94,9 +100,6 @@ class Node:
         for device in standard_devices():
             self.bus.attach(self, device)
 
-        #: ``"compiled"`` (default) or ``"tree"``; see repro.avrora.interp.
-        self.interpreter = Interpreter(self, engine=engine)
-
         self.time_cycles = 0
         self.sleep_cycles = 0
         self.end_cycles = 0
@@ -105,8 +108,8 @@ class Node:
         self.in_interrupt = False
         #: FIFO of raised-but-undelivered interrupt vectors.  A deque: the
         #: delivery loop pops from the left, and ``list.pop(0)`` is O(n).
-        #: The engines close over the container and test its truthiness on
-        #: the hot path, so it is mutated in place and never reassigned.
+        #: The compiled engine holds the container and tests its truthiness
+        #: on the hot path, so it is mutated in place and never reassigned.
         self.pending_interrupts: deque[str] = deque()
         self.interrupts_delivered = 0
         self.failures: list[FailureRecord] = []
@@ -136,6 +139,10 @@ class Node:
         self._status = "idle"
         self._run_error: Optional[BaseException] = None
         self._abort = False
+
+        #: ``"compiled"`` (default) or ``"tree"``; see repro.avrora.interp.
+        self.interpreter = Interpreter(self, engine=engine,
+                                       code_cache=code_cache)
 
     # -- devices ------------------------------------------------------------------
 

@@ -15,6 +15,7 @@ immutable — they are shared.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Optional
 
 from repro.cminor import ast_nodes as ast
@@ -45,23 +46,30 @@ class ProgramAnalysisCache:
         #: node_id → owning function name, so per-function invalidation can
         #: drop the statement-expression entries it owns.
         self._stmt_owner: dict[int, str] = {}
-        #: Lazily created simulator code cache (see :meth:`code_cache`).
-        self._code_cache = None
+        #: The simulator's live code caches of this program, held weakly:
+        #: a :class:`~repro.avrora.engine.CodeCache` lives as long as its
+        #: scope (a network, a scenario variant), not as long as the
+        #: program.
+        self._code_caches: weakref.WeakSet = weakref.WeakSet()
 
-    def code_cache(self):
-        """The simulator's shared per-program code cache (lazy).
+    def attach_code_cache(self, code_cache) -> None:
+        """Have :meth:`invalidate` drop ``code_cache``'s lowerings too.
 
-        Holds the node-independent lowering plans of
-        :class:`~repro.avrora.engine.CompiledEngine`, so an N-node network
-        runs the lowering front end once per function.  It lives here —
-        rather than on each node — precisely so it is dropped by the same
-        :meth:`invalidate` calls that transformation passes already make.
+        The same invalidation calls that transformation passes already
+        make then keep a live cache from serving ops of a changed program.
         """
-        if self._code_cache is None:
-            from repro.avrora.engine import CodeCache
+        self._code_caches.add(code_cache)
 
-            self._code_cache = CodeCache()
-        return self._code_cache
+    def __getstate__(self) -> dict:
+        # A pickled program (a prefix snapshot) leaves its code caches,
+        # which belong to this process's simulations, behind.
+        state = dict(self.__dict__)
+        del state["_code_caches"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._code_caches = weakref.WeakSet()
 
     # -- queries ----------------------------------------------------------------
 
@@ -126,8 +134,8 @@ class ProgramAnalysisCache:
         owner is unknown are always dropped (they may belong to any
         function).
         """
-        if self._code_cache is not None:
-            self._code_cache.invalidate(func_name)
+        for code_cache in list(self._code_caches):
+            code_cache.invalidate()
         if func_name is None:
             self._local_types.clear()
             self._address_taken.clear()

@@ -75,6 +75,41 @@ def make_wrap(ctype: ty.CType) -> Callable[[int], int]:
     return wrap_signed
 
 
+def value_range(ctype: ty.CType) -> tuple[int, int]:
+    """The least and greatest value of ``ctype``: what its wrap keeps."""
+    layout = _layout(ctype)
+    if layout is None:
+        return 0, 1
+    bits, signed = layout
+    if signed:
+        return -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+    return 0, (1 << bits) - 1
+
+
+#: Expression kinds whose every value lies in their type's range: operators
+#: and casts wrap their result, and a variable holds what a store wrapped
+#: to its type.  A call, a ternary or a builtin may not, and a ``bool`` in
+#: memory may hold any byte.
+_WRAPPED_KINDS = (ast.Identifier, ast.BinaryOp, ast.UnaryOp, ast.Cast)
+
+
+def fits(expr: ast.Expr, ctype: ty.CType) -> bool:
+    """Whether converting ``expr``'s value to integer type ``ctype`` is a no-op.
+
+    True for a literal in ``ctype``'s range, and for an expression of a
+    wrapped kind whose integer type's range lies inside ``ctype``'s.
+    """
+    lo, hi = value_range(ctype)
+    if isinstance(expr, ast.IntLiteral):
+        return lo <= expr.value <= hi
+    source = expr.ctype
+    if not isinstance(expr, _WRAPPED_KINDS) or \
+            not isinstance(source, (ty.IntType, ty.CharType)):
+        return False
+    source_lo, source_hi = value_range(source)
+    return lo <= source_lo and source_hi <= hi
+
+
 def div(left: int, right: int) -> int:
     """C's ``/``: the quotient truncated toward zero (0 for a zero divisor)."""
     if right == 0:

@@ -154,7 +154,7 @@ class _Folder:
             ctype = expr.ctype
             if ctype is None or not ctype.is_integer():
                 return expr
-            if not self._substitutable(expr.name, in_atomic):
+            if not self._substitutable(expr.name):
                 return expr
             value = self.analysis.lookup(state, expr.name, in_atomic)
             constant = value.as_constant()
@@ -168,22 +168,19 @@ class _Folder:
 
         replace_read_expressions(stmt, replace)
 
-    def _substitutable(self, name: str, in_atomic: bool) -> bool:
+    def _substitutable(self, name: str) -> bool:
+        """Whether a constant read of ``name`` may become a literal.
+
+        A shared global read outside an atomic section qualifies too: the
+        lookup then degrades to its program-wide invariant, which is a
+        constant only if the global genuinely is one.
+        """
         if name in self.analysis.locals_:
             return name not in self.analysis.address_taken
-        if name in self.program.globals:
-            var = self.program.lookup_global(name)
-            if var is None or var.is_volatile:
-                return False
-            if name in self.facts.address_taken_globals:
-                return False
-            if name in self.facts.shared_variables and not in_atomic:
-                # Outside atomic sections the lookup already degrades to the
-                # invariant, which is only substitutable if genuinely constant
-                # program-wide; that is still sound, so allow it.
-                return True
-            return True
-        return False
+        var = self.program.lookup_global(name)
+        if var is None or var.is_volatile:
+            return False
+        return name not in self.facts.address_taken_globals
 
 
 def fold_program(program: Program, facts: WholeProgramFacts,

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.cminor import ast_nodes as ast
+from repro.cminor import cint
+from repro.cminor import typesys as ty
 from repro.cminor.callgraph import build_call_graph
 from repro.cminor.clone import clone_block, clone_expr
 from repro.cminor.program import Program
@@ -184,6 +186,23 @@ def _has_loops(func: ast.FunctionDef) -> bool:
     return any(isinstance(s, ast.While) for s in walk_statements(func.body))
 
 
+def _returned(value: ast.Expr, return_type: ty.CType,
+              target_type: Optional[ty.CType]) -> ast.Expr:
+    """``value`` as the callee returns it: converted to its return type.
+
+    A store to a target of the return type converts it the same way, and
+    so does nothing when :func:`~repro.cminor.cint.fits` says so; only the
+    other cases get a cast.
+    """
+    if not return_type.is_integer() or target_type == return_type \
+            or cint.fits(value, return_type):
+        return value
+    cast = ast.Cast(return_type, value)
+    cast.loc = value.loc
+    cast.ctype = return_type
+    return cast
+
+
 def _return_statements(func: ast.FunctionDef) -> list[ast.Return]:
     return [s for s in walk_statements(func.body) if isinstance(s, ast.Return)]
 
@@ -323,10 +342,17 @@ class Inliner:
                           (len(returns) == 1 and body.stmts and
                            body.stmts[-1] is returns[-1]))
 
+        if isinstance(stmt, ast.VarDecl):
+            target_type = stmt.ctype
+        else:
+            target_type = target.ctype if target is not None else None
+
         def convert_return(ret: ast.Return) -> list[ast.Stmt]:
             converted: list[ast.Stmt] = []
             if target is not None and ret.value is not None:
-                assign = ast.Assign(clone_expr(target), ret.value)
+                assign = ast.Assign(
+                    clone_expr(target),
+                    _returned(ret.value, callee.return_type, target_type))
                 assign.loc = ret.loc
                 converted.append(assign)
             elif ret.value is not None and _contains_call(ret.value):

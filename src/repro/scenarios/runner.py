@@ -47,6 +47,7 @@ from repro.toolchain.contexts import duty_cycle_context
 if TYPE_CHECKING:
     from repro.api.specs import ScenarioSpec
     from repro.api.workbench import Workbench
+    from repro.avrora.engine import CodeCache
 
 #: Verdicts, strongest first — the order the lattice is evaluated in.
 VERDICTS = ("detected", "crash", "silent-corruption", "benign")
@@ -115,6 +116,10 @@ class ScenarioRunner:
     keyed by (variant build key, simulation parameters), so an N-variant ×
     M-fault scenario costs N golden runs — and re-running scenarios (or
     different plans) against the same variants costs zero more.
+
+    Within one :meth:`run`, a variant's golden and faulted runs share one
+    :class:`~repro.avrora.engine.CodeCache`, so each function of the
+    variant is lowered once, not once per run; ``lowerings`` counts them.
     """
 
     def __init__(self, workbench: "Workbench"):
@@ -122,6 +127,10 @@ class ScenarioRunner:
         self._golden: dict[tuple, tuple[tuple, ...]] = {}
         self.golden_runs = 0
         self.golden_hits = 0
+        self.lowerings = 0
+        #: ``id(program)`` -> the code cache of a variant of the running
+        #: :meth:`run`; empty outside it.
+        self._code_caches: dict[int, CodeCache] = {}
 
     # -- simulation plumbing ---------------------------------------------------
 
@@ -140,7 +149,8 @@ class ScenarioRunner:
             program, seconds=spec.seconds, node_count=spec.node_count,
             traffic=traffic, channel=channel,
             traffic_first_node_only=(spec.traffic == TRAFFIC_BASE),
-            prepare=injector.arm if injector is not None else None)
+            prepare=injector.arm if injector is not None else None,
+            code_cache=self._code_caches.get(id(program)))
 
     def golden_fingerprints(self, spec: "ScenarioSpec", build_key: str,
                             program) -> tuple[tuple, ...]:
@@ -166,6 +176,8 @@ class ScenarioRunner:
         ``verdicts[fault_index][variant_index]``, a ``details`` dict keyed
         ``"<fault label>|<variant>"``, and golden-cache statistics.
         """
+        from repro.avrora.engine import CodeCache
+
         faults = spec.plan.faults
         labels = spec.plan.labels()
         columns: list[list[str]] = []     # [variant][fault]
@@ -174,16 +186,22 @@ class ScenarioRunner:
         for variant in spec.variants:
             build_spec = BuildSpec(app=spec.app, variant=variant)
             result = self.workbench.build_result(build_spec)
-            golden = self.golden_fingerprints(
-                spec, build_spec.content_key(), result.program)
-            cells: list[str] = []
-            for label, fault in zip(labels, faults):
-                injector = ScenarioInjector(fault, seed=spec.plan.seed)
-                network = self._run(spec, result.program, injector)
-                verdict = classify(network, golden, fault)
-                cells.append(verdict)
-                details[f"{label}|{variant}"] = self._detail(
-                    network, golden, fault, verdict)
+            code_cache = CodeCache(result.program)
+            self._code_caches[id(result.program)] = code_cache
+            try:
+                golden = self.golden_fingerprints(
+                    spec, build_spec.content_key(), result.program)
+                cells: list[str] = []
+                for label, fault in zip(labels, faults):
+                    injector = ScenarioInjector(fault, seed=spec.plan.seed)
+                    network = self._run(spec, result.program, injector)
+                    verdict = classify(network, golden, fault)
+                    cells.append(verdict)
+                    details[f"{label}|{variant}"] = self._detail(
+                        network, golden, fault, verdict)
+            finally:
+                del self._code_caches[id(result.program)]
+                self.lowerings += code_cache.lowerings
             columns.append(cells)
         verdicts = tuple(tuple(columns[v][f]
                                for v in range(len(spec.variants)))

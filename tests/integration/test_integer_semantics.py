@@ -23,6 +23,7 @@ from repro.avrora.memory import Pointer
 from repro.avrora.node import Node
 from repro.backend.gcc_opt import gcc_optimize
 from repro.cxprop.driver import optimize_program
+from repro.cxprop.inline import inline_program
 
 import sys
 from pathlib import Path
@@ -182,3 +183,68 @@ class TestStraightLineDifferential:
             if differing:
                 mismatches.append((seed, differing))
         assert mismatches == []
+
+
+#: Arguments and returned values converted to their declared types, through
+#: every way the compiled engine enters a function: a leaf spliced inline
+#: (one, two and three arguments, a trailing return), a CALL op, an
+#: expression-position call, an address-taken parameter and a ``bool``.
+CALL_CONVERSIONS = _main("""
+  f(300);
+  f2(200, 300);
+  f3(300, 300, 200);
+  g4 = h();
+  g5 = r(300) + 1;
+  g6 = taken(300);
+  fb(2);
+  g8 = h() + r(0 - 1);""", """
+volatile int16_t g0; volatile int16_t g1; volatile int16_t g2;
+volatile int16_t g3; volatile int16_t g4; volatile int16_t g5;
+volatile int16_t g6; volatile int16_t g7; volatile int16_t g8;
+void f(uint8_t x) { g0 = x; }
+void f2(int8_t a, uint8_t b) { g1 = a; g2 = b; }
+void f3(uint8_t a, uint8_t b, int8_t c) { g3 = a + b + c; }
+uint8_t h(void) { return 300; }
+uint8_t r(int16_t v) { f(1); return v; }
+uint8_t taken(uint8_t x) { uint8_t *p = &x; return *p; }
+void fb(bool b) { g7 = b; }""")
+
+CALL_GLOBALS = [f"g{i}" for i in range(9)]
+#: ``f(1)`` in ``r`` leaves g0 at 1; ``r(-1)`` returns 255.
+CALL_EXPECTED = [1, -56, 44, 32, 44, 45, 44, 1, 299]
+
+
+class TestCallConversions:
+    """C converts each argument to its parameter's type and each returned
+    value to the function's return type; the inliner's build does, so both
+    engines must too."""
+
+    def _observe_variants(self) -> dict[str, list]:
+        inlined = make_program(CALL_CONVERSIONS)
+        report = inline_program(inlined)
+        assert report.calls_inlined > 0
+        return {
+            "tree": _observe(make_program(CALL_CONVERSIONS), CALL_GLOBALS,
+                             "tree"),
+            "compiled": _observe(make_program(CALL_CONVERSIONS),
+                                 CALL_GLOBALS, "compiled"),
+            "compiled-no-superblocks": _observe(
+                make_program(CALL_CONVERSIONS), CALL_GLOBALS, "compiled",
+                superblocks=False),
+            "inlined": _observe(inlined, CALL_GLOBALS, "tree"),
+        }
+
+    def test_arguments_and_returns_take_their_declared_types(self):
+        seen = self._observe_variants()
+        assert seen == {setup: CALL_EXPECTED for setup in seen}
+
+    def test_a_call_from_outside_converts_its_arguments(self):
+        for engine in ("tree", "compiled"):
+            node = Node(make_program(CALL_CONVERSIONS), engine=engine)
+            node.boot()
+            assert node.interpreter.call("r", [70000]) == 112
+            node.interpreter.call("f", [-1])
+            obj = node.memory.global_object("g0")
+            assert node.memory.read(Pointer(obj, 0),
+                                    node.program.lookup_global("g0").ctype) \
+                == 255

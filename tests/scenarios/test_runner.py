@@ -8,7 +8,10 @@ import pytest
 from repro.api.cli import UsageError, format_scenario_record, resolve_faults
 from repro.api.records import ScenarioRecord
 from repro.api.specs import ScenarioSpec
-from repro.api.workbench import Workbench
+from repro.api.workbench import Workbench, run_network
+from repro.avrora import interp
+from repro.avrora.engine import _FunctionCompiler
+from repro.scenarios import runner as runner_module
 from repro.scenarios.faults import (
     KILL_HALT_CODE,
     BitFlipFault,
@@ -235,6 +238,40 @@ class TestScenarioMatrix:
         outcome = ScenarioRunner(bench).run(surge_spec)
         assert outcome["verdicts"] == surge_record.verdicts
         assert outcome["details"] == surge_record.details
+
+    def test_variant_runs_share_one_lowering(self, bench, surge_spec,
+                                             surge_record, monkeypatch):
+        """A variant's golden and faulted runs share one code cache: each
+        function is lowered once per variant, and the matrix equals the
+        one a lowering per run gives."""
+        lowered = []
+        compile_ = _FunctionCompiler.compile
+
+        def counting(compiler):
+            lowered.append((id(compiler.program), compiler.func.name))
+            return compile_(compiler)
+
+        monkeypatch.setattr(_FunctionCompiler, "compile", counting)
+        monkeypatch.setattr(interp, "DEFAULT_ENGINE", "compiled")
+        shared = ScenarioRunner(bench)
+        outcome = shared.run(surge_spec)
+        assert len(set(lowered)) == len(lowered) == shared.lowerings
+        assert len({program for program, _ in lowered}) == 2
+
+        once = len(lowered)
+        del lowered[:]
+
+        def a_cache_per_run(program, **kwargs):
+            kwargs["code_cache"] = None
+            return run_network(program, **kwargs)
+
+        monkeypatch.setattr(runner_module, "run_network", a_cache_per_run)
+        separate = ScenarioRunner(bench).run(surge_spec)
+        assert len(lowered) > 2 * once
+        assert outcome["verdicts"] == separate["verdicts"] \
+            == surge_record.verdicts
+        assert outcome["details"] == separate["details"] \
+            == surge_record.details
 
     def test_second_plan_reuses_golden_fingerprints(self, bench,
                                                     surge_spec,
