@@ -14,6 +14,16 @@ come for free.  Results are recorded in ``BENCH_pipeline.json`` at the
 repository root (CI uploads it as an artifact); run this module directly
 for a standalone measurement.
 
+A second section, ``figures_session``, assembles Figures 2 and 3(a) in one
+:class:`~repro.api.workbench.Workbench`, as ``repro figures`` does, and
+records the builds it executed, the passes each stage ran and its wall
+time.  Figure 2's last three bars are Figure 3's ``safe-flid``,
+``safe-flid-cxprop`` and ``safe-optimized``, so the session must execute 9
+builds per application (4 for Figure 2, then 5 new for Figure 3(a)); that
+count is asserted, the time is not.  The file's ``perfbench`` section holds
+parent/change medians measured with ``perfbench/run.py``; this module keeps
+it as it finds it.
+
 Both sweep modes are timed best-of-``REPETITIONS`` (shared CI runners are
 noisy; the minimum is the least-perturbed run).  Set ``REPRO_BENCH_SMOKE=1``
 to sweep a three-app subset with one repetition (CI smoke mode) and
@@ -27,11 +37,18 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import Counter
 from pathlib import Path
 
+from repro.api.figures import figure2_table, figure3a_table
+from repro.api.workbench import Workbench
 from repro.tinyos.suite import FIGURE_APPS
 from repro.toolchain.sweep import SweepRunner
-from repro.toolchain.variants import BASELINE, FIGURE3_VARIANTS
+from repro.toolchain.variants import (
+    BASELINE,
+    FIGURE2_STRATEGIES,
+    FIGURE3_VARIANTS,
+)
 
 #: Asserted sweep speedup floor from front-end sharing.  The acceptance
 #: target for an idle machine is 1.3x; the default stays below it so a
@@ -45,6 +62,12 @@ SMOKE_APPS = 3
 REPETITIONS = 3
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_pipeline.json"
+
+#: Builds one session executes per application for Figures 2 and 3(a).
+FIGURES_SESSION_BUILDS_PER_APP = 9
+
+#: The stages whose executed passes ``figures_session`` reports.
+FIGURES_SESSION_STAGES = ("ccured.cure", "inline", "cxprop", "gcc", "image")
 
 
 def _smoke() -> bool:
@@ -61,6 +84,32 @@ def _timed_sweep(apps: list[str], share_front_end: bool):
     start = time.perf_counter()
     result = runner.run()
     return result, time.perf_counter() - start
+
+
+def measure_figures_session(apps: list[str]) -> dict:
+    """Figures 2 and 3(a) from one fresh Workbench: builds, passes, time."""
+    workbench = Workbench()
+    start = time.perf_counter()
+    figure2_table(workbench, apps)
+    figure3a_table(workbench, apps)
+    wall_s = time.perf_counter() - start
+    # A build resumed from a shared prefix carries that prefix's report
+    # objects in its trace, so each distinct report is one executed pass.
+    executed = Counter({
+        id(report): report.name
+        for app in apps
+        for variant in [*FIGURE2_STRATEGIES, BASELINE, *FIGURE3_VARIANTS]
+        for report in workbench.build_result(app, variant).trace.passes
+    }.values())
+    stats = workbench.stats()
+    return {
+        "applications": len(apps),
+        "builds_executed": stats["builds_executed"],
+        "passes_executed": stats["passes_executed"],
+        "stage_passes_executed": {stage: executed[stage]
+                                  for stage in FIGURES_SESSION_STAGES},
+        "wall_seconds": round(wall_s, 3),
+    }
 
 
 def measure() -> dict:
@@ -99,14 +148,30 @@ def measure() -> dict:
         "shared_seconds_all": [round(t, 3) for t in shared_times],
         "speedup": round(unshared_s / shared_s, 3),
         "summaries_identical": True,
+        "figures_session": measure_figures_session(apps),
     }
 
 
 def _record(results: dict) -> None:
+    if RESULT_PATH.exists():
+        previous = json.loads(RESULT_PATH.read_text())
+        if "perfbench" in previous:
+            results = {**results, "perfbench": previous["perfbench"]}
     RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
 
 
+def _check_figures_session(results: dict) -> None:
+    session = results["figures_session"]
+    expected = FIGURES_SESSION_BUILDS_PER_APP * session["applications"]
+    assert session["builds_executed"] == expected, \
+        f"Figures 2 and 3(a) executed {session['builds_executed']} builds, " \
+        f"not {expected}"
+
+
 def format_table(results: dict) -> str:
+    session = results["figures_session"]
+    stages = ", ".join(f"{stage} {count}" for stage, count
+                       in session["stage_passes_executed"].items())
     return "\n".join([
         f"pipeline sweep ({len(results['applications'])} apps x "
         f"{len(results['variants'])} variants = {results['builds']} builds):",
@@ -114,6 +179,9 @@ def format_table(results: dict) -> str:
         f"  shared front end   : {results['shared_seconds']:>8.3f}s",
         f"  speedup            : {results['speedup']:>8.3f}x "
         f"(summaries identical: {results['summaries_identical']})",
+        f"figures 2 + 3(a) in one session: {session['builds_executed']} "
+        f"builds, {session['wall_seconds']:.3f}s",
+        f"  passes executed    : {stages}",
     ])
 
 
@@ -123,6 +191,7 @@ def test_pipeline_sweep() -> None:
     _record(results)
     print()
     print(format_table(results))
+    _check_figures_session(results)
     assert results["speedup"] >= MIN_SPEEDUP, \
         f"sweep speedup {results['speedup']}x fell below the " \
         f"{MIN_SPEEDUP}x floor"
@@ -133,6 +202,7 @@ def main() -> None:
     _record(results)
     print(format_table(results))
     print(f"results written to {RESULT_PATH}")
+    _check_figures_session(results)
 
 
 if __name__ == "__main__":

@@ -96,12 +96,12 @@ def main() -> None:
 
     print("\n=== The same build, declaratively ===")
     # The hand-driven stages above are the pass list of the registered
-    # "fig2-ccured-inline-cxprop-gcc" variant; one Workbench call replays it.
+    # "safe-optimized" variant; one Workbench call replays it.
     from repro.api import BuildSpec, Workbench
 
     with Workbench() as bench:
         record = bench.build(
-            BuildSpec(app=name, variant="fig2-ccured-inline-cxprop-gcc"))
+            BuildSpec(app=name, variant="safe-optimized"))
     print(f"  Workbench record: {record.code_bytes} B code, "
           f"{record.ram_bytes} B RAM, "
           f"{record.checks_surviving}/{record.checks_inserted} checks "

@@ -85,10 +85,9 @@ class BuildSpec:
     def content_key(self) -> str:
         """Stable identity of this build: app × variant × pass cache keys.
 
-        The variant name is part of the material: a few registered variants
-        lower to identical pass lists (e.g. ``safe-optimized`` and
-        ``fig2-ccured-inline-cxprop-gcc``) and would otherwise collide,
-        returning records labelled with the other variant's name.
+        No two registered variants lower to the same pass list, so the
+        variant name adds no distinction; it stays in the material so that
+        records and stored records keep their keys.
         """
         return content_digest({
             "schema": SCHEMA_VERSION,

@@ -22,6 +22,7 @@ from repro.cminor import ast_nodes as ast
 from repro.cminor import typesys as ty
 from repro.cminor.typecheck import local_types
 from repro.cminor.visitor import (
+    lvalue_root,
     statement_expressions,
     walk_expression,
     walk_statements,
@@ -108,15 +109,9 @@ class ProgramAnalysisCache:
             for expr in self.statement_expressions(stmt, func.name):
                 for node in walk_expression(expr):
                     if isinstance(node, ast.AddressOf):
-                        root = node.lvalue
-                        while isinstance(root, (ast.Index, ast.Member)):
-                            if isinstance(root, ast.Member) and root.arrow:
-                                root = None
-                                break
-                            root = root.base
-                        if isinstance(root, ast.Identifier) and \
-                                root.name in locals_:
-                            taken.add(root.name)
+                        root = lvalue_root(node.lvalue)
+                        if root in locals_:
+                            taken.add(root)
         for name, ctype in locals_.items():
             if isinstance(ctype, (ty.ArrayType, ty.StructType)):
                 taken.add(name)

@@ -185,6 +185,22 @@ def replace_read_expressions(stmt: ast.Stmt,
             return
 
 
+def lvalue_root(expr: ast.Expr) -> Optional[str]:
+    """The variable a store to (or ``&`` of) ``expr`` reaches, if it is named.
+
+    ``x`` for ``x``, ``x[i]``, ``x.f`` and any chain of these; ``None`` once
+    the chain goes through a pointer (``->`` or ``*``) or starts elsewhere.
+    """
+    while True:
+        kind = type(expr)
+        if kind is ast.Identifier:
+            return expr.name
+        if kind is ast.Index or (kind is ast.Member and not expr.arrow):
+            expr = expr.base
+        else:
+            return None
+
+
 # ---------------------------------------------------------------------------
 # Statement traversal
 # ---------------------------------------------------------------------------

@@ -23,11 +23,11 @@ from typing import Optional
 from repro.cminor import ast_nodes as ast
 from repro.cminor import typesys as ty
 from repro.cminor.program import Program
-from repro.cminor.visitor import walk_expression
+from repro.cminor.visitor import lvalue_root, walk_expression
 from repro.cxprop.domains.base import AbstractDomain
 from repro.cxprop.domains.interval import IntervalDomain
 from repro.cxprop.evaluate import Evaluator
-from repro.cxprop.interproc import WholeProgramFacts, _lvalue_root
+from repro.cxprop.interproc import WholeProgramFacts
 from repro.cxprop.values import MemoryTarget, Value
 
 #: Maximum abstract iterations of a loop body before widening kicks in.
@@ -458,7 +458,7 @@ class FunctionAnalysis:
                 state[name] = value
                 return
             return
-        root = _lvalue_root(lvalue)
+        root = lvalue_root(lvalue)
         if root is None:
             # Store through a pointer: anything address-taken may change.
             for name in list(state):

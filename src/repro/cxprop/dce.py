@@ -25,6 +25,7 @@ from repro.cminor.callgraph import build_call_graph
 from repro.cminor.program import Program
 from repro.cminor.typecheck import local_types
 from repro.cminor.visitor import (
+    lvalue_root,
     statement_expressions,
     transform_block,
     walk_expression,
@@ -51,16 +52,6 @@ class DceReport:
                 self.statements_removed)
 
 
-def _lvalue_root_name(lvalue: ast.Expr):
-    if isinstance(lvalue, ast.Identifier):
-        return lvalue.name
-    if isinstance(lvalue, (ast.Index, ast.Member)):
-        if isinstance(lvalue, ast.Member) and lvalue.arrow:
-            return None
-        return _lvalue_root_name(lvalue.base)
-    return None
-
-
 def _collect_global_usage(program: Program) -> tuple[set[str], set[str]]:
     """(globals read or address-taken, globals written) in the whole program."""
     read: set[str] = set()
@@ -71,7 +62,7 @@ def _collect_global_usage(program: Program) -> tuple[set[str], set[str]]:
         locals_ = set(local_types(func))
         for stmt in walk_statements(func.body):
             if isinstance(stmt, ast.Assign):
-                write_target = _lvalue_root_name(stmt.lvalue)
+                write_target = lvalue_root(stmt.lvalue)
                 if write_target in global_names and write_target not in locals_:
                     written.add(write_target)
             # Reads: every identifier appearing in the statement except a

@@ -25,6 +25,7 @@ from repro.cminor import typesys as ty
 from repro.cminor.callgraph import CallGraph, build_call_graph
 from repro.cminor.program import Program
 from repro.cminor.visitor import (
+    lvalue_root,
     walk_expression,
     walk_statements,
 )
@@ -65,19 +66,6 @@ class WholeProgramFacts:
         return mods
 
 
-def _lvalue_root(lvalue: ast.Expr) -> Optional[str]:
-    """The named root of an lvalue, or None for stores through pointers."""
-    if isinstance(lvalue, ast.Identifier):
-        return lvalue.name
-    if isinstance(lvalue, ast.Index):
-        return _lvalue_root(lvalue.base)
-    if isinstance(lvalue, ast.Member):
-        if lvalue.arrow:
-            return None
-        return _lvalue_root(lvalue.base)
-    return None
-
-
 def _collect_address_taken(program: Program) -> tuple[set[str], dict[str, set[str]]]:
     """Globals and per-function locals whose address escapes."""
     globals_taken: set[str] = set()
@@ -96,7 +84,7 @@ def _collect_address_taken(program: Program) -> tuple[set[str], dict[str, set[st
             for expr in analysis.statement_expressions(stmt, func.name):
                 for node in walk_expression(expr):
                     if isinstance(node, ast.AddressOf):
-                        root = _lvalue_root(node.lvalue)
+                        root = lvalue_root(node.lvalue)
                         if root is None:
                             continue
                         if root in locals_:
@@ -121,7 +109,7 @@ def _collect_mod_sets(program: Program, graph: CallGraph) -> dict[str, set[str]]
         mods: set[str] = set()
         for stmt in walk_statements(func.body):
             if isinstance(stmt, ast.Assign):
-                root = _lvalue_root(stmt.lvalue)
+                root = lvalue_root(stmt.lvalue)
                 if root is None:
                     mods.add(POINTER_STORE)
                 elif root in global_names and root not in locals_:
@@ -212,7 +200,7 @@ def _compute_global_invariants(facts: WholeProgramFacts,
     for func in program.iter_functions():
         for stmt in walk_statements(func.body):
             if isinstance(stmt, ast.Assign):
-                root = _lvalue_root(stmt.lvalue)
+                root = lvalue_root(stmt.lvalue)
                 if root in trackable and isinstance(stmt.lvalue, ast.Identifier):
                     assignments.append((func, stmt))
 

@@ -18,7 +18,12 @@ from dataclasses import dataclass, field
 from repro.cminor import ast_nodes as ast
 from repro.cminor.callgraph import build_call_graph
 from repro.cminor.program import Program
-from repro.cminor.visitor import statement_expressions, walk_expression, walk_statements
+from repro.cminor.visitor import (
+    lvalue_root,
+    statement_expressions,
+    walk_expression,
+    walk_statements,
+)
 from repro.nesc.concurrency import analyze_concurrency
 
 
@@ -69,15 +74,9 @@ def _address_taken_globals(program: Program) -> set[str]:
             for expr in statement_expressions(stmt):
                 for node in walk_expression(expr):
                     if isinstance(node, ast.AddressOf):
-                        root = node.lvalue
-                        while isinstance(root, (ast.Index, ast.Member)):
-                            if isinstance(root, ast.Member) and root.arrow:
-                                root = None
-                                break
-                            root = root.base
-                        if isinstance(root, ast.Identifier) and \
-                                root.name in program.globals:
-                            taken.add(root.name)
+                        root = lvalue_root(node.lvalue)
+                        if root in program.globals:
+                            taken.add(root)
                     elif isinstance(node, ast.Identifier):
                         if node.name in program.globals:
                             var = program.lookup_global(node.name)

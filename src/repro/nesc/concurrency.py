@@ -20,7 +20,12 @@ from dataclasses import dataclass, field
 from repro.cminor import ast_nodes as ast
 from repro.cminor.callgraph import build_call_graph
 from repro.cminor.program import Program
-from repro.cminor.visitor import child_blocks, statement_expressions, walk_expression
+from repro.cminor.visitor import (
+    child_blocks,
+    lvalue_root,
+    statement_expressions,
+    walk_expression,
+)
 
 
 @dataclass
@@ -63,7 +68,7 @@ def _collect_accesses(program: Program, func: ast.FunctionDef,
     def record(block: ast.Block, in_atomic: bool) -> None:
         for stmt in block.stmts:
             if isinstance(stmt, ast.Assign):
-                base = _lvalue_base(stmt.lvalue)
+                base = lvalue_root(stmt.lvalue)
                 if base is not None and base not in locals_ and base in global_names:
                     accesses.append(VariableAccess(base, func.name, True, in_atomic))
                 _record_reads(stmt.rvalue, in_atomic)
@@ -95,19 +100,6 @@ def _collect_accesses(program: Program, func: ast.FunctionDef,
 
     record(func.body, False)
     return accesses
-
-
-def _lvalue_base(lvalue: ast.Expr) -> str | None:
-    """The root variable of an lvalue, or None if written through a pointer."""
-    if isinstance(lvalue, ast.Identifier):
-        return lvalue.name
-    if isinstance(lvalue, ast.Index):
-        return _lvalue_base(lvalue.base)
-    if isinstance(lvalue, ast.Member):
-        if lvalue.arrow:
-            return None
-        return _lvalue_base(lvalue.base)
-    return None
 
 
 def analyze_concurrency(program: Program,

@@ -13,6 +13,7 @@ from repro.api.specs import (
 )
 from repro.scenarios.faults import BitFlipFault, FaultPlan
 from repro.tinyos.suite import FIGURE_APPS
+from repro.toolchain.variants import all_variant_names
 
 #: ``to_dict()`` forms written while specs still carried the settings of
 #: the removed multi-process kernel (``workers``, ``chaos``), with the
@@ -80,19 +81,18 @@ class TestBuildSpec:
                 for variant in ("baseline", "safe-flid", "safe-optimized")}
         assert len(keys) == 9
 
-    def test_aliased_variants_do_not_collide(self):
-        """Some registered variants lower to identical pass lists; their
-        specs must still produce distinctly-labelled records."""
-        assert variant_pass_keys("safe-optimized") == \
-            variant_pass_keys("fig2-ccured-inline-cxprop-gcc")
-        optimized = BuildSpec(app="BlinkTask_Mica2",
-                              variant="safe-optimized")
-        fig2 = BuildSpec(app="BlinkTask_Mica2",
-                         variant="fig2-ccured-inline-cxprop-gcc")
-        assert optimized.content_key() != fig2.content_key()
+    def test_each_pass_list_has_one_registered_name(self):
+        """No two registered variants lower to the same pass list, so a
+        session that builds several figures builds each configuration
+        once."""
+        names_by_keys: dict[tuple[str, ...], list[str]] = {}
+        for name in all_variant_names():
+            names_by_keys.setdefault(variant_pass_keys(name), []).append(name)
+        assert [names for names in names_by_keys.values()
+                if len(names) > 1] == []
 
     def test_content_key_derives_from_pass_cache_keys(self):
-        """Variants lowering to identical pass lists share a content key."""
+        """Equal specs share a content key, digested from pass cache keys."""
         keys = variant_pass_keys("safe-flid")
         assert any("flid" in key or "ccured" in key for key in keys)
         # Same app, same pass-key sequence => same content key by digest.

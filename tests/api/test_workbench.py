@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api.figures import figure2_table, figure3a_table
 from repro.api.records import BuildRecord
 from repro.api.specs import BuildSpec, SimSpec, SweepSpec
 from repro.api.workbench import Workbench, is_registered_variant
@@ -14,6 +15,7 @@ from repro.toolchain.passes import PassManager
 from repro.toolchain.sweep import SweepRunner
 from repro.toolchain.variants import (
     BASELINE,
+    FIGURE2_STRATEGIES,
     FIGURE3_VARIANTS,
     SAFE_OPTIMIZED,
     variant_by_name,
@@ -59,17 +61,31 @@ class TestMemoization:
         assert record.content_key == BuildSpec(
             app="BlinkTask_Mica2", variant="safe-optimized").content_key()
 
-    def test_aliased_variants_return_correctly_labelled_records(self):
-        """Variants with identical pass lists must not hijack each other's
-        cache entries: the record carries the requested variant's name."""
-        bench = Workbench()
-        optimized = bench.build("BlinkTask_Mica2", "safe-optimized")
-        fig2 = bench.build("BlinkTask_Mica2", "fig2-ccured-inline-cxprop-gcc")
-        assert optimized.variant == "safe-optimized"
-        assert fig2.variant == "fig2-ccured-inline-cxprop-gcc"
-        assert optimized.content_key != fig2.content_key
-        # Identical pass lists still produce identical numbers.
-        assert optimized.code_bytes == fig2.code_bytes
+    def test_figure2_reuses_figure3_builds(self):
+        """Figure 2's last three bars are Figure 3's safe-flid,
+        safe-flid-cxprop and safe-optimized builds: one session builds
+        Figures 2 and 3(a) in 9 builds, not 12."""
+        returned: list[BuildRecord] = []
+
+        class RecordingWorkbench(Workbench):
+            def build(self, spec, variant=None):
+                record = super().build(spec, variant)
+                returned.append(record)
+                return record
+
+        bench = RecordingWorkbench()
+        figure2_table(bench, ["BlinkTask_Mica2"])
+        figure2 = list(returned)
+        returned.clear()
+        figure3a_table(bench, ["BlinkTask_Mica2"])
+        figure3a = {record.variant: record for record in returned}
+
+        assert bench.stats()["builds_executed"] == 9
+        assert [record.variant for record in figure2] == \
+            [variant.name for variant in FIGURE2_STRATEGIES]
+        for record, name in zip(figure2[1:], ["safe-flid", "safe-flid-cxprop",
+                                              "safe-optimized"]):
+            assert record is figure3a[name]
 
     def test_sweep_reuses_memoized_builds(self):
         bench = Workbench()

@@ -18,6 +18,7 @@ from repro.cminor.visitor import (
     collect_called_functions,
     collect_identifiers,
     count_statements,
+    lvalue_root,
     map_expression,
     node_shape,
     replace_statement_expressions,
@@ -70,6 +71,20 @@ class TestExpressionTraversal:
         right = parse_expression("a[ i ] + f( 1 )")
         assert left == right
         assert left != parse_expression("a[j] + f(1)")
+
+    @pytest.mark.parametrize("source, root", [
+        ("x", "x"),
+        ("x[i]", "x"),
+        ("x.f", "x"),
+        ("x[i].f[j].g", "x"),
+        ("p->f", None),
+        ("x[i].p->f", None),
+        ("*p", None),
+        ("(*p).f", None),
+        ("(*p)[i]", None),
+    ])
+    def test_lvalue_root_stops_at_pointers(self, source, root):
+        assert lvalue_root(parse_expression(source)) == root
 
     def test_clone_expression_is_independent(self):
         original = parse_expression("x + y")

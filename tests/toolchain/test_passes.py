@@ -24,7 +24,6 @@ from repro.api.workbench import Workbench
 from repro.toolchain.pipeline import result_from_context
 from repro.toolchain.variants import (
     BASELINE,
-    FIG2_CCURED_OPT,
     SAFE_FLID,
     SAFE_OPTIMIZED,
 )
@@ -71,7 +70,7 @@ class TestLowering:
             "ccured.optimize", "inline", "cxprop", "gcc", "image"]
 
     def test_fig2_variant_skips_the_inliner(self):
-        names = variant_pass_names(FIG2_CCURED_OPT)
+        names = variant_pass_names(SAFE_FLID)
         assert "ccured.optimize" in names
         assert "inline" not in names and "cxprop" not in names
 
