@@ -2,31 +2,25 @@
 
 Measures statements/second for the reference tree-walking interpreter
 ("before") and the compile-to-closures engine (:mod:`repro.avrora.engine`)
-— with superblock fusion and trace-level call inlining (the default), and
-with fusion disabled entirely (``REPRO_AVRORA_SUPERBLOCKS=0``, the
-per-statement lowering) — on three workload shapes:
+on three workload shapes:
 
 * ``tight_loop`` — a counting loop over a global accumulator,
 * ``function_calls`` — a call-heavy loop exercising frames and returns,
 * ``interrupt_heavy`` — a compute loop preempted by two hardware timers.
 
-Every run asserts that all three configurations execute the *same*
-statement stream, charge the *same* cycle totals, and — via an
-order-sensitive mixing global updated by two competing interrupt handlers
-— deliver interrupts in the *same* order: the speedup must come for free.
-Results (including the engine's superblock hit-rate statistics) are
-recorded in ``BENCH_interp.json`` at the repository root (CI uploads it as
-an artifact); run this module directly for a standalone measurement, or
-via pytest as part of the benchmark suite.
+Every run asserts that both engines execute the *same* statement stream,
+charge the *same* cycle totals, and — via an order-sensitive mixing global
+updated by two competing interrupt handlers — deliver interrupts in the
+*same* order: the speedup must come for free.  Results are recorded in
+``BENCH_interp.json`` at the repository root (CI uploads it as an
+artifact); run this module directly for a standalone measurement, or via
+pytest as part of the benchmark suite.  A run keeps the file's
+``perfbench`` section, which holds end-to-end measurements of the engine.
 
 Set ``REPRO_BENCH_SMOKE=1`` to shrink the simulated window (CI smoke
-mode), ``REPRO_BENCH_MIN_SPEEDUP`` to tune the asserted fusion-off floor,
-``REPRO_BENCH_MIN_SPEEDUP_FUSED`` to tune the asserted best-workload
-floor with fusion on, and ``REPRO_BENCH_MIN_SPEEDUP_CALLS`` to tune the
-per-workload floor on ``function_calls`` with traces on (the defaults are
-conservative so a loaded CI machine does not flake; an idle machine shows
-~5x unfused, well above 8x fused on the loop workloads, and ~8x on
-``function_calls`` once traces inline the callee).
+mode) and ``REPRO_BENCH_MIN_SPEEDUP`` to tune the asserted floor on every
+workload's speedup (the default is conservative so a loaded CI machine
+does not flake; an idle machine shows about 4.5x).
 """
 
 from __future__ import annotations
@@ -49,20 +43,10 @@ from repro.tinyos import hardware as hw
 SIM_SECONDS = 2.0
 SMOKE_SECONDS = 0.25
 
-#: Asserted speedup floor with fusion *disabled* (the pre-superblock
-#: engine).  Kept below the observed ~5x so a noisy CI machine does not
-#: flake; the recorded JSON carries the real number.
+#: Asserted floor on every workload's speedup.  Kept below the observed
+#: ~4.5x so a noisy CI machine does not flake; the recorded JSON carries
+#: the real number.
 MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "3.0"))
-
-#: Asserted floor on the *best* workload's speedup with fusion enabled.
-MIN_SPEEDUP_FUSED = float(
-    os.environ.get("REPRO_BENCH_MIN_SPEEDUP_FUSED", "6.0"))
-
-#: Asserted per-workload floor on ``function_calls`` with traces enabled
-#: (the call-boundary workload traces were built for; the recorded JSON
-#: from an idle machine clears 7x).
-MIN_SPEEDUP_CALLS = float(
-    os.environ.get("REPRO_BENCH_MIN_SPEEDUP_CALLS", "4.0"))
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_interp.json"
 
@@ -142,24 +126,10 @@ def _build(source: str, vectors: dict[str, str]) -> Program:
     return program
 
 
-def _make_node(program: Program, engine: str, superblocks: bool) -> Node:
-    """A node with the fusion switch pinned (not inherited from the
-    caller's environment), restored after engine construction reads it."""
-    previous = os.environ.get("REPRO_AVRORA_SUPERBLOCKS")
-    os.environ["REPRO_AVRORA_SUPERBLOCKS"] = "1" if superblocks else "0"
-    try:
-        return Node(program, engine=engine)
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_AVRORA_SUPERBLOCKS", None)
-        else:
-            os.environ["REPRO_AVRORA_SUPERBLOCKS"] = previous
-
-
-def _run(source: str, vectors: dict[str, str], engine: str, seconds: float,
-         superblocks: bool = True) -> tuple[Node, float]:
+def _run(source: str, vectors: dict[str, str], engine: str,
+         seconds: float) -> tuple[Node, float]:
     program = _build(source, vectors)
-    node = _make_node(program, engine, superblocks)
+    node = Node(program, engine=engine)
     node.boot()
     start = time.perf_counter()
     node.run(seconds)
@@ -180,124 +150,86 @@ def _sim_seconds() -> float:
 
 
 def measure() -> dict:
-    """Run every workload under all three configurations (tree-walker,
-    compiled with superblocks, compiled without) and return the table."""
+    """Run every workload under both engines and return the table."""
     seconds = _sim_seconds()
     results: dict = {
         "sim_seconds": seconds,
         "min_speedup_asserted": MIN_SPEEDUP,
-        "min_speedup_fused_asserted": MIN_SPEEDUP_FUSED,
-        "min_speedup_calls_asserted": MIN_SPEEDUP_CALLS,
         "workloads": {},
     }
     for name, (source, vectors) in WORKLOADS.items():
         tree_node, tree_time = _run(source, vectors, "tree", seconds)
         compiled_node, compiled_time = _run(source, vectors, "compiled",
                                             seconds)
-        nosb_node, nosb_time = _run(source, vectors, "compiled", seconds,
-                                    superblocks=False)
 
-        # Every compiled configuration must match the tree-walker exactly:
-        # same statements, same cycles, same interrupt count.
-        for label, node in (("compiled", compiled_node),
-                            ("compiled/nosb", nosb_node)):
-            assert tree_node.busy_cycles == node.busy_cycles, \
-                f"{name} ({label}): cycle totals diverge"
-            assert tree_node.time_cycles == node.time_cycles, \
-                f"{name} ({label}): simulated time diverges"
-            assert tree_node.interpreter.statements_executed == \
-                node.interpreter.statements_executed, \
-                f"{name} ({label}): statement streams diverge"
-            assert tree_node.interrupts_delivered == \
-                node.interrupts_delivered, \
-                f"{name} ({label}): interrupt delivery diverges"
-            if name == "interrupt_heavy":
-                # Micro-assert: the two timers' handlers mixed their
-                # identities into ``order`` in exactly the same sequence —
-                # FIFO delivery through the pending-interrupt deque is
-                # order-identical across engines and fusion modes.
-                assert _read_global(tree_node, "order") == \
-                    _read_global(node, "order"), \
-                    f"{name} ({label}): interrupt delivery order diverges"
+        # The compiled engine must match the tree-walker exactly: same
+        # statements, same cycles, same interrupt count.
+        assert tree_node.busy_cycles == compiled_node.busy_cycles, \
+            f"{name}: cycle totals diverge"
+        assert tree_node.time_cycles == compiled_node.time_cycles, \
+            f"{name}: simulated time diverges"
+        assert tree_node.interpreter.statements_executed == \
+            compiled_node.interpreter.statements_executed, \
+            f"{name}: statement streams diverge"
+        assert tree_node.interrupts_delivered == \
+            compiled_node.interrupts_delivered, \
+            f"{name}: interrupt delivery diverges"
+        if name == "interrupt_heavy":
+            # Micro-assert: the two timers' handlers mixed their
+            # identities into ``order`` in exactly the same sequence —
+            # FIFO delivery through the pending-interrupt deque is
+            # order-identical across engines.
+            assert _read_global(tree_node, "order") == \
+                _read_global(compiled_node, "order"), \
+                f"{name}: interrupt delivery order diverges"
 
         statements = tree_node.interpreter.statements_executed
-        superblocks = compiled_node.interpreter.superblock_stats()
         results["workloads"][name] = {
             "statements": statements,
             "busy_cycles": tree_node.busy_cycles,
             "interrupts_delivered": tree_node.interrupts_delivered,
             "tree_seconds": round(tree_time, 4),
             "compiled_seconds": round(compiled_time, 4),
-            "compiled_nosb_seconds": round(nosb_time, 4),
             "tree_stmts_per_sec": round(statements / tree_time),
             "compiled_stmts_per_sec": round(statements / compiled_time),
-            "compiled_nosb_stmts_per_sec": round(statements / nosb_time),
             "speedup": round(tree_time / compiled_time, 2),
-            "speedup_nosb": round(tree_time / nosb_time, 2),
-            "superblocks": {
-                "superblocks": superblocks["superblocks"],
-                "loop_superblocks": superblocks["loop_superblocks"],
-                "traces": superblocks["traces"],
-                "inlined_call_sites": superblocks["inlined_call_sites"],
-                "inlined_calls": superblocks["inlined_calls"],
-                "entries_fast": superblocks["entries_fast"],
-                "entries_slow": superblocks["entries_slow"],
-                "bursts": superblocks["bursts"],
-                "burst_iterations": superblocks["burst_iterations"],
-                "fused_statements": superblocks["fused_statements"],
-                "fused_fraction": superblocks["fused_fraction"],
-            },
         }
     speedups = [w["speedup"] for w in results["workloads"].values()]
-    speedups_nosb = [w["speedup_nosb"]
-                     for w in results["workloads"].values()]
     results["min_speedup"] = min(speedups)
     results["max_speedup"] = max(speedups)
-    results["min_speedup_nosb"] = min(speedups_nosb)
-    results["max_speedup_nosb"] = max(speedups_nosb)
     return results
 
 
 def _record(results: dict) -> None:
+    """Write ``results``, keeping the file's ``perfbench`` section."""
+    if RESULT_PATH.exists():
+        perfbench = json.loads(RESULT_PATH.read_text()).get("perfbench")
+        if perfbench is not None:
+            results = {**results, "perfbench": perfbench}
     RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
 
 
 def test_interp_throughput() -> None:
-    """The compiled engine is cycle-identical and substantially faster,
-    with and without superblock fusion."""
+    """The compiled engine is cycle-identical and substantially faster."""
     results = measure()
     _record(results)
     print()
     print(format_table(results))
-    assert results["min_speedup_nosb"] >= MIN_SPEEDUP, \
-        f"fusion-off engine speedup {results['min_speedup_nosb']}x fell " \
-        f"below the {MIN_SPEEDUP}x floor: {results['workloads']}"
     assert results["min_speedup"] >= MIN_SPEEDUP, \
         f"compiled engine speedup {results['min_speedup']}x fell below " \
         f"the {MIN_SPEEDUP}x floor: {results['workloads']}"
-    assert results["max_speedup"] >= MIN_SPEEDUP_FUSED, \
-        f"best fused speedup {results['max_speedup']}x fell below the " \
-        f"{MIN_SPEEDUP_FUSED}x floor: {results['workloads']}"
-    calls = results["workloads"]["function_calls"]
-    assert calls["speedup"] >= MIN_SPEEDUP_CALLS, \
-        f"function_calls speedup {calls['speedup']}x fell below the " \
-        f"per-workload {MIN_SPEEDUP_CALLS}x floor (traces formed: " \
-        f"{calls['superblocks']['traces']}): {calls}"
 
 
 def format_table(results: dict) -> str:
     lines = [
         f"interpreter throughput ({results['sim_seconds']}s simulated):",
-        f"{'workload':<18} {'tree st/s':>12} {'no-fuse st/s':>13} "
-        f"{'fused st/s':>12} {'speedup':>8} {'fused %':>8}",
+        f"{'workload':<18} {'tree st/s':>12} {'compiled st/s':>14} "
+        f"{'speedup':>8}",
     ]
     for name, row in results["workloads"].items():
-        fused_pct = row["superblocks"]["fused_fraction"] * 100
         lines.append(
             f"{name:<18} {row['tree_stmts_per_sec']:>12,} "
-            f"{row['compiled_nosb_stmts_per_sec']:>13,} "
-            f"{row['compiled_stmts_per_sec']:>12,} {row['speedup']:>7}x "
-            f"{fused_pct:>7.1f}%")
+            f"{row['compiled_stmts_per_sec']:>14,} {row['speedup']:>7}x")
     return "\n".join(lines)
 
 

@@ -160,7 +160,6 @@ def measure() -> dict:
         wall = time.perf_counter() - start
         statements = sum(node.interpreter.statements_executed
                          for node in network.nodes)
-        superblocks = network.superblock_stats()
         results["scaling"].append({
             "nodes": count,
             "wall_s": round(wall, 4),
@@ -170,7 +169,6 @@ def measure() -> dict:
             "delivered_packets": network.delivered_packets,
             "node_seconds_per_wall_second":
                 round(count * SIM_SECONDS / max(wall, 1e-9), 1),
-            "superblock_fused_fraction": superblocks["fused_fraction"],
         })
     # Every node of every network above ran the first node's lowerings.
     assert cache.lowerings == functions_lowered, \

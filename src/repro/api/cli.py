@@ -198,20 +198,9 @@ def format_sim_record(record: SimRecord) -> str:
         f"  failures   : {record.failures}  halted: {record.halted}  "
         f"LED changes: {record.led_changes}",
     ]
-    superblocks = record.superblocks
-    if superblocks.get("statements_total"):
-        lines.append(
-            f"  superblocks: {superblocks['fused_statements']:,}/"
-            f"{superblocks['statements_total']:,} statements fused "
-            f"({superblocks.get('fused_fraction', 0.0) * 100:.1f}%), "
-            f"{superblocks.get('entries_fast', 0):,} fast / "
-            f"{superblocks.get('entries_slow', 0):,} slow entries")
-        if superblocks.get("traces"):
-            lines.append(
-                f"  traces     : {superblocks['traces']:,} formed, "
-                f"{superblocks.get('inlined_call_sites', 0):,} call sites "
-                f"inlined, {superblocks.get('inlined_calls', 0):,} calls "
-                f"executed inline")
+    executed = record.superblocks.get("statements_total")
+    if executed:
+        lines.append(f"  executed   : {executed:,} statements")
     if record.packets_sent:
         lines.append(
             f"  radio tx   : " + ", ".join(map(str, record.packets_sent)) +

@@ -143,13 +143,12 @@ class SimRecord:
         halted: Whether any node halted.
         led_changes: Total LED state changes across all nodes (the cheap
             behavioural fingerprint the examples compare).
-        superblocks: Engine superblock/fast-path statistics of the
-            network (``Network.superblock_stats``): fused statement
-            counts, fast/slow entry counts, burst iterations and the
-            fused fraction.  Execution telemetry: the fast/slow split
-            depends on the engine and on where grants paused the nodes,
-            so it takes no part in equality or hashing.  Empty for
-            records predating the field.
+        superblocks: Execution counts of the network
+            (``Network.superblock_stats``): ``statements_total``, the
+            statements every node executed, and ``fused_statements``,
+            which is 0.  Execution telemetry, so it takes no part in
+            equality or hashing.  Empty for records predating the field;
+            older records may carry fusion counters as further keys.
 
     Records written by older versions may carry ``workers``, ``shards``
     and ``recovery`` keys (telemetry of a since-removed multi-process

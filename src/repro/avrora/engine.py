@@ -35,53 +35,24 @@ resolves per statement:
   and, together with the node's poll-point pause gate, resumable
   (see ``Node.run_until``).
 
-Two mechanisms push past per-statement dispatch:
-
-* **superblocks** — maximal straight-line runs of simple statements fuse
-  into a single op that charges the run's precomputed cycle total once,
-  bumps the statement counter once, and executes the bare work closures
-  back-to-back.  The parser emits every loop in one form,
-  ``while (1) { [if (c) break;] tail }``; a loop whose tail is fusable
-  additionally gets a **loop superblock** that runs whole iterations in a
-  burst.  Entry is gated by a
-  **poll-window guard**: if the node's next queued event (which
-  includes the lockstep kernel's horizon sentinels), a pending interrupt,
-  or the end of simulated time could land inside the block's cycle window,
-  the superblock falls back to the unfused per-statement ops — so every
-  event, interrupt delivery and pause lands at exactly the cycle it would
-  without fusion.  ``REPRO_AVRORA_SUPERBLOCKS=0`` disables fusion, which
-  leaves the per-statement lowering as the test oracle.
-* **traces** — superblocks extend *through* calls to leaf functions
-  (bodies with no further calls, no address-taken locals, no loops):
-  the callee's work closures are spliced inline under the caller's
-  poll-window guard, with the callee's frame slots flattened into extra
-  slots of the caller's frame, so one guard and one accounting
-  write-back cover the whole trace including every inlined call.
-  Because an inlined ``if`` may execute either branch, callee cycle and
-  statement accounting is *dynamic*: the guard checks the window
-  against the worst case, the inlined units accumulate the actually
-  executed cost, and a mid-trace fault repairs the accounting to
-  exactly what the per-statement path would have charged.  A plain
-  fused region is the same op with an accumulator that stays zero.
-* **a shared code cache** — no op binds a node: every frame carries the
-  running node's :class:`CompiledEngine` in slot :data:`_CTX`, and ops
-  reach the clock, the event queue, the counters, memory and the global
-  table through it.  One :class:`CodeCache` therefore holds each
-  function's whole lowering for one scope — every node of a
-  :class:`~repro.avrora.network.Network`, or a scenario variant's golden
-  and faulted runs — and a node joining a warm cache lowers nothing.
+A **shared code cache** keeps each lowering for one scope: no op binds a
+node, since every frame carries the running node's :class:`CompiledEngine`
+in slot :data:`_CTX`, and ops reach the clock, the event queue, the
+counters, memory and the global table through it.  One :class:`CodeCache`
+therefore holds each function's whole lowering for every node of a
+:class:`~repro.avrora.network.Network`, or for a scenario variant's golden
+and faulted runs, and a node joining a warm cache lowers nothing.
 
 Semantics are kept **byte-identical** to the tree-walker (cycle counts,
 interrupt delivery points, check failures, radio traffic): ops charge the
 same costs in the same order and poll the node at exactly the same points
 (after every statement, by default).  The differential test in
 ``tests/avrora/test_engine_differential.py`` enforces this on every
-application in the paper's figure suite, with fusion on and off.
+application in the paper's figure suite.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Callable, Optional, TYPE_CHECKING
 
@@ -90,7 +61,7 @@ from repro.cminor import ast_nodes as ast
 from repro.cminor import cint
 from repro.cminor import typesys as ty
 from repro.cminor.program import Program
-from repro.cminor.visitor import walk_expression, walk_statements
+from repro.cminor.visitor import walk_expression
 from repro.avrora.memory import (
     MemoryError_,
     MemorySystem,
@@ -132,24 +103,6 @@ Op = Callable[[list], int]
 #: Closure signature of one compiled expression: frame -> runtime value.
 ExprFn = Callable[[list], RuntimeValue]
 
-#: Iterations a loop superblock runs per burst when nothing bounds the
-#: poll window (no queued event, no end of simulated time).  Purely a
-#: flush granularity: accounting is written back after every burst.
-_BURST_CHUNK = 1 << 16
-
-#: Statement kinds eligible for superblock fusion (when call-free): their
-#: ops are pure frame/memory work with no control transfer, no poll
-#: obligations of their own, and no cycle charges beyond the statement's
-#: precomputed cost.
-_FUSABLE_KINDS = (ast.Assign, ast.ExprStmt, ast.VarDecl)
-
-
-def _superblocks_enabled() -> bool:
-    """Read the fusion switch (``REPRO_AVRORA_SUPERBLOCKS``, default on)."""
-    value = os.environ.get("REPRO_AVRORA_SUPERBLOCKS", "1").strip().lower()
-    return value not in ("0", "false", "off", "no")
-
-
 class _Label:
     """A forward-referenced op index, patched when the target is emitted."""
 
@@ -189,173 +142,6 @@ def _as_pointer(value: RuntimeValue) -> Pointer:
 # ---------------------------------------------------------------------------
 
 
-class FunctionPlan:
-    """The front end of one function's lowering: what its AST decides.
-
-    Frame layout, parameter plans, per-statement cycle costs, and the
-    superblock fusability facts, derived from the AST, the program's
-    analysis cache and the platform's cost model.  The back end reads a
-    function's own plan and, to splice a callee inline, the callee's.
-    """
-
-    __slots__ = ("name", "slots", "params", "default_return", "stmt_costs",
-                 "fusable", "loop_conds", "call_sites", "leaf_cost")
-
-    def __init__(self, name: str, slots: dict[str, int], params: tuple,
-                 default_return: Optional[int], stmt_costs: dict[int, int],
-                 fusable: frozenset[int], loop_conds: frozenset[int],
-                 call_sites: dict[int, tuple], leaf_cost: Optional[int]):
-        self.name = name
-        #: Frame slot of every parameter and local (from :data:`_FIRST`).
-        self.slots = slots
-        #: Per-parameter plan: (slot, taken, ctype, size, storage_name).
-        self.params = params
-        self.default_return = default_return
-        #: ``stmt.node_id`` -> precomputed cycle cost (statement + exprs).
-        self.stmt_costs = stmt_costs
-        #: ``node_id`` of every statement eligible for superblock fusion.
-        self.fusable = fusable
-        #: ``node_id`` of every If whose condition is call-free — the
-        #: precondition for fusing it as a loop superblock's if-break
-        #: guard.
-        self.loop_conds = loop_conds
-        #: ``node_id`` -> callee names, for otherwise-fusable statements
-        #: whose every call targets a non-builtin program function with
-        #: matching arity — the trace-inlining candidates.  Whether each
-        #: callee is actually inlinable (``leaf_cost`` below) is the
-        #: *callee's* plan's fact, checked at compile time.
-        self.call_sites = call_sites
-        #: Worst-case cycles one invocation of this function charges when
-        #: spliced inline as a trace leaf (body statements only, call
-        #: overhead excluded), or None when the body is not leaf-inlinable
-        #: (contains calls, loops, address-taken locals, non-trailing
-        #: returns, or any non-fusable statement kind).
-        self.leaf_cost = leaf_cost
-
-
-def _build_plan(func: ast.FunctionDef, program: Program,
-                costs) -> FunctionPlan:
-    """Run the lowering front end for one function (AST walks live here)."""
-    cache = program.analysis()
-    pointer_size = costs.platform.pointer_bytes
-    taken = cache.address_taken_locals(func)
-
-    # Frame layout: slots 0 and 1 are the return value and the node
-    # context; every parameter and local gets a slot (the checker has
-    # made each name one variable).
-    slots: dict[str, int] = {}
-    for name in cache.local_types(func):
-        slots[name] = _FIRST + len(slots)
-
-    stmt_costs: dict[int, int] = {}
-    fusable: set[int] = set()
-    loop_conds: set[int] = set()
-    call_free: set[int] = set()
-    call_sites: dict[int, tuple] = {}
-    builtins = program.builtins
-    for stmt in walk_statements(func.body):
-        cycles = costs.stmt_cycles(stmt)
-        calls: list[ast.Call] = []
-        for expr in cache.statement_expressions(stmt, func.name):
-            for node in walk_expression(expr):
-                cycles += costs.expr_cycles(node)
-                if isinstance(node, ast.Call):
-                    calls.append(node)
-        stmt_costs[stmt.node_id] = max(cycles, 1)
-        if not calls:
-            call_free.add(stmt.node_id)
-            if isinstance(stmt, _FUSABLE_KINDS):
-                fusable.add(stmt.node_id)
-        elif isinstance(stmt, _FUSABLE_KINDS):
-            # Trace candidate: every call must target a non-builtin
-            # program function with matching arity (builtins can
-            # schedule events or fail checks mid-statement, and an
-            # arity mismatch must raise exactly where the per-statement
-            # path raises it).
-            names = []
-            for call in calls:
-                callee = None if call.callee in builtins else \
-                    program.lookup_function(call.callee)
-                if callee is None or len(call.args) != len(callee.params):
-                    names = None
-                    break
-                names.append(call.callee)
-            if names:
-                call_sites[stmt.node_id] = tuple(names)
-        if isinstance(stmt, ast.If) and not any(
-                isinstance(node, ast.Call)
-                for node in walk_expression(stmt.cond)):
-            loop_conds.add(stmt.node_id)
-
-    params = []
-    for param in func.params:
-        params.append((
-            slots[param.name],
-            param.name in taken,
-            param.ctype,
-            param.ctype.sizeof(pointer_size),
-            f"{func.name}.{param.name}",
-        ))
-    default_return = 0 if not func.return_type.is_void() else None
-    leaf_cost = _leaf_cost(func, stmt_costs, call_free, taken)
-    return FunctionPlan(func.name, slots, tuple(params), default_return,
-                        stmt_costs, frozenset(fusable),
-                        frozenset(loop_conds), call_sites, leaf_cost)
-
-
-def _leaf_cost(func: ast.FunctionDef, stmt_costs: dict[int, int],
-               call_free: set[int], taken) -> Optional[int]:
-    """Worst-case body cycles of a leaf-inlinable function, or None.
-
-    A function is a *trace leaf* when splicing its body inline under a
-    caller's poll-window guard is sound: no address-taken locals (their
-    memory objects would outlive the flattened slots), and a body made
-    only of call-free fusable statements and call-free ``if``s whose
-    branches are the same shape, plus one optional *trailing* return.
-    Loops, atomic sections, break/continue and mid-body returns all
-    disqualify — their control flow cannot run as a straight unit list.
-    The returned bound takes the more expensive branch of every ``if``,
-    so the caller's guard window covers any dynamic path.
-    """
-    if taken:
-        return None
-
-    def block_max(stmts) -> Optional[int]:
-        total = 0
-        for s in stmts:
-            if s.node_id not in call_free:
-                return None
-            if isinstance(s, _FUSABLE_KINDS):
-                total += stmt_costs[s.node_id]
-            elif isinstance(s, ast.If):
-                then_max = block_max(s.then_body.stmts)
-                if then_max is None:
-                    return None
-                else_max = 0
-                if s.else_body is not None:
-                    else_max = block_max(s.else_body.stmts)
-                    if else_max is None:
-                        return None
-                total += stmt_costs[s.node_id] + max(then_max, else_max)
-            else:
-                return None
-        return total
-
-    stmts = func.body.stmts
-    ret: Optional[ast.Return] = None
-    if stmts and isinstance(stmts[-1], ast.Return):
-        ret = stmts[-1]
-        if ret.node_id not in call_free:
-            return None
-        stmts = stmts[:-1]
-    cost = block_max(stmts)
-    if cost is None:
-        return None
-    if ret is not None:
-        cost += stmt_costs[ret.node_id]
-    return cost
-
-
 class CodeCache:
     """Each function's whole lowering for one program and one scope.
 
@@ -380,20 +166,9 @@ class CodeCache:
         self.program = program
         self.costs = cost_model_for(program.platform)
         self.pointer_size = self.costs.platform.pointer_bytes
-        #: Superblock fusion switch (``REPRO_AVRORA_SUPERBLOCKS``), read
-        #: once per cache, so tests can toggle it per node or network.
-        self.superblocks_enabled = _superblocks_enabled()
-        self.plans: dict[str, FunctionPlan] = {}
         self.functions: dict[str, CompiledFunction] = {}
         self.lowerings = 0
         self.plan_hits = 0
-        #: Superblocks formed (straight-line / loop), trace superblocks
-        #: (fused regions with >= 1 inlined call) and call sites spliced
-        #: inline: compile-time counts, once per lowering.
-        self.superblocks = 0
-        self.loop_superblocks = 0
-        self.traces = 0
-        self.inlined_sites = 0
         self._lock = threading.Lock()
         self._index_globals()
         program.analysis().attach_code_cache(self)
@@ -407,7 +182,7 @@ class CodeCache:
                              for index, name in enumerate(self.global_names)}
 
     def plan_for(self, name: str) -> CompiledFunction:
-        """Function ``name``'s lowering; front and back end run on a miss."""
+        """Function ``name``'s lowering, lowered on a miss."""
         with self._lock:
             cf = self.functions.get(name)
             if cf is not None:
@@ -421,23 +196,14 @@ class CodeCache:
             self.lowerings += 1
             return cf
 
-    def _plan(self, func: ast.FunctionDef) -> FunctionPlan:
-        """``func``'s front end, for its own lowering or a caller's splice."""
-        plan = self.plans.get(func.name)
-        if plan is None:
-            plan = _build_plan(func, self.program, self.costs)
-            self.plans[func.name] = plan
-        return plan
-
     def invalidate(self) -> None:
         """Drop every lowering after an AST mutation.
 
-        All of them, not just the mutated function's: a caller's ops may
-        splice a trace leaf's body inline, and its fusion choices bake in
-        its callees' leaf costs.
+        All of them, not just the mutated function's: a caller's CALL op
+        keeps the callee lowering it first resolved, and its argument
+        conversions bake in the callee's parameter types.
         """
         with self._lock:
-            self.plans.clear()
             self.functions.clear()
             self._index_globals()
 
@@ -460,7 +226,7 @@ class CompiledFunction:
         self.ops = ops
         self.end = len(ops)
         self.nslots = nslots
-        #: Per-parameter plan, as :attr:`FunctionPlan.params`.
+        #: Per-parameter plan: (slot, taken, ctype, size, storage_name).
         self.params = params
         self.nparams = len(params)
         #: True when arguments can be sliced straight into the frame: no
@@ -505,8 +271,8 @@ class CompiledEngine:
     program function by name with already-evaluated arguments.  The engine
     is also the node's execution context: every frame holds it in slot
     :data:`_CTX`, and the ops read the node's clock, event queue and
-    memory, the statement and superblock counters, the trace accumulator,
-    the frame stack and the global table from it.
+    memory, the statement counter, the frame stack and the global table
+    from it.
 
     Statement-level calls (``f(x);`` and ``y = f(x);`` — the dominant
     shapes in flattened TinyOS code) execute as CALL ops that push a
@@ -515,9 +281,8 @@ class CompiledEngine:
     """
 
     __slots__ = ("node", "memory", "cache", "eq", "pi", "poll", "overhead",
-                 "stack", "acc", "statements_executed", "fast", "slow",
-                 "fused", "bursts", "iterations", "inlined", "gobj", "gdata",
-                 "gptr", "_layout")
+                 "stack", "statements_executed", "gobj", "gdata", "gptr",
+                 "_layout")
 
     def __init__(self, node: "Node", cache: CodeCache):
         if cache.program is not node.program:
@@ -537,17 +302,7 @@ class CompiledEngine:
         #: CALL ops push onto it directly; nested runs (interrupt handlers,
         #: expression-position calls) save and restore it.
         self.stack: list[CompiledFrame] = []
-        #: Per-region dynamic accumulator: [extra cycles, extra statements,
-        #: inlined calls], reset by each fused op on entry and charged by
-        #: inlined callees only.  Fused runs are straight-line (no polls,
-        #: no nested machine runs), so they never nest.
-        self.acc = [0, 0, 0]
-        #: Executed statements, then the runtime fast-path counters: fast
-        #: and slow guard entries, fused statements, bursts, burst
-        #: iterations, inlined calls executed.
         self.statements_executed = 0
-        self.fast = self.slow = self.fused = 0
-        self.bursts = self.iterations = self.inlined = 0
         #: The node's global table, by :attr:`CodeCache.global_index`:
         #: each global's memory object, its byte buffer, and a pointer to
         #: it.  Bound on the first call (boot has allocated the objects by
@@ -556,27 +311,6 @@ class CompiledEngine:
         self.gdata: list = []
         self.gptr: list = []
         self._layout: Optional[tuple] = None
-
-    def superblock_stats(self) -> dict:
-        """Superblock formation (the cache's) and hit rates (this node's)."""
-        cache = self.cache
-        total = self.statements_executed
-        return {
-            "engine": "compiled",
-            "enabled": cache.superblocks_enabled,
-            "superblocks": cache.superblocks,
-            "loop_superblocks": cache.loop_superblocks,
-            "traces": cache.traces,
-            "inlined_call_sites": cache.inlined_sites,
-            "entries_fast": self.fast,
-            "entries_slow": self.slow,
-            "bursts": self.bursts,
-            "burst_iterations": self.iterations,
-            "inlined_calls": self.inlined,
-            "fused_statements": self.fused,
-            "statements_total": total,
-            "fused_fraction": round(self.fused / total, 4) if total else 0.0,
-        }
 
     def _bind_globals(self) -> None:
         """Point the global table at this node's memory objects."""
@@ -723,23 +457,20 @@ class _FunctionCompiler:
         self.program = cache.program
         self.costs = cache.costs
         self.pointer_size = cache.pointer_size
-        self.taken = self.program.analysis().address_taken_locals(func)
-        self.plan = cache._plan(func)
-        self.slots: dict[str, int] = self.plan.slots
+        self.analysis = self.program.analysis()
+        self.taken = self.analysis.address_taken_locals(func)
+        # Frame layout: slots 0 and 1 are the return value and the node
+        # context; every parameter and local gets a slot (the checker has
+        # made each name one variable).
+        self.slots: dict[str, int] = {
+            name: _FIRST + index
+            for index, name in enumerate(self.analysis.local_types(func))}
 
         self.ops: list = []
         self.end_label = _Label()
         self.loop_stack: list[_LoopCtx] = []
         self.atomic_depth = 0
         self.has_atomic = False
-        self.sb_enabled = cache.superblocks_enabled
-        #: Extra frame slots appended past the plan's layout, holding the
-        #: flattened frames of inlined trace callees (one block per call
-        #: site, so re-entrancy within one statement cannot alias).
-        self.extra_slots = 0
-        #: True while compiling a trace work closure: program calls then
-        #: lower to inline splices instead of CALL ops / machine runs.
-        self._inline_calls = False
         self._sf = _simulation_finished()
 
     # -- emission helpers -------------------------------------------------------
@@ -767,529 +498,32 @@ class _FunctionCompiler:
     # -- costs ------------------------------------------------------------------
 
     def _stmt_cost(self, stmt: ast.Stmt) -> int:
-        return self.plan.stmt_costs[stmt.node_id]
+        """``stmt``'s cycle cost: the statement's plus its expressions'."""
+        costs = self.costs
+        cycles = costs.stmt_cycles(stmt)
+        for expr in self.analysis.statement_expressions(stmt, self.func.name):
+            for node in walk_expression(expr):
+                cycles += costs.expr_cycles(node)
+        return max(cycles, 1)
 
     # -- top level --------------------------------------------------------------
 
     def compile(self) -> CompiledFunction:
-        self._compile_block(self.func.body)
+        func = self.func
+        self._compile_block(func.body)
         self._finalize()
-        return CompiledFunction(self.func.name, self.ops,
-                                _FIRST + len(self.slots) + self.extra_slots,
-                                self.plan.params,
-                                self.plan.default_return, self.has_atomic)
+        params = tuple(
+            (self.slots[param.name], param.name in self.taken, param.ctype,
+             param.ctype.sizeof(self.pointer_size),
+             f"{func.name}.{param.name}")
+            for param in func.params)
+        default_return = None if func.return_type.is_void() else 0
+        return CompiledFunction(func.name, self.ops, _FIRST + len(self.slots),
+                                params, default_return, self.has_atomic)
 
     def _compile_block(self, block: ast.Block) -> None:
-        stmts = block.stmts
-        if not self.sb_enabled:
-            for stmt in stmts:
-                self._compile_stmt(stmt)
-            return
-        index = 0
-        while index < len(stmts):
-            extras = self._run_extras(stmts, index)
-            # A run is worth a guard when it fuses >= 2 statements, or
-            # contains even a single trace statement (inlining one call
-            # already beats the CALL-op machinery).
-            if len(extras) >= 2 or any(extras):
-                end = index + len(extras)
-                self._compile_superblock(stmts[index:end], extras)
-                index = end
-            else:
-                self._compile_stmt(stmts[index])
-                index += 1
-
-    # -- fused regions ----------------------------------------------------------
-
-    def _site_extra(self, stmt: ast.Stmt) -> Optional[int]:
-        """Worst-case inlined-callee cycles for one trace statement.
-
-        None when the statement is not a trace candidate: no recorded
-        call sites, or any callee not leaf-inlinable (recursive and
-        non-leaf callees fail here — their plans carry
-        ``leaf_cost is None`` — and stay on the CALL-op path).
-        """
-        names = self.plan.call_sites.get(stmt.node_id)
-        if not names:
-            return None
-        overhead = self.costs.function_overhead_cycles()
-        extra = 0
-        for name in names:
-            func = self.program.lookup_function(name)
-            if func is None:
-                return None
-            plan = self.cache._plan(func)
-            if plan.leaf_cost is None:
-                return None
-            extra += overhead + plan.leaf_cost
-        return extra
-
-    def _run_extras(self, stmts: list, start: int = 0) -> list[int]:
-        """Per-statement worst-case callee cycles of the run at ``start``.
-
-        The run is the longest stretch of ``stmts`` from ``start`` whose
-        statements are fusable (extra 0) or trace statements (extra > 0,
-        see :meth:`_site_extra`); the returned list has one entry per
-        statement of the run, so its length is the run's length.
-        """
-        fusable = self.plan.fusable
-        extras = []
-        for index in range(start, len(stmts)):
-            stmt = stmts[index]
-            if stmt.node_id in fusable:
-                extras.append(0)
-                continue
-            extra = self._site_extra(stmt)
-            if extra is None:
-                break
-            extras.append(extra)
-        return extras
-
-    def _fuse(self, run: list, extras: list[int]) -> tuple:
-        """Lower one run for fused execution: ``(works, prefix, extra_max)``.
-
-        ``works`` are the statements' bare effects (see
-        :meth:`_compile_trace_work`); ``prefix[j]`` is the static cycle total
-        the per-statement path has charged once statement ``j`` is
-        entered (it charges before it executes); ``extra_max`` sums the
-        run's ``extras``, the worst case of its inlined callees.  Guards
-        check their window against that worst case, while the callees'
-        actual charge accumulates in the node's trace accumulator.  A
-        plain run is a trace run whose accumulator stays zero.
-        """
-        works = []
-        prefix = []
-        total = 0
-        for stmt in run:
-            total += self._stmt_cost(stmt)
-            prefix.append(total)
-            works.append(self._compile_trace_work(stmt))
-        extra_max = sum(extras)
-        if extra_max:
-            self.cache.traces += 1
-        return tuple(works), tuple(prefix), extra_max
-
-    def _compile_superblock(self, run: list, extras: list[int]) -> None:
-        """Fuse one maximal straight-line run of fusable statements.
-
-        Emits a guard op followed by the unchanged per-statement ops.  The
-        guard checks the **poll window**: if the node's next queued event
-        (horizon sentinels included), the end of simulated time or a
-        pending interrupt could make any per-statement poll or end-check
-        observable inside the run's worst-case cycle window, it falls
-        through to the per-statement ops — execution is then bit-for-bit
-        today's.  Otherwise it runs the bare work closures
-        back-to-back, charges the static total plus whatever the inlined
-        callees accumulated, bumps the statement counter once, and jumps
-        past the slow path.
-
-        If a work closure raises (e.g. a null-pointer dereference aborting
-        the simulation), the accounting is repaired to exactly what the
-        per-statement path would have charged up to and including the
-        faulting statement before the exception propagates.
-        """
-        self.cache.superblocks += 1
-        works, prefix, extra_max = self._fuse(run, extras)
-        guard_index = len(self.ops)
-        self.ops.append(None)  # patched below, after the slow path exists
-        for stmt in run:
+        for stmt in block.stmts:
             self._compile_stmt(stmt)
-
-        def op(frame: list, _works=works, _prefix=prefix,
-               _max=prefix[-1] + extra_max, _slow=guard_index + 1,
-               _done=len(self.ops)) -> int:
-            c = frame[1]
-            n = c.node
-            t = n.time_cycles
-            limit = t + _max
-            end = n.end_cycles
-            eq = c.eq
-            if c.pi or (eq and eq[0][0] <= limit) or (end and limit >= end):
-                c.slow += 1
-                return _slow
-            c.fast += 1
-            acc = c.acc
-            acc[0] = acc[1] = acc[2] = 0
-            j = -1
-            try:
-                for work in _works:
-                    j += 1
-                    work(frame)
-            finally:
-                # Statements 0..j were entered: all of them after the
-                # run, or up to the faulting one.
-                n.time_cycles = t + _prefix[j] + acc[0]
-                done = j + 1 + acc[1]
-                c.statements_executed += done
-                c.fused += done
-                c.inlined += acc[2]
-            return _done
-
-        self.ops[guard_index] = op
-
-    def _emit_loop_burst(self, stmt: ast.While, exit_label: _Label) -> None:
-        """The loop superblock for the parser's one loop form.
-
-        The parser emits every loop as
-        ``while (1) { [if (c) break;] tail }`` (see
-        :mod:`repro.cminor.parser`).  When the optional if-break guard's
-        condition is call-free and the tail is one fusable run, this emits
-        a burst op at the loop head, in front of the normal condition op.
-        A loop whose guard calls or whose tail does not fuse keeps the
-        per-statement lowering.
-
-        Each entry computes how many whole iterations fit strictly inside
-        the poll window (next event, horizon sentinel, end of time),
-        costing each at its worst case when inlined callees make the cost
-        dynamic, and runs them back-to-back, writing the cycle and
-        statement accounting once at the end.  Per iteration the
-        accounting mirrors the per-statement path exactly: the while
-        branch charge, the guard's statement cost and count, then the
-        tail.  Leaving through the break also charges and counts the
-        break statement, at the cycle the per-statement path would; an
-        exhausted window falls through to the per-statement machinery; a
-        fault repairs the accounting up to the faulting statement.
-        """
-        cond = stmt.cond
-        if not (self.sb_enabled and isinstance(cond, ast.IntLiteral)
-                and cond.value != 0):
-            return
-        body = stmt.body.stmts
-        guard = body[0] if body else None
-        if (isinstance(guard, ast.If) and guard.else_body is None
-                and len(guard.then_body.stmts) == 1
-                and isinstance(guard.then_body.stmts[0], ast.Break)
-                and guard.node_id in self.plan.loop_conds):
-            tail = body[1:]
-        else:
-            guard = None
-            tail = body
-        extras = self._run_extras(tail)
-        if len(extras) != len(tail) or not body:
-            return
-        works, prefix, extra_max = self._fuse(tail, extras)
-        head_cost = self.costs.branch_cycles
-        head_stmts = 0
-        exit_cond = None
-        exit_cost = 0
-        if guard is not None:
-            head_cost += self._stmt_cost(guard)
-            head_stmts = 1
-            exit_cond = self._compile_expr(guard.cond)
-            exit_cost = head_cost + self._stmt_cost(guard.then_body.stmts[0])
-        iter_cost = head_cost + (prefix[-1] if prefix else 0)
-        worst = iter_cost + extra_max
-        self.cache.loop_superblocks += 1
-        nxt = len(self.ops) + 1
-
-        def maker(exit_index: int, _ec=exit_cond, _works=works,
-                  _prefix=prefix, _ic=iter_cost, _im=worst,
-                  _is=head_stmts + len(works), _hc=head_cost,
-                  _hs=head_stmts, _xc=exit_cost,
-                  _xs=max(0, exit_cost - worst), _chunk=_BURST_CHUNK,
-                  _nxt=nxt) -> Op:
-            def op(frame: list) -> int:
-                c = frame[1]
-                if c.pi:
-                    return _nxt
-                n = c.node
-                t = n.time_cycles
-                end = n.end_cycles
-                eq = c.eq
-                if eq:
-                    limit = eq[0][0] - 1
-                    if end and end - 1 < limit:
-                        limit = end - 1
-                elif end:
-                    limit = end - 1
-                else:
-                    limit = t + _im * _chunk
-                # A break exit can charge more than one full iteration
-                # (exit cost > iteration cost when the tail is tiny);
-                # shrink the budget so every exit stays inside the window.
-                k_max = (limit - t - _xs) // _im
-                if k_max <= 0:
-                    return _nxt
-                acc = c.acc
-                acc[0] = acc[1] = acc[2] = 0
-                k = 0
-                cycles = stmts = 0
-                out = _nxt
-                try:
-                    while k < k_max:
-                        j = -1
-                        if _ec is not None and _ec(frame) != 0:
-                            cycles = _xc
-                            stmts = _hs + 1
-                            out = exit_index
-                            break
-                        for work in _works:
-                            j += 1
-                            work(frame)
-                        k += 1
-                except BaseException:
-                    # The partial iteration: the head, plus the tail up
-                    # to and including the faulting statement (j < 0:
-                    # the guard's condition raised).
-                    cycles = _hc + (_prefix[j] if j >= 0 else 0)
-                    stmts = _hs + j + 1
-                    raise
-                finally:
-                    n.time_cycles = t + k * _ic + cycles + acc[0]
-                    done = k * _is + stmts + acc[1]
-                    c.statements_executed += done
-                    c.fused += done
-                    c.bursts += 1
-                    c.iterations += k
-                    c.inlined += acc[2]
-                return out
-
-            return op
-
-        self._emit_pending(maker, exit_label)
-
-    def _compile_work(self, stmt: ast.Stmt) -> Callable[[list], None]:
-        """The bare effect of one fusable statement.
-
-        No statement counting, no cycle charge, no end-of-time check, no
-        poll: the enclosing superblock performs those once for the whole
-        run, which the poll-window guard proves unobservable.  The closure
-        reuses the exact store/expression compilers of the slow path, so
-        the effect (including lenient-memory absorption) is identical.
-        """
-        if isinstance(stmt, ast.Assign):
-            store = self._compile_store(stmt.lvalue)
-            rvalue = self._compile_expr(stmt.rvalue)
-
-            def work(frame: list, _st=store, _rv=rvalue) -> None:
-                _st(frame, _rv(frame))
-
-            return work
-        if isinstance(stmt, ast.ExprStmt):
-            value = self._compile_expr(stmt.expr)
-
-            def work(frame: list, _v=value) -> None:
-                _v(frame)
-
-            return work
-        return self._compile_vardecl_work(stmt)
-
-    def _compile_vardecl_work(self, stmt: ast.VarDecl
-                              ) -> Callable[[list], None]:
-        """``_compile_vardecl`` minus accounting and poll (see above)."""
-        slot = self.slots[stmt.name]
-        aggregate = isinstance(stmt.ctype, (ty.ArrayType, ty.StructType))
-        if stmt.name in self.taken or aggregate:
-            size = stmt.ctype.sizeof(self.pointer_size)
-            storage = f"local.{stmt.name}"
-            init_value: Optional[ExprFn] = None
-            init_bytes: Optional[bytes] = None
-            if stmt.init is not None and stmt.ctype.is_scalar():
-                init_value = self._compile_expr(stmt.init)
-            elif isinstance(stmt.init, ast.StringLiteral) and \
-                    isinstance(stmt.ctype, ty.ArrayType):
-                encoded = stmt.init.value.encode("latin-1", errors="replace")
-                init_bytes = encoded[:stmt.ctype.length]
-            ctype = stmt.ctype
-
-            def work(frame: list, _storage=storage, _size=size, _slot=slot,
-                     _iv=init_value, _ib=init_bytes, _ct=ctype) -> None:
-                memory = frame[1].memory
-                obj = memory.allocate(_storage, _size, kind="local")
-                frame[_slot] = obj
-                if _iv is not None:
-                    memory.write(Pointer(obj, 0), _ct, _iv(frame))
-                elif _ib is not None:
-                    obj.data[0:len(_ib)] = _ib
-
-            return work
-
-        init = self._compile_expr(stmt.init) if stmt.init is not None else None
-        wrap = cint.make_wrap(stmt.ctype) if stmt.ctype.is_integer() else None
-
-        def work(frame: list, _slot=slot, _init=init, _wrap=wrap) -> None:
-            if _init is None:
-                frame[_slot] = 0
-            else:
-                value = _init(frame)
-                if _wrap is not None and isinstance(value, int):
-                    value = _wrap(value)
-                frame[_slot] = value
-
-        return work
-
-    # -- trace inlining ---------------------------------------------------------
-
-    def _compile_trace_work(self, stmt: ast.Stmt) -> Callable[[list], None]:
-        """The work closure of a fused statement: calls splice inline.
-
-        Identical to :meth:`_compile_work` except that, for the duration
-        of this one statement's compilation, program calls lower through
-        :meth:`_compile_inline_call` instead of entering a machine run
-        (the run former proved every callee leaf-inlinable; a call-free
-        statement compiles the same either way).  The per-statement slow
-        path behind the same guard is compiled with the flag off, so a
-        bailed window still runs the ordinary CALL-op machinery.
-        """
-        self._inline_calls = True
-        try:
-            return self._compile_work(stmt)
-        finally:
-            self._inline_calls = False
-
-    def _compile_inline_call(self, expr: ast.Call) -> ExprFn:
-        """Splice a leaf callee's body inline into the caller's frame.
-
-        The callee's frame (return slot + locals/params) is flattened
-        into a fresh block of extra caller-frame slots, and its body is
-        compiled — with a sub-compiler whose slot map is shifted into
-        that block — to a list of *units* ``(frame, acc) -> None`` that
-        charge the trace accumulator exactly as the per-statement path
-        charges the node: cost-and-count first, then the effect.  The
-        call itself adds the function-entry overhead, resets the slot
-        block (every invocation starts from a fresh frame's slots),
-        stores the argument values (see :meth:`_compile_args`) into the
-        parameter slots and runs the units; the return slot then holds
-        the result, with the same void-to-0 coercion as an
-        expression-position call.  The units run on the caller's frame,
-        so they reach the node through its :data:`_CTX` slot.
-        """
-        func = self.program.lookup_function(expr.callee)
-        sub = _FunctionCompiler(self.cache, func)
-        plan = sub.plan
-        nslots = 1 + len(plan.slots)
-        base = _FIRST + len(self.slots) + self.extra_slots
-        self.extra_slots += nslots
-        # The block is [return value, parameters and locals...]: the
-        # callee's own frame minus its context slot.
-        shift = base + 1 - _FIRST
-        sub.slots = {name: shift + index
-                     for name, index in plan.slots.items()}
-        # Argument expressions belong to the *caller* (nested calls in
-        # them inline into their own slot blocks, allocated after this
-        # one, so the blocks never alias).
-        args = self._compile_args(expr)
-        param_slots = tuple(shift + p[0] for p in plan.params)
-        body = func.body.stmts
-        units = []
-        if body and isinstance(body[-1], ast.Return):
-            units = self._leaf_units(sub, body[:-1])
-            units.append(self._leaf_return_unit(sub, body[-1], base))
-        else:
-            units = self._leaf_units(sub, body)
-        template = [None] * nslots
-        template[0] = plan.default_return
-        self.cache.inlined_sites += 1
-        overhead = self.costs.function_overhead_cycles()
-        units = tuple(units)
-        template = tuple(template)
-
-        if len(args) == 1:
-            def call1(frame: list, _a0=args[0], _s0=param_slots[0],
-                      _b=base, _e=base + nslots, _tmpl=template,
-                      _units=units, _oh=overhead) -> RuntimeValue:
-                v0 = _a0(frame)
-                acc = frame[1].acc
-                acc[0] += _oh
-                acc[2] += 1
-                frame[_b:_e] = _tmpl
-                frame[_s0] = v0
-                for unit in _units:
-                    unit(frame, acc)
-                value = frame[_b]
-                return value if value is not None else 0
-
-            return call1
-        if len(args) == 2:
-            def call2(frame: list, _a0=args[0], _a1=args[1],
-                      _s0=param_slots[0], _s1=param_slots[1], _b=base,
-                      _e=base + nslots, _tmpl=template, _units=units,
-                      _oh=overhead) -> RuntimeValue:
-                v0 = _a0(frame)
-                v1 = _a1(frame)
-                acc = frame[1].acc
-                acc[0] += _oh
-                acc[2] += 1
-                frame[_b:_e] = _tmpl
-                frame[_s0] = v0
-                frame[_s1] = v1
-                for unit in _units:
-                    unit(frame, acc)
-                value = frame[_b]
-                return value if value is not None else 0
-
-            return call2
-
-        def call(frame: list, _args=args, _ps=param_slots, _b=base,
-                 _e=base + nslots, _tmpl=template, _units=units,
-                 _oh=overhead) -> RuntimeValue:
-            values = [a(frame) for a in _args]
-            acc = frame[1].acc
-            acc[0] += _oh
-            acc[2] += 1
-            frame[_b:_e] = _tmpl
-            for slot, value in zip(_ps, values):
-                frame[slot] = value
-            for unit in _units:
-                unit(frame, acc)
-            value = frame[_b]
-            return value if value is not None else 0
-
-        return call
-
-    def _leaf_units(self, sub: "_FunctionCompiler", stmts: list) -> list:
-        """Compile a leaf body block into accumulator-charging units.
-
-        Each unit replicates one per-statement op minus the end-of-time
-        check and poll (both proven unobservable by the enclosing trace
-        guard): it adds the statement's cost and count to the
-        accumulator *before* running the effect, so a faulting effect
-        leaves the accumulator exactly where the per-statement path's
-        charge-then-execute order would.  ``if`` units charge before
-        evaluating the condition — the per-statement order — then run
-        the chosen branch's units.
-        """
-        units = []
-        for stmt in stmts:
-            cost = sub._stmt_cost(stmt)
-            if isinstance(stmt, ast.If):
-                cond = sub._compile_expr(stmt.cond)
-                then_units = tuple(self._leaf_units(sub,
-                                                    stmt.then_body.stmts))
-                else_units = tuple(
-                    self._leaf_units(sub, stmt.else_body.stmts)) \
-                    if stmt.else_body is not None else ()
-
-                def unit(frame: list, acc: list, _c=cost, _cond=cond,
-                         _t=then_units, _e=else_units) -> None:
-                    acc[0] += _c
-                    acc[1] += 1
-                    for inner in (_t if _cond(frame) != 0 else _e):
-                        inner(frame, acc)
-            else:
-                work = sub._compile_work(stmt)
-
-                def unit(frame: list, acc: list, _c=cost,
-                         _w=work) -> None:
-                    acc[0] += _c
-                    acc[1] += 1
-                    _w(frame)
-            units.append(unit)
-        return units
-
-    def _leaf_return_unit(self, sub: "_FunctionCompiler", stmt: ast.Return,
-                          ret_slot: int) -> Callable[[list, list], None]:
-        """The trailing-return unit: charge, then set the return slot."""
-        cost = sub._stmt_cost(stmt)
-        value = sub._return_value(stmt)
-
-        def unit(frame: list, acc: list, _c=cost, _v=value,
-                 _rs=ret_slot) -> None:
-            acc[0] += _c
-            acc[1] += 1
-            frame[_rs] = _v(frame) if _v is not None else None
-
-        return unit
 
     # -- statements -------------------------------------------------------------
     #
@@ -1440,8 +674,50 @@ class _FunctionCompiler:
         self._emit_effect(cost, self._compile_expr(stmt.expr))
 
     def _compile_vardecl(self, stmt: ast.VarDecl) -> None:
-        self._emit_effect(self._stmt_cost(stmt),
-                          self._compile_vardecl_work(stmt))
+        """A declaration's op: a memory object for an address-taken or
+        aggregate local, else its slot's initial value."""
+        cost = self._stmt_cost(stmt)
+        slot = self.slots[stmt.name]
+        aggregate = isinstance(stmt.ctype, (ty.ArrayType, ty.StructType))
+        if stmt.name in self.taken or aggregate:
+            size = stmt.ctype.sizeof(self.pointer_size)
+            storage = f"local.{stmt.name}"
+            init_value: Optional[ExprFn] = None
+            init_bytes: Optional[bytes] = None
+            if stmt.init is not None and stmt.ctype.is_scalar():
+                init_value = self._compile_expr(stmt.init)
+            elif isinstance(stmt.init, ast.StringLiteral) and \
+                    isinstance(stmt.ctype, ty.ArrayType):
+                encoded = stmt.init.value.encode("latin-1", errors="replace")
+                init_bytes = encoded[:stmt.ctype.length]
+            ctype = stmt.ctype
+
+            def work(frame: list, _storage=storage, _size=size, _slot=slot,
+                     _iv=init_value, _ib=init_bytes, _ct=ctype) -> None:
+                memory = frame[1].memory
+                obj = memory.allocate(_storage, _size, kind="local")
+                frame[_slot] = obj
+                if _iv is not None:
+                    memory.write(Pointer(obj, 0), _ct, _iv(frame))
+                elif _ib is not None:
+                    obj.data[0:len(_ib)] = _ib
+
+            self._emit_effect(cost, work)
+            return
+
+        init = self._compile_expr(stmt.init) if stmt.init is not None else None
+        wrap = cint.make_wrap(stmt.ctype) if stmt.ctype.is_integer() else None
+
+        def work(frame: list, _slot=slot, _init=init, _wrap=wrap) -> None:
+            if _init is None:
+                frame[_slot] = 0
+            else:
+                value = _init(frame)
+                if _wrap is not None and isinstance(value, int):
+                    value = _wrap(value)
+                frame[_slot] = value
+
+        self._emit_effect(cost, work)
 
     def _emit_effect(self, cost: int, work: Callable[[list], object]) -> None:
         """A simple statement op: account, run ``work(frame)``, poll."""
@@ -1536,8 +812,6 @@ class _FunctionCompiler:
         exit_label = _Label()
         cond_label = _Label()
         self._bind(cond_label)
-        loop_head = len(self.ops)
-        self._emit_loop_burst(stmt, exit_label)
         cond_index = len(self.ops)
         body_index = cond_index + 1
 
@@ -1560,19 +834,14 @@ class _FunctionCompiler:
             _LoopCtx(exit_label, cond_label, self.atomic_depth))
         self._compile_block(stmt.body)
         self.loop_stack.pop()
-        self._emit_jump(loop_head)
+        self._emit_jump(cond_index)
         self._bind(exit_label)
         self._emit_poll()
 
-    def _return_value(self, stmt: ast.Return) -> Optional[ExprFn]:
-        """The returned value, converted to the declared return type."""
-        if stmt.value is None:
-            return None
-        return self._compile_converted(stmt.value, self.func.return_type)
-
     def _compile_return(self, stmt: ast.Return) -> None:
         cost = self._stmt_cost(stmt)
-        value = self._return_value(stmt)
+        value = None if stmt.value is None else \
+            self._compile_converted(stmt.value, self.func.return_type)
         unwind = self.atomic_depth
 
         def maker(end_index: int, _cost=cost, _v=value, _sf=self._sf,
@@ -2332,10 +1601,6 @@ class _FunctionCompiler:
 
     def _compile_call(self, expr: ast.Call) -> ExprFn:
         name = expr.callee
-        if self._inline_calls and name not in self.program.builtins:
-            # Compiling a trace work closure: the run former already
-            # proved every callee of this statement leaf-inlinable.
-            return self._compile_inline_call(expr)
         if name in self.program.builtins:
             args = tuple(self._compile_expr(arg) for arg in expr.args)
 

@@ -107,35 +107,6 @@ class Interpreter:
         """Statements executed so far (shared metric across engines)."""
         return self._impl.statements_executed
 
-    def superblock_stats(self) -> dict:
-        """Superblock fast-path statistics (all-zero for the tree-walker).
-
-        The schema is engine-independent.  The formation counts
-        (``superblocks``, ``loop_superblocks``, ``traces``,
-        ``inlined_call_sites``) are the code cache's, shared with every
-        node on it; the rest are this node's.
-        """
-        impl = self._impl
-        stats = getattr(impl, "superblock_stats", None)
-        if stats is not None:
-            return stats()
-        return {
-            "engine": self.engine_name,
-            "enabled": False,
-            "superblocks": 0,
-            "loop_superblocks": 0,
-            "traces": 0,
-            "inlined_call_sites": 0,
-            "entries_fast": 0,
-            "entries_slow": 0,
-            "bursts": 0,
-            "burst_iterations": 0,
-            "inlined_calls": 0,
-            "fused_statements": 0,
-            "statements_total": impl.statements_executed,
-            "fused_fraction": 0.0,
-        }
-
     def warm(self) -> int:
         """Lower every program function now; returns the function count.
 

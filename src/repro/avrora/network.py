@@ -445,45 +445,17 @@ class Network:
     def duty_cycles(self) -> list[float]:
         return [node.duty_cycle() for node in self.nodes]
 
-    #: Additive fields of ``Interpreter.superblock_stats``: formation
-    #: counts, kept by each code cache, and runtime counts, kept by each
-    #: node.
-    _SB_COMPILE_KEYS = ("superblocks", "loop_superblocks", "traces",
-                        "inlined_call_sites")
-    _SB_RUNTIME_KEYS = ("inlined_calls", "entries_fast", "entries_slow",
-                        "bursts", "burst_iterations", "fused_statements",
-                        "statements_total")
-
     def superblock_stats(self) -> dict:
-        """Engine fast-path statistics summed over the network.
+        """Statements the network's nodes executed, for throughput figures.
 
-        Compile-time counts (``superblocks``, ``loop_superblocks``,
-        ``traces``, ``inlined_call_sites``) come once per code cache, so
-        nodes sharing one count its lowerings once; the runtime hit-rate
-        counts, which the simulation records and the CLI surface, sum
-        over every node.
+        ``statements_total`` sums every node's executed statements.  The
+        compiled engine has one lowering, so ``fused_statements`` is always
+        0; the two keys keep the shape that simulation records and the
+        end-to-end benchmark read.
         """
-        totals: dict = {key: 0
-                        for key in self._SB_COMPILE_KEYS
-                        + self._SB_RUNTIME_KEYS}
-        enabled = False
-        caches: set[int] = set()
-        for node in self.nodes:
-            stats = node.interpreter.superblock_stats()
-            enabled = enabled or bool(stats.get("enabled"))
-            keys = self._SB_RUNTIME_KEYS
-            cache = node.interpreter.code_cache
-            if id(cache) not in caches:
-                caches.add(id(cache))
-                keys += self._SB_COMPILE_KEYS
-            for key in keys:
-                totals[key] += stats.get(key, 0)
-        executed = totals["statements_total"]
-        totals["enabled"] = enabled
-        totals["fused_fraction"] = \
-            round(totals["fused_statements"] / executed, 4) if executed \
-            else 0.0
-        return totals
+        executed = sum(node.interpreter.statements_executed
+                       for node in self.nodes)
+        return {"statements_total": executed, "fused_statements": 0}
 
     def node_stats(self) -> list[dict]:
         """Per-node packet and duty-cycle statistics, in node order."""

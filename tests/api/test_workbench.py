@@ -265,9 +265,8 @@ class TestSimulation:
     def test_record_equality_ignores_what_the_session_ran_before(
             self, monkeypatch):
         """A record is a function of its spec.  A session that simulated
-        the build before, the compiled engine without fusion and the tree
-        engine all record equal results, while their ``superblocks``
-        telemetry differs; the records must compare equal and hash alike."""
+        the build before and the tree engine record equal results; the
+        records must compare equal and hash alike."""
         spec = SimSpec(app="BlinkTask_Mica2", variant="baseline", seconds=1.0)
         fresh = Workbench().simulate(spec)
         warmed = Workbench()
@@ -275,15 +274,8 @@ class TestSimulation:
                                 seconds=0.5))
         records = [warmed.simulate(spec)]
         with monkeypatch.context() as patch:
-            patch.setenv("REPRO_AVRORA_SUPERBLOCKS", "0")
-            records.append(Workbench().simulate(spec))
-        with monkeypatch.context() as patch:
             patch.setattr(interp, "DEFAULT_ENGINE", "tree")
             records.append(Workbench().simulate(spec))
-        unfused, tree = records[1:]
-        if fresh.superblocks["fused_statements"]:  # zero under the tree engine
-            assert unfused.superblocks != fresh.superblocks
-            assert tree.superblocks != fresh.superblocks
         for record in records:
             assert record.content_key == fresh.content_key
             assert record == fresh

@@ -5,15 +5,12 @@ The compile-to-closures engine (:mod:`repro.avrora.engine`) must be an
 same cycle totals, same interrupt delivery, same memory-safety verdicts,
 same ``__error_report`` output, same radio traffic.  This module enforces
 that on every application in the paper's figure suite plus a set of
-hand-written semantic edge cases — and, for the figure suite, that
-superblock fusion on vs off (``REPRO_AVRORA_SUPERBLOCKS=0``) is equally
-invisible.  Loops written in C's other forms, which the parser normalizes to
-``while (1)``, are also checked against results worked out by hand.
+hand-written semantic edge cases.  Loops written in C's other forms, which
+the parser normalizes to ``while (1)``, are also checked against results
+worked out by hand.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -56,26 +53,10 @@ def _observe(node: Node, network: Network) -> dict:
     }
 
 
-def _pinned_node(program, engine: str, superblocks: bool,
-                 node_id: int = 1) -> Node:
-    """A node with the fusion switch pinned (don't inherit the ambient
-    environment: the CI fusion-off leg must not silently turn the
-    "fused" runs unfused)."""
-    previous = os.environ.get("REPRO_AVRORA_SUPERBLOCKS")
-    os.environ["REPRO_AVRORA_SUPERBLOCKS"] = "1" if superblocks else "0"
-    try:
-        return Node(program, node_id=node_id, engine=engine)
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_AVRORA_SUPERBLOCKS", None)
-        else:
-            os.environ["REPRO_AVRORA_SUPERBLOCKS"] = previous
-
-
 def _simulate(program, app_name: str, engine: str,
-              thread_free: bool = False, superblocks: bool = True) -> dict:
+              thread_free: bool = False) -> dict:
     network = Network(traffic=duty_cycle_context(app_name))
-    node = _pinned_node(program, engine, superblocks)
+    node = Node(program, engine=engine)
     node.boot()
     network.add_node(node)
     if thread_free:
@@ -93,17 +74,12 @@ def test_figure_apps_identical_under_both_engines(app_name):
     default ``Network.run`` (lockstep, resumable execution thread) must be
     byte-identical to the thread-free ``Node.run`` reference for every
     figure application — same busy/sleep cycles, failure records, LED
-    history and radio traffic.  Superblock fusion must be equally
-    invisible: the fusion-off engine (the ablation configuration) produces
-    the same observation under the lockstep kernel.
+    history and radio traffic.
     """
     build = Workbench().build_result(app_name, BASELINE)
     tree = _simulate(build.program, app_name, "tree")
     compiled = _simulate(build.program, app_name, "compiled")
     assert tree == compiled
-    unfused = _simulate(build.program, app_name, "compiled",
-                        superblocks=False)
-    assert compiled == unfused
     reference = _simulate(build.program, app_name, "compiled",
                           thread_free=True)
     assert compiled == reference
@@ -123,7 +99,9 @@ def test_safe_builds_identical_under_both_engines(app_name):
 
 #: Hand-written programs targeting the engine's trickiest lowering paths:
 #: loop control flow, atomic unwinding, recursion, aggregate locals, string
-#: data, out-of-bounds absorption, and the CCured failure/halt path.
+#: data, out-of-bounds absorption, and the CCured failure/halt path, plus
+#: nested loops, out-of-bounds accesses inside a loop body, and a callee
+#: made of declarations.
 EDGE_PROGRAMS = {
     "loops_and_breaks": """
 uint16_t out = 0;
@@ -213,6 +191,51 @@ __spontaneous void main(void) {
   if (!__bounds_ok(&buffer[0] + 6, 1)) {
     __error_report_id(77);
     __halt(1);
+  }
+  __sleep();
+}
+""",
+    "nested_rotated_loops": """
+uint32_t out = 0;
+__spontaneous void main(void) {
+  uint16_t i;
+  uint16_t j;
+  for (i = 0; i < 60; i++) {
+    for (j = 0; j < 30; j++) {
+      out = out + j;
+    }
+    out = out ^ i;
+  }
+  __sleep();
+}
+""",
+    "oob_inside_loop": """
+uint8_t buffer[4];
+uint8_t index = 7;
+uint16_t sum = 0;
+uint8_t sink = 0;
+__spontaneous void main(void) {
+  uint16_t i;
+  for (i = 0; i < 50; i++) {
+    buffer[index] = (uint8_t)i;
+    sink = buffer[index];
+    sum = sum + sink;
+  }
+  __sleep();
+}
+""",
+    "vardecls_in_callee": """
+uint32_t total = 0;
+uint16_t helper(uint16_t n) {
+  uint16_t base = n * 3;
+  uint16_t twist = base ^ 5;
+  uint16_t mix = twist + base;
+  return mix;
+}
+__spontaneous void main(void) {
+  uint16_t i;
+  for (i = 0; i < 40; i++) {
+    total = total + helper(i);
   }
   __sleep();
 }
@@ -390,20 +413,18 @@ def _globals(node: Node) -> dict:
 @pytest.mark.parametrize("name", list(UNSIMPLIFIED_LOOPS))
 def test_unsimplified_loops_identical_under_both_engines(name):
     """Loops written as ``for``, ``do``/``while`` or conditional ``while``
-    end with the globals C gives them under the tree engine, the compiled
-    engine and the compiled engine without superblocks, with equal
+    end with the globals C gives them under both engines, with equal
     statement and cycle counts."""
     source, expected = UNSIMPLIFIED_LOOPS[name]
     results = {}
-    for engine, superblocks in (("tree", True), ("compiled", True),
-                                ("compiled", False)):
+    for engine in ("tree", "compiled"):
         program = make_program(source)
-        node = _pinned_node(program, engine, superblocks=superblocks)
+        node = Node(program, engine=engine)
         node.boot()
         node.run(0.05)
-        assert _globals(node) == expected, (engine, superblocks)
+        assert _globals(node) == expected, engine
         assert node.atomic_depth == 0
-        results[engine, superblocks] = (
+        results[engine] = (
             node.interpreter.statements_executed, node.busy_cycles,
             node.time_cycles)
     assert len(set(results.values())) == 1, results
@@ -448,31 +469,26 @@ __spontaneous void main(void) { __sleep(); }
 
 
 def test_lossy_lockstep_chain_identical_across_all_configurations():
-    """Seeded 3-node lossy chain: tree vs fused vs fusion-off.
+    """Seeded 3-node lossy chain: tree vs compiled.
 
-    The multi-node acceptance bar for trace inlining — cross-node packet
-    timing, per-node cycle totals and channel loss decisions must be
-    byte-identical in every engine configuration, under the full lockstep
-    kernel with a lossy seeded channel.
+    Cross-node packet timing, per-node cycle totals and channel loss
+    decisions must be byte-identical under both engines, under the full
+    lockstep kernel with a lossy seeded channel.
     """
     from repro.avrora.network import Channel
 
     app_name = "Surge_Mica2"
     build = Workbench().build_result(app_name, BASELINE)
 
-    def run_chain(engine: str, superblocks: bool = True) -> list[dict]:
+    def run_chain(engine: str) -> list[dict]:
         network = Network(traffic=duty_cycle_context(app_name),
                           channel=Channel(topology="chain", loss=0.2,
                                           seed=7))
         for index in range(3):
-            node = _pinned_node(build.program, engine, superblocks,
-                                node_id=index)
+            node = Node(build.program, node_id=index, engine=engine)
             node.boot()
             network.add_node(node)
         network.run(SIM_SECONDS)
         return [_observe(node, network) for node in network.nodes]
 
-    tree = run_chain("tree")
-    fused = run_chain("compiled")
-    assert tree == fused
-    assert fused == run_chain("compiled", superblocks=False)
+    assert run_chain("tree") == run_chain("compiled")

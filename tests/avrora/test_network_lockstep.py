@@ -280,18 +280,6 @@ class TestReproducibility:
         other = self._run(surge_program, seed=12)
         assert first["deliveries"] != other["deliveries"]
 
-    def test_superblock_fusion_is_invisible_in_lockstep_networks(
-            self, surge_program, monkeypatch):
-        """Fusion on vs off across a 3-node lossy chain: identical per-node
-        cycle counts and an identical cross-node delivery log (sender,
-        receiver, timestamps, payloads) — horizon sentinels land inside
-        fused blocks and must pause the nodes at the same poll points."""
-        monkeypatch.setenv("REPRO_AVRORA_SUPERBLOCKS", "1")
-        fused = self._run(surge_program, seed=11)
-        monkeypatch.setenv("REPRO_AVRORA_SUPERBLOCKS", "0")
-        unfused = self._run(surge_program, seed=11)
-        assert fused == unfused
-
 
 # ---------------------------------------------------------------------------
 # Grant-schedule invariance

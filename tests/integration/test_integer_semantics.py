@@ -13,9 +13,7 @@ over every integer type and operator.
 
 from __future__ import annotations
 
-import os
 import random
-from unittest import mock
 
 import pytest
 
@@ -31,10 +29,8 @@ sys.path.insert(0, str(Path(__file__).parent.parent))
 from helpers import make_program
 
 
-def _observe(program, names, engine="tree", superblocks=True) -> list:
-    with mock.patch.dict(os.environ, {
-            "REPRO_AVRORA_SUPERBLOCKS": "1" if superblocks else "0"}):
-        node = Node(program, engine=engine)
+def _observe(program, names, engine="tree") -> list:
+    node = Node(program, engine=engine)
     node.boot()
     node.run(0.001)
     return [node.memory.read(Pointer(node.memory.global_object(name), 0),
@@ -59,16 +55,12 @@ def _cxprop_gcc(program):
 OPTIMIZERS = {"cxprop": _cxprop, "gcc": _gcc, "cxprop+gcc": _cxprop_gcc}
 
 
-def observe_everywhere(source: str, names: list[str],
-                       superblocks_off: bool = False) -> dict[str, list]:
+def observe_everywhere(source: str, names: list[str]) -> dict[str, list]:
     """What each setup observes in the globals ``names`` after ``main``."""
     seen = {
         "tree": _observe(make_program(source), names, "tree"),
         "compiled": _observe(make_program(source), names, "compiled"),
     }
-    if superblocks_off:
-        seen["compiled-no-superblocks"] = _observe(
-            make_program(source), names, "compiled", superblocks=False)
     for name, optimize in OPTIMIZERS.items():
         program = make_program(source)
         optimize(program)
@@ -176,8 +168,7 @@ class TestStraightLineDifferential:
         sinks = [f"s{i}" for i in range(5)]
         mismatches = []
         for seed in self.SEEDS:
-            seen = observe_everywhere(straight_line_program(seed), sinks,
-                                      superblocks_off=True)
+            seen = observe_everywhere(straight_line_program(seed), sinks)
             differing = sorted(setup for setup, values in seen.items()
                                if values != seen["tree"])
             if differing:
@@ -186,8 +177,8 @@ class TestStraightLineDifferential:
 
 
 #: Arguments and returned values converted to their declared types, through
-#: every way the compiled engine enters a function: a leaf spliced inline
-#: (one, two and three arguments, a trailing return), a CALL op, an
+#: every way the compiled engine enters a function: a CALL op (one, two and
+#: three arguments, and one that stores the returned value), an
 #: expression-position call, an address-taken parameter and a ``bool``.
 CALL_CONVERSIONS = _main("""
   f(300);
@@ -228,9 +219,6 @@ class TestCallConversions:
                              "tree"),
             "compiled": _observe(make_program(CALL_CONVERSIONS),
                                  CALL_GLOBALS, "compiled"),
-            "compiled-no-superblocks": _observe(
-                make_program(CALL_CONVERSIONS), CALL_GLOBALS, "compiled",
-                superblocks=False),
             "inlined": _observe(inlined, CALL_GLOBALS, "tree"),
         }
 
