@@ -17,16 +17,22 @@ artifact); run this module directly for a standalone measurement, or via
 pytest as part of the benchmark suite.  A run keeps the file's
 ``perfbench`` section, which holds end-to-end measurements of the engine.
 
-Set ``REPRO_BENCH_SMOKE=1`` to shrink the simulated window (CI smoke
-mode) and ``REPRO_BENCH_MIN_SPEEDUP`` to tune the asserted floor on every
-workload's speedup (the default is conservative so a loaded CI machine
-does not flake; an idle machine shows about 4.5x).
+Each engine runs each workload ``REPEATS`` times, alternating, and the
+table reports the median run: one run of about a second swings by up to
+2x on a shared host.  A workload's speedup is the ratio of its medians,
+and the floor applies to it.
+
+Set ``REPRO_BENCH_SMOKE=1`` to shrink the simulated window and run each
+engine once (CI smoke mode) and ``REPRO_BENCH_MIN_SPEEDUP`` to tune the
+asserted floor on every workload's speedup (the default is conservative
+so a loaded CI machine does not flake; an idle machine shows about 4.5x).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -42,6 +48,10 @@ from repro.tinyos import hardware as hw
 #: number of executed statements, not wall-clock time).
 SIM_SECONDS = 2.0
 SMOKE_SECONDS = 0.25
+
+#: Timed runs per engine and workload, reported as their median; 1 in
+#: smoke mode.
+REPEATS = 5
 
 #: Asserted floor on every workload's speedup.  Kept below the observed
 #: ~4.5x so a noisy CI machine does not flake; the recorded JSON carries
@@ -143,46 +153,56 @@ def _read_global(node: Node, name: str, ctype=ty.UINT32) -> int:
     return node.memory.read(Pointer(obj, 0), ctype)
 
 
-def _sim_seconds() -> float:
-    if os.environ.get("REPRO_BENCH_SMOKE"):
-        return SMOKE_SECONDS
-    return SIM_SECONDS
+def _smoke() -> bool:
+    return bool(os.environ.get("REPRO_BENCH_SMOKE"))
+
+
+def _check_identical(name: str, tree_node: Node, compiled_node: Node) -> None:
+    """The compiled engine must match the tree-walker exactly: same
+    statements, same cycles, same interrupt count."""
+    assert tree_node.busy_cycles == compiled_node.busy_cycles, \
+        f"{name}: cycle totals diverge"
+    assert tree_node.time_cycles == compiled_node.time_cycles, \
+        f"{name}: simulated time diverges"
+    assert tree_node.interpreter.statements_executed == \
+        compiled_node.interpreter.statements_executed, \
+        f"{name}: statement streams diverge"
+    assert tree_node.interrupts_delivered == \
+        compiled_node.interrupts_delivered, \
+        f"{name}: interrupt delivery diverges"
+    if name == "interrupt_heavy":
+        # Micro-assert: the two timers' handlers mixed their identities
+        # into ``order`` in exactly the same sequence — FIFO delivery
+        # through the pending-interrupt deque is order-identical across
+        # engines.
+        assert _read_global(tree_node, "order") == \
+            _read_global(compiled_node, "order"), \
+            f"{name}: interrupt delivery order diverges"
 
 
 def measure() -> dict:
     """Run every workload under both engines and return the table."""
-    seconds = _sim_seconds()
+    seconds = SMOKE_SECONDS if _smoke() else SIM_SECONDS
+    repeats = 1 if _smoke() else REPEATS
     results: dict = {
         "sim_seconds": seconds,
+        "repeats": repeats,
         "min_speedup_asserted": MIN_SPEEDUP,
         "workloads": {},
     }
     for name, (source, vectors) in WORKLOADS.items():
-        tree_node, tree_time = _run(source, vectors, "tree", seconds)
-        compiled_node, compiled_time = _run(source, vectors, "compiled",
-                                            seconds)
+        tree_times: list[float] = []
+        compiled_times: list[float] = []
+        for _ in range(repeats):
+            tree_node, tree_time = _run(source, vectors, "tree", seconds)
+            compiled_node, compiled_time = _run(source, vectors, "compiled",
+                                                seconds)
+            _check_identical(name, tree_node, compiled_node)
+            tree_times.append(tree_time)
+            compiled_times.append(compiled_time)
 
-        # The compiled engine must match the tree-walker exactly: same
-        # statements, same cycles, same interrupt count.
-        assert tree_node.busy_cycles == compiled_node.busy_cycles, \
-            f"{name}: cycle totals diverge"
-        assert tree_node.time_cycles == compiled_node.time_cycles, \
-            f"{name}: simulated time diverges"
-        assert tree_node.interpreter.statements_executed == \
-            compiled_node.interpreter.statements_executed, \
-            f"{name}: statement streams diverge"
-        assert tree_node.interrupts_delivered == \
-            compiled_node.interrupts_delivered, \
-            f"{name}: interrupt delivery diverges"
-        if name == "interrupt_heavy":
-            # Micro-assert: the two timers' handlers mixed their
-            # identities into ``order`` in exactly the same sequence —
-            # FIFO delivery through the pending-interrupt deque is
-            # order-identical across engines.
-            assert _read_global(tree_node, "order") == \
-                _read_global(compiled_node, "order"), \
-                f"{name}: interrupt delivery order diverges"
-
+        tree_time = statistics.median(tree_times)
+        compiled_time = statistics.median(compiled_times)
         statements = tree_node.interpreter.statements_executed
         results["workloads"][name] = {
             "statements": statements,
@@ -190,6 +210,8 @@ def measure() -> dict:
             "interrupts_delivered": tree_node.interrupts_delivered,
             "tree_seconds": round(tree_time, 4),
             "compiled_seconds": round(compiled_time, 4),
+            "tree_seconds_all": [round(t, 4) for t in tree_times],
+            "compiled_seconds_all": [round(t, 4) for t in compiled_times],
             "tree_stmts_per_sec": round(statements / tree_time),
             "compiled_stmts_per_sec": round(statements / compiled_time),
             "speedup": round(tree_time / compiled_time, 2),
@@ -222,7 +244,8 @@ def test_interp_throughput() -> None:
 
 def format_table(results: dict) -> str:
     lines = [
-        f"interpreter throughput ({results['sim_seconds']}s simulated):",
+        f"interpreter throughput ({results['sim_seconds']}s simulated, "
+        f"median of {results['repeats']} runs):",
         f"{'workload':<18} {'tree st/s':>12} {'compiled st/s':>14} "
         f"{'speedup':>8}",
     ]

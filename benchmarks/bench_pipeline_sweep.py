@@ -16,13 +16,18 @@ for a standalone measurement.
 
 A second section, ``figures_session``, assembles Figures 2 and 3(a) in one
 :class:`~repro.api.workbench.Workbench`, as ``repro figures`` does, and
-records the builds it executed, the passes each stage ran and its wall
-time.  Figure 2's last three bars are Figure 3's ``safe-flid``,
+records the builds it executed, the passes each stage ran, the programs it
+cloned, the prefix snapshots it still holds at the end and its wall time.
+Figure 2's last three bars are Figure 3's ``safe-flid``,
 ``safe-flid-cxprop`` and ``safe-optimized``, so the session must execute 9
-builds per application (4 for Figure 2, then 5 new for Figure 3(a)); that
-count is asserted, the time is not.  The file's ``perfbench`` section holds
-parent/change medians measured with ``perfbench/run.py``; this module keeps
-it as it finds it.
+builds per application (4 for Figure 2, then 5 new for Figure 3(a)).  It
+snapshots each application where the registered variants diverge (the
+front end, ``ccured.cure[flid]`` and that plus ``ccured.optimize``) and
+resumes the other 8 builds from those snapshots: 11 clones per
+application.  At the end it holds at most the front end, kept for
+``safe-full-runtime``.  These counts are asserted, the time is not.  The
+file's ``perfbench`` section holds parent/change medians measured with
+``perfbench/run.py``; this module keeps it as it finds it.
 
 Both sweep modes are timed best-of-``REPETITIONS`` (shared CI runners are
 noisy; the minimum is the least-perturbed run).  Set ``REPRO_BENCH_SMOKE=1``
@@ -42,6 +47,7 @@ from pathlib import Path
 
 from repro.api.figures import figure2_table, figure3a_table
 from repro.api.workbench import Workbench
+from repro.cminor.program import Program
 from repro.tinyos.suite import FIGURE_APPS
 from repro.toolchain.sweep import SweepRunner
 from repro.toolchain.variants import (
@@ -66,6 +72,14 @@ RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_pipeline.json"
 #: Builds one session executes per application for Figures 2 and 3(a).
 FIGURES_SESSION_BUILDS_PER_APP = 9
 
+#: Programs that session clones per application: 3 prefix snapshots, and
+#: 8 builds resumed from them.
+FIGURES_SESSION_CLONES_PER_APP = 11
+
+#: Prefix snapshots that session may still hold per application at its
+#: end: the front end, which ``safe-full-runtime`` could resume from.
+FIGURES_SESSION_SNAPSHOTS_PER_APP = 1
+
 #: The stages whose executed passes ``figures_session`` reports.
 FIGURES_SESSION_STAGES = ("ccured.cure", "inline", "cxprop", "gcc", "image")
 
@@ -87,12 +101,25 @@ def _timed_sweep(apps: list[str], share_front_end: bool):
 
 
 def measure_figures_session(apps: list[str]) -> dict:
-    """Figures 2 and 3(a) from one fresh Workbench: builds, passes, time."""
+    """Figures 2 and 3(a) from one fresh Workbench: builds, passes, clones,
+    held snapshots, time."""
     workbench = Workbench()
-    start = time.perf_counter()
-    figure2_table(workbench, apps)
-    figure3a_table(workbench, apps)
-    wall_s = time.perf_counter() - start
+    clones = 0
+    clone = Program.clone
+
+    def counted_clone(program: Program) -> Program:
+        nonlocal clones
+        clones += 1
+        return clone(program)
+
+    Program.clone = counted_clone
+    try:
+        start = time.perf_counter()
+        figure2_table(workbench, apps)
+        figure3a_table(workbench, apps)
+        wall_s = time.perf_counter() - start
+    finally:
+        Program.clone = clone
     # A build resumed from a shared prefix carries that prefix's report
     # objects in its trace, so each distinct report is one executed pass.
     executed = Counter({
@@ -108,6 +135,9 @@ def measure_figures_session(apps: list[str]) -> dict:
         "passes_executed": stats["passes_executed"],
         "stage_passes_executed": {stage: executed[stage]
                                   for stage in FIGURES_SESSION_STAGES},
+        "program_clones": clones,
+        "snapshots_held": sum(
+            len(snapshots) for snapshots in workbench._snapshots.values()),
         "wall_seconds": round(wall_s, 3),
     }
 
@@ -162,10 +192,19 @@ def _record(results: dict) -> None:
 
 def _check_figures_session(results: dict) -> None:
     session = results["figures_session"]
-    expected = FIGURES_SESSION_BUILDS_PER_APP * session["applications"]
+    apps = session["applications"]
+    expected = FIGURES_SESSION_BUILDS_PER_APP * apps
     assert session["builds_executed"] == expected, \
         f"Figures 2 and 3(a) executed {session['builds_executed']} builds, " \
         f"not {expected}"
+    expected = FIGURES_SESSION_CLONES_PER_APP * apps
+    assert session["program_clones"] == expected, \
+        f"Figures 2 and 3(a) cloned {session['program_clones']} programs, " \
+        f"not {expected}"
+    held = FIGURES_SESSION_SNAPSHOTS_PER_APP * apps
+    assert session["snapshots_held"] <= held, \
+        f"Figures 2 and 3(a) left {session['snapshots_held']} snapshots " \
+        f"behind, more than {held}"
 
 
 def format_table(results: dict) -> str:
@@ -182,6 +221,8 @@ def format_table(results: dict) -> str:
         f"figures 2 + 3(a) in one session: {session['builds_executed']} "
         f"builds, {session['wall_seconds']:.3f}s",
         f"  passes executed    : {stages}",
+        f"  programs cloned    : {session['program_clones']} "
+        f"({session['snapshots_held']} snapshots held at the end)",
     ])
 
 

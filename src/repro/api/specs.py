@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.avrora.network import TOPOLOGIES
 from repro.scenarios.faults import FaultPlan
 from repro.store.artifacts import content_digest
 from repro.tinyos import suite
 from repro.toolchain.contexts import DEFAULT_DUTY_CYCLE_SECONDS
-from repro.toolchain.lower import variant_passes
+from repro.toolchain.sweep import variant_pass_keys
 from repro.toolchain.variants import SAFE_OPTIMIZED, variant_by_name
 
 #: Version stamped into every serialized spec and record; bump when the
@@ -47,13 +46,6 @@ TRAFFIC_BASE = "base"
 TRAFFIC_NONE = "none"
 
 TRAFFIC_PROFILES = (TRAFFIC_DEFAULT, TRAFFIC_BASE, TRAFFIC_NONE)
-
-
-@lru_cache(maxsize=None)
-def variant_pass_keys(variant_name: str) -> tuple[str, ...]:
-    """The cache-key sequence a registered variant's pass list lowers to."""
-    variant = variant_by_name(variant_name)
-    return tuple(pass_.cache_key(variant) for pass_ in variant_passes(variant))
 
 
 def _check_app(app: str) -> None:

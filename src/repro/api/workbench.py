@@ -9,7 +9,8 @@ prefix-snapshot store.  That gives three properties for free:
 * **Prefix sharing everywhere.**  Even two single ``build()`` calls made
   minutes apart share the nesC front end (and, where their variants agree,
   the CCured stage): the first call leaves snapshots in the store, the
-  second resumes from them.
+  second resumes from them.  A snapshot lives until every registered
+  variant that could resume from it has been built for its application.
 * **Memoization by content key.**  Results are cached on the spec's
   :meth:`~repro.api.specs.BuildSpec.content_key`, so an identical request
   never re-runs a pass.
@@ -55,7 +56,11 @@ from repro.toolchain.config import BuildVariant
 from repro.toolchain.contexts import duty_cycle_context
 from repro.toolchain.passes import executed_pass_count
 from repro.toolchain.pipeline import BuildResult
-from repro.toolchain.sweep import SweepRunner, persistent_prefixes
+from repro.toolchain.sweep import (
+    SweepRunner,
+    persistent_prefixes,
+    variant_pass_keys,
+)
 from repro.toolchain.variants import all_variant_names, variant_by_name
 
 if TYPE_CHECKING:
@@ -283,6 +288,7 @@ class Workbench:
                         processes=workers)
                     for build in runner.run():
                         self._admit(build)
+                    self._release_snapshots(apps)
             with self._lock:
                 return [self._records[s.content_key()] for s in specs]
 
@@ -462,7 +468,8 @@ class Workbench:
         With a session :attr:`store`, each application's persistent prefix
         snapshots are hydrated from disk first (so even a cold session
         skips the nesC front end for known applications) and any snapshots
-        this execution minted are persisted back afterwards.
+        this execution minted are persisted back afterwards.  Snapshots no
+        unbuilt registered variant can resume from are then dropped.
         """
         with self._execute_lock:
             for variant_names, apps in self._grouped(specs):
@@ -477,6 +484,30 @@ class Workbench:
                 if self.store is not None:
                     for app in apps:
                         self._persist_snapshots(app, variants)
+                self._release_snapshots(apps)
+
+    def _release_snapshots(self, apps: list[str]) -> None:
+        """Free each app's snapshots that no pending build can resume from.
+
+        A snapshot serves the registered variants whose pass lists start
+        with its prefix.  Once each of them has a record for the
+        application, the session never builds them again, so the snapshot
+        is dropped (persisted ones stay on disk).
+        """
+        for app in apps:
+            snapshots = self._snapshots.get(app)
+            if snapshots:
+                with self._lock:
+                    pending = [
+                        variant_pass_keys(name) for name in all_variant_names()
+                        if BuildSpec(app=app, variant=name).content_key()
+                        not in self._records]
+                for prefix in list(snapshots):
+                    if not any(keys[:len(prefix)] == prefix
+                               for keys in pending):
+                        del snapshots[prefix]
+            if not snapshots:
+                self._snapshots.pop(app, None)
 
     def _admit(self, build) -> None:
         """Merge one :class:`~repro.toolchain.sweep.SweepBuild` into the caches."""
@@ -620,9 +651,10 @@ class Workbench:
     def clear(self) -> None:
         """Drop every session cache (records, results, snapshots, sims).
 
-        Long-lived sessions retain full build results and per-application
-        prefix snapshots indefinitely; call this to release them without
-        discarding the Workbench itself.
+        Long-lived sessions retain full build results indefinitely, and an
+        application's prefix snapshots until its registered variants are
+        built; call this to release them without discarding the Workbench
+        itself.
         """
         with self._lock:
             self._records.clear()

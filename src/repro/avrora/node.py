@@ -133,8 +133,14 @@ class Node:
         #: initiate anything before its next event or an external input).
         self._paused_in_sleep = False
         self._exec_thread: Optional[threading.Thread] = None
-        self._resume_evt = threading.Event()
-        self._paused_evt = threading.Event()
+        # Two plain locks as binary semaphores, both held between grants:
+        # the scheduler releases ``_resume`` to grant a horizon and the
+        # execution thread releases ``_paused`` when it parks or ends, so
+        # each side blocks in ``acquire`` until the other hands over.
+        self._resume = threading.Lock()
+        self._resume.acquire()
+        self._paused = threading.Lock()
+        self._paused.acquire()
         #: "idle" | "running" | "paused" | "finished" | "returned" | "error"
         self._status = "idle"
         self._run_error: Optional[BaseException] = None
@@ -511,7 +517,6 @@ class Node:
             self.pause_cycles = horizon
             heapq.heappush(self._event_queue,
                            (horizon, next(self._event_seq), _noop))
-        self._paused_evt.clear()
         self._status = "running"
         if self._exec_thread is None:
             self._exec_thread = threading.Thread(
@@ -519,8 +524,8 @@ class Node:
                 name=f"avrora-node-{self.node_id}")
             self._exec_thread.start()
         else:
-            self._resume_evt.set()
-        self._paused_evt.wait()
+            self._resume.release()
+        self._paused.acquire()
         if self._run_error is not None:
             error, self._run_error = self._run_error, None
             self._status = "error"
@@ -534,9 +539,8 @@ class Node:
             return
         self._abort = True
         try:
-            self._paused_evt.clear()
-            self._resume_evt.set()
-            self._paused_evt.wait(timeout=10.0)
+            self._resume.release()
+            self._paused.acquire(timeout=10.0)
         finally:
             self._abort = False
         self._run_error = None
@@ -582,9 +586,8 @@ class Node:
         while (self.pause_cycles and self.time_cycles >= self.pause_cycles
                and not self._abort):
             self._status = "paused"
-            self._paused_evt.set()
-            self._resume_evt.wait()
-            self._resume_evt.clear()
+            self._paused.release()
+            self._resume.acquire()
         if self._abort:
             raise _SimulationFinished()
 
@@ -607,7 +610,7 @@ class Node:
         except BaseException as error:  # e.g. CausalityError
             self._run_error = error
         finally:
-            self._paused_evt.set()
+            self._paused.release()
 
 
 def _noop() -> None:

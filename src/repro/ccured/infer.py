@@ -19,6 +19,7 @@ fat-pointer representation (how much static data each pointer costs).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from repro.cminor import ast_nodes as ast
@@ -90,49 +91,11 @@ class KindInference:
     # -- constraint generation ----------------------------------------------------
 
     def _scan_function(self, func: ast.FunctionDef) -> None:
-        locals_ = local_types(func)
-
-        def slots(expr: ast.Expr) -> list[Slot]:
-            return expr_slots(expr, self.program, func, locals_)
-
-        def visit_expr(expr: ast.Expr) -> None:
-            """Generate base constraints for one expression tree."""
-            if isinstance(expr, ast.Index):
-                base_type = expr.base.ctype
-                if base_type is not None and base_type.is_pointer():
-                    for slot in slots(expr.base):
-                        self.kinds.raise_to(slot, PointerKind.SEQ)
-                visit_expr(expr.base)
-                visit_expr(expr.index)
-                return
-            if isinstance(expr, ast.BinaryOp):
-                if expr.op in ("+", "-"):
-                    left_t = expr.left.ctype
-                    right_t = expr.right.ctype
-                    if left_t is not None and left_t.decay().is_pointer():
-                        for slot in slots(expr.left):
-                            self.kinds.raise_to(slot, PointerKind.SEQ)
-                    if right_t is not None and right_t.decay().is_pointer():
-                        for slot in slots(expr.right):
-                            self.kinds.raise_to(slot, PointerKind.SEQ)
-                visit_expr(expr.left)
-                visit_expr(expr.right)
-                return
-            if isinstance(expr, ast.Cast):
-                self._cast_constraints(expr, slots)
-                visit_expr(expr.operand)
-                return
-            if isinstance(expr, ast.Call):
-                self._call_flow(expr, slots)
-                for arg in expr.args:
-                    visit_expr(arg)
-                return
-            for child in child_expressions(expr):
-                visit_expr(child)
-
+        slots = partial(expr_slots, program=self.program, func=func,
+                        locals_=local_types(func))
         for stmt in walk_statements(func.body):
             for expr in statement_expressions(stmt):
-                visit_expr(expr)
+                self._constrain_expr(expr, slots)
             if isinstance(stmt, ast.Assign):
                 self._flow(slots(stmt.lvalue), slots(stmt.rvalue),
                            stmt.rvalue)
@@ -144,6 +107,35 @@ class KindInference:
                 if self._is_pointerish(func.return_type):
                     self._flow([return_slot(func.name)],
                                slots(stmt.value), stmt.value)
+
+    def _constrain_expr(self, root: ast.Expr, slots_of) -> None:
+        """Generate base constraints for one expression tree, pre-order."""
+        stack = [root]
+        while stack:
+            expr = stack.pop()
+            if isinstance(expr, ast.Index):
+                base_type = expr.base.ctype
+                if base_type is not None and base_type.is_pointer():
+                    for slot in slots_of(expr.base):
+                        self.kinds.raise_to(slot, PointerKind.SEQ)
+                children = [expr.base, expr.index]
+            elif isinstance(expr, ast.BinaryOp):
+                if expr.op in ("+", "-"):
+                    for operand in (expr.left, expr.right):
+                        ctype = operand.ctype
+                        if ctype is not None and ctype.decay().is_pointer():
+                            for slot in slots_of(operand):
+                                self.kinds.raise_to(slot, PointerKind.SEQ)
+                children = [expr.left, expr.right]
+            elif isinstance(expr, ast.Cast):
+                self._cast_constraints(expr, slots_of)
+                children = [expr.operand]
+            elif isinstance(expr, ast.Call):
+                self._call_flow(expr, slots_of)
+                children = expr.args
+            else:
+                children = child_expressions(expr)
+            stack.extend(reversed(children))
 
     def _cast_constraints(self, expr: ast.Cast, slots_of) -> None:
         """Casts: integer-to-pointer is WILD; pointer reinterpretation is SEQ."""
@@ -160,7 +152,6 @@ class KindInference:
             # pointer round-trip.
             for slot in slots:
                 self.kinds.raise_to(slot, PointerKind.WILD)
-            self._pending_cast_kind = PointerKind.WILD
             return
         source = source.decay()
         if isinstance(source, ty.PointerType) and source.target != target.target:
@@ -168,9 +159,6 @@ class KindInference:
             # metadata on whichever pointer they flow into.
             for slot in slots:
                 self.kinds.raise_to(slot, PointerKind.SEQ)
-            self._pending_cast_kind = PointerKind.SEQ
-
-    _pending_cast_kind: Optional[PointerKind] = None
 
     def _call_flow(self, expr: ast.Call, slots_of) -> None:
         func = self.program.lookup_function(expr.callee)

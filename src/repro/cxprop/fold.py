@@ -72,18 +72,15 @@ def _protected_identifier_ids(stmt: ast.Stmt) -> set[int]:
     address-of are still fair game.
     """
     protected: set[int] = set()
-
-    def protect_lvalue(lvalue: ast.Expr) -> None:
-        if isinstance(lvalue, ast.Identifier):
-            protected.add(id(lvalue))
-        elif isinstance(lvalue, (ast.Index, ast.Member)):
-            protect_lvalue(lvalue.base)
-        # Deref roots are evaluated as ordinary pointer expressions.
-
     for expr in statement_expressions(stmt):
         for node in walk_expression(expr):
             if isinstance(node, ast.AddressOf):
-                protect_lvalue(node.lvalue)
+                lvalue = node.lvalue
+                while isinstance(lvalue, (ast.Index, ast.Member)):
+                    lvalue = lvalue.base
+                # Deref roots are evaluated as ordinary pointer expressions.
+                if isinstance(lvalue, ast.Identifier):
+                    protected.add(id(lvalue))
     return protected
 
 

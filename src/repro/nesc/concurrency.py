@@ -62,44 +62,47 @@ def _collect_accesses(program: Program, func: ast.FunctionDef,
     """Find direct (non-pointer) accesses to globals inside ``func``."""
     from repro.cminor.typecheck import local_types
 
-    locals_ = set(local_types(func))
+    visible = global_names - set(local_types(func))
     accesses: list[VariableAccess] = []
-
-    def record(block: ast.Block, in_atomic: bool) -> None:
-        for stmt in block.stmts:
-            if isinstance(stmt, ast.Assign):
-                base = lvalue_root(stmt.lvalue)
-                if base is not None and base not in locals_ and base in global_names:
-                    accesses.append(VariableAccess(base, func.name, True, in_atomic))
-                _record_reads(stmt.rvalue, in_atomic)
-                _record_reads_lvalue_indices(stmt.lvalue, in_atomic)
-            else:
-                for expr in statement_expressions(stmt):
-                    _record_reads(expr, in_atomic)
-            nested = in_atomic or isinstance(stmt, ast.Atomic)
-            for inner in child_blocks(stmt):
-                record(inner, nested)
-
-    def _record_reads(expr: ast.Expr, in_atomic: bool) -> None:
-        for node in walk_expression(expr):
-            if isinstance(node, ast.Identifier):
-                if node.name not in locals_ and node.name in global_names:
+    # Each statement before the blocks nested in it, in source order: a
+    # stack of (statement iterator, inside an atomic section) per block.
+    stack = [(iter(func.body.stmts), False)]
+    while stack:
+        stmts, in_atomic = stack[-1]
+        stmt = next(stmts, None)
+        if stmt is None:
+            stack.pop()
+            continue
+        if isinstance(stmt, ast.Assign):
+            base = lvalue_root(stmt.lvalue)
+            if base in visible:
+                accesses.append(
+                    VariableAccess(base, func.name, True, in_atomic))
+            reads = [stmt.rvalue, *_location_reads(stmt.lvalue)]
+        else:
+            reads = statement_expressions(stmt)
+        for expr in reads:
+            for node in walk_expression(expr):
+                if isinstance(node, ast.Identifier) and node.name in visible:
                     accesses.append(
                         VariableAccess(node.name, func.name, False, in_atomic))
-
-    def _record_reads_lvalue_indices(lvalue: ast.Expr, in_atomic: bool) -> None:
-        # Reads that happen while computing the written location (array
-        # indices, pointer bases of a deref, struct bases).
-        if isinstance(lvalue, ast.Index):
-            _record_reads(lvalue.index, in_atomic)
-            _record_reads_lvalue_indices(lvalue.base, in_atomic)
-        elif isinstance(lvalue, ast.Deref):
-            _record_reads(lvalue.pointer, in_atomic)
-        elif isinstance(lvalue, ast.Member):
-            _record_reads_lvalue_indices(lvalue.base, in_atomic)
-
-    record(func.body, False)
+        nested = in_atomic or isinstance(stmt, ast.Atomic)
+        stack.extend((iter(inner.stmts), nested)
+                     for inner in reversed(child_blocks(stmt)))
     return accesses
+
+
+def _location_reads(lvalue: ast.Expr) -> list[ast.Expr]:
+    """What computing a store target's location reads: array indices and
+    a deref's pointer, through struct and array bases."""
+    reads = []
+    while isinstance(lvalue, (ast.Index, ast.Member)):
+        if isinstance(lvalue, ast.Index):
+            reads.append(lvalue.index)
+        lvalue = lvalue.base
+    if isinstance(lvalue, ast.Deref):
+        reads.append(lvalue.pointer)
+    return reads
 
 
 def analyze_concurrency(program: Program,

@@ -28,13 +28,21 @@ that issues many small sweeps over time — :class:`repro.api.Workbench`
 routes every interactive ``build()`` through a one-build sweep — can pass a
 ``snapshot_store`` to persist them across calls, so the second build of an
 application resumes from the first build's front end even though the two
-builds arrived in separate calls.
+builds arrived in separate calls.  Such a store is filled only where the
+registered variants' pass lists (or the call's own) diverge: a build
+resumes from its longest snapshotted prefix, so a snapshot anywhere else
+would never be read back.  For a figure application those points are the
+front end, ``ccured.cure[flid]`` and ``ccured.cure[flid]`` +
+``ccured.optimize``.  The store's owner decides how long each snapshot
+lives; the Workbench frees one once every registered variant whose pass
+list starts with its prefix has been built for the application.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from functools import lru_cache
+from typing import Iterable, Optional, Sequence, Union
 
 from repro.cminor.program import Program
 from repro.nesc.application import Application
@@ -49,6 +57,7 @@ from repro.toolchain.passes import (
     PassReport,
 )
 from repro.toolchain.pipeline import BuildResult, result_from_context
+from repro.toolchain.variants import all_variant_names, variant_by_name
 
 
 @dataclass
@@ -108,7 +117,14 @@ class _Plan:
     keys: tuple[str, ...]
 
 
-def _resume_points(plans: Sequence[_Plan]) -> set[tuple[str, ...]]:
+def _plan(variant: BuildVariant) -> _Plan:
+    passes = variant_passes(variant)
+    return _Plan(variant, passes,
+                 tuple(pass_.cache_key(variant) for pass_ in passes))
+
+
+def _resume_points(key_lists: Iterable[tuple[str, ...]],
+                   ) -> set[tuple[str, ...]]:
     """The prefixes builds will actually resume from: divergence points.
 
     Resuming always picks the *longest* snapshotted prefix of a plan's key
@@ -116,41 +132,37 @@ def _resume_points(plans: Sequence[_Plan]) -> set[tuple[str, ...]]:
     worth snapshotting; snapshots at shorter shared prefixes would never be
     read back, wasting a full program clone each.
     """
+    distinct = set(key_lists)
     points: set[tuple[str, ...]] = set()
-    for index, plan in enumerate(plans):
+    for keys in distinct:
         best = 0
-        for other_index, other in enumerate(plans):
-            if other_index == index:
+        for other in distinct:
+            if other == keys:
                 continue
             common = 0
-            for left, right in zip(plan.keys, other.keys):
+            for left, right in zip(keys, other):
                 if left != right:
                     break
                 common += 1
             best = max(best, common)
         if best:
-            points.add(plan.keys[:best])
+            points.add(keys[:best])
     return points
 
 
-#: Passes whose output is worth snapshotting for *future* sweeps: the nesC
-#: front end and the CCured stage are the expensive deterministic prefixes
-#: variants actually share.  Cheaper tail passes (inline, cxprop, gcc) are
-#: never a shared resume point across variants, so persisting them would
-#: just pile up program clones.
-_PERSISTENT_PREFIX_STAGES = ("nesc.", "ccured.")
+@lru_cache(maxsize=None)
+def variant_pass_keys(variant_name: str) -> tuple[str, ...]:
+    """The cache-key sequence a registered variant's pass list lowers to."""
+    return _plan(variant_by_name(variant_name)).keys
 
 
-def _persistent_points(plans: Sequence[_Plan]) -> set[tuple[str, ...]]:
-    """Prefixes to keep alive in a cross-call snapshot store."""
-    points: set[tuple[str, ...]] = set()
-    for plan in plans:
-        for index, pass_ in enumerate(plan.passes):
-            if index + 1 >= len(plan.keys):
-                break
-            if pass_.name.startswith(_PERSISTENT_PREFIX_STAGES):
-                points.add(plan.keys[:index + 1])
-    return points
+def _store_points(key_lists: Iterable[tuple[str, ...]],
+                  ) -> set[tuple[str, ...]]:
+    """Snapshot points for a cross-call store: where the given plans or any
+    registered variant's plan diverge, so a later call's build of any
+    registered variant resumes from what this call leaves behind."""
+    return _resume_points([*map(variant_pass_keys, all_variant_names()),
+                           *key_lists])
 
 
 def persistent_prefixes(variant: BuildVariant) -> list[tuple[str, ...]]:
@@ -158,14 +170,17 @@ def persistent_prefixes(variant: BuildVariant) -> list[tuple[str, ...]]:
 
     These are the pass-list prefixes a cross-call (or cross-session —
     :class:`repro.store.ArtifactStore` persists them to disk) snapshot
-    store keeps alive for the variant: every prefix ending at a nesC
-    front-end or CCured stage.  A build of the variant resumes from the
-    longest such prefix present in the store.
+    store keeps for the variant: the prefixes of its pass list at which
+    a registered variant's pass list (or its own) parts from the others.
+    For a figure variant that is the front end, plus ``ccured.cure[flid]``
+    and ``ccured.cure[flid]`` + ``ccured.optimize`` for the FLID-cured
+    ones.  A build of the variant resumes from the longest such prefix
+    present in the store.
     """
-    passes = variant_passes(variant)
-    keys = tuple(pass_.cache_key(variant) for pass_ in passes)
-    plan = _Plan(variant, passes, keys)
-    return sorted(_persistent_points([plan]), key=len)
+    keys = _plan(variant).keys
+    return sorted((point for point in _store_points([keys])
+                   if len(point) < len(keys) and keys[:len(point)] == point),
+                  key=len)
 
 
 def _build_one_app(app_name: str, variants: Sequence[BuildVariant],
@@ -180,8 +195,8 @@ def _build_one_app(app_name: str, variants: Sequence[BuildVariant],
             ``app_name`` when omitted.
         snapshots: Cross-call snapshot store for this application.  When
             given, prefix snapshots from earlier calls are resumed from and
-            the store is extended at the persistent stage boundaries
-            (:data:`_PERSISTENT_PREFIX_STAGES`) for later calls.
+            the store is extended where the registered variants' pass lists
+            (and this call's) diverge, for later calls.
     """
     builds: list[SweepBuild] = []
     if not share_front_end:
@@ -200,17 +215,12 @@ def _build_one_app(app_name: str, variants: Sequence[BuildVariant],
 
     if app is None:
         app = suite.build_application(app_name)
-    plans = []
-    for variant in variants:
-        passes = variant_passes(variant)
-        keys = tuple(pass_.cache_key(variant) for pass_ in passes)
-        plans.append(_Plan(variant, passes, keys))
-    wanted = _resume_points(plans)
-
+    plans = [_plan(variant) for variant in variants]
     if snapshots is None:
         snapshots = {}
+        wanted = _resume_points(plan.keys for plan in plans)
     else:
-        wanted |= _persistent_points(plans)
+        wanted = _store_points(plan.keys for plan in plans)
     for plan in plans:
         # Resume from the longest already-built shared prefix, if any.
         start = 0

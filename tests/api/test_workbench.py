@@ -8,11 +8,13 @@ from repro.api.specs import BuildSpec, SimSpec, SweepSpec
 from repro.api.workbench import Workbench, is_registered_variant
 from repro.avrora import interp
 from repro.ccured.passes import CurePass
+from repro.cminor.program import Program
 from repro.nesc.passes import FlattenPass
 from repro.tinyos.suite import FIGURE_APPS
+from repro.toolchain import sweep
 from repro.toolchain.config import BuildVariant
 from repro.toolchain.passes import PassManager
-from repro.toolchain.sweep import SweepRunner
+from repro.toolchain.sweep import SweepRunner, variant_pass_keys
 from repro.toolchain.variants import (
     BASELINE,
     FIGURE2_STRATEGIES,
@@ -124,6 +126,55 @@ class TestPrefixSharing:
         # report points at its own program.
         assert first.ccured.program is first.program
         assert second.ccured.program is second.program
+
+
+class TestSnapshotLifetime:
+    def test_figures_2_and_3a_clone_11_programs_per_app(self, monkeypatch):
+        """Figures 2 and 3(a) snapshot each app at the 3 points where
+        registered variants diverge and resume its other 8 builds from
+        them: 11 clones per app.  Every snapshot taken is resumed at least
+        once."""
+        cloned: list[Program] = []
+        clone = Program.clone
+
+        def counted(program):
+            cloned.append(program)
+            return clone(program)
+
+        taken: list = []
+
+        class Recorded(sweep._Snapshot):
+            def __init__(self, *args):
+                super().__init__(*args)
+                taken.append(self)
+
+        monkeypatch.setattr(Program, "clone", counted)
+        monkeypatch.setattr(sweep, "_Snapshot", Recorded)
+        apps = ["BlinkTask_Mica2", "Oscilloscope_Mica2"]
+        bench = Workbench()
+        figure2_table(bench, apps)
+        figure3a_table(bench, apps)
+
+        assert len(cloned) == 11 * len(apps)
+        assert len(taken) == 3 * len(apps)
+        for snapshot in taken:
+            assert any(source is snapshot.program for source in cloned)
+
+    def test_snapshots_are_freed_once_their_variants_are_built(self):
+        """A session keeps an app's snapshot only while some registered
+        variant that starts with its prefix is unbuilt: after the figures
+        it holds the front end (for safe-full-runtime), after every
+        registered variant nothing."""
+        app = "BlinkTask_Mica2"
+        bench = Workbench()
+        figure2_table(bench, [app])
+        figure3a_table(bench, [app])
+        assert list(bench._snapshots[app]) == \
+            [variant_pass_keys("safe-full-runtime")[:2]]
+
+        for name in bench.variant_names():
+            bench.build(app, name)
+        assert app not in bench._snapshots
 
 
 class TestDifferential:

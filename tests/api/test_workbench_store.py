@@ -61,9 +61,11 @@ class TestWarmBuilds:
         with Workbench(store=store) as writer:
             writer.build(BUILD)
 
-        # safe-optimized shares the nesC front end *and* the CCured stage
-        # with safe-flid; a fresh session must resume from the stored
-        # snapshot instead of re-running the shared prefix.
+        # safe-flid's session stored the prefixes where registered
+        # variants diverge: the front end, ccured.cure[flid], and that plus
+        # ccured.optimize.  safe-optimized shares the last with safe-flid;
+        # a fresh session must resume from it instead of re-running the
+        # shared prefix.
         with Workbench(store=store) as novel:
             novel.build(BuildSpec(app="BlinkTask_Mica2",
                                   variant="safe-optimized"))

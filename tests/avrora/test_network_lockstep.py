@@ -280,6 +280,26 @@ class TestReproducibility:
         other = self._run(surge_program, seed=12)
         assert first["deliveries"] != other["deliveries"]
 
+    def test_forced_thread_switches_change_nothing(self, surge_program):
+        """The scheduler and each node's execution thread hand over through
+        two locks in strict ping-pong.  With more node threads than cores
+        and the interpreter switching threads every microsecond, a lost or
+        doubled handoff would change the run or deadlock it."""
+        def run():
+            network = _chain_network(surge_program, 6, loss=0.25, seed=11)
+            network.run(4.0)
+            return _fingerprint(network)
+
+        reference = run()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            stressed = run()
+        finally:
+            sys.setswitchinterval(interval)
+        assert stressed == reference
+        assert reference["delivered"] > 0
+
 
 # ---------------------------------------------------------------------------
 # Grant-schedule invariance

@@ -1,10 +1,14 @@
 """End-to-end integration tests: the paper's claims on whole applications."""
 
+import gc
+import types
+
 import pytest
 
 from repro.api.workbench import Workbench, run_network
 from repro.toolchain.contexts import duty_cycle_context
-from repro.toolchain.variants import BASELINE
+from repro.toolchain.sweep import SweepRunner
+from repro.toolchain.variants import BASELINE, SAFE_OPTIMIZED
 
 
 @pytest.fixture(scope="module")
@@ -92,3 +96,33 @@ class TestHeadlineClaims:
         node = _run(result, 1.0)
         assert not node.halted
         assert len(node.radio.packets_sent) >= 1
+
+
+class TestNoCyclicGarbage:
+    """The nesC race analysis, CCured's kind inference and cXprop's fold
+    run once per function or statement; a recursive nested helper there
+    would leave a function-cell reference cycle per call for the cyclic
+    collector."""
+
+    MODULES = ("repro.nesc.concurrency", "repro.ccured.infer",
+               "repro.cxprop.fold")
+
+    def test_a_build_leaves_none_of_their_functions_in_gc_garbage(self):
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            # safe-optimized runs all three: the race analysis in the
+            # front end, kind inference in CCured, and fold in cXprop.
+            build = SweepRunner(["Oscilloscope_Mica2"],
+                                [SAFE_OPTIMIZED]).run().builds[0]
+            gc.collect()
+            leaked = sorted({
+                f"{obj.__module__}.{obj.__qualname__}"
+                for obj in gc.garbage
+                if isinstance(obj, types.FunctionType)
+                and obj.__module__ in self.MODULES})
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert build.result.cxprop is not None
+        assert leaked == []

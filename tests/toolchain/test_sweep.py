@@ -2,12 +2,19 @@
 
 import pytest
 
-from repro.toolchain.sweep import SweepRunner
+from repro.toolchain.sweep import (
+    SweepRunner,
+    persistent_prefixes,
+    variant_pass_keys,
+)
 from repro.toolchain.variants import (
     BASELINE,
+    FIG2_GCC_ONLY,
     SAFE_FLID,
     SAFE_FLID_CXPROP,
     SAFE_OPTIMIZED,
+    SAFE_VERBOSE,
+    UNSAFE_OPTIMIZED,
 )
 
 APPS = ["BlinkTask_Mica2", "Oscilloscope_Mica2"]
@@ -100,6 +107,29 @@ class TestSnapshotStore:
                                share_front_end=False).run().builds[0].summary
         assert second.builds[0].summary == expected
         assert first.builds[0].summary != expected
+
+    def test_store_points_are_where_registered_variants_diverge(self):
+        """A cross-call store snapshots a figure app only at the front end,
+        ``ccured.cure[flid]`` and ``ccured.cure[flid]`` +
+        ``ccured.optimize``: the prefixes some registered variant resumes
+        from.  Other stage boundaries are never read back."""
+        keys = variant_pass_keys(SAFE_OPTIMIZED.name)
+        front_end, cure, optimize = keys[:2], keys[:3], keys[:4]
+        assert [key.split("[")[0] for key in optimize] == [
+            "nesc.flatten", "nesc.hwrefactor", "ccured.cure",
+            "ccured.optimize"]
+        assert "flid" in cure[-1]
+
+        store: dict = {}
+        SweepRunner(["BlinkTask_Mica2"], [SAFE_OPTIMIZED],
+                    snapshot_store=store).run()
+        assert sorted(store["BlinkTask_Mica2"], key=len) == \
+            [front_end, cure, optimize]
+        assert persistent_prefixes(SAFE_OPTIMIZED) == \
+            [front_end, cure, optimize]
+        assert persistent_prefixes(FIG2_GCC_ONLY) == [front_end, cure]
+        for variant in (BASELINE, SAFE_VERBOSE, UNSAFE_OPTIMIZED):
+            assert persistent_prefixes(variant) == [front_end]
 
     def test_application_objects_build_in_process(self):
         from helpers import tiny_application
