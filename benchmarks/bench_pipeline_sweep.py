@@ -17,7 +17,9 @@ for a standalone measurement.
 A second section, ``figures_session``, assembles Figures 2 and 3(a) in one
 :class:`~repro.api.workbench.Workbench`, as ``repro figures`` does, and
 records the builds it executed, the passes each stage ran, the programs it
-cloned, the prefix snapshots it still holds at the end and its wall time.
+cloned, the prefix snapshots it still holds at the end, how many functions
+the type checks and call-graph builds walked against how many were present,
+and its wall time.
 Figure 2's last three bars are Figure 3's ``safe-flid``,
 ``safe-flid-cxprop`` and ``safe-optimized``, so the session must execute 9
 builds per application (4 for Figure 2, then 5 new for Figure 3(a)).  It
@@ -25,7 +27,11 @@ snapshots each application where the registered variants diverge (the
 front end, ``ccured.cure[flid]`` and that plus ``ccured.optimize``) and
 resumes the other 8 builds from those snapshots: 11 clones per
 application.  At the end it holds at most the front end, kept for
-``safe-full-runtime``.  These counts are asserted, the time is not.  The
+``safe-full-runtime``.  A function is checked again, or its callees walked
+again, only if it changed since (:mod:`repro.cminor.analysis_cache`), so at
+most ``MAX_REWALK_RATIO`` of the functions present at each type check and
+each call-graph build may be walked.  These counts are asserted, the time
+is not.  The
 file's ``perfbench`` section holds parent/change medians measured with
 ``perfbench/run.py``; this module keeps it as it finds it.
 
@@ -47,7 +53,10 @@ from pathlib import Path
 
 from repro.api.figures import figure2_table, figure3a_table
 from repro.api.workbench import Workbench
+from repro.cminor import callgraph
+from repro.cminor.analysis_cache import ProgramAnalysisCache
 from repro.cminor.program import Program
+from repro.cminor.typecheck import TypeChecker
 from repro.tinyos.suite import FIGURE_APPS
 from repro.toolchain.sweep import SweepRunner
 from repro.toolchain.variants import (
@@ -83,6 +92,11 @@ FIGURES_SESSION_SNAPSHOTS_PER_APP = 1
 #: The stages whose executed passes ``figures_session`` reports.
 FIGURES_SESSION_STAGES = ("ccured.cure", "inline", "cxprop", "gcc", "image")
 
+#: Largest share of the functions present at the session's type checks
+#: (and at its call-graph builds) that may be checked (have their callees
+#: walked) again; re-checking every function gives 1.0.
+MAX_REWALK_RATIO = 0.40
+
 
 def _smoke() -> bool:
     return bool(os.environ.get("REPRO_BENCH_SMOKE"))
@@ -102,17 +116,42 @@ def _timed_sweep(apps: list[str], share_front_end: bool):
 
 def measure_figures_session(apps: list[str]) -> dict:
     """Figures 2 and 3(a) from one fresh Workbench: builds, passes, clones,
-    held snapshots, time."""
+    held snapshots, functions checked and callees walked, time."""
     workbench = Workbench()
-    clones = 0
+    counts = Counter()
     clone = Program.clone
+    check, check_function = TypeChecker.check, TypeChecker.check_function
+    fact, function_callees = ProgramAnalysisCache.fact, \
+        callgraph.function_callees
 
     def counted_clone(program: Program) -> Program:
-        nonlocal clones
-        clones += 1
+        counts["clones"] += 1
         return clone(program)
 
+    def counted_check(checker: TypeChecker) -> None:
+        counts["functions_at_checks"] += len(checker.program.functions)
+        check(checker)
+
+    def counted_check_function(checker: TypeChecker, func) -> None:
+        counts["functions_checked"] += 1
+        check_function(checker, func)
+
+    def counted_fact(cache: ProgramAnalysisCache, compute, func):
+        # Only ``build_call_graph`` asks for callees: one request per
+        # function present at a call-graph build.
+        if compute is counted_callees:
+            counts["functions_at_call_graphs"] += 1
+        return fact(cache, compute, func)
+
+    def counted_callees(func):
+        counts["callee_walks"] += 1
+        return function_callees(func)
+
     Program.clone = counted_clone
+    TypeChecker.check = counted_check
+    TypeChecker.check_function = counted_check_function
+    ProgramAnalysisCache.fact = counted_fact
+    callgraph.function_callees = counted_callees
     try:
         start = time.perf_counter()
         figure2_table(workbench, apps)
@@ -120,6 +159,9 @@ def measure_figures_session(apps: list[str]) -> dict:
         wall_s = time.perf_counter() - start
     finally:
         Program.clone = clone
+        TypeChecker.check, TypeChecker.check_function = check, check_function
+        ProgramAnalysisCache.fact = fact
+        callgraph.function_callees = function_callees
     # A build resumed from a shared prefix carries that prefix's report
     # objects in its trace, so each distinct report is one executed pass.
     executed = Counter({
@@ -135,9 +177,13 @@ def measure_figures_session(apps: list[str]) -> dict:
         "passes_executed": stats["passes_executed"],
         "stage_passes_executed": {stage: executed[stage]
                                   for stage in FIGURES_SESSION_STAGES},
-        "program_clones": clones,
+        "program_clones": counts["clones"],
         "snapshots_held": sum(
             len(snapshots) for snapshots in workbench._snapshots.values()),
+        "functions_checked": counts["functions_checked"],
+        "functions_at_checks": counts["functions_at_checks"],
+        "callee_walks": counts["callee_walks"],
+        "functions_at_call_graphs": counts["functions_at_call_graphs"],
         "wall_seconds": round(wall_s, 3),
     }
 
@@ -205,6 +251,12 @@ def _check_figures_session(results: dict) -> None:
     assert session["snapshots_held"] <= held, \
         f"Figures 2 and 3(a) left {session['snapshots_held']} snapshots " \
         f"behind, more than {held}"
+    for walked, present in (("functions_checked", "functions_at_checks"),
+                            ("callee_walks", "functions_at_call_graphs")):
+        ratio = session[walked] / session[present]
+        assert ratio <= MAX_REWALK_RATIO, \
+            f"Figures 2 and 3(a): {walked} is {session[walked]} of " \
+            f"{session[present]} ({ratio:.2f}), above {MAX_REWALK_RATIO}"
 
 
 def format_table(results: dict) -> str:
@@ -223,6 +275,10 @@ def format_table(results: dict) -> str:
         f"  passes executed    : {stages}",
         f"  programs cloned    : {session['program_clones']} "
         f"({session['snapshots_held']} snapshots held at the end)",
+        f"  functions checked  : {session['functions_checked']} of "
+        f"{session['functions_at_checks']} present at the type checks",
+        f"  callees walked     : {session['callee_walks']} of "
+        f"{session['functions_at_call_graphs']} present at the call graphs",
     ])
 
 

@@ -24,9 +24,10 @@ from dataclasses import dataclass
 
 from repro.cminor import ast_nodes as ast
 from repro.cminor import cint
+from repro.cminor import typesys as ty
 from repro.cminor.callgraph import build_call_graph
 from repro.cminor.program import Program
-from repro.cminor.typecheck import check_program, local_types
+from repro.cminor.typecheck import check_program
 from repro.cminor.visitor import (
     child_blocks,
     replace_statement_expressions,
@@ -87,52 +88,60 @@ def _fold_constants(program: Program, report: GccOptReport) -> None:
         return stmt
 
     for func in program.iter_functions():
+        before = report.constants_folded
         transform_block(func.body, rewrite)
+        if report.constants_folded != before:
+            program.invalidate_analysis(func.name)
 
 
 def _remove_easy_checks(program: Program, report: GccOptReport) -> None:
+    local_types = program.analysis().local_types
     for func in program.iter_functions():
-        locals_ = local_types(func)
+        before = report.checks_removed
+        _remove_block_checks(func.body, program, local_types(func), report)
+        if report.checks_removed != before:
+            program.invalidate_analysis(func.name)
 
-        def optimize_block(block: ast.Block) -> None:
-            # The compiler's value numbering catches a re-check of a pointer
-            # it can see has not changed within the basic block; anything
-            # involving calls, stores through memory, or assignments to the
-            # pointer's variables resets that knowledge.
-            previous_check: ast.Stmt | None = None
-            new_stmts: list[ast.Stmt] = []
-            for stmt in block.stmts:
-                nested = child_blocks(stmt)
-                for inner in nested:
-                    optimize_block(inner)
-                if is_check_statement(stmt):
-                    pointer = check_pointer_argument(stmt)
-                    if pointer is not None and pointer_is_statically_safe(
-                            pointer, program, locals_):
-                        report.easy_checks_removed += 1
-                        continue
-                    if previous_check is not None and \
-                            _same_check(previous_check, stmt):
-                        report.duplicate_checks_removed += 1
-                        continue
-                    previous_check = stmt
-                else:
-                    if previous_check is not None:
-                        assigned = _assigned_variables(stmt)
-                        guarded = check_pointer_argument(previous_check)
-                        mentioned = _pointer_variables(guarded) if guarded is not None \
-                            else set()
-                        mentions_global = any(name not in locals_
-                                              and name in program.globals
-                                              for name in mentioned)
-                        has_call = _statement_calls(stmt)
-                        if (mentioned & assigned) or nested or \
-                                ("*" in assigned and (mentions_global or has_call)):
-                            previous_check = None
-                new_stmts.append(stmt)
-            block.stmts = new_stmts
 
-        optimize_block(func.body)
+def _remove_block_checks(block: ast.Block, program: Program,
+                         locals_: dict[str, ty.CType],
+                         report: GccOptReport) -> None:
+    # The compiler's value numbering catches a re-check of a pointer it can
+    # see has not changed within the basic block; anything involving calls,
+    # stores through memory, or assignments to the pointer's variables
+    # resets that knowledge.
+    previous_check: ast.Stmt | None = None
+    new_stmts: list[ast.Stmt] = []
+    for stmt in block.stmts:
+        nested = child_blocks(stmt)
+        for inner in nested:
+            _remove_block_checks(inner, program, locals_, report)
+        if is_check_statement(stmt):
+            pointer = check_pointer_argument(stmt)
+            if pointer is not None and pointer_is_statically_safe(
+                    pointer, program, locals_):
+                report.easy_checks_removed += 1
+                continue
+            if previous_check is not None and \
+                    _same_check(previous_check, stmt):
+                report.duplicate_checks_removed += 1
+                continue
+            previous_check = stmt
+        else:
+            if previous_check is not None:
+                assigned = _assigned_variables(stmt)
+                guarded = check_pointer_argument(previous_check)
+                mentioned = _pointer_variables(guarded) if guarded is not None \
+                    else set()
+                mentions_global = any(name not in locals_
+                                      and name in program.globals
+                                      for name in mentioned)
+                has_call = _statement_calls(stmt)
+                if (mentioned & assigned) or nested or \
+                        ("*" in assigned and (mentions_global or has_call)):
+                    previous_check = None
+        new_stmts.append(stmt)
+    block.stmts = new_stmts
 
 
 def _statement_calls(stmt: ast.Stmt) -> bool:
@@ -162,7 +171,10 @@ def _fold_literal_branches(program: Program, report: GccOptReport) -> None:
         return stmt
 
     for func in program.iter_functions():
+        before = report.branches_folded
         transform_block(func.body, rewrite)
+        if report.branches_folded != before:
+            program.invalidate_analysis(func.name)
 
 
 def _remove_uncalled_functions(program: Program, report: GccOptReport) -> None:
@@ -182,6 +194,5 @@ def gcc_optimize(program: Program) -> GccOptReport:
     _fold_literal_branches(program, report)
     _remove_easy_checks(program, report)
     _remove_uncalled_functions(program, report)
-    program.invalidate_analysis()
     check_program(program)
     return report

@@ -34,7 +34,6 @@ class BuildImagePass(Pass):
     """
 
     name = "image"
-    invalidates_analysis = False
 
     def run(self, program: Optional[Program], ctx: PassContext) -> PassOutcome:
         assert program is not None, "image needs a program"

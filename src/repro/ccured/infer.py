@@ -25,7 +25,6 @@ from typing import Optional
 from repro.cminor import ast_nodes as ast
 from repro.cminor import typesys as ty
 from repro.cminor.program import Program
-from repro.cminor.typecheck import local_types
 from repro.cminor.visitor import (
     child_expressions,
     statement_expressions,
@@ -72,6 +71,7 @@ class KindInference:
                 if self._is_pointerish(struct_field.ctype):
                     self.kinds.raise_to(field_slot(name, struct_field.name),
                                         PointerKind.SAFE)
+        local_types = self.program.analysis().local_types
         for func in self.program.iter_functions():
             if self._is_pointerish(func.return_type):
                 self.kinds.raise_to(return_slot(func.name), PointerKind.SAFE)
@@ -92,7 +92,7 @@ class KindInference:
 
     def _scan_function(self, func: ast.FunctionDef) -> None:
         slots = partial(expr_slots, program=self.program, func=func,
-                        locals_=local_types(func))
+                        locals_=self.program.analysis().local_types(func))
         for stmt in walk_statements(func.body):
             for expr in statement_expressions(stmt):
                 self._constrain_expr(expr, slots)
@@ -214,7 +214,8 @@ def expr_slots(expr: ast.Expr, program: Program, func: ast.FunctionDef,
                locals_: dict[str, ty.CType]) -> list[Slot]:
     """Slots whose value may flow out of a pointer-valued expression.
 
-    ``locals_`` is ``local_types(func)``, the function the expression is in.
+    ``locals_`` is the local types of ``func``, the function the expression
+    is in.
     """
     if isinstance(expr, ast.Identifier):
         name = expr.name

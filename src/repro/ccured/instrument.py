@@ -23,7 +23,7 @@ from repro.cminor import ast_nodes as ast
 from repro.cminor import typesys as ty
 from repro.cminor.clone import clone_expr
 from repro.cminor.program import Program
-from repro.cminor.typecheck import check_program, local_types
+from repro.cminor.typecheck import check_program
 from repro.cminor.pretty import PrettyPrinter
 from repro.cminor.visitor import (
     child_expressions,
@@ -118,11 +118,14 @@ class Instrumenter:
         for func in self.program.iter_functions():
             if func.is_runtime or func.origin == RUNTIME_UNIT:
                 continue
+            before = self.inventory.count()
             self._instrument_function(func)
+            if self.inventory.count() != before:
+                self.program.invalidate_analysis(func.name)
 
     def _instrument_function(self, func: ast.FunctionDef) -> None:
         self._function = func
-        self._locals = local_types(func)
+        self._locals = self.program.analysis().local_types(func)
 
         def rewrite(stmt: ast.Stmt):
             if isinstance(stmt, (ast.Block, ast.Atomic, ast.If, ast.While)) \
@@ -466,7 +469,6 @@ def cure(program: Program, config: Optional[CCuredConfig] = None) -> CCuredResul
     runtime = build_runtime(config)
     runtime.add_to_program(program)
     add_fat_pointer_metadata(program, kinds)
-    program.invalidate_analysis()
     check_program(program)
 
     result = CCuredResult(

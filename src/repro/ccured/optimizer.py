@@ -153,13 +153,14 @@ class CheckOptimizer:
         self.removed = 0
 
     def run(self) -> int:
-        from repro.cminor.typecheck import local_types
-
+        local_types = self.program.analysis().local_types
         for func in self.program.iter_functions():
             if func.is_runtime:
                 continue
-            locals_ = local_types(func)
-            self._optimize_block(func.body, locals_)
+            before = self.removed
+            self._optimize_block(func.body, local_types(func))
+            if self.removed != before:
+                self.program.invalidate_analysis(func.name)
         return self.removed
 
     def _optimize_block(self, block: ast.Block,

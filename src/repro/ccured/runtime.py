@@ -21,8 +21,10 @@ does not use — shrinking the footprint from 1.6 KB RAM / 33 KB ROM to
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.cminor import ast_nodes as ast
+from repro.cminor.clone import clone_function, clone_global
 from repro.cminor.parser import parse_program
 from repro.cminor.program import Program
 from repro.ccured.config import CCuredConfig, MessageStrategy, RuntimeMode
@@ -266,23 +268,36 @@ __spontaneous void __ccured_abort(void) {
 """
 
 
-def build_runtime(config: CCuredConfig) -> RuntimeLibrary:
-    """Generate the runtime library dictated by ``config``."""
-    full = config.runtime_mode is RuntimeMode.FULL
-    source = _check_helpers_source(config.message_strategy, full)
+@lru_cache(maxsize=None)
+def _runtime_unit(strategy: MessageStrategy, full: bool
+                  ) -> tuple[tuple[ast.GlobalVar, ...],
+                             tuple[ast.FunctionDef, ...]]:
+    """The parsed runtime of one configuration: a master copy, never linked
+    into a program, so each cure links its own clone."""
+    source = _check_helpers_source(strategy, full)
     if full:
         source = source + _FULL_RUNTIME_EXTRAS
     unit = parse_program(source, RUNTIME_UNIT)
-    library = RuntimeLibrary(mode=config.runtime_mode,
-                             strategy=config.message_strategy)
     for var in unit.globals:
         var.origin = RUNTIME_UNIT
-        library.globals.append(var)
     for func in unit.functions:
         func.origin = RUNTIME_UNIT
         func.attributes["runtime"] = True
         if func.name.startswith("__ccured_check"):
             func.attributes["check"] = True
             func.attributes["inline"] = True
-        library.functions.append(func)
-    return library
+    return tuple(unit.globals), tuple(unit.functions)
+
+
+def build_runtime(config: CCuredConfig) -> RuntimeLibrary:
+    """Generate the runtime library dictated by ``config``.
+
+    The source is parsed once per message strategy and runtime mode; every
+    library gets fresh copies of its functions and globals.
+    """
+    globals_, functions = _runtime_unit(
+        config.message_strategy, config.runtime_mode is RuntimeMode.FULL)
+    return RuntimeLibrary(
+        mode=config.runtime_mode, strategy=config.message_strategy,
+        functions=[clone_function(func) for func in functions],
+        globals=[clone_global(var) for var in globals_])

@@ -1,22 +1,34 @@
-"""Program-level cache of derived per-function analyses.
+"""Per-function memo of derived facts, keyed to one program.
 
-Several layers recompute the same cheap-but-not-free derived facts over and
-over: the simulator derives ``local_types`` and the statement→expression
-mapping per interpreter instance, and every cXprop round recomputes them per
-:class:`~repro.cxprop.dataflow.FunctionAnalysis`.  This module hoists those
-results to the :class:`~repro.cminor.program.Program` so one computation
-serves every consumer (``avrora`` and ``cxprop`` alike).
+Every stage of the toolchain reads the same facts about each function:
+its local types, its callees, the globals it reads and writes, the
+accesses the race analysis sees.  Each such fact is a pure function of one
+:class:`~repro.cminor.ast_nodes.FunctionDef`, so the memo keeps it for
+exactly as long as that function is unchanged:
 
-The cache is *invalidation-based*: transformation passes that mutate
-function bodies call ``program.invalidate_analysis()`` (or the per-function
-variant) when they are done.  Consumers must treat returned containers as
-immutable — they are shared.
+* a fact is computed on first request (:meth:`ProgramAnalysisCache.fact`)
+  and kept under the function's name;
+* every pass that changes a function's body reports that function's name
+  through ``program.invalidate_analysis(name)``, which drops its facts and
+  its type-check record; ``Program.add_function``, ``remove_function``,
+  ``add_global`` and ``remove_global`` report their own name;
+* whole-program results (the call graph, dead-code usage sets, mod sets,
+  the race analysis's accesses) are assembled from the facts, filtering
+  names against the program's current functions and globals, so a
+  declaration added or removed elsewhere changes no fact.
+
+Facts hold names and types, never AST nodes, so ``Program.clone()`` copies
+them and a build resumed from a prefix snapshot starts warm.  The
+statement-expression entries are keyed by node id, which a clone does not
+share, so a clone starts without them.  A pickled program leaves the memo
+behind, as it leaves the simulator's code caches.  Consumers must treat
+returned containers as immutable: they are shared.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING, Optional
+from typing import Callable, Optional, TypeVar
 
 from repro.cminor import ast_nodes as ast
 from repro.cminor import typesys as ty
@@ -24,34 +36,69 @@ from repro.cminor.typecheck import local_types
 from repro.cminor.visitor import (
     lvalue_root,
     statement_expressions,
-    walk_expression,
-    walk_statements,
+    walk_function_expressions,
 )
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.cminor.program import Program
+Fact = TypeVar("Fact")
+
+
+def memory_locals(func: ast.FunctionDef) -> frozenset[str]:
+    """Locals of ``func`` that must live in memory objects.
+
+    This is the simulator's notion: locals whose address is taken through
+    a chain of ``&``/index/member accesses, plus every aggregate local
+    (arrays and structs always live in memory).
+    """
+    locals_ = local_types(func)
+    taken: set[str] = set()
+    for node in walk_function_expressions(func.body):
+        if isinstance(node, ast.AddressOf):
+            root = lvalue_root(node.lvalue)
+            if root in locals_:
+                taken.add(root)
+    for name, ctype in locals_.items():
+        if isinstance(ctype, (ty.ArrayType, ty.StructType)):
+            taken.add(name)
+    return frozenset(taken)
 
 
 class ProgramAnalysisCache:
-    """Memoized per-function analyses, keyed to one program.
+    """Memoized per-function facts of one program.
 
     All returned mappings/sets/lists are shared between callers and must not
-    be mutated.  After an AST transformation, call :meth:`invalidate`.
+    be mutated.  After changing a function, report it to :meth:`invalidate`.
+
+    Attributes:
+        checked: Function name -> the declarations its last type check read,
+            with what each was then (see
+            :meth:`repro.cminor.typecheck.TypeChecker.check`).
+        checked_structs: The struct table those checks ran against.
     """
 
-    def __init__(self, program: "Program"):
-        self._program = program
-        self._local_types: dict[str, dict[str, ty.CType]] = {}
-        self._address_taken: dict[str, frozenset[str]] = {}
-        self._stmt_exprs: dict[int, tuple[ast.Expr, ...]] = {}
-        #: node_id → owning function name, so per-function invalidation can
-        #: drop the statement-expression entries it owns.
-        self._stmt_owner: dict[int, str] = {}
+    def __init__(self) -> None:
+        # No reference back to the program: a program and its memo form no
+        # cycle, so a released snapshot is freed as soon as it is dropped.
+        #: Fact function -> {function name: fact}.
+        self._facts: dict[Callable, dict[str, object]] = {}
+        self.checked: dict[str, tuple] = {}
+        self.checked_structs: Optional[dict[str, ty.StructType]] = None
+        #: Owning function name ("" if unknown) -> {node_id: expressions}.
+        self._stmt_exprs: dict[str, dict[int, tuple[ast.Expr, ...]]] = {}
         #: The simulator's live code caches of this program, held weakly:
         #: a :class:`~repro.avrora.engine.CodeCache` lives as long as its
         #: scope (a network, a scenario variant), not as long as the
         #: program.
         self._code_caches: weakref.WeakSet = weakref.WeakSet()
+
+    def copy(self) -> "ProgramAnalysisCache":
+        """A memo for a clone of this one's program, holding the same
+        name-keyed facts and check records."""
+        copy = ProgramAnalysisCache()
+        copy._facts = {compute: dict(table)
+                       for compute, table in self._facts.items()}
+        copy.checked = dict(self.checked)
+        copy.checked_structs = self.checked_structs
+        return copy
 
     def attach_code_cache(self, code_cache) -> None:
         """Have :meth:`invalidate` drop ``code_cache``'s lowerings too.
@@ -61,86 +108,67 @@ class ProgramAnalysisCache:
         """
         self._code_caches.add(code_cache)
 
-    def __getstate__(self) -> dict:
-        # A pickled program (a prefix snapshot) leaves its code caches,
-        # which belong to this process's simulations, behind.
-        state = dict(self.__dict__)
-        del state["_code_caches"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._code_caches = weakref.WeakSet()
+    def __reduce__(self):
+        # A pickled program (a prefix snapshot) leaves the memo and the
+        # code caches, which belong to this process's simulations, behind.
+        return ProgramAnalysisCache, ()
 
     # -- queries ----------------------------------------------------------------
 
+    def fact(self, compute: Callable[[ast.FunctionDef], Fact],
+             func: ast.FunctionDef) -> Fact:
+        """``compute(func)``, kept until ``func`` is invalidated.
+
+        ``compute`` must be a pure function of the function definition that
+        returns names and types (never ``None`` or AST nodes), and ``func``
+        must be the program's function of that name.
+        """
+        table = self._facts.get(compute)
+        if table is None:
+            table = self._facts[compute] = {}
+        value = table.get(func.name)
+        if value is None:
+            value = table[func.name] = compute(func)
+        return value  # type: ignore[return-value]
+
     def local_types(self, func: ast.FunctionDef) -> dict[str, ty.CType]:
         """Parameter and local variable types of ``func`` (shared, read-only)."""
-        cached = self._local_types.get(func.name)
-        if cached is None:
-            cached = local_types(func)
-            self._local_types[func.name] = cached
-        return cached
+        return self.fact(local_types, func)
+
+    def address_taken_locals(self, func: ast.FunctionDef) -> frozenset[str]:
+        """The simulator's memory-resident locals of ``func``
+        (:func:`memory_locals`)."""
+        return self.fact(memory_locals, func)
 
     def statement_expressions(self, stmt: ast.Stmt,
                               func_name: str = "") -> tuple[ast.Expr, ...]:
         """The top-level expressions of ``stmt`` (shared, read-only)."""
-        cached = self._stmt_exprs.get(stmt.node_id)
+        table = self._stmt_exprs.get(func_name)
+        if table is None:
+            table = self._stmt_exprs[func_name] = {}
+        cached = table.get(stmt.node_id)
         if cached is None:
-            cached = tuple(statement_expressions(stmt))
-            self._stmt_exprs[stmt.node_id] = cached
-            if func_name:
-                self._stmt_owner[stmt.node_id] = func_name
+            cached = table[stmt.node_id] = tuple(statement_expressions(stmt))
         return cached
-
-    def address_taken_locals(self, func: ast.FunctionDef) -> frozenset[str]:
-        """Locals of ``func`` that must live in memory objects.
-
-        This is the simulator's notion: locals whose address is taken
-        through a chain of ``&``/index/member accesses, plus every aggregate
-        local (arrays and structs always live in memory).
-        """
-        cached = self._address_taken.get(func.name)
-        if cached is not None:
-            return cached
-        locals_ = self.local_types(func)
-        taken: set[str] = set()
-        for stmt in walk_statements(func.body):
-            for expr in self.statement_expressions(stmt, func.name):
-                for node in walk_expression(expr):
-                    if isinstance(node, ast.AddressOf):
-                        root = lvalue_root(node.lvalue)
-                        if root in locals_:
-                            taken.add(root)
-        for name, ctype in locals_.items():
-            if isinstance(ctype, (ty.ArrayType, ty.StructType)):
-                taken.add(name)
-        frozen = frozenset(taken)
-        self._address_taken[func.name] = frozen
-        return frozen
 
     # -- invalidation -------------------------------------------------------------
 
     def invalidate(self, func_name: Optional[str] = None) -> None:
-        """Drop cached results after an AST mutation.
+        """Drop what was derived from ``func_name`` after it changed.
 
-        With ``func_name`` only that function's entries are dropped; without
-        it the whole cache is cleared.  Statement-expression entries whose
-        owner is unknown are always dropped (they may belong to any
-        function).
+        Without a name everything is dropped.  Statement-expression entries
+        whose owner is unknown are always dropped (they may belong to any
+        function), and so are the lowerings of every attached code cache.
         """
+        if func_name is None:
+            self._facts.clear()
+            self.checked.clear()
+            self._stmt_exprs.clear()
+        else:
+            for table in self._facts.values():
+                table.pop(func_name, None)
+            self.checked.pop(func_name, None)
+            self._stmt_exprs.pop(func_name, None)
+            self._stmt_exprs.pop("", None)
         for code_cache in list(self._code_caches):
             code_cache.invalidate()
-        if func_name is None:
-            self._local_types.clear()
-            self._address_taken.clear()
-            self._stmt_exprs.clear()
-            self._stmt_owner.clear()
-            return
-        self._local_types.pop(func_name, None)
-        self._address_taken.pop(func_name, None)
-        orphaned = [node_id for node_id in self._stmt_exprs
-                    if self._stmt_owner.get(node_id) in (func_name, None)]
-        for node_id in orphaned:
-            self._stmt_exprs.pop(node_id, None)
-            self._stmt_owner.pop(node_id, None)

@@ -4,7 +4,9 @@ Because CMinor has no function pointers, the call graph is exact: every call
 site names its callee.  Several stages rely on it — the nesC concurrency
 analysis (to split the program into task and interrupt contexts), cXprop's
 interprocedural fixpoint, dead-code elimination, and the inliner's bottom-up
-ordering.
+ordering.  Each function's callees are a fact of the program's analysis memo,
+so a graph is rebuilt by walking only the functions that changed since the
+last one.
 """
 
 from __future__ import annotations
@@ -22,15 +24,15 @@ class CallGraph:
 
     Attributes:
         callees: Mapping from function name to the set of functions it calls
-            (builtins included).
+            (builtins included; shared with the analysis memo, read-only).
         callers: Reverse mapping (builtins excluded).
     """
 
-    callees: dict[str, set[str]] = field(default_factory=dict)
+    callees: dict[str, frozenset[str]] = field(default_factory=dict)
     callers: dict[str, set[str]] = field(default_factory=dict)
 
-    def calls(self, name: str) -> set[str]:
-        return self.callees.get(name, set())
+    def calls(self, name: str) -> frozenset[str]:
+        return self.callees.get(name, frozenset())
 
     def called_by(self, name: str) -> set[str]:
         return self.callers.get(name, set())
@@ -50,26 +52,30 @@ class CallGraph:
     def bottom_up_order(self) -> list[str]:
         """Functions ordered so callees come before callers where possible.
 
-        Cycles (direct or mutual recursion) are broken arbitrarily; the
-        inliner refuses to inline recursive functions anyway.
+        A depth-first post-order from each function in name order, visiting
+        callees in name order.  Cycles (direct or mutual recursion) are
+        broken arbitrarily; the inliner refuses to inline recursive
+        functions anyway.
         """
         order: list[str] = []
         visited: set[str] = set()
-        on_stack: set[str] = set()
-
-        def visit(name: str) -> None:
-            if name in visited or name not in self.callees:
-                return
-            visited.add(name)
-            on_stack.add(name)
-            for callee in sorted(self.callees.get(name, set())):
-                if callee not in on_stack:
-                    visit(callee)
-            on_stack.discard(name)
-            order.append(name)
-
-        for name in sorted(self.callees):
-            visit(name)
+        for root in sorted(self.callees):
+            if root in visited:
+                continue
+            visited.add(root)
+            # Each entry: a function and the callees it has yet to visit.
+            stack = [(root, iter(sorted(self.callees[root])))]
+            while stack:
+                name, callees = stack[-1]
+                for callee in callees:
+                    if callee not in visited and callee in self.callees:
+                        visited.add(callee)
+                        stack.append(
+                            (callee, iter(sorted(self.callees[callee]))))
+                        break
+                else:
+                    stack.pop()
+                    order.append(name)
         return order
 
     def recursive_functions(self) -> set[str]:
@@ -94,11 +100,18 @@ class CallGraph:
         return False
 
 
+def function_callees(func: ast.FunctionDef) -> frozenset[str]:
+    """Names of the functions (builtins included) and tasks ``func`` calls
+    or posts."""
+    return frozenset(collect_called_functions(func.body))
+
+
 def build_call_graph(program: Program) -> CallGraph:
-    """Build the exact call graph of ``program``."""
+    """Build the exact call graph of ``program`` from its memoized callees."""
+    fact = program.analysis().fact
     graph = CallGraph()
     for func in program.iter_functions():
-        graph.callees[func.name] = collect_called_functions(func.body)
+        graph.callees[func.name] = fact(function_callees, func)
     for caller, callees in graph.callees.items():
         for callee in callees:
             if callee in graph.callees:

@@ -13,13 +13,14 @@ instead, sharing everything immutable:
 * expression and statement nodes are rebuilt from the shape the visitor
   derives from their dataclasses (:data:`repro.cminor.visitor.SHAPES`), so
   every kind is covered.  Each node is built through its constructor, which
-  gives every cloned statement a fresh ``node_id`` (the clone gets its own,
-  empty analysis cache, so shared node ids would not be wrong — fresh ids
-  simply keep the invariant that no two live statements alias an id) and
-  keeps CPython's key-sharing instance dicts: a clone that copied
+  gives every cloned statement a fresh ``node_id`` (so no two live
+  statements alias an id, and no node-id-keyed memo entry carries over)
+  and keeps CPython's key-sharing instance dicts: a clone that copied
   ``__dict__`` instead would cost each node a dict of its own;
 * containers (struct table, globals/functions dicts, task lists, vector and
-  racy-variable sets) are shallow-copied per program.
+  racy-variable sets) are shallow-copied per program;
+* the analysis memo's per-function facts and type-check records, which
+  hold names and types only, are copied, so the clone starts warm.
 
 The cloned program is semantically identical to the original: building both
 through the same pass list must produce byte-identical images
@@ -129,8 +130,8 @@ def clone_program(program: "Program") -> "Program":
     """Deep-copy a whole program, sharing its immutable leaves.
 
     The clone owns its own struct table, symbol dicts, metadata containers
-    and (lazily created) analysis cache; mutating the clone can never be
-    observed through the original, and vice versa.
+    and analysis memo; mutating the clone can never be observed through the
+    original, and vice versa.
     """
     from repro.cminor.program import Program, StructTable
 
@@ -152,4 +153,7 @@ def clone_program(program: "Program") -> "Program":
         racy_variables=set(program.racy_variables),
         norace_suppressed=set(program.norace_suppressed),
     )
+    cache = program.__dict__.get("_analysis_cache")
+    if cache is not None:
+        cloned.__dict__["_analysis_cache"] = cache.copy()
     return cloned

@@ -149,6 +149,9 @@ class Program:
     norace_suppressed: set[str] = field(default_factory=set)
 
     # -- construction ---------------------------------------------------------
+    #
+    # Each of these reports the name it declares or removes to the analysis
+    # memo; the type check notices what changed about the declaration.
 
     def add_global(self, var: ast.GlobalVar, replace: bool = False) -> None:
         if not replace and var.name in self.globals:
@@ -156,6 +159,7 @@ class Program:
         if var.name in self.functions or var.name in self.builtins:
             raise LinkError(f"{var.name!r} is already defined as a function")
         self.globals[var.name] = var
+        self.invalidate_analysis(var.name)
 
     def add_function(self, func: ast.FunctionDef, replace: bool = False) -> None:
         if not replace and func.name in self.functions:
@@ -163,12 +167,15 @@ class Program:
         if func.name in self.globals:
             raise LinkError(f"{func.name!r} is already defined as a variable")
         self.functions[func.name] = func
+        self.invalidate_analysis(func.name)
 
     def remove_function(self, name: str) -> None:
         self.functions.pop(name, None)
+        self.invalidate_analysis(name)
 
     def remove_global(self, name: str) -> None:
         self.globals.pop(name, None)
+        self.invalidate_analysis(name)
 
     # -- queries --------------------------------------------------------------
 
@@ -212,8 +219,9 @@ class Program:
 
         Uses the fast structural cloner (:mod:`repro.cminor.clone`): immutable
         leaves (types, source locations) are shared, every container and AST
-        node is copied, and the clone starts with an empty analysis cache.
-        This is what lets the sweep runner share one front-end program per
+        node is copied, and the clone's analysis memo starts with a copy of
+        this program's per-function facts and type-check records.  This is
+        what lets the sweep runner share one front-end program per
         application across many build variants.
         """
         from repro.cminor.clone import clone_program
@@ -223,22 +231,24 @@ class Program:
     # -- derived-analysis cache ------------------------------------------------
 
     def analysis(self) -> "ProgramAnalysisCache":
-        """The program-level cache of derived per-function analyses.
+        """The memo of derived per-function facts of this program.
 
-        Shared by the simulator and the cXprop analyses; see
-        :mod:`repro.cminor.analysis_cache`.  Passes that mutate function
-        bodies must call :meth:`invalidate_analysis` when done.
+        Shared by every pass, the type checker and the simulator; see
+        :mod:`repro.cminor.analysis_cache`.  A pass that changes a function
+        must report it to :meth:`invalidate_analysis` before anything reads
+        a fact of that function again.
         """
         cache = self.__dict__.get("_analysis_cache")
         if cache is None:
             from repro.cminor.analysis_cache import ProgramAnalysisCache
 
-            cache = ProgramAnalysisCache(self)
+            cache = ProgramAnalysisCache()
             self.__dict__["_analysis_cache"] = cache
         return cache
 
     def invalidate_analysis(self, func_name: Optional[str] = None) -> None:
-        """Drop cached derived analyses after mutating the AST."""
+        """Drop what was derived from ``func_name`` after it changed
+        (everything without a name)."""
         cache = self.__dict__.get("_analysis_cache")
         if cache is not None:
             cache.invalidate(func_name)

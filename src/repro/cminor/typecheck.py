@@ -14,6 +14,11 @@ parsed or built by a pass: a function may declare each name once, and may
 not use a global that shares a name with one of its locals.  ``break`` and
 ``continue`` must sit inside a loop.  Each global's initializer is folded
 to what boot stores (:func:`repro.cminor.cint.evaluate`).
+
+The checker runs after most passes, but most functions have not changed
+since its last run, so :func:`check_program` re-checks only the functions
+the program's analysis memo reports as changed, or whose declarations in
+use changed (see :meth:`TypeChecker.check`).
 """
 
 from __future__ import annotations
@@ -27,6 +32,10 @@ from repro.cminor.errors import SourceLocation, TypeCheckError
 from repro.cminor.program import Program
 
 _LOGICAL_OPS = {"&&", "||"}
+
+#: The kinds of declaration a function's check reads: a global's type, a
+#: callee's signature, and whether a posted task exists.
+_GLOBAL, _CALL, _POST = "global", "call", "post"
 
 
 def local_types(func: ast.FunctionDef) -> dict[str, ty.CType]:
@@ -72,17 +81,71 @@ class TypeChecker:
         self._decls: list[ast.VarDecl] = []
         #: Globals the current function uses -> the first use's location.
         self._global_uses: dict[str, Optional[SourceLocation]] = {}
+        #: Callees and posted tasks of the current function.
+        self._calls: set[str] = set()
+        self._posts: set[str] = set()
         #: Loops enclosing the statement being checked.
         self._loop_depth = 0
+        #: (kind, name) -> the declaration as it is now, per :meth:`check`.
+        self._declarations: dict[tuple[str, str], object] = {}
 
     # -- program / function level ---------------------------------------------
 
     def check(self) -> None:
-        """Type-check the whole program, annotating every expression."""
+        """Type-check the program, annotating every expression.
+
+        Globals are always checked.  A function is checked again only if
+        the program's analysis memo has no record of its last check (it
+        changed since, or was never checked), or if a declaration that check
+        read differs now: the type of a global it names, the signature of a
+        function it calls, whether a task it posts exists.  A changed struct
+        table re-checks every function.  Whatever it skips, the result is a
+        full check's: the same annotations and the same first error.
+        """
         for var in self.program.iter_globals():
             self._check_global(var)
+        memo = self.program.analysis()
+        structs = self.program.structs.all()
+        if memo.checked_structs != structs:
+            memo.checked.clear()
+            memo.checked_structs = structs
+        checked = memo.checked
+        self._declarations = {}
         for func in self.program.iter_functions():
+            uses = checked.get(func.name)
+            if uses is not None and all(self._declaration(kind, name) == was
+                                        for kind, name, was in uses):
+                continue
             self.check_function(func)
+            checked[func.name] = tuple(
+                (kind, name, self._declaration(kind, name))
+                for kind, names in ((_GLOBAL, self._global_uses),
+                                    (_CALL, self._calls),
+                                    (_POST, self._posts))
+                for name in names)
+
+    def _declaration(self, kind: str, name: str) -> object:
+        """What a check reads of the declaration ``name`` as it is now."""
+        key = (kind, name)
+        if key in self._declarations:
+            return self._declarations[key]
+        program = self.program
+        declared: object = None
+        if kind == _GLOBAL:
+            var = program.globals.get(name)
+            declared = var.ctype if var is not None else None
+        elif kind == _CALL:
+            func = program.functions.get(name)
+            if func is not None:
+                declared = (func.return_type,
+                            tuple(param.ctype for param in func.params))
+            elif name in program.builtins:
+                builtin = program.builtins[name]
+                declared = (builtin.return_type, builtin.param_types)
+        else:
+            declared = name in program.functions or name in program.tasks
+        self._declarations[key] = declared
+        return declared
 
     def _check_global(self, var: ast.GlobalVar) -> None:
         if var.ctype.is_void():
@@ -146,6 +209,7 @@ class TypeChecker:
         """Type-check one function definition."""
         self._current_function = func
         self._decls, self._global_uses = [], {}
+        self._calls, self._posts = set(), set()
         # The parameters and the body's outermost block share one scope.
         scope = _Scope()
         for param in func.params:
@@ -226,6 +290,7 @@ class TypeChecker:
         elif isinstance(stmt, ast.Atomic):
             self._check_block(stmt.body, _Scope(scope))
         elif isinstance(stmt, ast.Post):
+            self._posts.add(stmt.task)
             if (stmt.task not in self.program.functions
                     and stmt.task not in self.program.tasks):
                 raise TypeCheckError(f"post of unknown task {stmt.task!r}", stmt.loc)
@@ -387,6 +452,7 @@ class TypeChecker:
 
     def _call_type(self, expr: ast.Call, scope: _Scope) -> ty.CType:
         arg_types = [self._check_expr(a, scope).decay() for a in expr.args]
+        self._calls.add(expr.callee)
         func = self.program.lookup_function(expr.callee)
         if func is not None:
             expected = [p.ctype for p in func.params]
@@ -415,6 +481,10 @@ class TypeChecker:
         raise TypeCheckError(f"call to undefined function {expr.callee!r}", expr.loc)
 
 def check_program(program: Program, pointer_size: int = 2) -> Program:
-    """Type-check ``program`` in place and return it."""
+    """Type-check ``program`` in place and return it.
+
+    Only the functions that changed since the last check, or whose
+    declarations in use changed, are checked again (:meth:`TypeChecker.check`).
+    """
     TypeChecker(program, pointer_size).check()
     return program

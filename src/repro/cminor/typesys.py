@@ -13,7 +13,6 @@ equal, which the inference machinery in :mod:`repro.ccured.infer` relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 
 class CType:
@@ -338,26 +337,3 @@ def pointer_compatible(left: CType, right: CType) -> bool:
         return lt.sizeof() == rt.sizeof()
     return False
 
-
-def iter_struct_types(ctype: CType) -> Iterable[StructType]:
-    """Yield every struct type reachable from ``ctype`` (including itself)."""
-    seen: set[str] = set()
-
-    def walk(t: CType) -> Iterable[StructType]:
-        if isinstance(t, StructType):
-            if t.name in seen:
-                return
-            seen.add(t.name)
-            yield t
-            for f in t.fields:
-                yield from walk(f.ctype)
-        elif isinstance(t, PointerType):
-            yield from walk(t.target)
-        elif isinstance(t, ArrayType):
-            yield from walk(t.element)
-        elif isinstance(t, FunctionType):
-            yield from walk(t.return_type)
-            for p in t.param_types:
-                yield from walk(p)
-
-    return walk(ctype)

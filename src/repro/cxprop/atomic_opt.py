@@ -41,22 +41,40 @@ class AtomicOptReport:
     always_atomic_functions: set[str] = field(default_factory=set)
 
 
+def call_sites(func: ast.FunctionDef) -> tuple[tuple[str, bool], ...]:
+    """(callee, inside an atomic section) of each call in ``func``, in order.
+
+    A function's memoized fact: an interrupt handler's body counts as
+    atomic throughout.
+    """
+    sites: list[tuple[str, bool]] = []
+    # Each statement before the blocks nested in it, in source order: a
+    # stack of (statement iterator, inside an atomic section) per block.
+    stack = [(iter(func.body.stmts), func.is_interrupt_handler)]
+    while stack:
+        stmts, in_atomic = stack[-1]
+        stmt = next(stmts, None)
+        if stmt is None:
+            stack.pop()
+            continue
+        for expr in statement_expressions(stmt):
+            for node in walk_expression(expr):
+                if isinstance(node, ast.Call):
+                    sites.append((node.callee, in_atomic))
+        nested = in_atomic or isinstance(stmt, ast.Atomic)
+        stack.extend((iter(inner.stmts), nested)
+                     for inner in reversed(child_blocks(stmt)))
+    return tuple(sites)
+
+
 def _call_sites_by_context(program: Program) -> dict[str, list[tuple[str, bool]]]:
     """Map each callee to the (caller, inside_atomic) pairs of its call sites."""
     sites: dict[str, list[tuple[str, bool]]] = {}
-
-    def visit_block(block: ast.Block, caller: str, in_atomic: bool) -> None:
-        for stmt in block.stmts:
-            for expr in statement_expressions(stmt):
-                for node in walk_expression(expr):
-                    if isinstance(node, ast.Call) and node.callee in program.functions:
-                        sites.setdefault(node.callee, []).append((caller, in_atomic))
-            nested = in_atomic or isinstance(stmt, ast.Atomic)
-            for inner in child_blocks(stmt):
-                visit_block(inner, caller, nested)
-
+    fact = program.analysis().fact
     for func in program.iter_functions():
-        visit_block(func.body, func.name, func.is_interrupt_handler)
+        for callee, in_atomic in fact(call_sites, func):
+            if callee in program.functions:
+                sites.setdefault(callee, []).append((func.name, in_atomic))
     return sites
 
 
@@ -111,6 +129,7 @@ def optimize_atomic_sections(program: Program) -> AtomicOptReport:
     safe_to_skip_save = _never_called_from_atomic(program, always_atomic)
 
     for func in program.iter_functions():
+        before = report.nested_removed + report.irq_saves_avoided
         interrupts_off = func.is_interrupt_handler or func.name in always_atomic
         _flatten_block(func.body, interrupts_off, report)
         if func.name in safe_to_skip_save:
@@ -118,8 +137,8 @@ def optimize_atomic_sections(program: Program) -> AtomicOptReport:
                 if isinstance(stmt, ast.Atomic) and stmt.save_irq:
                     stmt.save_irq = False
                     report.irq_saves_avoided += 1
-    if report.nested_removed or report.irq_saves_avoided:
-        program.invalidate_analysis()
+        if report.nested_removed + report.irq_saves_avoided != before:
+            program.invalidate_analysis(func.name)
     return report
 
 

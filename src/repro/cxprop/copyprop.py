@@ -18,7 +18,7 @@ from repro.cminor import ast_nodes as ast
 from repro.cminor import cint
 from repro.cminor import typesys as ty
 from repro.cminor.program import Program
-from repro.cminor.typecheck import check_program, local_types
+from repro.cminor.typecheck import check_program
 from repro.cminor.visitor import (
     child_blocks,
     replace_read_expressions,
@@ -46,7 +46,7 @@ class _BlockPropagator:
                  address_taken: set[str]):
         self.program = program
         self.func = func
-        self.locals_ = local_types(func)
+        self.locals_ = program.analysis().local_types(func)
         self.address_taken = address_taken
         self.propagated = 0
 
@@ -196,7 +196,7 @@ def propagate_copies(program: Program,
         if count:
             report.copies_propagated += count
             report.functions_touched += 1
+            program.invalidate_analysis(func.name)
     if report.copies_propagated:
-        program.invalidate_analysis()
         check_program(program)
     return report

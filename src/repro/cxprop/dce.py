@@ -52,37 +52,53 @@ class DceReport:
                 self.statements_removed)
 
 
+def variable_usage(func: ast.FunctionDef
+                   ) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
+    """(other names read, other names written, locals read) by ``func``.
+
+    A function's memoized fact; :func:`_collect_global_usage` keeps the
+    other names that are globals.  Reads are every identifier in a
+    statement except a plain-variable store target (``g = ...`` does not
+    read ``g``, but ``g[i] = ...`` keeps the array alive).  For a non-local
+    store target, a read inside its own right-hand side (``g = g + 1``, the
+    ubiquitous statistics counter) does not count either: if nothing else
+    ever observes ``g`` it is still dead data.
+    """
+    locals_ = local_types(func)
+    read: set[str] = set()
+    written: set[str] = set()
+    read_locals: set[str] = set()
+    for stmt in walk_statements(func.body):
+        exprs = statement_expressions(stmt)
+        self_target = None
+        if isinstance(stmt, ast.Assign):
+            write_target = lvalue_root(stmt.lvalue)
+            if write_target is not None and write_target not in locals_:
+                written.add(write_target)
+            if isinstance(stmt.lvalue, ast.Identifier):
+                exprs = [stmt.rvalue]
+                self_target = stmt.lvalue.name
+        for expr in exprs:
+            for node in walk_expression(expr):
+                if not isinstance(node, ast.Identifier):
+                    continue
+                if node.name in locals_:
+                    read_locals.add(node.name)
+                elif node.name != self_target:
+                    read.add(node.name)
+    return frozenset(read), frozenset(written), frozenset(read_locals)
+
+
 def _collect_global_usage(program: Program) -> tuple[set[str], set[str]]:
     """(globals read or address-taken, globals written) in the whole program."""
     read: set[str] = set()
     written: set[str] = set()
-    global_names = set(program.globals)
-
+    global_names = program.globals.keys()
+    fact = program.analysis().fact
     for func in program.iter_functions():
-        locals_ = set(local_types(func))
-        for stmt in walk_statements(func.body):
-            if isinstance(stmt, ast.Assign):
-                write_target = lvalue_root(stmt.lvalue)
-                if write_target in global_names and write_target not in locals_:
-                    written.add(write_target)
-            # Reads: every identifier appearing in the statement except a
-            # plain-variable store target (``g = ...`` does not read ``g``,
-            # but ``g[i] = ...`` keeps the array alive).  A read of the
-            # store target inside its own right-hand side (``g = g + 1``,
-            # the ubiquitous statistics counter) does not count either:
-            # if nothing else ever observes ``g`` it is still dead data.
-            exprs = list(statement_expressions(stmt))
-            self_target = None
-            if isinstance(stmt, ast.Assign) and isinstance(stmt.lvalue, ast.Identifier):
-                exprs = [stmt.rvalue]
-                self_target = stmt.lvalue.name
-            for expr in exprs:
-                for node in walk_expression(expr):
-                    if isinstance(node, ast.Identifier):
-                        if node.name == self_target:
-                            continue
-                        if node.name in global_names and node.name not in locals_:
-                            read.add(node.name)
+        reads, writes, _ = fact(variable_usage, func)
+        read |= reads & global_names
+        written |= writes & global_names
 
     # Globals referenced from other globals' initializers stay alive.
     for var in program.iter_globals():
@@ -114,7 +130,7 @@ def _statement_has_side_effects(expr: ast.Expr) -> bool:
 def _remove_dead_stores(program: Program, report: DceReport) -> bool:
     """Remove stores to write-only globals and never-read locals."""
     read, written = _collect_global_usage(program)
-    global_names = set(program.globals)
+    analysis = program.analysis()
     changed = False
 
     dead_globals = set()
@@ -127,25 +143,15 @@ def _remove_dead_stores(program: Program, report: DceReport) -> bool:
         dead_globals.add(name)
 
     for func in program.iter_functions():
-        locals_ = local_types(func)
-        read_locals: set[str] = set()
-        for stmt in walk_statements(func.body):
-            exprs = list(statement_expressions(stmt))
-            if isinstance(stmt, ast.Assign) and isinstance(stmt.lvalue, ast.Identifier):
-                exprs = [stmt.rvalue]
-            for expr in exprs:
-                for node in walk_expression(expr):
-                    if isinstance(node, ast.Identifier) and node.name in locals_:
-                        read_locals.add(node.name)
+        locals_ = analysis.local_types(func)
+        read_locals = analysis.fact(variable_usage, func)[2]
 
         def rewrite(stmt: ast.Stmt):
-            nonlocal changed
             if isinstance(stmt, ast.Assign) and isinstance(stmt.lvalue, ast.Identifier):
                 name = stmt.lvalue.name
                 is_dead_global = name in dead_globals and name not in locals_
                 is_dead_local = (name in locals_ and name not in read_locals)
                 if is_dead_global or is_dead_local:
-                    changed = True
                     report.dead_stores_removed += 1
                     if _statement_has_side_effects(stmt.rvalue):
                         keep = ast.ExprStmt(stmt.rvalue)
@@ -153,19 +159,19 @@ def _remove_dead_stores(program: Program, report: DceReport) -> bool:
                         return keep
                     return None
             if isinstance(stmt, ast.VarDecl) and stmt.name not in read_locals:
+                report.locals_removed += 1
                 if stmt.init is not None and _statement_has_side_effects(stmt.init):
-                    changed = True
-                    report.locals_removed += 1
                     keep = ast.ExprStmt(stmt.init)
                     keep.loc = stmt.loc
                     return keep
-                changed = True
-                report.locals_removed += 1
                 return None
             return stmt
 
+        before = report.dead_stores_removed + report.locals_removed
         transform_block(func.body, rewrite)
-    del global_names
+        if report.dead_stores_removed + report.locals_removed != before:
+            changed = True
+            program.invalidate_analysis(func.name)
     return changed
 
 
@@ -194,32 +200,30 @@ def _remove_unused_globals(program: Program, report: DceReport) -> bool:
 
 
 def _remove_empty_statements(program: Program, report: DceReport) -> bool:
-    changed = False
-
     def rewrite(stmt: ast.Stmt):
-        nonlocal changed
         if isinstance(stmt, ast.Block) and not stmt.stmts:
-            changed = True
             report.statements_removed += 1
             return None
         if isinstance(stmt, ast.Atomic) and not stmt.body.stmts:
-            changed = True
             report.statements_removed += 1
             return None
         if isinstance(stmt, ast.If) and not stmt.then_body.stmts and \
                 (stmt.else_body is None or not stmt.else_body.stmts):
             if not _statement_has_side_effects(stmt.cond):
-                changed = True
                 report.statements_removed += 1
                 return None
         if isinstance(stmt, ast.ExprStmt) and not _statement_has_side_effects(stmt.expr):
-            changed = True
             report.statements_removed += 1
             return None
         return stmt
 
+    changed = False
     for func in program.iter_functions():
+        before = report.statements_removed
         transform_block(func.body, rewrite)
+        if report.statements_removed != before:
+            changed = True
+            program.invalidate_analysis(func.name)
     return changed
 
 
@@ -235,6 +239,4 @@ def eliminate_dead_code(program: Program, max_rounds: int = 6) -> DceReport:
         report.rounds += 1
         if not changed:
             break
-    if report.total:
-        program.invalidate_analysis()
     return report

@@ -187,7 +187,8 @@ def fold_program(program: Program, facts: WholeProgramFacts,
     for func in program.iter_functions():
         folder = _Folder(program, func, facts, domain)
         report.merge(folder.run())
+        if folder.report.total:
+            program.invalidate_analysis(func.name)
     if report.total:
-        program.invalidate_analysis()
         check_program(program)
     return report

@@ -25,7 +25,7 @@ from repro.cminor import typesys as ty
 from repro.cminor.callgraph import build_call_graph
 from repro.cminor.clone import clone_block, clone_expr
 from repro.cminor.program import Program
-from repro.cminor.typecheck import check_program, local_types
+from repro.cminor.typecheck import check_program
 from repro.cminor.visitor import (
     count_statements,
     map_expression,
@@ -60,6 +60,7 @@ def _temp_markers(program: Program):
     program never reuses a name.
     """
     highest = 0
+    local_types = program.analysis().local_types
     for func in program.iter_functions():
         for name in local_types(func):
             match = _MARKER_RE.match(name)
@@ -117,7 +118,10 @@ def normalize_calls(program: Program) -> int:
     hoisted = 0
     counter = _temp_markers(program)
     for func in program.iter_functions():
-        hoisted += _normalize_function(program, func, counter)
+        hoisted_here = _normalize_function(program, func, counter)
+        if hoisted_here:
+            hoisted += hoisted_here
+            program.invalidate_analysis(func.name)
     if hoisted:
         check_program(program)
     return hoisted
@@ -271,6 +275,8 @@ class Inliner:
             if func is None:
                 continue
             self._inline_into(func)
+            if name in self.report.callers_touched:
+                self.program.invalidate_analysis(name)
         self._drop_fully_inlined()
         check_program(self.program)
         return self.report
@@ -316,7 +322,7 @@ class Inliner:
         rename = {}
         for param in callee.params:
             rename[param.name] = f"__inl{marker}_{param.name}"
-        for name in local_types(callee):
+        for name in self.program.analysis().local_types(callee):
             if name not in rename:
                 rename[name] = f"__inl{marker}_{name}"
 
@@ -410,6 +416,4 @@ class Inliner:
 def inline_program(program: Program,
                    config: Optional[InlineConfig] = None) -> InlineReport:
     """Run the inliner over the whole program."""
-    report = Inliner(program, config).run()
-    program.invalidate_analysis()
-    return report
+    return Inliner(program, config).run()

@@ -13,6 +13,10 @@ insensitive one.  The facts it maintains across function boundaries are:
 * **interrupt-shared variables** — globals touched from interrupt context;
   the flow-sensitive engine only trusts refined values for these inside
   atomic sections (the concurrency-soundness improvement of Section 2.1).
+
+The per-function parts of the first three (each function's direct writes
+and address-taken names) are facts of the program's analysis memo, so a
+round re-walks only the functions that changed since the last one.
 """
 
 from __future__ import annotations
@@ -24,9 +28,10 @@ from repro.cminor import ast_nodes as ast
 from repro.cminor import typesys as ty
 from repro.cminor.callgraph import CallGraph, build_call_graph
 from repro.cminor.program import Program
+from repro.cminor.typecheck import local_types
 from repro.cminor.visitor import (
     lvalue_root,
-    walk_expression,
+    walk_function_expressions,
     walk_statements,
 )
 from repro.cxprop.evaluate import Evaluator
@@ -49,7 +54,7 @@ class WholeProgramFacts:
     global_invariants: dict[str, Value] = field(default_factory=dict)
     mod_sets: dict[str, set[str]] = field(default_factory=dict)
     address_taken_globals: set[str] = field(default_factory=set)
-    address_taken_locals: dict[str, set[str]] = field(default_factory=dict)
+    address_taken_locals: dict[str, frozenset[str]] = field(default_factory=dict)
     shared_variables: set[str] = field(default_factory=set)
 
     def invariant(self, name: str) -> Value:
@@ -66,59 +71,76 @@ class WholeProgramFacts:
         return mods
 
 
-def _collect_address_taken(program: Program) -> tuple[set[str], dict[str, set[str]]]:
+def address_taken(func: ast.FunctionDef
+                  ) -> tuple[frozenset[str], frozenset[str]]:
+    """(locals, other names) of ``func`` whose address escapes.
+
+    A function's memoized fact: a name is taken by ``&name`` (through any
+    chain of index and member accesses), and a local array also by being
+    mentioned at all, since it decays to a pointer.
+    """
+    locals_ = local_types(func)
+    locals_taken: set[str] = set()
+    others: set[str] = set()
+    for node in walk_function_expressions(func.body):
+        if isinstance(node, ast.AddressOf):
+            root = lvalue_root(node.lvalue)
+            if root is None:
+                continue
+            if root in locals_:
+                locals_taken.add(root)
+            else:
+                others.add(root)
+        elif isinstance(node, ast.Identifier):
+            if node.name in locals_ and isinstance(node.ctype, ty.ArrayType):
+                locals_taken.add(node.name)
+    return frozenset(locals_taken), frozenset(others)
+
+
+def direct_writes(func: ast.FunctionDef) -> frozenset[str]:
+    """Names ``func`` stores to that are not its locals, plus
+    :data:`POINTER_STORE` if it stores through a pointer (a function's
+    memoized fact)."""
+    locals_ = local_types(func)
+    writes: set[str] = set()
+    for stmt in walk_statements(func.body):
+        if isinstance(stmt, ast.Assign):
+            root = lvalue_root(stmt.lvalue)
+            if root is None:
+                writes.add(POINTER_STORE)
+            elif root not in locals_:
+                writes.add(root)
+    return frozenset(writes)
+
+
+def _collect_address_taken(program: Program
+                           ) -> tuple[set[str], dict[str, frozenset[str]]]:
     """Globals and per-function locals whose address escapes."""
     globals_taken: set[str] = set()
-    locals_taken: dict[str, set[str]] = {}
+    locals_taken: dict[str, frozenset[str]] = {}
     for var in program.iter_globals():
         if isinstance(var.ctype, ty.ArrayType):
             # Array globals decay to pointers whenever they are mentioned;
             # treat them as address-taken so stores through pointers are
             # handled conservatively.
             globals_taken.add(var.name)
-    analysis = program.analysis()
+    fact = program.analysis().fact
     for func in program.iter_functions():
-        locals_ = set(analysis.local_types(func))
-        taken: set[str] = set()
-        for stmt in walk_statements(func.body):
-            for expr in analysis.statement_expressions(stmt, func.name):
-                for node in walk_expression(expr):
-                    if isinstance(node, ast.AddressOf):
-                        root = lvalue_root(node.lvalue)
-                        if root is None:
-                            continue
-                        if root in locals_:
-                            taken.add(root)
-                        elif root in program.globals:
-                            globals_taken.add(root)
-                    elif isinstance(node, ast.Identifier):
-                        if node.name in locals_ and \
-                                isinstance(node.ctype, ty.ArrayType):
-                            taken.add(node.name)
+        taken, others = fact(address_taken, func)
+        globals_taken |= others & program.globals.keys()
         locals_taken[func.name] = taken
     return globals_taken, locals_taken
 
 
 def _collect_mod_sets(program: Program, graph: CallGraph) -> dict[str, set[str]]:
     """Globals each function may write, transitively."""
-    direct: dict[str, set[str]] = {}
-    global_names = set(program.globals)
-    analysis = program.analysis()
-    for func in program.iter_functions():
-        locals_ = set(analysis.local_types(func))
-        mods: set[str] = set()
-        for stmt in walk_statements(func.body):
-            if isinstance(stmt, ast.Assign):
-                root = lvalue_root(stmt.lvalue)
-                if root is None:
-                    mods.add(POINTER_STORE)
-                elif root in global_names and root not in locals_:
-                    mods.add(root)
-        direct[func.name] = mods
+    fact = program.analysis().fact
+    result = {func.name: {name for name in fact(direct_writes, func)
+                          if name == POINTER_STORE or name in program.globals}
+              for func in program.iter_functions()}
 
     # Transitive closure over the (acyclic-ish) call graph.
     changed = True
-    result = {name: set(mods) for name, mods in direct.items()}
     while changed:
         changed = False
         for name in result:

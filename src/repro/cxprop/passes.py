@@ -68,7 +68,6 @@ class CxpropFactsPass(Pass):
     """Recompute the whole-program facts consumed by the round's passes."""
 
     name = "cxprop.facts"
-    invalidates_analysis = False
 
     def __init__(self, config: Optional[CxpropConfig] = None):
         self.config = config or CxpropConfig()

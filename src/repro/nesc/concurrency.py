@@ -11,15 +11,21 @@ toolchain, emits the list of racy variables that the modified CCured uses to
 decide which safety checks must be wrapped in locks (Section 2.2).  Like the
 real nesC analysis, this implementation does **not** follow pointers — the
 improved, pointer-aware detector lives in :mod:`repro.cxprop.race`.
+
+Each function's accesses are a fact of the program's analysis memo
+(:func:`function_accesses`), so cXprop, which re-runs the analysis every
+round, re-walks only the functions that changed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.cminor import ast_nodes as ast
 from repro.cminor.callgraph import build_call_graph
 from repro.cminor.program import Program
+from repro.cminor.typecheck import local_types
 from repro.cminor.visitor import (
     child_blocks,
     lvalue_root,
@@ -28,8 +34,7 @@ from repro.cminor.visitor import (
 )
 
 
-@dataclass
-class VariableAccess:
+class VariableAccess(NamedTuple):
     """One syntactic access to a global variable."""
 
     variable: str
@@ -57,12 +62,14 @@ class ConcurrencyReport:
     norace_skipped: set[str] = field(default_factory=set)
 
 
-def _collect_accesses(program: Program, func: ast.FunctionDef,
-                      global_names: set[str]) -> list[VariableAccess]:
-    """Find direct (non-pointer) accesses to globals inside ``func``."""
-    from repro.cminor.typecheck import local_types
+def function_accesses(func: ast.FunctionDef) -> tuple[VariableAccess, ...]:
+    """Direct (non-pointer) accesses inside ``func`` to names that are not
+    its locals, in source order.
 
-    visible = global_names - set(local_types(func))
+    A function's memoized fact; :func:`analyze_concurrency` keeps the
+    accesses to globals.
+    """
+    locals_ = local_types(func)
     accesses: list[VariableAccess] = []
     # Each statement before the blocks nested in it, in source order: a
     # stack of (statement iterator, inside an atomic section) per block.
@@ -75,7 +82,7 @@ def _collect_accesses(program: Program, func: ast.FunctionDef,
             continue
         if isinstance(stmt, ast.Assign):
             base = lvalue_root(stmt.lvalue)
-            if base in visible:
+            if base is not None and base not in locals_:
                 accesses.append(
                     VariableAccess(base, func.name, True, in_atomic))
             reads = [stmt.rvalue, *_location_reads(stmt.lvalue)]
@@ -83,22 +90,26 @@ def _collect_accesses(program: Program, func: ast.FunctionDef,
             reads = statement_expressions(stmt)
         for expr in reads:
             for node in walk_expression(expr):
-                if isinstance(node, ast.Identifier) and node.name in visible:
+                if isinstance(node, ast.Identifier) and node.name not in locals_:
                     accesses.append(
                         VariableAccess(node.name, func.name, False, in_atomic))
         nested = in_atomic or isinstance(stmt, ast.Atomic)
         stack.extend((iter(inner.stmts), nested)
                      for inner in reversed(child_blocks(stmt)))
-    return accesses
+    return tuple(accesses)
 
 
 def _location_reads(lvalue: ast.Expr) -> list[ast.Expr]:
-    """What computing a store target's location reads: array indices and
-    a deref's pointer, through struct and array bases."""
+    """What computing a store target's location reads: array indices, and
+    the pointer of a deref or of a ``->`` member, through struct and array
+    bases."""
     reads = []
     while isinstance(lvalue, (ast.Index, ast.Member)):
         if isinstance(lvalue, ast.Index):
             reads.append(lvalue.index)
+        elif lvalue.arrow:
+            reads.append(lvalue.base)
+            return reads
         lvalue = lvalue.base
     if isinstance(lvalue, ast.Deref):
         reads.append(lvalue.pointer)
@@ -118,12 +129,13 @@ def analyze_concurrency(program: Program,
     report.sync_functions = graph.reachable_from(
         [r for r in sync_roots if r in program.functions])
 
-    global_names = set(program.globals)
+    fact = program.analysis().fact
     by_variable: dict[str, list[VariableAccess]] = {}
     for func in program.iter_functions():
-        for access in _collect_accesses(program, func, global_names):
-            report.accesses.append(access)
-            by_variable.setdefault(access.variable, []).append(access)
+        for access in fact(function_accesses, func):
+            if access.variable in program.globals:
+                report.accesses.append(access)
+                by_variable.setdefault(access.variable, []).append(access)
 
     for variable, accesses in by_variable.items():
         var = program.lookup_global(variable)

@@ -101,8 +101,8 @@ def refactor_hardware_accesses(program: Program) -> HwRefactorReport:
         transform_block(func.body, rewrite_stmt)
         if report.total != before:
             report.functions_touched.add(func.name)
+            program.invalidate_analysis(func.name)
 
-    program.invalidate_analysis()
     check_program(program)
     return report
 

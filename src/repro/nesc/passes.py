@@ -23,8 +23,6 @@ class FlattenPass(Pass):
     """
 
     name = "nesc.flatten"
-    #: The produced program has a fresh (empty) analysis cache.
-    invalidates_analysis = False
 
     def __init__(self, suppress_norace: bool = True):
         self.suppress_norace = suppress_norace

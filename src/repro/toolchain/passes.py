@@ -3,9 +3,8 @@
 The paper's evaluation is dozens of builds — every figure is an N-app ×
 M-variant sweep through the toolchain — so the stages are organized the way
 LLVM-style compilers organize transformations: each stage is a :class:`Pass`
-with a name and declared analysis-invalidation behaviour, and a
-:class:`PassManager` executes a pass list, recording each pass's wall time
-and change count in a :class:`BuildTrace`.
+with a name, and a :class:`PassManager` executes a pass list, recording each
+pass's wall time and change count in a :class:`BuildTrace`.
 
 Layer modules register their passes here:
 
@@ -21,13 +20,11 @@ Layer modules register their passes here:
 front-end programs, and ``repro.toolchain.pipeline`` packages each executed
 context as a build result.
 
-Analysis invalidation is *declaration driven*: a pass declares
-``invalidates_analysis`` (and optionally the analyses it ``preserves``), and
-the manager calls ``program.invalidate_analysis()`` after every pass that
-reported changes — pass authors never sprinkle manual invalidation calls.
-(The legacy stage functions the passes wrap still self-invalidate so that
-calling them directly, outside any manager, stays safe; the manager's
-declaration-driven call is idempotent on top.)
+The manager does no analysis invalidation of its own.  Each stage function
+reports each function whose body it changed, as it changes it, through
+``program.invalidate_analysis(name)`` (:mod:`repro.cminor.analysis_cache`),
+so a stage behaves the same inside a manager and called directly, and every
+other function keeps its memoized facts and its type-check record.
 """
 
 from __future__ import annotations
@@ -41,12 +38,6 @@ from repro.cminor.program import Program
 if TYPE_CHECKING:  # pragma: no cover
     from repro.backend.image import MemoryImage
     from repro.toolchain.config import BuildVariant
-
-#: Conventional name for the whole derived-analysis cache in ``preserves``
-#: declarations: a pass that mutates the AST but declares
-#: ``preserves = frozenset({ANALYSIS})`` keeps ``Program.analysis()`` valid.
-ANALYSIS = "analysis"
-
 
 # ---------------------------------------------------------------------------
 # Pass protocol and outcomes
@@ -73,23 +64,15 @@ class PassOutcome:
 class Pass:
     """One stage of the build pipeline.
 
-    Subclasses set :attr:`name` (the registry/report identifier), declare
-    their analysis behaviour, and implement :meth:`run`.
+    Subclasses set :attr:`name` (the registry/report identifier) and
+    implement :meth:`run`, reporting each function they change to
+    ``program.invalidate_analysis``.
 
     Attributes:
         name: Stable identifier used in traces, reports and the registry.
-        invalidates_analysis: Whether a change made by this pass invalidates
-            the program's derived-analysis cache.  The manager calls
-            ``program.invalidate_analysis()`` after the pass iff it reported
-            changes and this flag is set (and ``preserves`` does not cover
-            the whole cache).
-        preserves: Names of derived analyses this pass keeps valid even when
-            it changes the program (``{ANALYSIS}`` preserves everything).
     """
 
     name: str = "pass"
-    invalidates_analysis: bool = True
-    preserves: frozenset[str] = frozenset()
 
     def run(self, program: Optional[Program], ctx: "PassContext") -> PassOutcome:
         raise NotImplementedError
@@ -228,22 +211,12 @@ class PassManager:
             outcome = pass_.run(ctx.program, ctx)
             if outcome.program is not None:
                 ctx.program = outcome.program
-            self._apply_invalidation(pass_, outcome, ctx.program)
             trace.passes.append(PassReport(
                 name=pass_.name, changed=outcome.changed,
                 wall_time_s=time.perf_counter() - t0, detail=outcome.detail))
             ctx.reports[pass_.name] = outcome.detail
         trace.wall_time_s = time.perf_counter() - started
         return trace
-
-    @staticmethod
-    def _apply_invalidation(pass_: Pass, outcome: PassOutcome,
-                            program: Optional[Program]) -> None:
-        if program is None or not outcome.changed:
-            return
-        if not pass_.invalidates_analysis or ANALYSIS in pass_.preserves:
-            return
-        program.invalidate_analysis()
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +230,6 @@ class FixpointPass(Pass):
     This is the cXprop driver loop expressed as a combinator: each round
     runs the body passes in order, summing their change counts; iteration
     stops when a round reports zero changes or ``max_rounds`` is reached.
-    Analysis invalidation inside the loop is declaration driven, exactly as
-    in the top-level manager.
 
     Subclasses override :meth:`summarize` to aggregate the per-round details
     into a stage report (see ``repro.cxprop.passes.CxpropPass``).
@@ -279,7 +250,6 @@ class FixpointPass(Pass):
             details: dict[str, object] = {}
             for pass_ in self.body:
                 outcome = pass_.run(program, ctx)
-                PassManager._apply_invalidation(pass_, outcome, program)
                 changed += outcome.changed
                 details[pass_.name] = outcome.detail
             rounds += 1

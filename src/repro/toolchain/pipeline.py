@@ -99,6 +99,9 @@ def result_from_context(ctx: PassContext,
         # re-point the report at this build's own program so the historical
         # ``result.ccured.program is result.program`` invariant holds.
         ccured = replace(ccured, program=ctx.program)
+    # A finished program is held for as long as its session, and no pass
+    # reads its memo again: drop it.
+    ctx.program.invalidate_analysis()
     return BuildResult(
         application=ctx.label or ctx.program.name,
         variant=ctx.variant,

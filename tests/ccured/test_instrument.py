@@ -156,6 +156,29 @@ class TestRuntimeAndMetadata:
                 "__ccured_signal_handler"} <= names
         assert "__ccured_gc_heap" in program.globals
 
+    def test_cures_with_one_config_share_no_runtime_node(self):
+        """The runtime is parsed once per configuration, and each cure
+        links copies of its own."""
+        from repro.cminor.visitor import walk_function_expressions, \
+            walk_statements
+
+        def runtime_nodes(program):
+            nodes = set()
+            for func in program.iter_functions():
+                if func.origin == RUNTIME_UNIT:
+                    nodes.add(id(func))
+                    nodes.update(map(id, walk_statements(func.body)))
+                    nodes.update(map(id, walk_function_expressions(func.body)))
+            for var in program.iter_globals():
+                if var.origin == RUNTIME_UNIT:
+                    nodes.add(id(var))
+            return nodes
+
+        (first, one), (second, other) = build_cured(), build_cured()
+        assert first.runtime.functions and first.runtime.globals
+        shared = runtime_nodes(one) & runtime_nodes(other)
+        assert runtime_nodes(one) and not shared
+
     def test_fat_pointer_metadata_for_seq_globals(self):
         _, program = build_cured()
         assert f"{METADATA_PREFIX}cursor" in program.globals

@@ -105,9 +105,15 @@ class TestCloneIsolation:
 
     def test_clone_has_its_own_struct_table_and_analysis_cache(self):
         program = _front_end_program()
-        program.analysis().local_types(next(program.iter_functions()))
+        func = next(program.iter_functions())
+        cached = program.analysis().local_types(func)
         clone = program.clone()
-        assert clone.__dict__.get("_analysis_cache") is None
+        # The clone starts warm, with its own copy of the memo.
+        assert clone.analysis() is not program.analysis()
+        assert clone.analysis().local_types(clone.functions[func.name]) \
+            is cached
+        clone.invalidate_analysis(func.name)
+        assert program.analysis().local_types(func) is cached
 
         clone.structs.define("clone_only", [ty.StructField("x", ty.UINT8)])
         assert program.structs.get("clone_only") is None

@@ -4,10 +4,11 @@ import pytest
 
 from repro.cminor import ast_nodes as ast
 from repro.cminor import typesys as ty
-from repro.cminor.callgraph import build_call_graph
+from repro.cminor.callgraph import CallGraph, build_call_graph
 from repro.cminor.errors import LinkError
 from repro.cminor.parser import parse_program
 from repro.cminor.program import Program, link_units, standard_builtins
+from repro.tinyos import suite
 
 import sys
 from pathlib import Path
@@ -106,3 +107,32 @@ __spontaneous void main(void) { middle(); recursive(3); }
         graph = build_call_graph(program)
         order = graph.bottom_up_order()
         assert order.index("leaf") < order.index("middle") < order.index("main")
+
+    def test_bottom_up_order_is_the_depth_first_post_order(self):
+        """The order is a depth-first post-order from each function in name
+        order, callees in name order, cycles cut where they close."""
+
+        def post_order(callees):
+            order, visited = [], set()
+
+            def visit(name, on_stack):
+                if name in visited or name not in callees:
+                    return
+                visited.add(name)
+                for callee in sorted(callees[name]):
+                    if callee not in on_stack:
+                        visit(callee, on_stack | {name})
+                order.append(name)
+
+            for name in sorted(callees):
+                visit(name, frozenset())
+            return order
+
+        cyclic = CallGraph(callees={
+            "a": frozenset({"b", "c"}), "b": frozenset({"c", "a", "ext"}),
+            "c": frozenset({"d"}), "d": frozenset({"b"}),
+            "e": frozenset({"e", "a"})})
+        assert cyclic.bottom_up_order() == post_order(cyclic.callees)
+        for app in suite.FIGURE_APPS:
+            graph = build_call_graph(suite.build_program(app))
+            assert graph.bottom_up_order() == post_order(graph.callees), app

@@ -178,6 +178,8 @@ __spontaneous void main(void) {
         decls = [s for s in walk_statements(program.functions["main"].body)
                  if isinstance(s, ast.VarDecl)]
         decls[1].name = "a"
+        # ... and reports the change, as every pass does.
+        program.invalidate_analysis("main")
         with pytest.raises(TypeCheckError, match="'a' is declared twice"):
             check_program(program)
 

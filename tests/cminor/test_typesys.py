@@ -129,15 +129,6 @@ class TestAssignability:
         assert not ty.pointer_compatible(ty.PointerType(ty.UINT8),
                                          ty.PointerType(ty.UINT16))
 
-    def test_iter_struct_types(self):
-        inner = ty.StructType("inner", (ty.StructField("v", ty.UINT8),))
-        outer = ty.StructType("outer", (
-            ty.StructField("one", inner),
-            ty.StructField("many", ty.ArrayType(inner, 3)),
-        ))
-        names = {s.name for s in ty.iter_struct_types(ty.PointerType(outer))}
-        assert names == {"outer", "inner"}
-
 
 class TestWrapProperties:
     @given(st.sampled_from(INT_TYPES), st.integers(-(1 << 40), 1 << 40))

@@ -99,13 +99,14 @@ class TestHeadlineClaims:
 
 
 class TestNoCyclicGarbage:
-    """The nesC race analysis, CCured's kind inference and cXprop's fold
-    run once per function or statement; a recursive nested helper there
-    would leave a function-cell reference cycle per call for the cyclic
-    collector."""
+    """The nesC race analysis, CCured's kind inference, cXprop's fold and
+    atomic optimization, the GCC model and the call graph run once per
+    function or statement; a recursive nested helper there would leave a
+    function-cell reference cycle per call for the cyclic collector."""
 
     MODULES = ("repro.nesc.concurrency", "repro.ccured.infer",
-               "repro.cxprop.fold")
+               "repro.cxprop.fold", "repro.cxprop.atomic_opt",
+               "repro.backend.gcc_opt", "repro.cminor.callgraph")
 
     def test_a_build_leaves_none_of_their_functions_in_gc_garbage(self):
         gc.collect()

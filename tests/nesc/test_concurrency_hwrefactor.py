@@ -71,6 +71,32 @@ class TestRaceAnalysis:
         assert "shared_counter" in self.program.racy_variables
         assert "annotated" in self.program.norace_suppressed
 
+    def test_a_store_through_arrow_reads_the_pointer(self):
+        """``p->f = 1`` reads ``p`` as ``*q = 2`` reads ``q``: both pointers
+        are reassigned in a handler, so both are racy."""
+        program = make_program("""
+struct pair { uint8_t f; uint8_t g; };
+struct pair a;
+struct pair b;
+uint8_t c;
+uint8_t d;
+struct pair* p = &a;
+uint8_t* q = &c;
+
+__interrupt("ADC") void adc_isr(void) {
+  p = &b;
+  q = &d;
+}
+
+__spontaneous void main(void) {
+  p->f = 1;
+  *q = 2;
+}
+""")
+        program.interrupt_vectors["ADC"] = "adc_isr"
+        report = analyze_concurrency(program)
+        assert {"p", "q"} <= report.racy_variables
+
 
 class TestHardwareRefactoring:
     SOURCE = """

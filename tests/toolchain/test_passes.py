@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cminor import ast_nodes as ast
+from repro.cminor import typesys as ty
 from repro.cminor.program import Program
 from repro.cxprop.driver import CxpropConfig, resolve_pointer_size
 from repro.toolchain.lower import (
@@ -98,45 +99,38 @@ class TestPassManager:
         assert reports["ccured.cure"].changed == result.checks_inserted
         assert reports["image"].detail is result.image
 
-    def test_declaration_driven_invalidation(self):
-        """The manager invalidates the analysis cache after mutating passes."""
+    def test_a_pass_invalidates_only_what_it_reports(self):
+        """The manager does no invalidation of its own: a pass that reports
+        the one function it changed keeps every other function's facts."""
 
         class Touch(Pass):
             name = "touch"
 
             def run(self, program, ctx):
-                program.functions["main"].body.stmts.append(ast.Return())
-                return PassOutcome(changed=1, detail=None)
-
-        class Preserving(Pass):
-            name = "preserving"
-            invalidates_analysis = False
-
-            def run(self, program, ctx):
+                program.functions["main"].body.stmts.append(
+                    ast.VarDecl("added", ty.UINT8))
+                program.invalidate_analysis("main")
                 return PassOutcome(changed=1, detail=None)
 
         from repro.nesc.flatten import flatten_application
         program = flatten_application(tiny_application(), suppress_norace=True)
-        main = program.functions["main"]
         cache = program.analysis()
-        cache.local_types(main)
-        assert main.name in cache._local_types
+        kept = {func.name: cache.local_types(func)
+                for func in program.iter_functions()}
 
-        ctx = PassContext(program=program)
-        PassManager([Preserving()]).run(ctx)
-        assert main.name in cache._local_types, \
-            "a pass declaring invalidates_analysis=False must keep the cache"
-
-        PassManager([Touch()]).run(ctx)
-        assert main.name not in cache._local_types, \
-            "a mutating pass must drop the cache through its declaration"
+        PassManager([Touch()]).run(PassContext(program=program))
+        for func in program.iter_functions():
+            fresh = cache.local_types(func)
+            if func.name == "main":
+                assert "added" in fresh
+            else:
+                assert fresh is kept[func.name]
 
 
 class TestFixpointPass:
     def test_iterates_until_no_change(self):
         class CountDown(Pass):
             name = "countdown"
-            invalidates_analysis = False
 
             def __init__(self):
                 self.budget = 3
@@ -156,7 +150,6 @@ class TestFixpointPass:
     def test_max_rounds_caps_iteration(self):
         class Restless(Pass):
             name = "restless"
-            invalidates_analysis = False
 
             def run(self, program, ctx):
                 return PassOutcome(changed=1)
