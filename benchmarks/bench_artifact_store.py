@@ -59,19 +59,19 @@ def measure_warm_hits(store_dir: str) -> dict:
     for app in apps:
         spec = BuildSpec(app=app, variant=VARIANT)
 
-        with Workbench(store=store_dir) as cold_bench:
-            start = time.perf_counter()
-            cold_record = cold_bench.build(spec)
-            cold_s = time.perf_counter() - start
-            assert cold_bench.stats()["builds_executed"] == 1
+        cold_bench = Workbench(store=store_dir)
+        start = time.perf_counter()
+        cold_record = cold_bench.build(spec)
+        cold_s = time.perf_counter() - start
+        assert cold_bench.stats()["builds_executed"] == 1
 
         warm_s = []
         for _ in range(reps):
-            with Workbench(store=store_dir) as warm_bench:
-                start = time.perf_counter()
-                warm_record = warm_bench.build(spec)
-                warm_s.append(time.perf_counter() - start)
-                stats = warm_bench.stats()
+            warm_bench = Workbench(store=store_dir)
+            start = time.perf_counter()
+            warm_record = warm_bench.build(spec)
+            warm_s.append(time.perf_counter() - start)
+            stats = warm_bench.stats()
             assert stats["passes_executed"] == 0, \
                 f"warm hit for {app} executed {stats['passes_executed']} passes"
             assert stats["builds_executed"] == 0
@@ -119,9 +119,9 @@ def measure_gc(store_dir: str) -> dict:
     app = (SMOKE_APPS if _smoke() else APPS)[0]
     spec = BuildSpec(app=app, variant=VARIANT)
     survived = store.has_record(spec.content_key())
-    with Workbench(store=store_dir) as bench:
-        bench.build(spec)
-        rebuilt = bench.stats()["builds_executed"]
+    bench = Workbench(store=store_dir)
+    bench.build(spec)
+    rebuilt = bench.stats()["builds_executed"]
     assert rebuilt == (0 if survived else 1)
     return {
         "budget_bytes": budget,

@@ -60,8 +60,7 @@ def _spec(plan: FaultPlan, seconds: float) -> ScenarioSpec:
 
 def measure() -> dict:
     seconds = SMOKE_SECONDS if _smoke() else SIM_SECONDS
-    with Workbench() as bench:
-        return _measure(bench, seconds)
+    return _measure(Workbench(), seconds)
 
 
 def _measure(bench: Workbench, seconds: float) -> dict:

@@ -18,8 +18,7 @@ from repro.api.workbench import Workbench
 
 @pytest.fixture(scope="session")
 def workbench():
-    with Workbench() as bench:
-        yield bench
+    return Workbench()
 
 
 def pytest_addoption(parser):

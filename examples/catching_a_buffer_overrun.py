@@ -37,8 +37,7 @@ def main() -> None:
         seconds=2.0,
     )
 
-    with Workbench() as bench:
-        record = bench.run_scenario(spec)
+    record = Workbench().run_scenario(spec)
     print(format_scenario_record(record))
 
     # The per-cell details show the mechanism behind each verdict.

@@ -25,35 +25,35 @@ SIM_SECONDS = 2.0
 
 
 def main() -> None:
-    with Workbench() as bench:
-        print(f"Building {APP} with {len(VARIANTS)} build variants\n")
-        records = bench.sweep(SweepSpec(apps=(APP,), variants=VARIANTS))
+    bench = Workbench()
+    print(f"Building {APP} with {len(VARIANTS)} build variants\n")
+    records = bench.sweep(SweepSpec(apps=(APP,), variants=VARIANTS))
 
-        header = (f"{'variant':18s} {'code (B)':>9s} {'RAM (B)':>8s} "
-                  f"{'checks':>7s} {'duty cycle':>11s} {'LED changes':>12s}")
-        print(header)
-        print("-" * len(header))
-        for record in records:
-            run = bench.simulate(SimSpec(app=APP, variant=record.variant,
-                                         seconds=SIM_SECONDS))
-            checks = (f"{record.checks_surviving}/{record.checks_inserted}"
-                      if record.checks_inserted else "-")
-            print(f"{record.variant:18s} {record.code_bytes:9d} "
-                  f"{record.ram_bytes:8d} {checks:>7s} "
-                  f"{run.duty_cycle * 100:10.3f}% {run.led_changes:12d}")
+    header = (f"{'variant':18s} {'code (B)':>9s} {'RAM (B)':>8s} "
+              f"{'checks':>7s} {'duty cycle':>11s} {'LED changes':>12s}")
+    print(header)
+    print("-" * len(header))
+    for record in records:
+        run = bench.simulate(SimSpec(app=APP, variant=record.variant,
+                                     seconds=SIM_SECONDS))
+        checks = (f"{record.checks_surviving}/{record.checks_inserted}"
+                  if record.checks_inserted else "-")
+        print(f"{record.variant:18s} {record.code_bytes:9d} "
+              f"{record.ram_bytes:8d} {checks:>7s} "
+              f"{run.duty_cycle * 100:10.3f}% {run.led_changes:12d}")
 
-        print("\nThe safe, optimized build keeps the program's behaviour (same")
-        print("LED activity), removes most of CCured's run-time checks, and")
-        print("costs about as much CPU and memory as the original unsafe")
-        print("program.\n")
+    print("\nThe safe, optimized build keeps the program's behaviour (same")
+    print("LED activity), removes most of CCured's run-time checks, and")
+    print("costs about as much CPU and memory as the original unsafe")
+    print("program.\n")
 
-        # Records are plain data: they serialize to JSON and load back equal.
-        optimized = records[-1]
-        wire = json.dumps(optimized.to_dict())
-        assert BuildRecord.from_dict(json.loads(wire)) == optimized
-        print("The same record as JSON (what `python -m repro build "
-              f"{APP} --json` prints):")
-        print(json.dumps(optimized.to_dict(), indent=2))
+    # Records are plain data: they serialize to JSON and load back equal.
+    optimized = records[-1]
+    wire = json.dumps(optimized.to_dict())
+    assert BuildRecord.from_dict(json.loads(wire)) == optimized
+    print("The same record as JSON (what `python -m repro build "
+          f"{APP} --json` prints):")
+    print(json.dumps(optimized.to_dict(), indent=2))
 
 
 if __name__ == "__main__":

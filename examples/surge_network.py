@@ -26,22 +26,22 @@ SIM_SECONDS = 40.0
 
 
 def main() -> None:
-    with Workbench() as bench:
-        print("Building Surge (safe, FLIDs, inlined, cXprop-optimized)...")
-        safe = bench.build(BuildSpec(app=APP, variant="safe-optimized"))
-        baseline = bench.build(BuildSpec(app=APP, variant="baseline"))
-        print(f"  unsafe baseline : {baseline.code_bytes} B code, "
-              f"{baseline.ram_bytes} B RAM")
-        print(f"  safe, optimized : {safe.code_bytes} B code, "
-              f"{safe.ram_bytes} B RAM, "
-              f"{safe.checks_surviving}/{safe.checks_inserted} checks "
-              f"survive\n")
+    bench = Workbench()
+    print("Building Surge (safe, FLIDs, inlined, cXprop-optimized)...")
+    safe = bench.build(BuildSpec(app=APP, variant="safe-optimized"))
+    baseline = bench.build(BuildSpec(app=APP, variant="baseline"))
+    print(f"  unsafe baseline : {baseline.code_bytes} B code, "
+          f"{baseline.ram_bytes} B RAM")
+    print(f"  safe, optimized : {safe.code_bytes} B code, "
+          f"{safe.ram_bytes} B RAM, "
+          f"{safe.checks_surviving}/{safe.checks_inserted} checks "
+          f"survive\n")
 
-        # Multi-node topologies need the live program, not just the record;
-        # the Workbench memoized the full build, so this does not rebuild
-        # anything.  The program outlives the session.
-        program = bench.build_result(
-            BuildSpec(app=APP, variant="safe-optimized")).program
+    # Multi-node topologies need the live program, not just the record;
+    # the Workbench memoized the full build, so this does not rebuild
+    # anything.  The program outlives the session.
+    program = bench.build_result(
+        BuildSpec(app=APP, variant="safe-optimized")).program
 
     print(f"Simulating a {NODES}-mote chain for {SIM_SECONDS:.0f} virtual "
           f"seconds (lockstep, per-link latency)...")

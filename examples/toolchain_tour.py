@@ -99,9 +99,7 @@ def main() -> None:
     # "safe-optimized" variant; one Workbench call replays it.
     from repro.api import BuildSpec, Workbench
 
-    with Workbench() as bench:
-        record = bench.build(
-            BuildSpec(app=name, variant="safe-optimized"))
+    record = Workbench().build(BuildSpec(app=name, variant="safe-optimized"))
     print(f"  Workbench record: {record.code_bytes} B code, "
           f"{record.ram_bytes} B RAM, "
           f"{record.checks_surviving}/{record.checks_inserted} checks "

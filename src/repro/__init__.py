@@ -10,8 +10,9 @@ Avrora-style sensor-network simulator.
 
 Start with :class:`repro.api.Workbench`, the one build API: it builds
 applications under the paper's variants (``build``, ``build_result``,
-``build_unregistered``), simulates and runs fault scenarios from
-declarative specs, and backs the ``python -m repro`` CLI.
+``sweep``, ``build_unregistered``) on the caller's thread, simulates and
+runs fault scenarios from declarative specs, and backs the
+``python -m repro`` CLI.
 """
 
 from repro.api import (

@@ -9,7 +9,7 @@ this package makes that the shape of the public surface:
 * **Workbench** (:mod:`repro.api.workbench`) — the single execution engine:
   every build routes through the sweep runner's prefix-sharing front-end
   cache, results are memoized by content key for the session, and
-  ``submit()`` runs sweeps concurrently on the process pool.
+  ``sweep(..., processes=N)`` spreads a sweep over N worker processes.
 * **Records** (:mod:`repro.api.records`) — typed results
   (:class:`BuildRecord`, :class:`SimRecord`) with ``to_dict``/``from_dict``
   so they survive process boundaries and can be written to disk.
@@ -25,12 +25,12 @@ Example::
 
     from repro.api import BuildSpec, SweepSpec, Workbench
 
-    with Workbench() as bench:
-        record = bench.build(BuildSpec(app="BlinkTask_Mica2",
-                                       variant="safe-optimized"))
-        print(record.code_bytes, record.checks_removed)
-        sweep = bench.sweep(SweepSpec(apps=("Surge_Mica2", "Ident_Mica2"),
-                                      variants=("baseline", "safe-optimized")))
+    bench = Workbench()
+    record = bench.build(BuildSpec(app="BlinkTask_Mica2",
+                                   variant="safe-optimized"))
+    print(record.code_bytes, record.checks_removed)
+    sweep = bench.sweep(SweepSpec(apps=("Surge_Mica2", "Ident_Mica2"),
+                                  variants=("baseline", "safe-optimized")))
 """
 
 from repro.api.records import BuildRecord, ScenarioRecord, SimRecord

@@ -249,11 +249,8 @@ def cmd_sweep(args, workbench: Workbench, out) -> int:
     spec = validated(lambda: SweepSpec(
         apps=tuple(resolve_apps(args.apps)),
         variants=tuple(resolve_variants(args.variants))))
-    processes = non_negative(args.processes, "--processes")
-    if processes:
-        records = workbench.submit(spec, processes=processes).result()
-    else:
-        records = workbench.sweep(spec)
+    records = workbench.sweep(
+        spec, processes=non_negative(args.processes, "--processes"))
     payload = {"spec": spec.to_dict(),
                "records": [record.to_dict() for record in records]}
     return _emit_record(args, out, payload,
@@ -491,9 +488,9 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     # ``gc`` manages the store directory itself — the record commands
     # route their session workbench through it.
     store = getattr(args, "store", None) if args.command != "gc" else None
-    with Workbench(store=store) as workbench:
-        try:
-            return args.func(args, workbench, out)
-        except UsageError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+    workbench = Workbench(store=store)
+    try:
+        return args.func(args, workbench, out)
+    except UsageError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2

@@ -1,9 +1,9 @@
 """Typed, JSON-round-trippable result records.
 
 Records are the serializable projection of a build or simulation: plain
-frozen dataclasses of numbers and strings that survive process boundaries
-(the process-pool sweep mode returns exactly these), can be written to disk,
-and reload with ``from_dict(to_dict(record)) == record``.  The live objects
+frozen dataclasses of numbers and strings that can be written to disk and
+reload with ``from_dict(to_dict(record)) == record``.  A build's record is
+the same whether it ran in-process or on the process pool.  The live objects
 — programs, memory images, FLID tables — stay inside the
 :class:`~repro.api.workbench.Workbench` session that produced them; ask it
 for the full :class:`~repro.toolchain.pipeline.BuildResult` when you need
@@ -34,8 +34,7 @@ class BuildRecord:
         ram_bytes: Static RAM footprint (data + bss + RAM strings).
         checks_inserted: Safety checks CCured inserted (0 for unsafe builds).
         checks_surviving: Checks remaining in the final image.
-        passes: Names of the executed passes, in order (empty when the
-            producing sweep carried summaries only).
+        passes: Names of the executed passes, in order.
         wall_time_s: Build wall time attributed to this build's pass list.
 
     ``passes`` and ``wall_time_s`` are telemetry of the session that ran

@@ -15,10 +15,11 @@ prefix-snapshot store.  That gives three properties for free:
   :meth:`~repro.api.specs.BuildSpec.content_key`, so an identical request
   never re-runs a pass.
 * **One record schema.**  Every build yields a
-  :class:`~repro.api.records.BuildRecord`, whether it ran in-process (full
-  :class:`~repro.toolchain.pipeline.BuildResult` retained and available via
-  :meth:`Workbench.build_result`) or on the process pool
-  (:meth:`Workbench.submit`, summaries only).
+  :class:`~repro.api.records.BuildRecord`, whether it ran in-process or on
+  the process pool (:meth:`Workbench.sweep` with ``processes``); only an
+  in-process build keeps its full
+  :class:`~repro.toolchain.pipeline.BuildResult`, available via
+  :meth:`Workbench.build_result`.
 
 The session caches assume applications and variants are not mutated after
 their first build, and cached results are *shared*: a second identical
@@ -26,15 +27,13 @@ request returns the same :class:`~repro.toolchain.pipeline.BuildResult`
 (and its live program) as the first, so treat returned results as
 read-only — run further ad-hoc passes on a
 :meth:`~repro.cminor.program.Program.clone`, or call :meth:`clear` to drop
-the session caches.  In-process methods are intended for one driving
-thread, while :meth:`submit` futures admit their records under a lock.
+the session caches.  Every request runs on the caller's thread; a session
+is meant for one driving thread.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from repro.api.records import BuildRecord, ScenarioRecord, SimRecord
@@ -114,14 +113,6 @@ def run_network(program, *, seconds: float, node_count: int = 1,
     return network
 
 
-def is_registered_variant(variant: BuildVariant) -> bool:
-    """Whether ``variant`` is (equal to) a predefined registry variant."""
-    try:
-        return variant_by_name(variant.name) == variant
-    except KeyError:
-        return False
-
-
 class Workbench:
     """Cache-routed execution engine for builds, sweeps and simulations.
 
@@ -152,20 +143,6 @@ class Workbench:
         # Snapshot-store keys already persisted (or hydrated) this session,
         # so repeat builds do not rewrite identical entries.
         self._snapshot_keys_done: set[str] = set()
-        # Unregistered builds (custom Application objects / ad-hoc variants)
-        # have no content key; they are memoized by identity for the session,
-        # pinning the application object so ``id`` stays unambiguous.
-        self._unregistered: dict[tuple, tuple[object, BuildResult]] = {}
-        self._object_snapshots: dict[int, dict[str, dict]] = {}
-        self._lock = threading.Lock()
-        # Serializes the heavy execution paths (pass pipelines, network
-        # runs) so :meth:`submit`'s pool thread, which drives builds
-        # concurrently with the caller, never races the caller on the
-        # shared snapshot store or a shared program.  Re-entrant because
-        # simulations and scenarios build through the same engine on the
-        # same thread.
-        self._execute_lock = threading.RLock()
-        self._executor: Optional[ThreadPoolExecutor] = None
         self._builds_executed = 0
         self._simulations_executed = 0
         self._scenarios_executed = 0
@@ -184,8 +161,7 @@ class Workbench:
 
     def cached_builds(self) -> int:
         """Number of memoized build records in this session."""
-        with self._lock:
-            return len(self._records) + len(self._unregistered)
+        return len(self._records)
 
     # -- building --------------------------------------------------------------
 
@@ -210,126 +186,60 @@ class Workbench:
         """
         spec = self._as_build_spec(spec, variant)
         key = spec.content_key()
-        with self._lock:
-            record = self._records.get(key)
-        if record is not None:
-            return record
-        if self._missing_after_store([spec]):
+        if key not in self._records and self._missing_after_store([spec]):
             self._execute([spec])
-        with self._lock:
-            return self._records[key]
+        return self._records[key]
 
     def build_result(self, spec: Union[BuildSpec, str],
                      variant: Union[str, BuildVariant, None] = None,
                      ) -> BuildResult:
         """Like :meth:`build`, but returns the full in-process result.
 
-        If the record was admitted by a process-pool sweep (summary only),
-        the build is re-run in-process — programs do not cross process
-        boundaries.
+        A build whose record came from the artifact store or the process
+        pool runs again in-process — programs cross neither — and its
+        record stays the one admitted first.
         """
         spec = self._as_build_spec(spec, variant)
         key = spec.content_key()
-        with self._lock:
-            result = self._results.get(key)
-        if result is not None:
-            return result
-        # The artifact store holds records, not live programs — a full
-        # result always builds in-process (resuming from any stored
-        # front-end snapshot of the application).
-        self._execute([spec])
-        with self._lock:
-            return self._results[key]
+        if key not in self._results:
+            self._execute([spec])
+        return self._results[key]
 
     def sweep(self, spec: Union[SweepSpec, None] = None, *,
               apps: Optional[list[str]] = None,
-              variants: Optional[list[str]] = None) -> list[BuildRecord]:
+              variants: Optional[list[str]] = None,
+              processes: int = 0) -> list[BuildRecord]:
         """Build an N-app × M-variant cross product, in (app, variant) order.
 
         Builds already memoized are not re-run; the rest are batched through
         :class:`~repro.toolchain.sweep.SweepRunner` with prefix sharing.
+        With ``processes``, that many worker processes share the
+        applications out and the records equal an in-process sweep's; a
+        later :meth:`build_result` of such a build runs it again in-process.
         """
         if spec is None:
             spec = SweepSpec(apps=tuple(apps or ()),
                              variants=tuple(variants or ()))
         specs = spec.build_specs()
-        with self._lock:
-            missing = [s for s in specs
-                       if s.content_key() not in self._records]
-        missing = self._missing_after_store(missing)
+        missing = self._missing_after_store(
+            [s for s in specs if s.content_key() not in self._records])
         if missing:
-            self._execute(missing)
-        with self._lock:
-            return [self._records[s.content_key()] for s in specs]
-
-    def submit(self, spec: SweepSpec, *,
-               processes: Optional[int] = None) -> "Future[list[BuildRecord]]":
-        """Run a sweep concurrently on the process pool; returns a future.
-
-        The future resolves to the sweep's records in (app, variant) order.
-        ``processes`` worker processes run it (default
-        ``min(4, cpu_count)``).  Pooled builds carry summaries only — use
-        :meth:`build_result` when a program or image is needed (it
-        rebuilds in-process).
-        """
-        workers = processes or min(4, os.cpu_count() or 1)
-
-        def run_pooled() -> list[BuildRecord]:
-            specs = spec.build_specs()
-            with self._lock:
-                missing = [s for s in specs
-                           if s.content_key() not in self._records]
-            missing = self._missing_after_store(missing)
-            with self._execute_lock:
-                for variant_names, apps in self._grouped(missing):
-                    runner = SweepRunner(
-                        apps,
-                        [variant_by_name(name) for name in variant_names],
-                        processes=workers)
-                    for build in runner.run():
-                        self._admit(build)
-                    self._release_snapshots(apps)
-            with self._lock:
-                return [self._records[s.content_key()] for s in specs]
-
-        with self._lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=2, thread_name_prefix="workbench")
-            return self._executor.submit(run_pooled)
+            self._execute(missing, processes)
+        return [self._records[s.content_key()] for s in specs]
 
     def build_unregistered(self, app: Union[str, Application],
                            variant: BuildVariant) -> BuildResult:
         """Build a custom application and/or an unregistered variant.
 
-        The build still routes through the sweep runner (sharing
-        front-end snapshots where possible) but is memoized by identity
-        instead of content key, since ad-hoc applications and variants
-        have no stable serialized name.
+        The build routes through the sweep runner but is not memoized, since
+        ad-hoc applications and variants have no content key.  A registered
+        application name resumes from (and extends) the session's prefix
+        snapshots; an :class:`Application` object builds with snapshots of
+        its own call.
         """
-        if isinstance(app, str):
-            ident: tuple = ("app", app)
-            store = self._snapshots  # keyed by pass cache keys: shareable
-        else:
-            ident = ("object", id(app))
-            store = self._object_snapshots.get(id(app), {})
-        key = (ident, variant)
-        with self._lock:
-            cached = self._unregistered.get(key)
-        if cached is not None:
-            return cached[1]
-        with self._execute_lock:
-            runner = SweepRunner([app], [variant], snapshot_store=store)
-            build = runner.run().builds[0]
-        with self._lock:
-            self._unregistered[key] = (app, build.result)
-            if not isinstance(app, str):
-                # Commit the object's snapshot store only after a successful
-                # build: the pin above keeps ``id(app)`` unambiguous, and a
-                # failed build leaves no stale snapshots behind for a later
-                # object that happens to reuse the id.
-                self._object_snapshots[id(app)] = store
-        return build.result
+        store = self._snapshots if isinstance(app, str) else None
+        runner = SweepRunner([app], [variant], snapshot_store=store)
+        return runner.run().builds[0].result
 
     # -- simulation ------------------------------------------------------------
 
@@ -343,28 +253,26 @@ class Workbench:
         no build, no simulation.
         """
         key = spec.content_key()
-        with self._lock:
-            cached = self._sim_records.get(key)
+        cached = self._sim_records.get(key)
         if cached is not None:
             return cached
         stored = self._record_from_store(key, SimRecord.from_dict)
         if stored is not None:
-            with self._lock:
-                return self._sim_records.setdefault(key, stored)
-        with self._execute_lock:
-            result = self.build_result(spec.build_spec())
-            traffic = duty_cycle_context(spec.app) \
-                if spec.traffic in (TRAFFIC_DEFAULT, TRAFFIC_BASE) else None
-            channel = Channel(topology=spec.topology, loss=spec.loss,
-                              seed=spec.seed)
-            from repro.avrora.engine import CodeCache
+            self._sim_records[key] = stored
+            return stored
+        result = self.build_result(spec.build_spec())
+        traffic = duty_cycle_context(spec.app) \
+            if spec.traffic in (TRAFFIC_DEFAULT, TRAFFIC_BASE) else None
+        channel = Channel(topology=spec.topology, loss=spec.loss,
+                          seed=spec.seed)
+        from repro.avrora.engine import CodeCache
 
-            code_cache = CodeCache(result.program)
-            network = run_network(
-                result.program, seconds=spec.seconds,
-                node_count=spec.node_count, traffic=traffic, channel=channel,
-                traffic_first_node_only=(spec.traffic == TRAFFIC_BASE),
-                code_cache=code_cache)
+        code_cache = CodeCache(result.program)
+        network = run_network(
+            result.program, seconds=spec.seconds,
+            node_count=spec.node_count, traffic=traffic, channel=channel,
+            traffic_first_node_only=(spec.traffic == TRAFFIC_BASE),
+            code_cache=code_cache)
         stats = network.node_stats()
         record = SimRecord(
             app=spec.app,
@@ -385,10 +293,9 @@ class Workbench:
             led_changes=sum(node.leds.state.changes for node in network.nodes),
             superblocks=network.superblock_stats(),
         )
-        with self._lock:
-            self._simulations_executed += 1
-            self._lowerings += code_cache.lowerings
-            record = self._sim_records.setdefault(key, record)
+        self._simulations_executed += 1
+        self._lowerings += code_cache.lowerings
+        self._sim_records[key] = record
         if self.store is not None:
             self.store.store_record(key, record.to_dict())
         return record
@@ -407,23 +314,20 @@ class Workbench:
         function of its spec, so equal specs share one execution.
         """
         key = spec.content_key()
-        with self._lock:
-            cached = self._scenario_records.get(key)
+        cached = self._scenario_records.get(key)
         if cached is not None:
             return cached
         stored = self._record_from_store(key, ScenarioRecord.from_dict)
         if stored is not None:
-            with self._lock:
-                return self._scenario_records.setdefault(key, stored)
-        with self._lock:
-            if self._scenario_runner is None:
-                from repro.scenarios.runner import ScenarioRunner
-                self._scenario_runner = ScenarioRunner(self)
-            runner = self._scenario_runner
-        with self._execute_lock:
-            lowered = runner.lowerings
-            outcome = runner.run(spec)
-            lowered = runner.lowerings - lowered
+            self._scenario_records[key] = stored
+            return stored
+        if self._scenario_runner is None:
+            from repro.scenarios.runner import ScenarioRunner
+            self._scenario_runner = ScenarioRunner(self)
+        runner = self._scenario_runner
+        lowered = runner.lowerings
+        outcome = runner.run(spec)
+        lowered = runner.lowerings - lowered
         record = ScenarioRecord(
             app=spec.app,
             content_key=key,
@@ -437,10 +341,9 @@ class Workbench:
             details=outcome["details"],
             golden=outcome["golden"],
         )
-        with self._lock:
-            self._scenarios_executed += 1
-            self._lowerings += lowered
-            record = self._scenario_records.setdefault(key, record)
+        self._scenarios_executed += 1
+        self._lowerings += lowered
+        self._scenario_records[key] = record
         if self.store is not None:
             self.store.store_record(key, record.to_dict())
         return record
@@ -462,29 +365,31 @@ class Workbench:
             groups.setdefault(tuple(variant_names), []).append(app)
         return list(groups.items())
 
-    def _execute(self, specs: list[BuildSpec]) -> None:
-        """Run builds in-process via the sweep runner and admit the results.
+    def _execute(self, specs: list[BuildSpec], processes: int = 0) -> None:
+        """Run builds via the sweep runner and admit the results.
 
-        With a session :attr:`store`, each application's persistent prefix
-        snapshots are hydrated from disk first (so even a cold session
-        skips the nesC front end for known applications) and any snapshots
-        this execution minted are persisted back afterwards.  Snapshots no
+        In-process, with a session :attr:`store`, each application's
+        persistent prefix snapshots are hydrated from disk first (so even a
+        cold session skips the nesC front end for known applications) and
+        any snapshots this execution minted are persisted back afterwards.
+        With ``processes``, the builds run on that many worker processes
+        instead, and their snapshots stay in the workers.  Snapshots no
         unbuilt registered variant can resume from are then dropped.
         """
-        with self._execute_lock:
-            for variant_names, apps in self._grouped(specs):
-                variants = [variant_by_name(name) for name in variant_names]
-                if self.store is not None:
-                    for app in apps:
-                        self._hydrate_snapshots(app, variants)
-                runner = SweepRunner(apps, variants,
-                                     snapshot_store=self._snapshots)
-                for build in runner.run():
-                    self._admit(build)
-                if self.store is not None:
-                    for app in apps:
-                        self._persist_snapshots(app, variants)
-                self._release_snapshots(apps)
+        persist = self.store is not None and not processes
+        for variant_names, apps in self._grouped(specs):
+            variants = [variant_by_name(name) for name in variant_names]
+            if persist:
+                for app in apps:
+                    self._hydrate_snapshots(app, variants)
+            runner = SweepRunner(apps, variants, processes=processes,
+                                 snapshot_store=self._snapshots)
+            for build in runner.run():
+                self._admit(build)
+            if persist:
+                for app in apps:
+                    self._persist_snapshots(app, variants)
+            self._release_snapshots(apps)
 
     def _release_snapshots(self, apps: list[str]) -> None:
         """Free each app's snapshots that no pending build can resume from.
@@ -497,11 +402,10 @@ class Workbench:
         for app in apps:
             snapshots = self._snapshots.get(app)
             if snapshots:
-                with self._lock:
-                    pending = [
-                        variant_pass_keys(name) for name in all_variant_names()
-                        if BuildSpec(app=app, variant=name).content_key()
-                        not in self._records]
+                pending = [
+                    variant_pass_keys(name) for name in all_variant_names()
+                    if BuildSpec(app=app, variant=name).content_key()
+                    not in self._records]
                 for prefix in list(snapshots):
                     if not any(keys[:len(prefix)] == prefix
                                for keys in pending):
@@ -513,27 +417,19 @@ class Workbench:
         """Merge one :class:`~repro.toolchain.sweep.SweepBuild` into the caches."""
         key = BuildSpec(app=build.application,
                         variant=build.variant_name).content_key()
-        passes: tuple[str, ...] = ()
-        wall_time_s = 0.0
-        if build.result is not None and build.result.trace is not None:
-            passes = tuple(build.result.trace.pass_names())
-            wall_time_s = build.result.trace.wall_time_s
-        record = BuildRecord.from_summary(build.summary, key,
-                                          passes=passes,
-                                          wall_time_s=wall_time_s)
-        with self._lock:
-            self._builds_executed += 1
-            existing = self._records.get(key)
-            if existing is None or (not existing.passes and passes):
-                # First admission wins, except that an in-process rebuild
-                # upgrades a summary-only record from a pooled sweep with
-                # its pass trace.
-                self._records[key] = record
-            if build.result is not None and key not in self._results:
-                self._results[key] = build.result
-            admitted = self._records[key]
+        self._builds_executed += 1
+        if build.result is not None:
+            self._results.setdefault(key, build.result)
+        if key in self._records:
+            # First admission wins: a record served from the store or the
+            # pool stays (and is not written again) when build_result()
+            # later runs the build in-process.
+            return
+        record = self._records[key] = BuildRecord.from_summary(
+            build.summary, key, passes=build.passes,
+            wall_time_s=build.wall_time_s)
         if self.store is not None:
-            self.store.store_record(key, admitted.to_dict())
+            self.store.store_record(key, record.to_dict())
 
     # -- artifact store --------------------------------------------------------
 
@@ -561,8 +457,7 @@ class Workbench:
             if record is None:
                 missing.append(spec)
                 continue
-            with self._lock:
-                self._records.setdefault(key, record)
+            self._records.setdefault(key, record)
         return missing
 
     def _snapshot_entries(self, app: str,
@@ -631,19 +526,14 @@ class Workbench:
         store serving a previously recorded spec shows zeros across the
         board — that is the claim the CI smoke legs assert.
         """
-        with self._lock:
-            counters = {
-                "builds_executed": self._builds_executed,
-                "simulations_executed": self._simulations_executed,
-                "scenarios_executed": self._scenarios_executed,
-                "lowerings": self._lowerings,
-            }
-            store_stats = dict(self.store.stats()) \
-                if self.store is not None else {}
         return {
             "passes_executed": executed_pass_count() - self._passes_at_init,
-            **counters,
-            "store": store_stats,
+            "builds_executed": self._builds_executed,
+            "simulations_executed": self._simulations_executed,
+            "scenarios_executed": self._scenarios_executed,
+            "lowerings": self._lowerings,
+            "store": dict(self.store.stats()) if self.store is not None
+            else {},
         }
 
     # -- lifecycle -------------------------------------------------------------
@@ -656,26 +546,10 @@ class Workbench:
         built; call this to release them without discarding the Workbench
         itself.
         """
-        with self._lock:
-            self._records.clear()
-            self._results.clear()
-            self._sim_records.clear()
-            self._scenario_records.clear()
-            self._scenario_runner = None
-            self._snapshots.clear()
-            self._snapshot_keys_done.clear()
-            self._unregistered.clear()
-            self._object_snapshots.clear()
-
-    def shutdown(self) -> None:
-        """Stop the background executor (pending futures still complete)."""
-        with self._lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
-
-    def __enter__(self) -> "Workbench":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
+        self._records.clear()
+        self._results.clear()
+        self._sim_records.clear()
+        self._scenario_records.clear()
+        self._scenario_runner = None
+        self._snapshots.clear()
+        self._snapshot_keys_done.clear()

@@ -69,9 +69,9 @@ class ProgramAnalysisCache:
     be mutated.  After changing a function, report it to :meth:`invalidate`.
 
     Attributes:
-        checked: Function name -> the declarations its last type check read,
-            with what each was then (see
-            :meth:`repro.cminor.typecheck.TypeChecker.check`).
+        checked: Function name -> ``{(kind, name): declaration}`` for the
+            declarations its last type check read, with what each was then
+            (see :meth:`repro.cminor.typecheck.TypeChecker.check`).
         checked_structs: The struct table those checks ran against.
     """
 
@@ -80,7 +80,7 @@ class ProgramAnalysisCache:
         # cycle, so a released snapshot is freed as soon as it is dropped.
         #: Fact function -> {function name: fact}.
         self._facts: dict[Callable, dict[str, object]] = {}
-        self.checked: dict[str, tuple] = {}
+        self.checked: dict[str, dict[tuple[str, str], object]] = {}
         self.checked_structs: Optional[dict[str, ty.StructType]] = None
         #: Owning function name ("" if unknown) -> {node_id: expressions}.
         self._stmt_exprs: dict[str, dict[int, tuple[ast.Expr, ...]]] = {}

@@ -113,16 +113,16 @@ class TypeChecker:
         self._declarations = {}
         for func in self.program.iter_functions():
             uses = checked.get(func.name)
-            if uses is not None and all(self._declaration(kind, name) == was
-                                        for kind, name, was in uses):
+            if uses is not None and all(self._declaration(*key) == was
+                                        for key, was in uses.items()):
                 continue
             self.check_function(func)
-            checked[func.name] = tuple(
-                (kind, name, self._declaration(kind, name))
+            checked[func.name] = {
+                (kind, name): self._declaration(kind, name)
                 for kind, names in ((_GLOBAL, self._global_uses),
                                     (_CALL, self._calls),
                                     (_POST, self._posts))
-                for name in names)
+                for name in names}
 
     def _declaration(self, kind: str, name: str) -> object:
         """What a check reads of the declaration ``name`` as it is now."""

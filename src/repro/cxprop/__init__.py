@@ -8,9 +8,9 @@ the same architecture as the original:
   (:mod:`repro.cxprop.domains`),
 * a flow-sensitive abstract interpreter over each function
   (:mod:`repro.cxprop.dataflow`) on top of whole-program facts — global
-  invariants, mod-sets, and the set of interrupt-shared variables
+  invariants, mod-sets, and the set of interrupt-shared variables, which
+  follows pointers where nesC's race analysis does not
   (:mod:`repro.cxprop.interproc`),
-* a conservative, pointer-aware race detector (:mod:`repro.cxprop.race`),
 * a source-to-source function inliner (:mod:`repro.cxprop.inline`),
 * transformation passes: constant/branch folding (:mod:`repro.cxprop.fold`),
   copy propagation (:mod:`repro.cxprop.copyprop`), aggressive dead code and
@@ -23,7 +23,6 @@ the same architecture as the original:
 from repro.cxprop.driver import CxpropConfig, CxpropReport, optimize_program
 from repro.cxprop.inline import InlineReport, inline_program
 from repro.cxprop.dce import DceReport, eliminate_dead_code
-from repro.cxprop.race import pointer_aware_race_analysis
 
 __all__ = [
     "CxpropConfig",
@@ -33,5 +32,4 @@ __all__ = [
     "inline_program",
     "DceReport",
     "eliminate_dead_code",
-    "pointer_aware_race_analysis",
 ]

@@ -10,9 +10,12 @@ insensitive one.  The facts it maintains across function boundaries are:
   used to havoc state at call sites;
 * **address-taken sets** — globals and locals whose address escapes, which
   may change behind the analysis's back through pointer stores;
-* **interrupt-shared variables** — globals touched from interrupt context;
-  the flow-sensitive engine only trusts refined values for these inside
-  atomic sections (the concurrency-soundness improvement of Section 2.1).
+* **interrupt-shared variables** — globals touched from interrupt context:
+  those nesC's race analysis sees accessed there, plus, as Section 2.1's
+  pointer rule has it, every address-taken global once interrupt-reachable
+  code stores through a pointer.  The flow-sensitive engine only trusts
+  refined values for these inside atomic sections (the
+  concurrency-soundness improvement of Section 2.1).
 
 The per-function parts of the first three (each function's direct writes
 and address-taken names) are facts of the program's analysis memo, so a
@@ -99,18 +102,30 @@ def address_taken(func: ast.FunctionDef
 
 def direct_writes(func: ast.FunctionDef) -> frozenset[str]:
     """Names ``func`` stores to that are not its locals, plus
-    :data:`POINTER_STORE` if it stores through a pointer (a function's
-    memoized fact)."""
+    :data:`POINTER_STORE` if it stores through a pointer: ``*p``, ``p->f``
+    or ``p[i]`` (a function's memoized fact)."""
     locals_ = local_types(func)
     writes: set[str] = set()
     for stmt in walk_statements(func.body):
         if isinstance(stmt, ast.Assign):
             root = lvalue_root(stmt.lvalue)
-            if root is None:
+            if root is None or _indexes_a_pointer(stmt.lvalue):
                 writes.add(POINTER_STORE)
             elif root not in locals_:
                 writes.add(root)
     return frozenset(writes)
+
+
+def _indexes_a_pointer(lvalue: ast.Expr) -> bool:
+    """Whether ``lvalue`` indexes a pointer (``p[i]``, ``s.p[i].f``): a store
+    there writes what ``p`` points to, not ``p``, which
+    :func:`lvalue_root` names."""
+    while isinstance(lvalue, (ast.Index, ast.Member)):
+        if isinstance(lvalue, ast.Index) and \
+                isinstance(lvalue.base.ctype, ty.PointerType):
+            return True
+        lvalue = lvalue.base
+    return False
 
 
 def _collect_address_taken(program: Program
@@ -271,6 +286,11 @@ def compute_whole_program_facts(program: Program,
     for access in concurrency.accesses:
         if access.function in concurrency.async_functions:
             shared.add(access.variable)
+    # nesC's analysis does not follow pointers: a store through one from
+    # interrupt context may reach any address-taken global.
+    if any(POINTER_STORE in facts.mod_sets.get(name, ())
+           for name in concurrency.async_functions):
+        shared |= globals_taken
     facts.shared_variables = shared
 
     evaluator = Evaluator(program, pointer_size)

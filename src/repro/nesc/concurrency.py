@@ -9,8 +9,9 @@ by ``atomic`` sections at every access is a potential data race.
 The nesC compiler performs exactly this analysis and, in the paper's
 toolchain, emits the list of racy variables that the modified CCured uses to
 decide which safety checks must be wrapped in locks (Section 2.2).  Like the
-real nesC analysis, this implementation does **not** follow pointers — the
-improved, pointer-aware detector lives in :mod:`repro.cxprop.race`.
+real nesC analysis, this implementation does **not** follow pointers;
+cXprop adds Section 2.1's pointer rule on top of it when it computes the
+interrupt-shared variables (:mod:`repro.cxprop.interproc`).
 
 Each function's accesses are a fact of the program's analysis memo
 (:func:`function_accesses`), so cXprop, which re-runs the analysis every

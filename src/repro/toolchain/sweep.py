@@ -19,9 +19,9 @@ produce identical build summaries — ``benchmarks/bench_pipeline_sweep.py``
 asserts this and records the speedup.
 
 An opt-in process-pool mode (``processes=N``) distributes whole
-applications across worker processes; since programs and images do not
-cross process boundaries, process-pool builds carry summaries only
-(``SweepBuild.result`` is ``None``).
+applications across worker processes.  Programs and images do not cross
+process boundaries, so a pooled build's ``SweepBuild.result`` is ``None``;
+its summary, pass names and pass time are those of an in-process build.
 
 Snapshots normally live for one :meth:`SweepRunner.run` call.  A caller
 that issues many small sweeps over time — :class:`repro.api.Workbench`
@@ -41,7 +41,7 @@ list starts with its prefix has been built for the application.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Optional, Sequence, Union
 
 from repro.cminor.program import Program
@@ -64,16 +64,27 @@ from repro.toolchain.variants import all_variant_names, variant_by_name
 class SweepBuild:
     """One (application, variant) build of a sweep.
 
-    ``result`` carries the full :class:`BuildResult` for in-process sweeps
-    and is ``None`` in process-pool mode (programs do not cross process
-    boundaries); ``summary`` is always present and identical to
-    ``BuildResult.summary()``.
+    ``summary`` equals ``BuildResult.summary()``, and ``passes`` and
+    ``wall_time_s`` are the build trace's pass names and wall time, in
+    every mode.  ``result`` carries the full :class:`BuildResult` for
+    in-process sweeps and is ``None`` in process-pool mode (programs do
+    not cross process boundaries).
     """
 
     application: str
     variant_name: str
     summary: dict[str, object]
+    passes: tuple[str, ...]
+    wall_time_s: float
     result: Optional[BuildResult] = None
+
+
+def _sweep_build(app_name: str, ctx: PassContext, trace: BuildTrace,
+                 keep_result: bool) -> SweepBuild:
+    result = result_from_context(ctx, trace)
+    return SweepBuild(app_name, ctx.variant.name, result.summary(),
+                      tuple(trace.pass_names()), trace.wall_time_s,
+                      result if keep_result else None)
 
 
 @dataclass
@@ -208,9 +219,7 @@ def _build_one_app(app_name: str, variants: Sequence[BuildVariant],
                 application=app if app is not None
                 else suite.build_application(app_name))
             trace = PassManager(variant_passes(variant)).run(ctx)
-            result = result_from_context(ctx, trace)
-            builds.append(SweepBuild(app_name, variant.name, result.summary(),
-                                     result if keep_results else None))
+            builds.append(_sweep_build(app_name, ctx, trace, keep_results))
         return builds
 
     if app is None:
@@ -252,17 +261,8 @@ def _build_one_app(app_name: str, variants: Sequence[BuildVariant],
         trace = BuildTrace(
             passes=trace_passes,
             wall_time_s=sum(entry.wall_time_s for entry in trace_passes))
-        result = result_from_context(ctx, trace)
-        builds.append(SweepBuild(app_name, plan.variant.name, result.summary(),
-                                 result if keep_results else None))
+        builds.append(_sweep_build(app_name, ctx, trace, keep_results))
     return builds
-
-
-def _build_one_app_summaries(app_name: str, variants: Sequence[BuildVariant],
-                             share_front_end: bool) -> list[SweepBuild]:
-    """Process-pool entry point: summaries only (results stay in the worker)."""
-    return _build_one_app(app_name, variants, share_front_end,
-                          keep_results=False)
 
 
 class SweepRunner:
@@ -280,7 +280,7 @@ class SweepRunner:
             ``False`` every build runs the full pipeline independently —
             useful as the comparison baseline.
         processes: Opt-in process-pool mode: distribute applications over
-            this many worker processes.  Builds then carry summaries only.
+            this many worker processes.  Builds then carry no ``result``.
         snapshot_store: Cross-call prefix-snapshot cache keyed by
             application label.  Pass the same dict to successive runners and
             later sweeps resume from earlier sweeps' front-end (and CCured)
@@ -329,11 +329,11 @@ class SweepRunner:
                     f"names only, not Application objects ({app.name!r}); "
                     f"run it in-process instead")
             names.append(app)
+        work = partial(_build_one_app, variants=self.variants,
+                       share_front_end=self.share_front_end,
+                       keep_results=False)
         builds: list[SweepBuild] = []
         with ProcessPoolExecutor(max_workers=self.processes) as pool:
-            futures = [pool.submit(_build_one_app_summaries, app_name,
-                                   self.variants, self.share_front_end)
-                       for app_name in names]
-            for future in futures:
-                builds.extend(future.result())
+            for app_builds in pool.map(work, names):
+                builds.extend(app_builds)
         return SweepResult(builds)

@@ -5,7 +5,7 @@ import pytest
 from repro.api.figures import figure2_table, figure3a_table
 from repro.api.records import BuildRecord
 from repro.api.specs import BuildSpec, SimSpec, SweepSpec
-from repro.api.workbench import Workbench, is_registered_variant
+from repro.api.workbench import Workbench
 from repro.avrora import interp
 from repro.ccured.passes import CurePass
 from repro.cminor.program import Program
@@ -19,7 +19,6 @@ from repro.toolchain.variants import (
     BASELINE,
     FIGURE2_STRATEGIES,
     FIGURE3_VARIANTS,
-    SAFE_OPTIMIZED,
     variant_by_name,
 )
 
@@ -193,45 +192,37 @@ class TestDifferential:
 
 
 class TestProcessPool:
-    def test_submit_matches_in_process_builds(self):
+    def test_pooled_sweep_matches_in_process_records(self):
         spec = SweepSpec(apps=("BlinkTask_Mica2",),
                          variants=("baseline", "safe-flid"))
-        pooled_bench = Workbench()
-        with pooled_bench:
-            records = pooled_bench.submit(spec, processes=1).result()
-        assert [r.app for r in records] == ["BlinkTask_Mica2"] * 2
-        # Pooled records carry summaries only (no trace, no passes) ...
-        assert records[0].passes == ()
-        # ... and match what an in-process workbench produces.
+        pooled = Workbench().sweep(spec, processes=1)
         local = Workbench().sweep(spec)
-        assert [r.summary() for r in records] == \
-            [r.summary() for r in local]
+        assert pooled == local
+        # The pass trace crosses the process boundary too: only the
+        # session's wall time differs.
+        assert [r.passes for r in pooled] == [r.passes for r in local]
+        assert all(r.passes[0] == "nesc.flatten" for r in pooled)
+        for record in pooled + local:
+            assert record.wall_time_s > 0
 
-    def test_build_result_rebuilds_in_process_after_pooled_sweep(self):
+    def test_build_result_rebuilds_in_process_after_pooled_sweep(
+            self, monkeypatch):
         spec = SweepSpec(apps=("BlinkTask_Mica2",), variants=("baseline",))
         bench = Workbench()
-        with bench:
-            (record,) = bench.submit(spec, processes=1).result()
-        assert record.passes == ()
+        (record,) = bench.sweep(spec, processes=1)
+        flattens: list[str] = []
+        _counting(monkeypatch, FlattenPass, flattens)
         result = bench.build_result("BlinkTask_Mica2", "baseline")
-        assert result.program is not None
+        # Programs stay in the worker, so the program is built again here ...
+        assert flattens == ["nesc.flatten"]
         assert result.summary() == record.summary()
-        # The in-process rebuild upgrades the summary-only record: build()
-        # now reports the executed pass list.
-        upgraded = bench.build("BlinkTask_Mica2", "baseline")
-        assert upgraded.passes == tuple(result.trace.pass_names())
-        assert upgraded.summary() == record.summary()
+        assert tuple(result.trace.pass_names()) == record.passes
+        # ... and the record admitted first stays the session's record.
+        assert bench.build("BlinkTask_Mica2", "baseline") is record
+        assert bench.build_result("BlinkTask_Mica2", "baseline") is result
 
 
 class TestUnregisteredBuilds:
-    def test_custom_applications_are_memoized_by_identity(self):
-        bench = Workbench()
-        app = tiny_application()
-        first = bench.build_unregistered(app, variant_by_name("safe-flid"))
-        second = bench.build_unregistered(app, variant_by_name("safe-flid"))
-        assert second is first
-        assert first.checks_inserted > 0
-
     def test_custom_variants_share_the_app_snapshot_store(self, monkeypatch):
         flattens: list[str] = []
         _counting(monkeypatch, FlattenPass, flattens)
@@ -239,17 +230,13 @@ class TestUnregisteredBuilds:
         custom = BuildVariant(name="custom-tweak",
                               description="ad-hoc",
                               run_inliner=True, run_cxprop=False)
-        assert not is_registered_variant(custom)
+        assert custom.name not in bench.variant_names()
         bench.build("BlinkTask_Mica2", "safe-flid")
         result = bench.build_unregistered("BlinkTask_Mica2", custom)
         # The unregistered build resumed from the registered build's
         # front-end snapshot: no second flatten.
         assert flattens == ["nesc.flatten"]
         assert result.image.code_bytes > 0
-
-    def test_registered_variant_objects_use_the_content_key_path(self):
-        assert is_registered_variant(SAFE_OPTIMIZED)
-        assert is_registered_variant(variant_by_name("baseline"))
 
 
 class TestLifecycle:
@@ -260,7 +247,7 @@ class TestLifecycle:
                                  variant_by_name("baseline"))
         bench.simulate(SimSpec(app="BlinkTask_Mica2", variant="baseline",
                                seconds=0.5))
-        assert bench.cached_builds() == 2
+        assert bench.cached_builds() == 1
         bench.clear()
         assert bench.cached_builds() == 0
         rebuilt = bench.build("BlinkTask_Mica2", "baseline")

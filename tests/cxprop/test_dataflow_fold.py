@@ -5,8 +5,12 @@ import pytest
 from repro.cminor import ast_nodes as ast
 from repro.cminor.visitor import walk_statements
 from repro.cxprop.dataflow import FunctionAnalysis
+from repro.cxprop.driver import CxpropConfig, optimize_program
 from repro.cxprop.fold import fold_program
-from repro.cxprop.interproc import compute_whole_program_facts
+from repro.cxprop.interproc import (
+    POINTER_STORE,
+    compute_whole_program_facts,
+)
 
 import sys
 from pathlib import Path
@@ -109,6 +113,33 @@ __spontaneous void main(void) {
         # Inside the atomic section the flow-sensitive value is trusted.
         assert inside["shared"].as_constant() == 2
 
+    @pytest.mark.parametrize("store", ["shared = 200;", "*cursor = 200;",
+                                       "cursor[0] = 200;"],
+                             ids=["direct", "deref", "index"])
+    def test_interrupt_stores_keep_a_branch(self, store):
+        """The ISR may change ``shared`` between the store and the test,
+        directly or through a pointer: Section 2.1's pointer rule makes every
+        address-taken global shared once interrupt code stores through a
+        pointer, which nesC's race analysis alone does not see."""
+        program = make_program(f"""
+uint8_t shared;
+uint8_t *cursor;
+volatile uint8_t sink;
+__interrupt("ADC") void isr(void) {{ {store} }}
+__spontaneous void main(void) {{
+  cursor = &shared;
+  shared = 1;
+  if (shared == 1) {{ sink = 3; }} else {{ sink = 4; }}
+}}
+""")
+        program.interrupt_vectors["ADC"] = "isr"
+        shared = compute_whole_program_facts(program).shared_variables
+        # A pointer reaches only globals whose address is taken.
+        assert "shared" in shared and "sink" not in shared
+        optimize_program(program, CxpropConfig())
+        assert any(isinstance(s, ast.If)
+                   for s in statements_of(program, "main"))
+
 
 class TestFolding:
     def test_always_true_branch_is_folded(self):
@@ -162,6 +193,31 @@ __spontaneous void main(void) {
                   and isinstance(s.lvalue, ast.Identifier)
                   and s.lvalue.name == "sink"][0]
         assert isinstance(assign.rvalue, ast.Identifier)
+
+    @pytest.mark.parametrize("store", ["*cursor = 200;", "cursor[0] = 200;"],
+                             ids=["deref", "index"])
+    def test_pointer_stores_in_a_callee_keep_a_branch(self, store):
+        """A callee that stores through a pointer, indexed or not, may
+        change any address-taken global, so the call forgets ``shared``.
+        Without an interrupt handler nothing is interrupt-shared."""
+        program = make_program(f"""
+uint8_t shared;
+uint8_t *cursor;
+volatile uint8_t sink;
+void write(void) {{ {store} }}
+__spontaneous void main(void) {{
+  cursor = &shared;
+  shared = 1;
+  write();
+  if (shared == 1) {{ sink = 3; }} else {{ sink = 4; }}
+}}
+""")
+        facts = compute_whole_program_facts(program)
+        assert POINTER_STORE in facts.mod_sets["write"]
+        assert not facts.shared_variables
+        optimize_program(program, CxpropConfig())
+        assert any(isinstance(s, ast.If)
+                   for s in statements_of(program, "main"))
 
     def test_address_of_operands_are_never_replaced(self):
         source = """

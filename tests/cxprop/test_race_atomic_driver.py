@@ -1,4 +1,4 @@
-"""Tests for the pointer-aware race analysis, atomic optimization, and driver."""
+"""Tests for the atomic optimization and the driver."""
 
 import pytest
 
@@ -8,46 +8,11 @@ from repro.cxprop.atomic_opt import compute_always_atomic_functions, \
     optimize_atomic_sections
 from repro.cxprop.driver import CxpropConfig, optimize_program
 from repro.cxprop.interproc import compute_whole_program_facts
-from repro.cxprop.race import pointer_aware_race_analysis
 
 import sys
 from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent.parent))
 from helpers import count_calls, make_program, statements_of
-
-
-class TestPointerAwareRaceAnalysis:
-    def test_direct_and_pointer_shared_variables(self):
-        program = make_program("""
-uint8_t directly_shared;
-uint8_t reachable_through_pointer[4];
-uint8_t* cursor;
-uint8_t private_to_tasks;
-
-__interrupt("ADC") void isr(void) {
-  directly_shared = 1;
-  cursor[0] = 2;
-}
-
-__spontaneous void main(void) {
-  cursor = reachable_through_pointer;
-  private_to_tasks = directly_shared;
-}
-""")
-        program.interrupt_vectors["ADC"] = "isr"
-        report = pointer_aware_race_analysis(program)
-        assert "directly_shared" in report.shared_variables
-        assert "reachable_through_pointer" in report.shared_variables
-        assert "private_to_tasks" not in report.shared_variables
-        assert "reachable_through_pointer" in report.pointer_shared
-
-    def test_no_interrupts_means_nothing_is_shared(self):
-        program = make_program("""
-uint8_t quiet;
-__spontaneous void main(void) { quiet = 1; }
-""")
-        report = pointer_aware_race_analysis(program)
-        assert not report.shared_variables
 
 
 class TestAtomicOptimization:

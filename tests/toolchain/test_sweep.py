@@ -151,6 +151,8 @@ class TestProcessPool:
     def test_process_pool_reproduces_in_process_summaries(self, shared_sweep):
         pooled = SweepRunner(APPS, VARIANTS, processes=2).run()
         assert pooled.summaries() == shared_sweep.summaries()
+        assert [build.passes for build in pooled] == \
+            [build.passes for build in shared_sweep]
 
     def test_process_pool_builds_carry_summaries_only(self):
         pooled = SweepRunner(["BlinkTask_Mica2"], [BASELINE],
